@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -19,6 +20,8 @@ from typing import Callable, Iterator, Optional, Sequence
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 
 INF = float("inf")
+
+_TIMEOUT_CHECK_MASK = 4095  # wall clock consulted every 4096 Clock.expired calls
 
 ATTR1 = 0
 ATTR2 = 1
@@ -99,9 +102,6 @@ class BudgetFactors:
     forward: Fraction
     backward: Fraction
 
-    def of(self, direction: int) -> Fraction:
-        return self.forward if direction == FORWARD else self.backward
-
 
 class BoundsTables:
     """Per-direction lower/upper bound arrays, shortest-path trees and the S' mask."""
@@ -146,8 +146,9 @@ class BoundedSearch:
 
     Stops before expanding any state whose f-value exceeds the bound (which may
     be a callable re-read every pop, for bounds tightened concurrently).
-    `steps()` yields one settled (state, dist, companion) at a time so callers
-    can interleave two searches deterministically or drive them from threads.
+    `steps()` yields one settled (state, dist, companion) at a time, before the
+    state's successors are generated; `stepper` turns that into a step callable
+    for `run_sides`.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
@@ -203,26 +204,101 @@ class BoundedSearch:
                     heapq.heappush(heap, (ndp + hv, nds, ndp, v, u))
         self.finished = True
 
-    def run(self) -> "BoundedSearch":
-        for _ in self.steps():
-            pass
+    def stepper(self, on_settle=None) -> Callable[[], bool]:
+        """A step callable that settles one state, fires `on_settle(u, dist,
+        companion)` and returns True, or returns False once the search is done."""
+        settle = self.steps()
+
+        def step() -> bool:
+            item = next(settle, None)
+            if item is None:
+                return False
+            if on_settle is not None:
+                on_settle(*item)
+            return True
+
+        return step
+
+    def run(self, on_settle=None) -> "BoundedSearch":
+        """Run to completion, firing `on_settle(u, dist, companion)` per settlement."""
+        for u, dp, ds in self.steps():
+            if on_settle is not None:
+                on_settle(u, dp, ds)
         return self
 
 
-def bounded_sssp(graph: Graph, source: int, traverse_dir: int, attr: int,
-                 heuristic: Optional[Sequence] = None, bound=INF,
-                 allowed: Optional[Sequence[bool]] = None, join_check=None):
-    """Run one bounded label-setting search to completion.
+class Clock:
+    """Timeout bookkeeping: wall clock consulted every 4096 calls to `expired`."""
 
-    Returns (dist, companion, settled, pred): optimal cost on `attr` per
-    settled state, the other attribute's cost along that same path, the
-    settled mask, and the predecessor array of the shortest-path tree.
-    `join_check(u, dist, companion)` fires once per settlement.
+    def __init__(self, timeout: Optional[float]):
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.counter = 0
+        self.timed_out = False
+
+    def expired(self) -> bool:
+        if self.deadline is None:
+            return False
+        if self.counter & _TIMEOUT_CHECK_MASK == 0:
+            if time.monotonic() >= self.deadline:
+                self.timed_out = True
+        self.counter += 1
+        return self.timed_out
+
+
+def run_sides(schedule: tuple, steps: Sequence[Callable[[], bool]], *,
+              require_both: bool = True, stop: Optional[Callable[[], bool]] = None,
+              clock: Optional[Clock] = None) -> bool:
+    """Drive the two sides of a bidirectional search under one schedule.
+
+    Each side is a step callable that does one unit of work and returns False
+    once that side is done. ('lockstep', k) gives each side k steps per turn,
+    in the order given, so runs repeat exactly; ('threads', n) runs each side
+    on its own thread. The clock is consulted before every step; `stop()`
+    after every step that did work, and a True halts both sides. With
+    `require_both=False` the run ends as soon as one side is done. Returns
+    True when the clock expired.
     """
-    search = BoundedSearch(graph, source, traverse_dir, attr, heuristic=heuristic,
-                           bound=bound, allowed=allowed)
-    _drive(search, on_settle=join_check)
-    return search.dist, search.comp, search.settled, search.pred
+    mode = schedule[0]
+    if mode == "threads":
+        halt = threading.Event()
+
+        def work(step) -> None:
+            while not halt.is_set() and not (clock is not None and clock.expired()):
+                if not step():
+                    if not require_both:
+                        halt.set()
+                    return
+                if stop is not None and stop():
+                    halt.set()
+                    return
+
+        threads = [threading.Thread(target=work, args=(step,)) for step in steps]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        return clock is not None and clock.timed_out
+    if mode != "lockstep":
+        raise ValueError(f"unknown schedule mode {mode!r}")
+    k = schedule[1] if len(schedule) > 1 else 1
+    if k < 1:
+        raise ValueError(f"lockstep needs K >= 1 steps per turn, got {k}")
+    done = [False] * len(steps)
+    while not all(done):
+        for side, step in enumerate(steps):
+            if done[side]:
+                continue
+            for _ in range(k):
+                if clock is not None and clock.expired():
+                    return True
+                if not step():
+                    done[side] = True
+                    break
+                if stop is not None and stop():
+                    return False
+            if done[side] and not require_both:
+                return False
+    return False
 
 
 def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -296,14 +372,6 @@ def _make_join_check(gb: GlobalBounds, tables: BoundsTables, table_dir: int, att
     return check
 
 
-def _drive(search: BoundedSearch, on_settle=None, stop: Optional[Callable[[], bool]] = None):
-    for u, dp, ds in search.steps():
-        if on_settle is not None:
-            on_settle(u, dp, ds)
-        if stop is not None and stop():
-            return
-
-
 def init_unidirectional(graph: Graph, inst: ProblemInstance,
                         use_geo: bool = True) -> InitResult:
     """Two chained backward bounded searches; forward-direction tables only.
@@ -367,8 +435,7 @@ def init_sequential_bidirectional(graph: Graph, inst: ProblemInstance,
         traverse = BACKWARD if table_dir == FORWARD else FORWARD
         search = BoundedSearch(graph, source, traverse, attr, heuristic=heuristic,
                                bound=bound, allowed=allowed)
-        check = _make_join_check(gb, tables, table_dir, attr) if match else None
-        _drive(search, on_settle=check)
+        search.run(_make_join_check(gb, tables, table_dir, attr) if match else None)
         tables.install(table_dir, attr, search.dist, search.comp, search.pred)
         result.settled_per_phase.append((table_dir, attr, search.settled))
         return search
@@ -483,7 +550,8 @@ def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance,
         return hit["shortcut"] is not None or \
             (bwd2.finished and not bwd2.settled[inst.start])
 
-    _run_pair(schedule, (bwd2, bwd2_settle), (fwd1, fwd1_settle), stop=round_one_done)
+    run_sides(schedule, (bwd2.stepper(bwd2_settle), fwd1.stepper(fwd1_settle)),
+              stop=round_one_done)
     tables.install(FORWARD, ATTR2, bwd2.dist, bwd2.comp, bwd2.pred)
     tables.install(BACKWARD, ATTR1, fwd1.dist, fwd1.comp, fwd1.pred)
     result.settled_per_phase.append((FORWARD, ATTR2, bwd2.settled))
@@ -508,9 +576,8 @@ def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance,
     bwd1 = BoundedSearch(graph, inst.goal, BACKWARD, ATTR1,
                          heuristic=tables.h[BACKWARD][ATTR1],
                          bound=lambda: gb.f1_bar, allowed=allowed)
-    _run_pair(schedule,
-              (fwd2, _make_join_check(gb, tables, BACKWARD, ATTR2)),
-              (bwd1, _make_join_check(gb, tables, FORWARD, ATTR1)))
+    run_sides(schedule, (fwd2.stepper(_make_join_check(gb, tables, BACKWARD, ATTR2)),
+                         bwd1.stepper(_make_join_check(gb, tables, FORWARD, ATTR1))))
     tables.install(BACKWARD, ATTR2, fwd2.dist, fwd2.comp, fwd2.pred)
     tables.install(FORWARD, ATTR1, bwd1.dist, bwd1.comp, bwd1.pred)
     result.settled_per_phase.append((BACKWARD, ATTR2, fwd2.settled))
@@ -521,37 +588,6 @@ def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance,
     tables.ensure_full(FORWARD)
     tables.ensure_full(BACKWARD)
     return result
-
-
-def _run_pair(schedule: tuple, a: tuple, b: tuple, stop=None) -> None:
-    """Run two BoundedSearches per the schedule: ('lockstep', k) or ('threads', n)."""
-    mode = schedule[0]
-    if mode == "threads":
-        threads = [threading.Thread(target=_drive, args=(s, cb, stop))
-                   for s, cb in (a, b)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return
-    k = schedule[1] if len(schedule) > 1 else 1
-    gens = [iter(a[0].steps()), iter(b[0].steps())]
-    callbacks = [a[1], b[1]]
-    done = [False, False]
-    while not all(done):
-        for side in (0, 1):
-            if done[side]:
-                continue
-            for _ in range(k):
-                try:
-                    u, dp, ds = next(gens[side])
-                except StopIteration:
-                    done[side] = True
-                    break
-                if callbacks[side] is not None:
-                    callbacks[side](u, dp, ds)
-                if stop is not None and stop():
-                    return
 
 
 def budget_factors(valid_states: Sequence[bool], h_f1: Sequence, h_b1: Sequence) -> BudgetFactors:

@@ -2,8 +2,8 @@
 tightness formula, batch benchmarking with an instrumentation CSV, the
 brute-force cross-check suite, and cost randomization.
 
-Exit codes for `solve`: 0 optimal, 2 infeasible, 3 timeout; conflicting flag
-combinations exit 64.
+Exit codes for `solve`: 0 optimal, 2 infeasible, 3 timeout; usage errors,
+conflicting flag combinations included, exit 64.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _queue_config(kind_flag: str, tie_flag: str, delta_f: int) -> QueueConfig:
 
 
 def _solve_options(args) -> SolveOptions:
-    schedule = ("threads", 2) if args.threads else ("lockstep", args.lockstep)
+    schedule = ("threads", 2) if args.threads else ("lockstep", args.lockstep or 1)
     return SolveOptions(schedule=schedule, timeout=args.timeout)
 
 
@@ -368,9 +368,23 @@ def cmd_randomize(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit EXIT_USAGE instead of 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _steps_per_turn(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"K must be at least 1, got {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wcspp",
-                                     description="Weight-constrained shortest path solvers")
+    parser = _Parser(prog="wcspp", description="Weight-constrained shortest path solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_args(p, coords=True):
@@ -390,10 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue", choices=sorted(QUEUE_KINDS), default="bucket")
     p.add_argument("--tie", choices=sorted(TIE_POLICIES), default="none-lifo")
     p.add_argument("--delta-f", type=int, default=1, help="bucket width")
-    p.add_argument("--threads", action="store_true",
-                   help="run parallel solvers on real threads")
-    p.add_argument("--lockstep", type=int, default=1, metavar="K",
-                   help="deterministic schedule: K expansions per side")
+    sched = p.add_mutually_exclusive_group()
+    sched.add_argument("--threads", action="store_true",
+                       help="run parallel solvers on real threads")
+    # No default, so an explicit --lockstep 1 still conflicts with --threads.
+    sched.add_argument("--lockstep", type=_steps_per_turn, metavar="K",
+                       help="deterministic schedule: K >= 1 steps per side (default 1)")
     p.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
     p.add_argument("--print-path", action="store_true")
     p.set_defaults(func=cmd_solve)

@@ -32,7 +32,6 @@ class ProblemInstance:
     start: int
     goal: int
     weight_limit: int
-    tightness: Optional[float] = None  # delta the limit was derived from, if any
 
     def __post_init__(self):
         if self.weight_limit < 0:

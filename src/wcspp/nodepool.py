@@ -3,38 +3,27 @@
 A search node lives in the pool only while it sits in a priority queue or is
 being processed; once processed, the few fields backtracking needs move into
 the per-state parent arrays and the slot returns to the free list. Freed slots
-are reissued oldest-first, fresh slots come from fixed-size blocks.
+are reissued oldest-first; fresh slots are appended one at a time and counted
+in blocks of BLOCK_NODES.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .graph import FORWARD
 
-BLOCK_NODES = 16_384  # ~1 MB at 64 bytes per node
+BLOCK_NODES = 16_384  # slots per block in the pool_blocks figure
 
 INF = float("inf")
 
 
-class SearchNode(NamedTuple):
-    """Read-only view of a pooled node slot."""
-
-    state: int
-    g1: int
-    g2: int
-    f1: int
-    f2: int
-    parent_state: Optional[int]
-    parent_path_id: int
-
-
 class NodePool:
-    """Block allocator with slot recycling; handles are indices into parallel arrays."""
+    """Slot allocator with recycling; handles are indices into parallel arrays."""
 
     __slots__ = ("state", "g1", "g2", "f1", "f2", "parent_state", "parent_path_id",
-                 "_free", "_is_free", "_touched", "_capacity", "live", "peak_live")
+                 "_free", "_is_free", "live", "peak_live")
 
     def __init__(self):
         self.state: list[int] = []
@@ -46,22 +35,8 @@ class NodePool:
         self.parent_path_id: list[int] = []
         self._free: deque[int] = deque()
         self._is_free = bytearray()
-        self._touched = 0
-        self._capacity = 0
         self.live = 0
         self.peak_live = 0
-
-    def _grow(self) -> None:
-        self._capacity += BLOCK_NODES
-        pad = [0] * BLOCK_NODES
-        self.state.extend(pad)
-        self.g1.extend(pad)
-        self.g2.extend(pad)
-        self.f1.extend(pad)
-        self.f2.extend(pad)
-        self.parent_state.extend([None] * BLOCK_NODES)
-        self.parent_path_id.extend(pad)
-        self._is_free.extend(b"\0" * BLOCK_NODES)
 
     def allocate(self, state: int, g1: int, g2: int, f1: int, f2: int,
                  parent_state: Optional[int], parent_path_id: int) -> int:
@@ -69,18 +44,23 @@ class NodePool:
         if self._free:
             h = self._free.popleft()
             self._is_free[h] = 0
+            self.state[h] = state
+            self.g1[h] = g1
+            self.g2[h] = g2
+            self.f1[h] = f1
+            self.f2[h] = f2
+            self.parent_state[h] = parent_state
+            self.parent_path_id[h] = parent_path_id
         else:
-            if self._touched == self._capacity:
-                self._grow()
-            h = self._touched
-            self._touched += 1
-        self.state[h] = state
-        self.g1[h] = g1
-        self.g2[h] = g2
-        self.f1[h] = f1
-        self.f2[h] = f2
-        self.parent_state[h] = parent_state
-        self.parent_path_id[h] = parent_path_id
+            h = len(self.state)
+            self.state.append(state)
+            self.g1.append(g1)
+            self.g2.append(g2)
+            self.f1.append(f1)
+            self.f2.append(f2)
+            self.parent_state.append(parent_state)
+            self.parent_path_id.append(parent_path_id)
+            self._is_free.append(0)
         self.live += 1
         if self.live > self.peak_live:
             self.peak_live = self.live
@@ -92,19 +72,15 @@ class NodePool:
         self._free.append(handle)
         self.live -= 1
 
-    def view(self, handle: int) -> SearchNode:
-        return SearchNode(self.state[handle], self.g1[handle], self.g2[handle],
-                          self.f1[handle], self.f2[handle],
-                          self.parent_state[handle], self.parent_path_id[handle])
-
     @property
     def slots_created(self) -> int:
-        """Distinct slots ever handed out (not block capacity)."""
-        return self._touched
+        """Distinct slots ever handed out."""
+        return len(self.state)
 
     @property
     def blocks_allocated(self) -> int:
-        return self._capacity // BLOCK_NODES
+        """Slots counted in BLOCK_NODES-sized blocks, the last one partly filled."""
+        return -(-len(self.state) // BLOCK_NODES)
 
 
 class ParentArrays:

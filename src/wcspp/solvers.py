@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import (ATTR1, ATTR2, INF, INFEASIBLE, SEARCH, BoundsTables, GlobalBounds,
+from .bounds import (ATTR1, ATTR2, INF, SEARCH, BoundsTables, Clock, GlobalBounds,
                      InitResult, SOL_NONE, SOL_PAIR, SOL_SINGLE,
                      SolutionRecord, budget_factors, init_parallel_bidirectional,
-                     init_sequential_bidirectional, init_unidirectional)
+                     init_sequential_bidirectional, init_unidirectional, run_sides)
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 from .nodepool import NodePool, ParentArrays, join_forward, reconstruct, walk_tree
 from .pqueue import QueueConfig, TIE_SECONDARY, new_queue
@@ -36,15 +36,13 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIMEOUT = "timeout"
 
-_TIMEOUT_CHECK_MASK = 4095  # wall clock consulted every 4096 loop iterations
-
 _BREAK = 0
 _CONTINUE = 1
 
 
 @dataclass
 class SolveOptions:
-    schedule: tuple = ("lockstep", 1)
+    schedule: tuple = ("lockstep", 1)  # ("lockstep", k >= 1) or ("threads", n)
     timeout: Optional[float] = None
     htf: bool = True  # wc-ba heuristic tuning switch
     init_reversed_order: bool = False  # wc-ebba: run the cost1 bounded searches first
@@ -85,11 +83,6 @@ class Metrics:
     @property
     def prunes_global(self) -> int:
         return self.prunes_global_f1 + self.prunes_global_f2
-
-    def memory_estimate_bytes(self) -> int:
-        # Allocator-level figure: pool blocks at 64 B/node plus queue high-water.
-        from .nodepool import BLOCK_NODES
-        return self.pool_blocks * BLOCK_NODES * 64 + self.queue_peak * 24
 
 
 @dataclass
@@ -251,6 +244,11 @@ class SearchContext:
 
     def _lock_for(self, state: int):
         return self.chi_locks[state & (len(self.chi_locks) - 1)]
+
+    def step(self) -> bool:
+        """Pop and process one node; False once the queue is empty or the search ends."""
+        item = self.ds.open.pop()
+        return item is not None and self.process(item) != _BREAK
 
     def process(self, item) -> int:
         """One Alg-8-style iteration body for an already-popped queue item."""
@@ -448,26 +446,9 @@ def path_cost(graph: Graph, path: list[int]) -> tuple[int, int]:
 # Drivers
 
 
-class _Clock:
-    """Timeout bookkeeping: wall clock consulted every 4096 iterations."""
-
-    def __init__(self, timeout: Optional[float]):
-        self.deadline = None if timeout is None else time.monotonic() + timeout
-        self.counter = 0
-        self.timed_out = False
-
-    def expired(self) -> bool:
-        if self.deadline is None:
-            return False
-        if self.counter & _TIMEOUT_CHECK_MASK == 0:
-            if time.monotonic() >= self.deadline:
-                self.timed_out = True
-        self.counter += 1
-        return self.timed_out
-
-
 def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
             options: SolveOptions, started: float, timed_out: bool) -> SolveOutcome:
+    """Build the outcome; a solve decided during initialisation has no contexts."""
     gb = init.gb
     metrics = Metrics()
     qstats = {}
@@ -502,26 +483,6 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
     return outcome
 
 
-def _init_outcome(graph: Graph, init: InitResult, options: SolveOptions,
-                  started: float) -> SolveOutcome:
-    """Outcome for solves decided entirely during initialisation."""
-    gb = init.gb
-    metrics = Metrics()
-    metrics.wall_time_s = time.monotonic() - started
-    if init.status == INFEASIBLE:
-        return SolveOutcome(STATUS_INFEASIBLE, None, None, metrics, gb.record)
-    record = gb.record
-    path = None
-    if options.compute_path and record.kind != SOL_NONE:
-        path = reconstruct_solution(record, init.tables, {})
-    outcome = SolveOutcome(STATUS_OPTIMAL, tuple(record.costs), path, metrics, record)
-    if options.record_incumbents:
-        outcome.incumbents = gb.incumbents
-    if options.record_tuning:
-        outcome.tuned = []
-    return outcome
-
-
 def solve_wc_astar(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
                    options: Optional[SolveOptions] = None) -> SolveOutcome:
     """Unidirectional forward search in (f1, f2) order."""
@@ -529,17 +490,37 @@ def solve_wc_astar(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     started = time.monotonic()
     init = init_unidirectional(graph, inst, use_geo=options.use_geo)
     if init.status != SEARCH:
-        return _init_outcome(graph, init, options, started)
+        return _finish(graph, init, [], options, started, False)
 
     ds = DirectionState(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start)
     ctx = SearchContext(graph, init.tables, init.gb, ds, bidirectional=False,
                         options=options)
-    clock = _Clock(options.timeout)
-    while not clock.expired():
-        item = ds.open.pop()
-        if item is None or ctx.process(item) == _BREAK:
-            break
+    clock = Clock(options.timeout)
+    while not clock.expired() and ctx.step():
+        pass
     return _finish(graph, init, [ctx], options, started, clock.timed_out)
+
+
+def _ebba_contexts(graph: Graph, inst: ProblemInstance, init: InitResult,
+                   queue: QueueConfig, options: SolveOptions) -> list[SearchContext]:
+    """Forward and backward contexts of the biased bidirectional search: budget
+    factors, the shared Match/Store lists and their locks."""
+    beta = budget_factors(init.valid_states, init.tables.h[FORWARD][ATTR1],
+                          init.tables.h[BACKWARD][ATTR1])
+    chi_f: dict = {}
+    chi_b: dict = {}
+    locks = [threading.Lock() for _ in range(64)]
+    contexts = []
+    for d, chi_mine, chi_opp, b_own, b_opp in (
+            (FORWARD, chi_f, chi_b, beta.forward, beta.backward),
+            (BACKWARD, chi_b, chi_f, beta.backward, beta.forward)):
+        start_state = inst.start if d == FORWARD else inst.goal
+        ds = DirectionState(graph, init.tables, init.gb, d, ORDER_12, queue, start_state)
+        contexts.append(SearchContext(graph, init.tables, init.gb, ds,
+                                      bidirectional=True, budget=b_own, budget_opp=b_opp,
+                                      chi_mine=chi_mine, chi_opp=chi_opp, chi_locks=locks,
+                                      options=options))
+    return contexts
 
 
 def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
@@ -552,25 +533,11 @@ def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
                                          reversed_order=options.init_reversed_order,
                                          use_geo=options.use_geo)
     if init.status != SEARCH:
-        return _init_outcome(graph, init, options, started)
+        return _finish(graph, init, [], options, started, False)
 
-    beta = budget_factors(init.valid_states, init.tables.h[FORWARD][ATTR1],
-                          init.tables.h[BACKWARD][ATTR1])
-    chi_f: dict = {}
-    chi_b: dict = {}
-    locks = [threading.Lock() for _ in range(64)]
-    contexts = []
-    for d, chi_mine, chi_opp, b_own, b_opp in (
-            (FORWARD, chi_f, chi_b, beta.forward, beta.backward),
-            (BACKWARD, chi_b, chi_f, beta.backward, beta.forward)):
-        start_state = inst.start if d == FORWARD else inst.goal
-        ds = DirectionState(graph, init.tables, init.gb, d, ORDER_12, queue, start_state)
-        contexts.append(SearchContext(graph, init.tables, init.gb, ds,
-                                      bidirectional=True, budget=b_own, budget_opp=b_opp,
-                                      chi_mine=chi_mine, chi_opp=chi_opp, chi_locks=locks,
-                                      options=options))
+    contexts = _ebba_contexts(graph, inst, init, queue, options)
     tie = queue.tie_policy == TIE_SECONDARY
-    clock = _Clock(options.timeout)
+    clock = Clock(options.timeout)
     while not clock.expired():
         heads = []
         for ctx in contexts:
@@ -582,53 +549,9 @@ def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
             break
         # Smallest key wins; on an exact tie the forward side goes first.
         heads.sort(key=lambda kc: (kc[0], kc[1].ds.direction))
-        ctx = heads[0][1]
-        if ctx.process(ctx.ds.open.pop()) == _BREAK:
+        if not heads[0][1].step():
             break
     return _finish(graph, init, contexts, options, started, clock.timed_out)
-
-
-def _run_parallel(contexts: list[SearchContext], options: SolveOptions,
-                  require_both: bool) -> bool:
-    """Drive two SearchContexts per options.schedule; returns True on timeout."""
-    mode = options.schedule[0]
-    if mode == "threads":
-        clock = _Clock(options.timeout)
-        stop = threading.Event()
-
-        def work(ctx: SearchContext) -> None:
-            while not stop.is_set() and not clock.expired():
-                item = ctx.ds.open.pop()
-                if item is None or ctx.process(item) == _BREAK:
-                    break
-            if not require_both:
-                stop.set()
-
-        threads = [threading.Thread(target=work, args=(c,)) for c in contexts]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return clock.timed_out
-
-    k = options.schedule[1] if len(options.schedule) > 1 else 1
-    clock = _Clock(options.timeout)
-    done = [False] * len(contexts)
-    while True:
-        for side, ctx in enumerate(contexts):
-            if done[side]:
-                continue
-            for _ in range(k):
-                if clock.expired():
-                    return True
-                item = ctx.ds.open.pop()
-                if item is None or ctx.process(item) == _BREAK:
-                    done[side] = True
-                    break
-            if not require_both and done[side]:
-                return False
-        if all(done):
-            return False
 
 
 def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
@@ -640,7 +563,7 @@ def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     init = init_parallel_bidirectional(graph, inst, schedule=options.schedule,
                                        use_geo=options.use_geo)
     if init.status != SEARCH:
-        return _init_outcome(graph, init, options, started)
+        return _finish(graph, init, [], options, started, False)
 
     ds_f = DirectionState(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start)
     ds_b = DirectionState(graph, init.tables, init.gb, BACKWARD, ORDER_21, queue, inst.goal)
@@ -650,7 +573,8 @@ def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
         SearchContext(graph, init.tables, init.gb, ds_b, bidirectional=True,
                       htf=options.htf, options=options),
     ]
-    timed_out = _run_parallel(contexts, options, require_both=False)
+    timed_out = run_sides(options.schedule, [c.step for c in contexts],
+                          require_both=False, clock=Clock(options.timeout))
     return _finish(graph, init, contexts, options, started, timed_out)
 
 
@@ -663,24 +587,11 @@ def solve_wc_ebba_par(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     init = init_parallel_bidirectional(graph, inst, schedule=options.schedule,
                                        use_geo=options.use_geo)
     if init.status != SEARCH:
-        return _init_outcome(graph, init, options, started)
+        return _finish(graph, init, [], options, started, False)
 
-    beta = budget_factors(init.valid_states, init.tables.h[FORWARD][ATTR1],
-                          init.tables.h[BACKWARD][ATTR1])
-    chi_f: dict = {}
-    chi_b: dict = {}
-    locks = [threading.Lock() for _ in range(64)]
-    contexts = []
-    for d, chi_mine, chi_opp, b_own, b_opp in (
-            (FORWARD, chi_f, chi_b, beta.forward, beta.backward),
-            (BACKWARD, chi_b, chi_f, beta.backward, beta.forward)):
-        start_state = inst.start if d == FORWARD else inst.goal
-        ds = DirectionState(graph, init.tables, init.gb, d, ORDER_12, queue, start_state)
-        contexts.append(SearchContext(graph, init.tables, init.gb, ds,
-                                      bidirectional=True, budget=b_own, budget_opp=b_opp,
-                                      chi_mine=chi_mine, chi_opp=chi_opp, chi_locks=locks,
-                                      options=options))
-    timed_out = _run_parallel(contexts, options, require_both=True)
+    contexts = _ebba_contexts(graph, inst, init, queue, options)
+    timed_out = run_sides(options.schedule, [c.step for c in contexts],
+                          clock=Clock(options.timeout))
     return _finish(graph, init, contexts, options, started, timed_out)
 
 

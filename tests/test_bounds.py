@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wcspp.bounds import (ATTR1, ATTR2, BoundedSearch, INF, INFEASIBLE, SEARCH,
+from wcspp.bounds import (ATTR1, ATTR2, BoundedSearch, Clock, INF, INFEASIBLE, SEARCH,
                           SHORTCUT, budget_factors, init_parallel_bidirectional,
-                          init_sequential_bidirectional, init_unidirectional)
+                          init_sequential_bidirectional, init_unidirectional, run_sides)
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import constrained_optimum
 
@@ -194,18 +194,79 @@ def test_reduction_soundness():
             constrained_optimum(g, start, goal, w)
 
 
-def test_bounded_sssp_function_surface(example_graph):
-    from wcspp.bounds import bounded_sssp
+def test_bounded_search_run_surface(example_graph):
     seen = []
-    dist, comp, settled, pred = bounded_sssp(
-        example_graph, G, BACKWARD, ATTR2, join_check=lambda u, dp, ds: seen.append(u))
-    assert dist == [EXAMPLE_H_F[u][1] for u in range(5)]
-    assert comp == [EXAMPLE_UB_F[u][0] for u in range(5)]
-    assert all(settled)
+    s = BoundedSearch(example_graph, G, BACKWARD, ATTR2).run(
+        lambda u, dp, ds: seen.append(u))
+    assert s.dist == [EXAMPLE_H_F[u][1] for u in range(5)]
+    assert s.comp == [EXAMPLE_UB_F[u][0] for u in range(5)]
+    assert all(s.settled)
     assert sorted(seen) == list(range(5))
     # predecessor walk from the start reaches the goal
     u, hops = S, 0
-    while pred[u] is not None:
-        u = pred[u]
+    while s.pred[u] is not None:
+        u = s.pred[u]
         hops += 1
     assert u == G and hops <= 4
+
+
+def _toy_sides(log):
+    """Step callables that log their name per step: side 'a' has 3 steps, 'b' 5."""
+    def side(name, n):
+        left = [n]
+
+        def step():
+            if left[0] == 0:
+                return False
+            left[0] -= 1
+            log.append(name)
+            return True
+        return step
+    return [side("a", 3), side("b", 5)]
+
+
+@pytest.mark.parametrize("k, require_both, expected", [
+    (1, True, "abababbb"),
+    (2, True, "aabbabbb"),
+    (3, True, "aaabbbbb"),
+    (1, False, "ababab"),  # a's fourth step finds it done: b gets no further turn
+    (2, False, "aabba"),
+    (3, False, "aaabbb"),
+])
+def test_run_sides_lockstep_interleaving(k, require_both, expected):
+    log = []
+    stops = []
+    timed_out = run_sides(("lockstep", k), _toy_sides(log), require_both=require_both,
+                          stop=lambda: stops.append(len(log)) or False)
+    assert timed_out is False
+    assert "".join(log) == expected
+    # stop() is consulted after every step that did work, and only then
+    assert stops == list(range(1, len(log) + 1))
+
+
+def test_run_sides_stop_halts_both_sides():
+    log = []
+    assert run_sides(("lockstep", 2), _toy_sides(log), stop=lambda: len(log) >= 3) is False
+    assert "".join(log) == "aab"
+
+
+def test_run_sides_expired_clock():
+    log = []
+    assert run_sides(("lockstep", 1), _toy_sides(log), clock=Clock(0.0)) is True
+    assert log == []
+    assert run_sides(("lockstep", 1), _toy_sides(log), clock=Clock(None)) is False
+    assert "".join(log) == "abababbb"
+
+
+def test_run_sides_threads_run_each_side_to_completion():
+    log = []
+    assert run_sides(("threads", 2), _toy_sides(log)) is False
+    assert sorted(log) == list("aaabbbbb")
+
+
+@pytest.mark.parametrize("schedule", [("lockstep", 0), ("lockstep", -3), ("round-robin", 1)])
+def test_run_sides_rejects_bad_schedule(schedule):
+    log = []
+    with pytest.raises(ValueError):
+        run_sides(schedule, _toy_sides(log))
+    assert log == []

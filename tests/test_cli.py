@@ -2,6 +2,8 @@ import csv
 import io
 from fractions import Fraction
 
+import pytest
+
 from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTIMAL,
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
@@ -86,6 +88,30 @@ def test_solve_rejects_bucket_with_secondary(example_dimacs, capsys):
                  "--queue", "bucket", "--tie", "secondary"])
     assert code == EXIT_USAGE
     assert "tie" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["-W", "6", "--delta", "0.5"],  # two weight limits
+    ["-W", "6", "--threads", "--lockstep", "3"],  # two schedules
+    ["-W", "6", "--threads", "--lockstep", "1"],
+    ["-W", "6", "--lockstep", "0"],  # K < 1 used to hang wc-ba and wc-ebba-par
+    ["-W", "6", "--lockstep", "-3"],
+    [],  # no weight limit at all
+])
+def test_solve_usage_errors_exit_64(example_dimacs, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+              "--start", "1", "--goal", "5", "--algorithm", "wc-ba"] + flags)
+    assert exc.value.code == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
+def test_solve_command_lockstep_k(example_dimacs, capsys):
+    code = main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--start", "1", "--goal", "5", "-W", "6", "--lockstep", "3",
+                 "--algorithm", "wc-ebba-par"])
+    assert code == EXIT_OPTIMAL
+    assert "optimal 5 5" in capsys.readouterr().out
 
 
 def test_gen_instances_command_roundtrip(example_dimacs, tmp_path):

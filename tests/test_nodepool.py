@@ -3,7 +3,8 @@ import random
 import pytest
 
 from wcspp.graph import FORWARD, random_graph
-from wcspp.nodepool import NodePool, ParentArrays, join_forward, splice_out_cycles, walk_tree
+from wcspp.nodepool import (BLOCK_NODES, NodePool, ParentArrays, join_forward,
+                            splice_out_cycles, walk_tree)
 from wcspp.solvers import path_cost
 
 from conftest import G, S, U1, U2
@@ -32,6 +33,20 @@ def test_live_count_returns_to_zero():
     for h in handles:
         pool.recycle(h)
     assert pool.live == 0
+
+
+def test_blocks_count_fresh_slots_in_whole_blocks():
+    pool = NodePool()
+    assert pool.blocks_allocated == 0
+    for i in range(BLOCK_NODES + 1):
+        h = pool.allocate(i, 0, 0, 0, 0, None, 0)
+        if i in (0, BLOCK_NODES - 1):
+            assert pool.blocks_allocated == 1
+    assert pool.blocks_allocated == 2
+    # recycled slots are reissued before any fresh one
+    pool.recycle(h)
+    assert pool.allocate(0, 0, 0, 0, 0, None, 0) == h
+    assert pool.slots_created == BLOCK_NODES + 1
 
 
 def test_double_recycle_asserts():

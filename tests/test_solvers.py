@@ -1,4 +1,6 @@
+import itertools
 import random
+import threading
 
 import pytest
 
@@ -290,19 +292,43 @@ def test_timeout_zero_returns_init_incumbent(example_graph):
 
 
 def test_lockstep_bitwise_reproducible(example_graph):
+    # Only repeatability is checked: known defects still answer wrongly at some K.
     rng = random.Random(17)
     for _ in range(20):
         n = rng.randint(5, 25)
         g = random_graph(rng.randrange(2**30), n, 2 * n)
         inst = ProblemInstance(0, n - 1, rng.randint(1, 50))
-        for solver in (solve_wc_ba_star, solve_wc_ebba_par):
+        for solver, k in itertools.product((solve_wc_ba_star, solve_wc_ebba_par),
+                                           (1, 2, 3, 5, 8)):
             runs = [solver(g, inst, BUCKET_CFG,
-                           SolveOptions(record_trace=True)) for _ in range(2)]
+                           SolveOptions(schedule=("lockstep", k), record_trace=True))
+                    for _ in range(2)]
             assert runs[0].status == runs[1].status
             assert runs[0].costs == runs[1].costs
             assert runs[0].trace == runs[1].trace
             assert runs[0].metrics.expansions == runs[1].metrics.expansions
             assert runs[0].metrics.pops == runs[1].metrics.pops
+
+
+@pytest.mark.parametrize("schedule", [("lockstep", 0), ("lockstep", -3), ("fifo", 1)])
+@pytest.mark.parametrize("solver", [solve_wc_ba_star, solve_wc_ebba_par])
+def test_bad_schedule_raises_instead_of_hanging(example_graph, solver, schedule):
+    # Run in a thread so that a regression to the old endless loop fails the
+    # test instead of hanging the suite.
+    raised = []
+
+    def solve():
+        try:
+            solver(example_graph, ProblemInstance(S, G, 6), BUCKET_CFG,
+                   SolveOptions(schedule=schedule))
+        except ValueError as exc:
+            raised.append(exc)
+
+    t = threading.Thread(target=solve, daemon=True)
+    t.start()
+    t.join(timeout=10)
+    assert not t.is_alive(), f"{schedule} did not return"
+    assert len(raised) == 1
 
 
 def test_threads_match_lockstep_costs():
