@@ -301,32 +301,57 @@ def run_sides(schedule: tuple, steps: Sequence[Callable[[], bool]], *,
     return False
 
 
-def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in metres between (lat, lon) points."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a[0], a[1], b[0], b[1]))
-    s = (math.sin((lat2 - lat1) / 2) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2) ** 2)
+def haversine_m(lat: Sequence[float], lon: Sequence[float], cos_lat: Sequence[float],
+                a: int, b: int) -> float:
+    """Great-circle distance in metres between states a and b, from per-state
+    latitudes and longitudes in radians and the cosines of the latitudes."""
+    s = (math.sin((lat[b] - lat[a]) / 2) ** 2
+         + cos_lat[a] * cos_lat[b] * math.sin((lon[b] - lon[a]) / 2) ** 2)
     return 2 * 6371000.0 * math.asin(min(1.0, math.sqrt(s)))
 
 
-def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[list[int]]:
+class GeoHeuristic(dict):
+    """Great-circle cost1 lower bounds toward one target, computed for a state
+    on its first lookup and memoised."""
+
+    __slots__ = ("lat", "lon", "cos_lat", "scale", "target")
+
+    def __init__(self, geo: tuple, target: int):
+        super().__init__()
+        self.lat, self.lon, self.cos_lat, self.scale = geo
+        self.target = target
+
+    def __missing__(self, u: int) -> int:
+        h = self[u] = int(haversine_m(self.lat, self.lon, self.cos_lat, u, self.target)
+                          * self.scale)
+        return h
+
+
+def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[GeoHeuristic]:
     """Admissible cost1 lower bounds from great-circle distances, when coordinates exist.
 
     Scaled by the tightest cost1-per-metre ratio over all edges so that
-    h(u) <= cost1 of every u-target path; cost2 has no geometric meaning here.
+    h[u] <= cost1 of every u-target path; cost2 has no geometric meaning here.
+    The per-graph data (radian coordinates, cos(lat) and the scale) is
+    computed on the first call and kept in `graph.geo_cache`; each later call
+    costs O(1), and h[u] is evaluated only for the states a search looks up.
     """
     if attr != ATTR1 or graph.coords is None or graph.state_count == 0:
         return None
-    coords = graph.coords
-    scale = INF
-    for u, v, c1, _ in graph.edges():
-        d = haversine_m(coords[u], coords[v])
-        if d > 1e-9:
-            scale = min(scale, c1 / d)
+    if graph.geo_cache is None:
+        lat = [math.radians(c[0]) for c in graph.coords]
+        lon = [math.radians(c[1]) for c in graph.coords]
+        cos_lat = [math.cos(x) for x in lat]
+        scale = INF
+        for u, v, c1, _ in graph.edges():
+            d = haversine_m(lat, lon, cos_lat, u, v)
+            if d > 1e-9:
+                scale = min(scale, c1 / d)
+        graph.geo_cache = (lat, lon, cos_lat, scale)
+    scale = graph.geo_cache[3]
     if scale is INF or scale <= 0:
         return None
-    t = coords[target]
-    return [int(haversine_m(coords[u], t) * scale) for u in range(graph.state_count)]
+    return GeoHeuristic(graph.geo_cache, target)
 
 
 def _initial_record(state: int, attr_to_start: Optional[int], attr_to_goal: Optional[int],

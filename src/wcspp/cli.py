@@ -47,13 +47,21 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _settle(graph: Graph, start: int, goal: int, attr: int) -> Optional[tuple[int, int]]:
+    """(dist, companion) of `goal` in a search from `start` on `attr`, which
+    stops once `goal` settles; None if it is unreachable."""
+    for u, dist, comp in BoundedSearch(graph, start, FORWARD, attr).steps():
+        if u == goal:
+            return dist, comp
+    return None
+
+
 def pair_cost2_bounds(graph: Graph, start: int, goal: int) -> Optional[tuple[int, int]]:
     """(h2, ub2) for a pair: cost2 of its cost2-shortest and cost1-shortest paths."""
-    on2 = BoundedSearch(graph, start, FORWARD, ATTR2).run()
-    if not on2.settled[goal]:
+    on2 = _settle(graph, start, goal, ATTR2)
+    if on2 is None:
         return None
-    on1 = BoundedSearch(graph, start, FORWARD, ATTR1).run()
-    return on2.dist[goal], on1.comp[goal]
+    return on2[0], _settle(graph, start, goal, ATTR1)[1]
 
 
 def weight_from_tightness(h2: int, ub2: int, delta: Fraction) -> int:

@@ -57,6 +57,7 @@ class Graph:
         "rev_c1",
         "rev_c2",
         "coords",
+        "geo_cache",
     )
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int, int, int]],
@@ -76,6 +77,8 @@ class Graph:
                 best[key] = (c1, c2)
         self._build_csr(best)
         self.coords = list(coords) if coords is not None else None
+        # Per-graph geometric data for bounds.geo_heuristic, filled on first use.
+        self.geo_cache = None
 
     def _build_csr(self, best: dict[tuple[int, int], tuple[int, int]]) -> None:
         n = self.state_count

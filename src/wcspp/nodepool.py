@@ -1,4 +1,4 @@
-"""Recycling allocator for search nodes plus compact per-state parent arrays.
+"""Recycling allocator for search nodes plus sparse per-state parent arrays.
 
 A search node lives in the pool only while it sits in a priority queue or is
 being processed; once processed, the few fields backtracking needs move into
@@ -88,23 +88,29 @@ class ParentArrays:
 
     Entry i (1-based) of state u records the i-th successful expansion of u in
     one search direction; id 0 with parent state None marks the initial node.
+    Only expanded states hold entries, so the arrays grow with the search,
+    not with the graph.
     """
 
-    def __init__(self, state_count: int):
-        self.parent_state: list[list[Optional[int]]] = [[] for _ in range(state_count)]
-        self.parent_path_id: list[list[int]] = [[] for _ in range(state_count)]
+    def __init__(self):
+        self.parent_state: dict[int, list[Optional[int]]] = {}
+        self.parent_path_id: dict[int, list[int]] = {}
 
     def record_expansion(self, state: int, parent_state: Optional[int],
                          parent_path_id: int) -> int:
         """Append one entry for `state` and return its 1-based index."""
         if parent_state is not None:
-            assert parent_path_id >= 1 and parent_path_id <= len(self.parent_state[parent_state])
-        self.parent_state[state].append(parent_state)
+            assert 1 <= parent_path_id <= len(self.parent_state.get(parent_state, ()))
+        states = self.parent_state.get(state)
+        if states is None:
+            states = self.parent_state[state] = []
+            self.parent_path_id[state] = []
+        states.append(parent_state)
         self.parent_path_id[state].append(parent_path_id)
-        return len(self.parent_state[state])
+        return len(states)
 
     def entries(self, state: int) -> tuple[list[Optional[int]], list[int]]:
-        return self.parent_state[state], self.parent_path_id[state]
+        return self.parent_state.get(state, []), self.parent_path_id.get(state, [])
 
     def backtrack(self, state: int, path_id: int) -> list[int]:
         """States from the search's initial state to `state`, following a recorded path."""

@@ -190,7 +190,7 @@ class DirectionState:
         self.ordering = ordering
         self.g_min = [INF] * n
         self.pool = NodePool()
-        self.parents = ParentArrays(n)
+        self.parents = ParentArrays()
         h = tables.h[direction]
         f1 = h[ATTR1][initial_state]
         f2 = h[ATTR2][initial_state]

@@ -3,10 +3,13 @@ the table-admissibility checker used by both the bounds tests and acceptance."""
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from wcspp.bounds import ATTR1, ATTR2, INF
-from wcspp.graph import BACKWARD, FORWARD, Graph
+from wcspp.graph import BACKWARD, FORWARD, Graph, random_graph
 from wcspp.nodepool import walk_tree
 from wcspp.oracle import all_simple_paths
 
@@ -36,6 +39,28 @@ EXAMPLE_PARETO = [(3, 8), (4, 7), (5, 5), (6, 4), (7, 3)]
 @pytest.fixture
 def example_graph() -> Graph:
     return Graph(5, EXAMPLE_EDGES)
+
+
+def haversine_deg(a, b):
+    """Great-circle metres between (lat, lon) points in degrees: the textbook
+    formula, kept apart from the program's so the two can be compared."""
+    lat1, lon1, lat2, lon2 = map(math.radians, (a[0], a[1], b[0], b[1]))
+    s = (math.sin((lat2 - lat1) / 2) ** 2
+         + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2) ** 2)
+    return 2 * 6371000.0 * math.asin(min(1.0, math.sqrt(s)))
+
+
+def geo_random_graph(seed: int, n: int, extra_edges: int) -> Graph:
+    """`random_graph`'s arcs and cost2 over seeded coordinates in a ~2 km box,
+    with cost1 one unit plus about one per 100 m plus up to 3, so the geometric
+    heuristic is informative."""
+    rng = random.Random(f"coords/{seed}")
+    coords = [(40 + rng.random() * 0.02, -73 + rng.random() * 0.02) for _ in range(n)]
+    edges = []
+    for u, v, _, c2 in random_graph(seed, n, extra_edges).edges():
+        metres = haversine_deg(coords[u], coords[v])
+        edges.append((u, v, 1 + round(metres / 100) + rng.randint(0, 3), c2))
+    return Graph(n, edges, coords)
 
 
 def write_dimacs_pair(tmp_path, edges, n, prefix="g"):

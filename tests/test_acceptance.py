@@ -134,7 +134,7 @@ def test_criterion_2_oracle_equivalence(suite):
 def test_criterion_3_memory_recycling():
     s, u1, u2, g = range(4)
     pool = NodePool()
-    parents = ParentArrays(4)
+    parents = ParentArrays()
 
     def expand(handle, state, parent_ref, child_states):
         children = [pool.allocate(v, 0, 0, 0, 0, state, 0) for v in child_states]

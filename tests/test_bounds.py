@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from wcspp.bounds import (ATTR1, ATTR2, BoundedSearch, Clock, INF, INFEASIBLE, SEARCH,
-                          SHORTCUT, budget_factors, init_parallel_bidirectional,
-                          init_sequential_bidirectional, init_unidirectional, run_sides)
+                          SHORTCUT, budget_factors, geo_heuristic,
+                          init_parallel_bidirectional, init_sequential_bidirectional,
+                          init_unidirectional, run_sides)
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import constrained_optimum
 
-from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U1, U2, U3,
-                      check_tables_against_paths)
+from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U1, U2, U3,
+                      check_tables_against_paths, geo_random_graph, haversine_deg)
 
 
 def test_backward_cost2_bounds(example_graph):
@@ -125,6 +126,69 @@ def test_init_parallel_threads_matches_lockstep(example_graph):
                                       schedule=("threads", 2))
     assert thr.status == lock.status
     assert thr.gb.f1_bar <= 7 and lock.gb.f1_bar <= 7
+
+
+def _brute_force_scale(graph):
+    ratios = [c1 / d for u, v, c1, _ in graph.edges()
+              if (d := haversine_deg(graph.coords[u], graph.coords[v])) > 1e-9]
+    return min(ratios)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_geo_heuristic_matches_brute_force(seed):
+    g = geo_random_graph(seed, 12, 30)
+    n = g.state_count
+    scale = _brute_force_scale(g)
+    for t in range(n):
+        h = geo_heuristic(g, t, ATTR1)
+        expected = [int(haversine_deg(g.coords[u], g.coords[t]) * scale) for u in range(n)]
+        assert [h[u] for u in range(n)] == expected
+        # lookups are memoised and in any order
+        assert [h[u] for u in reversed(range(n))] == expected[::-1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_geo_heuristic_is_admissible(seed):
+    g = geo_random_graph(seed, 15, 40)
+    informative = 0
+    for t in range(g.state_count):
+        h = geo_heuristic(g, t, ATTR1)
+        to_t = BoundedSearch(g, t, BACKWARD, ATTR1).run().dist  # cost1 from u to t
+        for u in range(g.state_count):
+            assert h[u] <= to_t[u]
+            informative += h[u] > 0
+    assert informative > 0
+
+
+def test_geo_heuristic_none_cases():
+    g = geo_random_graph(1, 8, 10)
+    assert geo_heuristic(g, 3, ATTR1) is not None
+    assert geo_heuristic(g, 3, ATTR2) is None
+    assert geo_heuristic(Graph(5, EXAMPLE_EDGES), G, ATTR1) is None  # no coordinates
+    assert geo_heuristic(Graph(0, [], []), 0, ATTR1) is None
+    # a zero-cost edge between distinct points makes the cost1-per-metre scale 0
+    zero = Graph(3, [(0, 1, 0, 1), (1, 2, 5, 1)], [(40.0, -73.0), (40.01, -73.0), (40.02, -73.0)])
+    assert geo_heuristic(zero, 2, ATTR1) is None
+
+
+def test_geo_heuristic_scans_edges_once_per_graph(monkeypatch):
+    scans = []
+    edges = Graph.edges
+
+    def counting_edges(self):
+        scans.append(self)
+        return edges(self)
+
+    monkeypatch.setattr(Graph, "edges", counting_edges)
+    a = geo_random_graph(2, 10, 20)
+    b = geo_random_graph(3, 10, 20)
+    zero = Graph(2, [(0, 1, 0, 1)], [(40.0, -73.0), (40.01, -73.0)])
+    scans.clear()  # building the graphs above scanned edges too
+    for graph in (a, b, zero):
+        for _ in range(3):
+            for t in range(graph.state_count):
+                geo_heuristic(graph, t, ATTR1)
+    assert scans == [a, b, zero]
 
 
 def test_budget_factors():

@@ -1,14 +1,16 @@
 import csv
 import io
+import random
 from fractions import Fraction
 
 import pytest
 
+from wcspp.bounds import ATTR1, ATTR2, BoundedSearch
 from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTIMAL,
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
                        weight_from_tightness)
-from wcspp.graph import load_dimacs
+from wcspp.graph import FORWARD, load_dimacs, random_graph
 from wcspp.solvers import SolveOutcome
 
 from conftest import G, S
@@ -25,6 +27,20 @@ def test_weight_from_tightness_formula():
 def test_pair_bounds_on_example(example_dimacs):
     g = load_dimacs(*example_dimacs)
     assert pair_cost2_bounds(g, S, G) == (3, 8)
+
+
+def test_pair_bounds_match_full_searches():
+    # The searches stop once the goal settles; full runs must agree.
+    rng = random.Random(61)
+    for seed in range(40):
+        n = rng.randint(3, 30)
+        g = random_graph(seed, n, rng.randint(0, 3 * n), cost_min=rng.choice((0, 1)))
+        for _ in range(4):
+            s, t = rng.randrange(n), rng.randrange(n)
+            on2 = BoundedSearch(g, s, FORWARD, ATTR2).run()
+            on1 = BoundedSearch(g, s, FORWARD, ATTR1).run()
+            expected = (on2.dist[t], on1.comp[t]) if on2.settled[t] else None
+            assert pair_cost2_bounds(g, s, t) == expected, (seed, s, t)
 
 
 def test_gen_instances_delta_one_is_loose(example_dimacs):

@@ -63,7 +63,7 @@ def test_seven_node_replay_uses_four_slots():
     # Diamond graph: s -> {u1, u2}, u1 -> {u2, g}, u2 -> g.
     s, u1, u2, g = range(4)
     pool = NodePool()
-    parents = ParentArrays(4)
+    parents = ParentArrays()
     slot_of = {}
 
     def expand(name, handle, state, parent_ref, children):
@@ -99,7 +99,7 @@ def test_seven_node_replay_uses_four_slots():
 
 
 def test_record_expansion_initial_node():
-    parents = ParentArrays(3)
+    parents = ParentArrays()
     idx = parents.record_expansion(0, None, 0)
     assert idx == 1
     assert parents.entries(0) == ([None], [0])
@@ -107,7 +107,7 @@ def test_record_expansion_initial_node():
 
 def test_backtrack_and_join(example_graph):
     # Hand-built state: start expanded (initial), then u2 from start.
-    parents = ParentArrays(5)
+    parents = ParentArrays()
     parents.record_expansion(S, None, 0)
     idx = parents.record_expansion(U2, S, 1)
     assert parents.backtrack(U2, idx) == [S, U2]
@@ -118,7 +118,7 @@ def test_backtrack_and_join(example_graph):
 
 
 def test_join_at_initial_state_is_whole_tree_path():
-    parents = ParentArrays(5)
+    parents = ParentArrays()
     parents.record_expansion(S, None, 0)
     tree = [U1, U2, G, G, None]
     path = join_forward(parents.backtrack(S, 1), walk_tree(tree, S))
@@ -154,13 +154,13 @@ def test_reconstructed_cost_matches_reported(example_graph):
 
 def test_reconstruct_single_direction(example_graph):
     from wcspp.nodepool import reconstruct
-    parents = ParentArrays(5)
+    parents = ParentArrays()
     parents.record_expansion(S, None, 0)
     idx = parents.record_expansion(U2, S, 1)
     tree = [U1, U2, G, G, None]  # next hop toward the goal
     assert reconstruct(parents, tree, U2, idx, FORWARD) == [S, U2, G]
     # backward flavor: partial goes goal..u, tree walk leads to the start
-    bparents = ParentArrays(5)
+    bparents = ParentArrays()
     bparents.record_expansion(G, None, 0)
     bidx = bparents.record_expansion(U2, G, 1)
     btree = [None, 0, 0, 0, 2]  # predecessor toward the start

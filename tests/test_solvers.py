@@ -15,7 +15,7 @@ from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, DirectionState, SearchCo
                            solve_wc_ba_star, solve_wc_ebba, solve_wc_ebba_par,
                            store_partial, terminal_skip)
 
-from conftest import EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U2, U3
+from conftest import EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U2, U3, geo_random_graph
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 ALL_QUEUE_CFGS = [
@@ -358,6 +358,25 @@ def test_all_solvers_all_queues_match_oracle_small():
                 out = solver(g, inst, cfg, SolveOptions(check_invariants=True))
                 got = out.costs if out.status == "optimal" else None
                 assert got == expected, (name, cfg.kind, cfg.tie_policy, s, t, w)
+
+
+def test_all_solvers_with_coordinates_match_oracle():
+    # Default options: the geometric heuristic and wc-ba's HTF are on.
+    rng = random.Random(53)
+    for seed in range(30):
+        n = rng.randint(5, 16)
+        g = geo_random_graph(seed, n, 2 * n)
+        s, t = rng.randrange(n), rng.randrange(n)
+        w = rng.randint(1, 40)
+        expected = constrained_optimum(g, s, t, w)
+        inst = ProblemInstance(s, t, w)
+        for name, solver in SOLVERS.items():
+            for cfg in (BUCKET_CFG, QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)):
+                out = solver(g, inst, cfg, SolveOptions(check_invariants=True))
+                got = out.costs if out.status == "optimal" else None
+                assert got == expected, (name, cfg.kind, seed, s, t, w)
+                plain = solver(g, inst, cfg, SolveOptions(use_geo=False))
+                assert plain.costs == out.costs, (name, cfg.kind, seed, s, t, w)
 
 
 def test_tie_breaking_monotonicity_small():
