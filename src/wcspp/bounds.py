@@ -1,5 +1,6 @@
 """Bounded heuristic searches producing the h/ub tables, the reduced state set,
-initial global upper bounds and budget factors.
+initial global upper bounds and budget factors. Each solver's initialisation
+is a plan of rounds of these searches, run by `run_init`.
 
 Direction convention: tables for direction d bound costs from a state to that
 search's target (forward target = goal, backward target = start). The forward
@@ -104,7 +105,7 @@ class BudgetFactors:
 
 
 class BoundsTables:
-    """Per-direction lower/upper bound arrays, shortest-path trees and the S' mask."""
+    """Per-direction lower/upper bound arrays and shortest-path trees."""
 
     def __init__(self, state_count: int):
         n = state_count
@@ -113,7 +114,6 @@ class BoundsTables:
         self.h: list[list[Optional[list]]] = [[None, None], [None, None]]
         self.ub: list[list[Optional[list]]] = [[None, None], [None, None]]
         self.tree: list[list[Optional[list]]] = [[None, None], [None, None]]
-        self.valid: Optional[list[bool]] = None
 
     def install(self, direction: int, attr: int, dist: list, comp: list,
                 pred: list) -> None:
@@ -147,8 +147,7 @@ class BoundedSearch:
     Stops before expanding any state whose f-value exceeds the bound (which may
     be a callable re-read every pop, for bounds tightened concurrently).
     `steps()` yields one settled (state, dist, companion) at a time, before the
-    state's successors are generated; `stepper` turns that into a step callable
-    for `run_sides`.
+    state's successors are generated.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
@@ -169,7 +168,6 @@ class BoundedSearch:
         self.best: dict[int, tuple] = {source: (0, 0)}
         h0 = heuristic[source] if heuristic is not None else 0
         self.heap: list[tuple] = [(h0, 0, 0, source, -1)]
-        self.finished = False
 
     def steps(self) -> Iterator[tuple[int, int, int]]:
         heap = self.heap
@@ -202,22 +200,6 @@ class BoundedSearch:
                     self.best[v] = (ndp, nds)
                     hv = heuristic[v] if heuristic is not None else 0
                     heapq.heappush(heap, (ndp + hv, nds, ndp, v, u))
-        self.finished = True
-
-    def stepper(self, on_settle=None) -> Callable[[], bool]:
-        """A step callable that settles one state, fires `on_settle(u, dist,
-        companion)` and returns True, or returns False once the search is done."""
-        settle = self.steps()
-
-        def step() -> bool:
-            item = next(settle, None)
-            if item is None:
-                return False
-            if on_settle is not None:
-                on_settle(*item)
-            return True
-
-        return step
 
     def run(self, on_settle=None) -> "BoundedSearch":
         """Run to completion, firing `on_settle(u, dist, companion)` per settlement."""
@@ -354,265 +336,141 @@ def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[GeoHeuristic
     return GeoHeuristic(graph.geo_cache, target)
 
 
+# Init plans: a tuple of rounds, each one or two (table direction, attribute)
+# searches. The searches of a round run side by side under the schedule.
+PLAN_UNIDIRECTIONAL = (((FORWARD, ATTR2),), ((FORWARD, ATTR1),))
+PLAN_SEQUENTIAL = (((FORWARD, ATTR2),), ((BACKWARD, ATTR2),), ((BACKWARD, ATTR1),),
+                   ((FORWARD, ATTR1),))
+PLAN_PARALLEL = (((FORWARD, ATTR2), (BACKWARD, ATTR1)), ((BACKWARD, ATTR2), (FORWARD, ATTR1)))
+
+
 def _initial_record(state: int, attr_to_start: Optional[int], attr_to_goal: Optional[int],
                     costs: tuple) -> SolutionRecord:
     return SolutionRecord(SOL_INITIAL, costs, (state, attr_to_start, attr_to_goal))
 
 
-def _make_join_check(gb: GlobalBounds, tables: BoundsTables, table_dir: int, attr: int):
-    """Per-settlement matching against every opposite-direction tree already built.
+def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_dir: int,
+                 attr: int, allowed: Optional[Sequence[bool]], use_geo: bool):
+    """One bounded search of an init plan and its step callable.
 
-    The search being run computes direction `table_dir` tables on `attr`; its
-    settled label (dist, companion) is one half of a start-goal path, the
-    opposite tree supplies the other half.
+    The search computes direction `table_dir` tables on `attr`, so it runs from
+    that direction's target end toward the other end. Its heuristic is the
+    opposite direction's table on `attr` when one exists, else the geometric
+    bound; cost2 is bounded by the weight limit, cost1 by f1_bar. Each settled
+    label is one half of a start-goal path: it is joined with every opposite
+    table. When the search's own target settles, a cost2 label seeds f1_bar and
+    a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
+    search that ends without settling its target proves INFEASIBLE.
     """
+    tables, gb = result.tables, result.gb
     opp = 1 - table_dir
-    pairs = []
+    source, target = (inst.goal, inst.start) if table_dir == FORWARD else (inst.start, inst.goal)
+    heuristic = tables.h[opp][attr]
+    if heuristic is None and use_geo:
+        heuristic = geo_heuristic(graph, target, attr)
+    search = BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
+                           bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
+                           allowed=allowed)
+    joins = []  # (opposite attribute, its cost1 table, its cost2 table)
     for b in (ATTR1, ATTR2):
         h_arr = tables.h[opp][b]
         if h_arr is not None:
             ub_arr = tables.ub[opp][1 - b]
-            if b == ATTR1:
-                pairs.append((b, h_arr, ub_arr))  # (cost1, cost2) = (h, ub)
-            else:
-                pairs.append((b, ub_arr, h_arr))  # (cost1, cost2) = (ub, h)
+            joins.append((b, h_arr, ub_arr) if b == ATTR1 else (b, ub_arr, h_arr))
 
-    def check(u: int, dp, ds) -> None:
+    def record(u: int, other: Optional[int], costs: tuple) -> SolutionRecord:
+        if table_dir == BACKWARD:
+            return _initial_record(u, attr, other, costs)
+        return _initial_record(u, other, attr, costs)
+
+    settle = search.steps()
+
+    def step() -> bool:
+        item = next(settle, None)
+        if item is None:
+            if attr == ATTR2 and not search.settled[target]:
+                result.status = INFEASIBLE
+            return False
+        u, dp, ds = item
         if attr == ATTR1:
-            g1, g2 = dp, ds
+            c1, c2 = dp, ds
         else:
-            g1, g2 = ds, dp
-        for b, tc1, tc2 in pairs:
+            c1, c2 = ds, dp
+        for b, tc1, tc2 in joins:
             o1, o2 = tc1[u], tc2[u]
-            if o1 == INF or o2 == INF:
-                continue
-            c1, c2 = g1 + o1, g2 + o2
-            if c2 <= gb.f2_bar:
-                if table_dir == BACKWARD:
-                    record = _initial_record(u, attr, b, (c1, c2))
-                else:
-                    record = _initial_record(u, b, attr, (c1, c2))
-                gb.offer(c1, c2, lambda r=record: r, tag="init-match")
+            if o1 != INF and o2 != INF and c2 + o2 <= gb.f2_bar:
+                rec = record(u, b, (c1 + o1, c2 + o2))
+                gb.offer(c1 + o1, c2 + o2, lambda r=rec: r, tag="init-match")
+        if u == target:
+            if attr == ATTR2:
+                gb.seed(c1, record(u, None, (c1, c2)))
+            elif c2 <= gb.f2_bar:
+                rec = record(u, None, (c1, c2))
+                gb.offer(c1, c2, lambda r=rec: r, tag="init-shortcut")
+                result.status = SHORTCUT
+        return True
 
-    return check
+    return search, step
+
+
+def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
+             schedule: tuple = ("lockstep", 1), use_geo: bool = True) -> InitResult:
+    """Run an init plan round by round.
+
+    Every search after the first round is restricted to the states that all
+    searches of the previous round settled. The init ends early on INFEASIBLE
+    or SHORTCUT; otherwise S' is the union of the last round's settled states.
+    """
+    gb = GlobalBounds(inst.weight_limit)
+    tables = BoundsTables(graph.state_count)
+    result = InitResult(SEARCH, tables, gb)
+    allowed = None
+    for i, rnd in enumerate(plan):
+        if i:
+            allowed = masks[0] if len(masks) == 1 else [a and b for a, b in zip(*masks)]
+        sides = [_init_search(graph, inst, result, table_dir, attr, allowed, use_geo)
+                 for table_dir, attr in rnd]
+        if len(sides) == 1:
+            step = sides[0][1]
+            while step() and result.status == SEARCH:
+                pass
+        else:
+            run_sides(schedule, [step for _, step in sides],
+                      stop=lambda: result.status != SEARCH)
+        for (table_dir, attr), (search, _) in zip(rnd, sides):
+            tables.install(table_dir, attr, search.dist, search.comp, search.pred)
+            result.settled_per_phase.append((table_dir, attr, search.settled))
+        masks = [search.settled for search, _ in sides]
+        if result.status != SEARCH:
+            break
+    if result.status == INFEASIBLE:
+        return result
+    result.valid_states = masks[0] if len(masks) == 1 else [a or b for a, b in zip(*masks)]
+    if result.status == SEARCH:
+        for direction in {d for rnd in plan for d, _ in rnd}:
+            tables.ensure_full(direction)
+    return result
 
 
 def init_unidirectional(graph: Graph, inst: ProblemInstance,
                         use_geo: bool = True) -> InitResult:
-    """Two chained backward bounded searches; forward-direction tables only.
-
-    First on cost2 bounded by the weight limit (seeds f1_bar from the
-    companion cost of the cost2-optimal path), then on cost1 bounded by f1_bar
-    and restricted to the first search's survivors. Detects infeasibility and
-    the already-feasible-shortest-path shortcut.
-    """
-    gb = GlobalBounds(inst.weight_limit)
-    tables = BoundsTables(graph.state_count)
-    result = InitResult(SEARCH, tables, gb)
-
-    s1 = BoundedSearch(graph, inst.goal, BACKWARD, ATTR2, bound=gb.f2_bar)
-    s1.run()
-    tables.install(FORWARD, ATTR2, s1.dist, s1.comp, s1.pred)
-    result.settled_per_phase.append((FORWARD, ATTR2, s1.settled))
-    if not s1.settled[inst.start]:
-        result.status = INFEASIBLE
-        return result
-    seed_costs = (s1.comp[inst.start], s1.dist[inst.start])  # cost2-optimal path
-    gb.seed(seed_costs[0], _initial_record(inst.start, None, ATTR2, seed_costs))
-
-    # Backward search from the goal: its f-estimate points at the start side.
-    heur = geo_heuristic(graph, inst.start, ATTR1) if use_geo else None
-    s2 = BoundedSearch(graph, inst.goal, BACKWARD, ATTR1, heuristic=heur,
-                       bound=lambda: gb.f1_bar, allowed=s1.settled)
-    s2.run()
-    tables.install(FORWARD, ATTR1, s2.dist, s2.comp, s2.pred)
-    result.settled_per_phase.append((FORWARD, ATTR1, s2.settled))
-    result.valid_states = list(s2.settled)
-    tables.valid = result.valid_states
-    tables.ensure_full(FORWARD)
-
-    if s2.settled[inst.start] and s2.comp[inst.start] <= gb.f2_bar:
-        costs = (s2.dist[inst.start], s2.comp[inst.start])  # cost1-optimal path, feasible
-        gb.offer(costs[0], costs[1],
-                 lambda: _initial_record(inst.start, None, ATTR1, costs), tag="init-shortcut")
-        result.status = SHORTCUT
-    return result
+    """Forward tables only: cost2 bounded by the weight limit, then cost1
+    bounded by f1_bar (wc-astar)."""
+    return run_init(graph, inst, PLAN_UNIDIRECTIONAL, use_geo=use_geo)
 
 
 def init_sequential_bidirectional(graph: Graph, inst: ProblemInstance,
-                                  reversed_order: bool = False,
                                   use_geo: bool = True) -> InitResult:
-    """Four chained bounded searches, each restricted to the previous survivors,
-    each (after the first) tightening f1_bar by partial-path matching.
-
-    The standard order runs both cost2 searches first; with `reversed_order`
-    the cost1 searches run first, seeded by a weight-bounded backward cost2
-    search (looser-constraint tuning).
-    """
-    gb = GlobalBounds(inst.weight_limit)
-    tables = BoundsTables(graph.state_count)
-    result = InitResult(SEARCH, tables, gb)
-    # A search from the start estimates toward the goal and vice versa.
-    geo1_goal = geo_heuristic(graph, inst.goal, ATTR1) if use_geo else None
-
-    def run_phase(table_dir: int, attr: int, heuristic, bound, allowed, match: bool):
-        source = inst.goal if table_dir == FORWARD else inst.start
-        traverse = BACKWARD if table_dir == FORWARD else FORWARD
-        search = BoundedSearch(graph, source, traverse, attr, heuristic=heuristic,
-                               bound=bound, allowed=allowed)
-        search.run(_make_join_check(gb, tables, table_dir, attr) if match else None)
-        tables.install(table_dir, attr, search.dist, search.comp, search.pred)
-        result.settled_per_phase.append((table_dir, attr, search.settled))
-        return search
-
-    if not reversed_order:
-        # cost2 backward, cost2 forward, cost1 forward, cost1 backward
-        s1 = run_phase(FORWARD, ATTR2, None, gb.f2_bar, None, match=False)
-        if not s1.settled[inst.start]:
-            result.status = INFEASIBLE
-            return result
-        gb.seed(s1.comp[inst.start],
-                _initial_record(inst.start, None, ATTR2,
-                                (s1.comp[inst.start], s1.dist[inst.start])))
-        s2 = run_phase(BACKWARD, ATTR2, tables.h[FORWARD][ATTR2], gb.f2_bar,
-                       s1.settled, match=True)
-        s3 = run_phase(BACKWARD, ATTR1, geo1_goal, lambda: gb.f1_bar,
-                       s2.settled, match=True)
-        if s3.settled[inst.goal] and s3.comp[inst.goal] <= gb.f2_bar:
-            costs = (s3.dist[inst.goal], s3.comp[inst.goal])
-            gb.offer(costs[0], costs[1],
-                     lambda: _initial_record(inst.goal, ATTR1, None, costs),
-                     tag="init-shortcut")
-            result.status = SHORTCUT
-            result.valid_states = list(s3.settled)
-        else:
-            s4 = run_phase(FORWARD, ATTR1, tables.h[BACKWARD][ATTR1],
-                           lambda: gb.f1_bar, s3.settled, match=True)
-            result.valid_states = list(s4.settled)
-            if s4.settled[inst.start] and s4.comp[inst.start] <= gb.f2_bar:
-                costs = (s4.dist[inst.start], s4.comp[inst.start])
-                gb.offer(costs[0], costs[1],
-                         lambda: _initial_record(inst.start, None, ATTR1, costs),
-                         tag="init-shortcut")
-                result.status = SHORTCUT
-    else:
-        # cost2 backward (seed), cost1 forward, cost1 backward, cost2 forward
-        s1 = run_phase(FORWARD, ATTR2, None, gb.f2_bar, None, match=False)
-        if not s1.settled[inst.start]:
-            result.status = INFEASIBLE
-            return result
-        gb.seed(s1.comp[inst.start],
-                _initial_record(inst.start, None, ATTR2,
-                                (s1.comp[inst.start], s1.dist[inst.start])))
-        s2 = run_phase(BACKWARD, ATTR1, geo1_goal, lambda: gb.f1_bar, None, match=True)
-        if s2.settled[inst.goal] and s2.comp[inst.goal] <= gb.f2_bar:
-            costs = (s2.dist[inst.goal], s2.comp[inst.goal])
-            gb.offer(costs[0], costs[1],
-                     lambda: _initial_record(inst.goal, ATTR1, None, costs),
-                     tag="init-shortcut")
-            result.status = SHORTCUT
-            result.valid_states = list(s2.settled)
-        else:
-            s3 = run_phase(FORWARD, ATTR1, tables.h[BACKWARD][ATTR1],
-                           lambda: gb.f1_bar, s2.settled, match=True)
-            if s3.settled[inst.start] and s3.comp[inst.start] <= gb.f2_bar:
-                costs = (s3.dist[inst.start], s3.comp[inst.start])
-                gb.offer(costs[0], costs[1],
-                         lambda: _initial_record(inst.start, None, ATTR1, costs),
-                         tag="init-shortcut")
-                result.status = SHORTCUT
-                result.valid_states = list(s3.settled)
-            else:
-                s4 = run_phase(BACKWARD, ATTR2, tables.h[FORWARD][ATTR2], gb.f2_bar,
-                               s3.settled, match=True)
-                result.valid_states = list(s4.settled)
-
-    tables.valid = result.valid_states
-    tables.ensure_full(FORWARD)
-    tables.ensure_full(BACKWARD)
-    return result
+    """Four chained searches: both cost2 searches, then both cost1 searches (wc-ebba)."""
+    return run_init(graph, inst, PLAN_SEQUENTIAL, use_geo=use_geo)
 
 
 def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance,
                                 schedule: tuple = ("lockstep", 1),
                                 use_geo: bool = True) -> InitResult:
-    """Two rounds of two concurrent bounded searches.
-
-    Round one: backward on cost2 (bounded by the weight limit) alongside
-    forward on cost1, which turns bounded as soon as the concurrent search
-    seeds f1_bar. Round two mirrors the attributes with informed heuristics,
-    restricted to round-one survivors, matching partial paths to tighten
-    f1_bar. Early exits: no feasible solution, or the cost1-shortest path is
-    already feasible.
-    """
-    gb = GlobalBounds(inst.weight_limit)
-    tables = BoundsTables(graph.state_count)
-    result = InitResult(SEARCH, tables, gb)
-    geo1_goal = geo_heuristic(graph, inst.goal, ATTR1) if use_geo else None
-
-    hit = {"shortcut": None}
-
-    # Round one.
-    bwd2 = BoundedSearch(graph, inst.goal, BACKWARD, ATTR2, bound=gb.f2_bar)
-    fwd1 = BoundedSearch(graph, inst.start, FORWARD, ATTR1, heuristic=geo1_goal,
-                         bound=lambda: gb.f1_bar)
-
-    def bwd2_settle(u, dp, ds):
-        if u == inst.start:
-            gb.seed(ds, _initial_record(inst.start, None, ATTR2, (ds, dp)))
-
-    def fwd1_settle(u, dp, ds):
-        if u == inst.goal and ds <= gb.f2_bar:
-            costs = (dp, ds)
-            gb.offer(costs[0], costs[1],
-                     lambda: _initial_record(inst.goal, ATTR1, None, costs),
-                     tag="init-shortcut")
-            hit["shortcut"] = costs
-
-    def round_one_done() -> bool:
-        # Abort the round on either early-exit condition: optimum proven, or
-        # the weight-bounded search exhausted without reaching the start.
-        return hit["shortcut"] is not None or \
-            (bwd2.finished and not bwd2.settled[inst.start])
-
-    run_sides(schedule, (bwd2.stepper(bwd2_settle), fwd1.stepper(fwd1_settle)),
-              stop=round_one_done)
-    tables.install(FORWARD, ATTR2, bwd2.dist, bwd2.comp, bwd2.pred)
-    tables.install(BACKWARD, ATTR1, fwd1.dist, fwd1.comp, fwd1.pred)
-    result.settled_per_phase.append((FORWARD, ATTR2, bwd2.settled))
-    result.settled_per_phase.append((BACKWARD, ATTR1, fwd1.settled))
-
-    if hit["shortcut"] is not None:
-        result.status = SHORTCUT
-        result.valid_states = [a and b for a, b in zip(bwd2.settled, fwd1.settled)]
-        tables.valid = result.valid_states
-        tables.ensure_full(FORWARD)
-        tables.ensure_full(BACKWARD)
-        return result
-    if not bwd2.settled[inst.start]:
-        result.status = INFEASIBLE
-        return result
-
-    # Round two, restricted to states settled by both round-one searches.
-    allowed = [a and b for a, b in zip(bwd2.settled, fwd1.settled)]
-    fwd2 = BoundedSearch(graph, inst.start, FORWARD, ATTR2,
-                         heuristic=tables.h[FORWARD][ATTR2], bound=gb.f2_bar,
-                         allowed=allowed)
-    bwd1 = BoundedSearch(graph, inst.goal, BACKWARD, ATTR1,
-                         heuristic=tables.h[BACKWARD][ATTR1],
-                         bound=lambda: gb.f1_bar, allowed=allowed)
-    run_sides(schedule, (fwd2.stepper(_make_join_check(gb, tables, BACKWARD, ATTR2)),
-                         bwd1.stepper(_make_join_check(gb, tables, FORWARD, ATTR1))))
-    tables.install(BACKWARD, ATTR2, fwd2.dist, fwd2.comp, fwd2.pred)
-    tables.install(FORWARD, ATTR1, bwd1.dist, bwd1.comp, bwd1.pred)
-    result.settled_per_phase.append((BACKWARD, ATTR2, fwd2.settled))
-    result.settled_per_phase.append((FORWARD, ATTR1, bwd1.settled))
-
-    result.valid_states = [a or b for a, b in zip(fwd2.settled, bwd1.settled)]
-    tables.valid = result.valid_states
-    tables.ensure_full(FORWARD)
-    tables.ensure_full(BACKWARD)
-    return result
+    """Two rounds of two concurrent searches, the second mirroring the
+    attributes of the first (wc-ba, wc-ebba-par)."""
+    return run_init(graph, inst, PLAN_PARALLEL, schedule=schedule, use_geo=use_geo)
 
 
 def budget_factors(valid_states: Sequence[bool], h_f1: Sequence, h_b1: Sequence) -> BudgetFactors:

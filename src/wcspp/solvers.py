@@ -15,6 +15,7 @@ partial-path matching:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -45,7 +46,6 @@ class SolveOptions:
     schedule: tuple = ("lockstep", 1)  # ("lockstep", k >= 1) or ("threads", n)
     timeout: Optional[float] = None
     htf: bool = True  # wc-ba heuristic tuning switch
-    init_reversed_order: bool = False  # wc-ebba: run the cost1 bounded searches first
     compute_path: bool = True
     use_geo: bool = True
     check_invariants: bool = False
@@ -217,8 +217,10 @@ class SearchContext:
         self.gb = gb
         self.ds = ds
         self.bidirectional = bidirectional
-        self.budget = budget
-        self.budget_opp = budget_opp
+        # g2 and h2 are integers and f2_bar stays at the weight limit, so
+        # g2 <= beta * f2_bar holds exactly when g2 <= floor(beta * f2_bar).
+        self.cap = INF if budget is None else math.floor(budget * gb.f2_bar)
+        self.cap_opp = INF if budget_opp is None else math.floor(budget_opp * gb.f2_bar)
         self.chi_mine = chi_mine
         self.chi_opp = chi_opp
         self.chi_locks = chi_locks
@@ -289,10 +291,15 @@ class SearchContext:
                     self.ds.open.push(kp, fresh_fs, handle)
                     return _CONTINUE
 
-        if p == ATTR2 and f1 > gb.f1_bar:
-            # Secondary-cost invalidation; only the (f2, f1) order needs it since
-            # nodes there are not ordered by f1.
-            self.metrics.prunes_global_f1 += 1
+        # Secondary-cost invalidation: nodes are not ordered by their secondary
+        # f-value, and in (f1, f2) order a refreshed f2 can exceed f2_bar.
+        if p == ATTR2:
+            if f1 > gb.f1_bar:
+                self.metrics.prunes_global_f1 += 1
+                pool.recycle(handle)
+                return _CONTINUE
+        elif f2 > gb.f2_bar:
+            self.metrics.prunes_global_f2 += 1
             pool.recycle(handle)
             return _CONTINUE
 
@@ -328,16 +335,16 @@ class SearchContext:
             return _CONTINUE
 
         gated = False
-        if self.budget is None or g2 <= self.budget * gb.f2_bar:
+        if g2 <= self.cap:
             self.expand_prune(u, g1, g2, idx)
         else:
             gated = True
             if self.options.check_invariants:
-                assert self.h_2[u] <= self.budget_opp * gb.f2_bar, \
+                assert self.h_2[u] <= self.cap_opp, \
                     "budget-rejected node outside the coupling area"
 
         if self.chi_mine is not None:
-            if self.h_2[u] <= self.budget_opp * gb.f2_bar or self.chi_opp.get(u):
+            if self.h_2[u] <= self.cap_opp or self.chi_opp.get(u):
                 lock = self._lock_for(u)
                 with lock:
                     match_partial(gb, self.chi_opp.get(u), self.ds.direction,
@@ -529,9 +536,7 @@ def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     from whichever queue holds the globally smallest (f1, f2) node."""
     options = options or SolveOptions()
     started = time.monotonic()
-    init = init_sequential_bidirectional(graph, inst,
-                                         reversed_order=options.init_reversed_order,
-                                         use_geo=options.use_geo)
+    init = init_sequential_bidirectional(graph, inst, use_geo=options.use_geo)
     if init.status != SEARCH:
         return _finish(graph, init, [], options, started, False)
 

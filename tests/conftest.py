@@ -1,10 +1,13 @@
-"""Shared fixtures: the worked 5-state example graph, DIMACS file helpers and
-the table-admissibility checker used by both the bounds tests and acceptance."""
+"""Shared fixtures: the worked 5-state example graph, DIMACS file helpers, small
+road grids from the benchmark's generator and the table-admissibility checker
+used by both the bounds tests and acceptance."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,16 @@ def geo_random_graph(seed: int, n: int, extra_edges: int) -> Graph:
         metres = haversine_deg(coords[u], coords[v])
         edges.append((u, v, 1 + round(metres / 100) + rng.randint(0, 3), c2))
     return Graph(n, edges, coords)
+
+
+def road_grid_graph(seed: int, rows: int, cols: int) -> Graph:
+    """A rows x cols grid from `wcbench/roadgrid.py`, without coordinates."""
+    path = Path(__file__).resolve().parents[1] / "wcbench" / "roadgrid.py"
+    spec = importlib.util.spec_from_file_location("roadgrid", path)
+    roadgrid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(roadgrid)
+    _, arcs = roadgrid.road_grid(seed, rows, cols)
+    return Graph(rows * cols, arcs)
 
 
 def write_dimacs_pair(tmp_path, edges, n, prefix="g"):

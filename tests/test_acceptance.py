@@ -262,7 +262,6 @@ def test_criterion_7_admissibility(suite):
     flavors = [
         lambda g, i: init_unidirectional(g, i),
         lambda g, i: init_sequential_bidirectional(g, i),
-        lambda g, i: init_sequential_bidirectional(g, i, reversed_order=True),
         lambda g, i: init_parallel_bidirectional(g, i),
     ]
     checked = 0

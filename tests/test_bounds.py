@@ -9,9 +9,13 @@ from wcspp.bounds import (ATTR1, ATTR2, BoundedSearch, Clock, INF, INFEASIBLE, S
                           init_unidirectional, run_sides)
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import constrained_optimum
+from wcspp.pqueue import BUCKET, QueueConfig, TIE_NONE_LIFO
+from wcspp.solvers import SolveOptions, solve_wc_ba_star
 
 from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U1, U2, U3,
                       check_tables_against_paths, geo_random_graph, haversine_deg)
+
+BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 
 
 def test_backward_cost2_bounds(example_graph):
@@ -87,16 +91,6 @@ def test_init_sequential_infeasible(example_graph):
     assert init.status == INFEASIBLE
 
 
-def test_init_sequential_reversed_order_same_conclusions(example_graph):
-    for w, expected in ((6, (5, 5)), (8, (3, 8)), (100, (3, 8))):
-        init = init_sequential_bidirectional(example_graph, ProblemInstance(S, G, w),
-                                             reversed_order=True)
-        if init.status == SHORTCUT:
-            assert init.gb.record.costs == expected
-        else:
-            assert init.gb.f1_bar >= expected[0]
-
-
 def test_init_parallel_example_deterministic(example_graph):
     runs = []
     for _ in range(2):
@@ -126,6 +120,43 @@ def test_init_parallel_threads_matches_lockstep(example_graph):
                                       schedule=("threads", 2))
     assert thr.status == lock.status
     assert thr.gb.f1_bar <= 7 and lock.gb.f1_bar <= 7
+
+
+def test_init_parallel_round_two_can_decide():
+    # The cost1-shortest path s-x-g breaks the limit and x is out of round
+    # two, whose cost1 search then settles s on the optimum s-y-g.
+    g = Graph(4, [(0, 1, 1, 1), (1, 3, 1, 10), (0, 2, 2, 1), (2, 3, 2, 1)])
+    init = init_parallel_bidirectional(g, ProblemInstance(0, 3, 5))
+    assert init.status == SHORTCUT
+    assert [(d, a) for d, a, _ in init.settled_per_phase] == \
+        [(FORWARD, ATTR2), (BACKWARD, ATTR1), (BACKWARD, ATTR2), (FORWARD, ATTR1)]
+    assert not init.settled_per_phase[0][2][1]  # x: cost2 10 to the goal
+    assert init.gb.record.costs == (4, 2) == constrained_optimum(g, 0, 3, 5)
+    out = solve_wc_ba_star(g, ProblemInstance(0, 3, 5), BUCKET_CFG, SolveOptions())
+    assert (out.status, out.costs, out.path) == ("optimal", (4, 2), [0, 2, 3])
+    assert out.metrics.expansions == 0
+
+
+def test_shortcut_round_stops_when_its_target_settles():
+    # A loose limit makes the cost1-shortest path feasible: the cost1 search
+    # settles exactly the states a full run settles up to the start, no more.
+    rng = random.Random(61)
+    cut = 0
+    for _ in range(60):
+        n = rng.randint(4, 14)
+        g = random_graph(rng.randrange(2**30), n, 2 * n)
+        init = init_unidirectional(g, ProblemInstance(0, n - 1, 1 << 40))
+        if init.status != SHORTCUT:
+            continue
+        (_, _, first), (table_dir, attr, mask) = init.settled_per_phase
+        assert (table_dir, attr) == (FORWARD, ATTR1)
+        order = [u for u, _, _ in
+                 BoundedSearch(g, n - 1, BACKWARD, ATTR1, allowed=first).steps()]
+        upto = order[:order.index(0) + 1]
+        assert [u for u in range(n) if mask[u]] == sorted(upto)
+        assert init.gb.record.costs == constrained_optimum(g, 0, n - 1, 1 << 40)
+        cut += len(upto) < len(order)
+    assert cut > 0
 
 
 def _brute_force_scale(graph):
@@ -213,13 +244,12 @@ def test_budget_factors():
         assert bf.forward + bf.backward == 1
 
 
-@pytest.mark.parametrize("flavor", ["uni", "seq", "seq-rev", "par"])
+@pytest.mark.parametrize("flavor", ["uni", "seq", "par"])
 def test_admissibility_and_realization_on_random_graphs(flavor):
     rng = random.Random(sum(map(ord, flavor)))
     inits = {
         "uni": init_unidirectional,
         "seq": init_sequential_bidirectional,
-        "seq-rev": lambda g, i: init_sequential_bidirectional(g, i, reversed_order=True),
         "par": init_parallel_bidirectional,
     }
     for _ in range(40):

@@ -15,7 +15,8 @@ from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, DirectionState, SearchCo
                            solve_wc_ba_star, solve_wc_ebba, solve_wc_ebba_par,
                            store_partial, terminal_skip)
 
-from conftest import EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U2, U3, geo_random_graph
+from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U2, U3, geo_random_graph,
+                      road_grid_graph)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 ALL_QUEUE_CFGS = [
@@ -268,6 +269,22 @@ def test_wc_ba_tuning_off_same_result(example_graph):
         a = solve_wc_ba_star(g, inst, BUCKET_CFG, SolveOptions(htf=True))
         b = solve_wc_ba_star(g, inst, BUCKET_CFG, SolveOptions(htf=False))
         assert (a.status, a.costs) == (b.status, b.costs)
+
+
+@pytest.mark.parametrize("seed, size, start, goal, w, optimum", [
+    (7, 12, 14, 129, 1486, (1688, 1448)),
+    (3, 15, 148, 16, 1802, (2232, 1798)),
+])
+def test_wc_ba_htf_prunes_refreshed_f2_over_the_limit(seed, size, start, goal, w, optimum):
+    # After tuning raises a forward node's f2 past the weight limit, expanding it
+    # let esu lower f1_bar to an infeasible completion's cost1, which then hid
+    # the optimum: wc-ba returned (1698, 1167) and (2251, 1562) here.
+    g = road_grid_graph(seed, size, size)
+    inst = ProblemInstance(start, goal, w)
+    assert constrained_optimum(g, start, goal, w) == optimum
+    for cfg in (BUCKET_CFG, QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)):
+        out = solve_wc_ba_star(g, inst, cfg, SolveOptions(check_invariants=True))
+        assert (out.status, out.costs) == ("optimal", optimum), cfg.kind
 
 
 def test_degenerate_budget_behaves_like_forward_search():
