@@ -16,6 +16,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
@@ -107,9 +108,7 @@ class BudgetFactors:
 class BoundsTables:
     """Per-direction lower/upper bound arrays and shortest-path trees."""
 
-    def __init__(self, state_count: int):
-        n = state_count
-        self.state_count = n
+    def __init__(self):
         # [direction][attr] -> per-state array (None until that search ran)
         self.h: list[list[Optional[list]]] = [[None, None], [None, None]]
         self.ub: list[list[Optional[list]]] = [[None, None], [None, None]]
@@ -121,15 +120,6 @@ class BoundsTables:
         self.h[direction][attr] = dist
         self.ub[direction][other] = comp
         self.tree[direction][attr] = pred
-
-    def ensure_full(self, direction: int) -> None:
-        """Fill any table a solver reads that no init search produced (all-infinite)."""
-        n = self.state_count
-        for attr in (ATTR1, ATTR2):
-            if self.h[direction][attr] is None:
-                self.h[direction][attr] = [INF] * n
-            if self.ub[direction][attr] is None:
-                self.ub[direction][attr] = [INF] * n
 
 
 @dataclass
@@ -147,7 +137,8 @@ class BoundedSearch:
     Stops before expanding any state whose f-value exceeds the bound (which may
     be a callable re-read every pop, for bounds tightened concurrently).
     `steps()` yields one settled (state, dist, companion) at a time, before the
-    state's successors are generated.
+    state's successors are generated; `order` lists the settled states in
+    settle order.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
@@ -165,41 +156,49 @@ class BoundedSearch:
         self.comp = [INF] * n
         self.pred: list[Optional[int]] = [None] * n
         self.settled = [False] * n
+        self.order: list[int] = []
         self.best: dict[int, tuple] = {source: (0, 0)}
         h0 = heuristic[source] if heuristic is not None else 0
         self.heap: list[tuple] = [(h0, 0, 0, source, -1)]
 
     def steps(self) -> Iterator[tuple[int, int, int]]:
-        heap = self.heap
-        settled = self.settled
-        heuristic = self.heuristic
-        graph, tdir = self.graph, self.traverse_dir
-        attr_is_1 = self.attr == ATTR1
+        graph = self.graph
+        if self.traverse_dir == FORWARD:
+            index, to, c1, c2 = graph.fwd_index, graph.fwd_to, graph.fwd_c1, graph.fwd_c2
+        else:
+            index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
+        # Primary (searched) and secondary (companion) cost per arc.
+        cp, cs = (c1, c2) if self.attr == ATTR1 else (c2, c1)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        heap, best, heuristic, allowed, bound = (self.heap, self.best, self.heuristic,
+                                                 self.allowed, self.bound)
+        dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
+                                             self.order.append)
         while heap:
-            f, ds, dp, u, pu = heapq.heappop(heap)
+            f, ds, dp, u, pu = heappop(heap)
             if settled[u]:
                 continue
-            if f > self.bound():
+            if f > bound():
                 break
             settled[u] = True
-            self.dist[u] = dp
-            self.comp[u] = ds
-            self.pred[u] = pu if pu >= 0 else None
+            settle(u)
+            dist[u] = dp
+            comp[u] = ds
+            pred[u] = pu if pu >= 0 else None
             yield u, dp, ds
-            for v, c1, c2 in graph.successors(u, tdir):
-                if self.allowed is not None and not self.allowed[v]:
+            for i in range(index[u], index[u + 1]):
+                v = to[i]
+                if allowed is not None and not allowed[v]:
                     continue
                 if settled[v]:
                     continue
-                if attr_is_1:
-                    ndp, nds = dp + c1, ds + c2
-                else:
-                    ndp, nds = dp + c2, ds + c1
-                cur = self.best.get(v)
+                ndp = dp + cp[i]
+                nds = ds + cs[i]
+                cur = best.get(v)
                 if cur is None or (ndp, nds) < cur:
-                    self.best[v] = (ndp, nds)
+                    best[v] = (ndp, nds)
                     hv = heuristic[v] if heuristic is not None else 0
-                    heapq.heappush(heap, (ndp + hv, nds, ndp, v, u))
+                    heappush(heap, (ndp + hv, nds, ndp, v, u))
 
     def run(self, on_settle=None) -> "BoundedSearch":
         """Run to completion, firing `on_settle(u, dist, companion)` per settlement."""
@@ -420,14 +419,25 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
     Every search after the first round is restricted to the states that all
     searches of the previous round settled. The init ends early on INFEASIBLE
     or SHORTCUT; otherwise S' is the union of the last round's settled states.
+    Both masks are scattered from the searches' settle orders, so building
+    them costs O(settled), not O(n), in Python.
     """
+    n = graph.state_count
     gb = GlobalBounds(inst.weight_limit)
-    tables = BoundsTables(graph.state_count)
+    tables = BoundsTables()
     result = InitResult(SEARCH, tables, gb)
     allowed = None
-    for i, rnd in enumerate(plan):
-        if i:
-            allowed = masks[0] if len(masks) == 1 else [a and b for a, b in zip(*masks)]
+    searches: list[BoundedSearch] = []
+    for rnd in plan:
+        if len(searches) == 1:
+            allowed = searches[0].settled
+        elif searches:
+            first, second = searches
+            in_second = second.settled
+            allowed = [False] * n
+            for u in first.order:
+                if in_second[u]:
+                    allowed[u] = True
         sides = [_init_search(graph, inst, result, table_dir, attr, allowed, use_geo)
                  for table_dir, attr in rnd]
         if len(sides) == 1:
@@ -437,18 +447,21 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
         else:
             run_sides(schedule, [step for _, step in sides],
                       stop=lambda: result.status != SEARCH)
-        for (table_dir, attr), (search, _) in zip(rnd, sides):
+        searches = [search for search, _ in sides]
+        for (table_dir, attr), search in zip(rnd, searches):
             tables.install(table_dir, attr, search.dist, search.comp, search.pred)
             result.settled_per_phase.append((table_dir, attr, search.settled))
-        masks = [search.settled for search, _ in sides]
         if result.status != SEARCH:
             break
     if result.status == INFEASIBLE:
         return result
-    result.valid_states = masks[0] if len(masks) == 1 else [a or b for a, b in zip(*masks)]
-    if result.status == SEARCH:
-        for direction in {d for rnd in plan for d, _ in rnd}:
-            tables.ensure_full(direction)
+    if len(searches) == 1:
+        result.valid_states = searches[0].settled
+    else:
+        valid = result.valid_states = [False] * n
+        for search in searches:
+            for u in search.order:
+                valid[u] = True
     return result
 
 
@@ -478,12 +491,12 @@ def budget_factors(valid_states: Sequence[bool], h_f1: Sequence, h_b1: Sequence)
 
     The direction with the smaller sum gets beta = min(1, (sum_other/2) / sum_own);
     the other direction gets the complement. Exact rational arithmetic so the
-    two factors always add to exactly 1.
+    two factors always add to exactly 1. Only the members of S' are visited.
     """
     sum_f = 0
     sum_b = 0
-    for u, ok in enumerate(valid_states):
-        if ok and h_f1[u] != INF and h_b1[u] != INF:
+    for u in compress(range(len(valid_states)), valid_states):
+        if h_f1[u] != INF and h_b1[u] != INF:
             sum_f += h_f1[u]
             sum_b += h_b1[u]
     if sum_f == 0 and sum_b == 0:

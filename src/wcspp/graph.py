@@ -98,6 +98,8 @@ class Graph:
         """Yield (state, cost1, cost2) neighbours of u, ascending by state id.
 
         ``direction=FORWARD`` scans outgoing edges, ``BACKWARD`` the reversed ones.
+        The search core's expansion uses it; the bounded init searches of
+        `bounds.BoundedSearch` scan the compressed arrays themselves.
         """
         if direction == FORWARD:
             index, to, c1, c2 = self.fwd_index, self.fwd_to, self.fwd_c1, self.fwd_c2

@@ -185,44 +185,40 @@ class BucketQueue(_QueueBase):
         self.entered = False
         self.high_checks = 0  # high-level scan examinations, bounded by bucket_size
 
-    def _check_range(self, key_primary: int) -> int:
-        if key_primary < self.cfg.f_min or key_primary > self.cfg.f_max:
-            raise MonotonicityError(
-                f"key {key_primary} outside queue range [{self.cfg.f_min}, {self.cfg.f_max}]")
-        return key_primary - self.cfg.f_min
-
-    def _append(self, container, item) -> None:
-        container.append(item)
-
-    def _extract(self, container):
-        return container.popleft() if self.fifo else container.pop()
-
     def _head(self, container):
         return container[0] if self.fifo else container[-1]
 
     def push(self, key_primary: int, key_secondary: int, payload) -> None:
-        off = self._check_range(key_primary)
+        cfg = self.cfg
+        if key_primary < cfg.f_min or key_primary > cfg.f_max:
+            raise MonotonicityError(
+                f"key {key_primary} outside queue range [{cfg.f_min}, {cfg.f_max}]")
+        off = key_primary - cfg.f_min
         item = (key_primary, key_secondary, payload)
         if self.one_level:
             if off < self.k:
                 raise MonotonicityError(
                     f"key {key_primary} is behind the drained region (scan at bucket {self.k})")
-            self._append(self.high[off], item)
+            self.high[off].append(item)
         else:
-            hi = off // self.cfg.delta_f
+            hi = off // cfg.delta_f
             if hi < self.k:
                 raise MonotonicityError(
                     f"key {key_primary} is behind the drained region (scan at bucket {self.k})")
             if hi == self.k:
-                j = off % self.cfg.delta_f
+                j = off % cfg.delta_f
                 if j < self.low_j:
                     raise MonotonicityError(
                         f"key {key_primary} is behind the drained low-level region")
-                self._append(self.low[j], item)
+                self.low[j].append(item)
                 self.low_count += 1
             else:
                 self.high[hi].append(item)
-        self._note_push()
+        stats = self._stats
+        stats.pushes += 1
+        size = self.size = self.size + 1
+        if size > stats.peak_size:
+            stats.peak_size = size
 
     def _advance_one_level(self) -> None:
         # Re-examining the entered bucket after it drained is free; fresh indices cost 1.
@@ -270,7 +266,7 @@ class BucketQueue(_QueueBase):
             self.low_j = 0
             self.low_entered = False
             for item in moved:
-                self._append(self.low[(item[0] - self.cfg.f_min) % self.cfg.delta_f], item)
+                self.low[(item[0] - self.cfg.f_min) % self.cfg.delta_f].append(item)
             self.low_count += len(moved)
 
     def _current(self):
@@ -289,7 +285,7 @@ class BucketQueue(_QueueBase):
         if self.size == 0:
             return None
         bucket = self._current()
-        item = self._extract(bucket)
+        item = bucket.popleft() if self.fifo else bucket.pop()
         if not self.one_level:
             self.low_count -= 1
         self.size -= 1

@@ -541,20 +541,22 @@ def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
         return _finish(graph, init, [], options, started, False)
 
     contexts = _ebba_contexts(graph, inst, init, queue, options)
+    fwd, bwd = contexts
+    f_open, b_open = fwd.ds.open, bwd.ds.open
     tie = queue.tie_policy == TIE_SECONDARY
     clock = Clock(options.timeout)
     while not clock.expired():
-        heads = []
-        for ctx in contexts:
-            head = ctx.ds.open.peek() if len(ctx.ds.open) else None
-            if head is not None:
-                key = (head[0], head[1]) if tie else (head[0],)
-                heads.append((key, ctx))
-        if not heads:
+        hf = f_open.peek() if len(f_open) else None
+        hb = b_open.peek() if len(b_open) else None
+        if hf is None and hb is None:
             break
         # Smallest key wins; on an exact tie the forward side goes first.
-        heads.sort(key=lambda kc: (kc[0], kc[1].ds.direction))
-        if not heads[0][1].step():
+        if hf is None or (hb is not None and (
+                hb[0] < hf[0] or (tie and hb[0] == hf[0] and hb[1] < hf[1]))):
+            side = bwd
+        else:
+            side = fwd
+        if not side.step():
             break
     return _finish(graph, init, contexts, options, started, clock.timed_out)
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from wcspp.bounds import (ATTR1, ATTR2, BoundedSearch, Clock, INF, INFEASIBLE, SEARCH,
-                          SHORTCUT, budget_factors, geo_heuristic,
-                          init_parallel_bidirectional, init_sequential_bidirectional,
-                          init_unidirectional, run_sides)
+from wcspp.bounds import (ATTR1, ATTR2, PLAN_PARALLEL, PLAN_SEQUENTIAL, PLAN_UNIDIRECTIONAL,
+                          BoundedSearch, Clock, INF, INFEASIBLE, SEARCH, SHORTCUT,
+                          budget_factors, geo_heuristic, init_parallel_bidirectional,
+                          init_sequential_bidirectional, init_unidirectional, run_init,
+                          run_sides)
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import constrained_optimum
 from wcspp.pqueue import BUCKET, QueueConfig, TIE_NONE_LIFO
@@ -47,6 +48,143 @@ def test_lexicographic_tie_breaking_on_companion(example_graph):
     # winner is (2,4), keeping the smaller companion out of the tie.
     s = BoundedSearch(example_graph, G, BACKWARD, ATTR2).run()
     assert (s.dist[U3], s.comp[U3]) == (2, 4)
+
+
+def _textbook_search(graph, source, traverse_dir, attr, heuristic, limit, allowed):
+    """Lexicographic label-setting search, written plainly: each step settles
+    the open state with the smallest (f, companion, dist, state), where a
+    state's label is the lexicographically smallest (dist, companion) offered
+    so far (the first offer wins a tie) and f = dist + h. It stops once that
+    f exceeds limit(number of states settled so far)."""
+    h = (lambda v: 0) if heuristic is None else heuristic.__getitem__
+    label = {source: (0, 0, None)}  # state -> (dist, companion, predecessor)
+    order, settled = [], set()
+    while True:
+        open_states = [v for v in label if v not in settled]
+        if not open_states:
+            break
+        u = min(open_states, key=lambda v: (label[v][0] + h(v), label[v][1], label[v][0], v))
+        dp, ds, _ = label[u]
+        if dp + h(u) > limit(len(order)):
+            break
+        settled.add(u)
+        order.append(u)
+        for v, c1, c2 in graph.successors(u, traverse_dir):
+            if (allowed is not None and not allowed[v]) or v in settled:
+                continue
+            step = (c1, c2) if attr == ATTR1 else (c2, c1)
+            offer = (dp + step[0], ds + step[1])
+            if v not in label or offer < label[v][:2]:
+                label[v] = offer + (u,)
+    n = graph.state_count
+    dist, comp, pred = [INF] * n, [INF] * n, [None] * n
+    for u in order:
+        dist[u], comp[u], pred[u] = label[u]
+    return order, dist, comp, pred
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bounded_search_matches_textbook_search(seed):
+    # Both traverse directions and attributes, with and without a mask, a table
+    # or geometric heuristic, and constant or tightening bounds: the settle
+    # sequence and every dist/comp/pred entry agree with the plain version.
+    rng = random.Random(seed)
+    n = rng.randint(6, 30)
+    # costs of 1-3 make equal labels common, so the tie rules are exercised
+    g = geo_random_graph(seed, n, 3 * n) if seed % 2 else random_graph(seed, n, 3 * n, 3)
+    cases = 0
+    for _ in range(12):
+        source = rng.randrange(n)
+        tdir = rng.choice((FORWARD, BACKWARD))
+        attr = rng.choice((ATTR1, ATTR2))
+        allowed = None
+        if rng.random() < 0.5:
+            allowed = [rng.random() < 0.7 for _ in range(n)]
+        kind = rng.choice(("none", "table", "geo"))
+        heuristic = None
+        if kind == "table":
+            heuristic = [rng.randint(0, 6) for _ in range(n)]
+        elif kind == "geo" and attr == ATTR1:
+            heuristic = geo_heuristic(g, rng.randrange(n), ATTR1)
+        top = rng.choice((INF, rng.randint(5, 10 * n)))
+        shrink = rng.randint(0, 3)
+        limit = (lambda k: top) if shrink == 0 else (lambda k: top - shrink * k)
+        box = []
+        bound = top if shrink == 0 else (lambda: limit(len(box[0].order)))
+        search = BoundedSearch(g, source, tdir, attr, heuristic=heuristic, bound=bound,
+                               allowed=allowed)
+        box.append(search)
+        seq = [u for u, _, _ in search.steps()]
+        order, dist, comp, pred = _textbook_search(g, source, tdir, attr, heuristic, limit,
+                                                   allowed)
+        assert seq == search.order == order
+        assert (search.dist, search.comp, search.pred) == (dist, comp, pred)
+        assert search.settled == [u in set(order) for u in range(n)]
+        cases += len(order) > 1
+    assert cases > 0
+
+
+def _rounds(plan, settled_per_phase):
+    """Split an init's (direction, attr, mask) records into the plan's rounds."""
+    rounds, i = [], 0
+    for rnd in plan:
+        if i >= len(settled_per_phase):
+            break
+        rounds.append([mask for _, _, mask in settled_per_phase[i:i + len(rnd)]])
+        i += len(rnd)
+    return rounds
+
+
+def test_parallel_round_two_keeps_to_states_both_searches_settled():
+    # x (state 1) lies within the weight limit of the goal, so the round-one
+    # cost2 search settles it, but its cost1 of 100 is past f1_bar = 4, so the
+    # cost1 search does not. Round two's cost2 search would reach x (1 + 2 <= 5)
+    # and must not: x is outside S'.
+    g = Graph(4, [(0, 3, 1, 10), (0, 2, 2, 1), (2, 3, 2, 1), (0, 1, 100, 1), (1, 3, 100, 2)])
+    init = init_parallel_bidirectional(g, ProblemInstance(0, 3, 5))
+    assert init.status == SEARCH and init.gb.f1_bar == 4
+    assert init.settled_per_phase == [
+        (FORWARD, ATTR2, [True, True, True, True]),
+        (BACKWARD, ATTR1, [True, False, True, True]),
+        (BACKWARD, ATTR2, [True, False, True, True]),
+        (FORWARD, ATTR1, [True, False, True, True]),
+    ]
+    assert init.valid_states == [True, False, True, True]
+
+
+@pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],
+                         ids=["uni", "seq", "par"])
+def test_plan_masks_follow_the_settled_states(plan):
+    # S' is the union of the last round's settled states, and every search of
+    # a later round stays inside the states all searches of the round before
+    # settled; both masks are plain lists of bools.
+    rng = random.Random(len(plan))
+    searched = 0
+    for trial in range(60):
+        n = rng.randint(4, 24)
+        seed = rng.randrange(2**30)
+        g = geo_random_graph(seed, n, 2 * n) if trial % 2 else random_graph(seed, n, 2 * n)
+        start, goal = rng.randrange(n), rng.randrange(n)
+        # limits just above the cost2-shortest distance prune the most states
+        h2 = BoundedSearch(g, start, FORWARD, ATTR2).run().dist[goal]
+        if h2 == INF:
+            continue
+        inst = ProblemInstance(start, goal, max(0, h2 + rng.randint(-1, 2 * n)))
+        for schedule in (("lockstep", 1), ("lockstep", 3)):
+            init = run_init(g, inst, plan, schedule=schedule)
+            rounds = _rounds(plan, init.settled_per_phase)
+            for prev, cur in zip(rounds, rounds[1:]):
+                inside = [all(mask[u] for mask in prev) for u in range(n)]
+                for mask in cur:
+                    assert all(inside[u] for u in range(n) if mask[u])
+            if init.status == INFEASIBLE:
+                assert init.valid_states is None
+                continue
+            union = [any(mask[u] for mask in rounds[-1]) for u in range(n)]
+            assert init.valid_states == union
+            assert all(type(x) is bool for x in init.valid_states)
+            searched += init.status == SEARCH
+    assert searched > 0
 
 
 def test_init_unidirectional_example(example_graph):
@@ -242,6 +380,36 @@ def test_budget_factors():
     for hf, hb in (([3, 7], [2, 9]), ([1, 1], [1000, 3]), ([0, 5], [5, 0])):
         bf = budget_factors([True, True], hf, hb)
         assert bf.forward + bf.backward == 1
+
+
+def test_budget_factors_visit_only_members_of_s_prime():
+    # State 1 is outside S' and states 2 and 3 have an infinite bound: only
+    # states 0 and 4 count, sums 40 vs 60, so beta_f = min(1, 30/40) = 3/4.
+    # Counting state 1 as well would flip the split to (0, 1).
+    valid = [True, False, True, True, True]
+    h_f = [10, 100, INF, 5, 30]
+    h_b = [20, 0, 4, INF, 40]
+    bf = budget_factors(valid, h_f, h_b)
+    assert (bf.forward, bf.backward) == (Fraction(3, 4), Fraction(1, 4))
+    # an empty S', or one whose every member has an infinite bound, splits evenly
+    for mask in ([False] * 5, [False, False, True, True, False]):
+        bf = budget_factors(mask, h_f, h_b)
+        assert (bf.forward, bf.backward) == (Fraction(1, 2), Fraction(1, 2))
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        mask = [rng.random() < 0.6 for _ in range(n)]
+        hf = [rng.choice((INF, rng.randint(0, 9))) for _ in range(n)]
+        hb = [rng.choice((INF, rng.randint(0, 9))) for _ in range(n)]
+        members = [u for u in range(n) if mask[u] and hf[u] != INF and hb[u] != INF]
+        sum_f = sum(hf[u] for u in members)
+        sum_b = sum(hb[u] for u in members)
+        bf = budget_factors(mask, hf, hb)
+        assert bf.forward + bf.backward == 1
+        small, large = sorted((sum_f, sum_b))
+        share = Fraction(1, 2) if small == large else (
+            Fraction(1) if small == 0 else min(Fraction(1), Fraction(large, 2 * small)))
+        assert (bf.forward if sum_f <= sum_b else bf.backward) == share
 
 
 @pytest.mark.parametrize("flavor", ["uni", "seq", "par"])

@@ -1,6 +1,7 @@
 import itertools
 import random
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -10,8 +11,8 @@ from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import constrained_optimum, enumerate_pareto
 from wcspp.pqueue import (BINARY_HEAP, BUCKET, HYBRID, QueueConfig, TIE_NONE_FIFO,
                           TIE_NONE_LIFO, TIE_SECONDARY)
-from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, DirectionState, SearchContext,
-                           SolveOptions, esu, match_partial, solve_wc_astar,
+from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, DirectionState, Metrics,
+                           SearchContext, SolveOptions, esu, match_partial, solve_wc_astar,
                            solve_wc_ba_star, solve_wc_ebba, solve_wc_ebba_par,
                            store_partial, terminal_skip)
 
@@ -30,12 +31,14 @@ ALL_QUEUE_CFGS = [
 
 
 def example_tables():
-    t = BoundsTables(5)
+    t = BoundsTables()
     t.h[FORWARD][ATTR1] = [EXAMPLE_H_F[u][0] for u in range(5)]
     t.h[FORWARD][ATTR2] = [EXAMPLE_H_F[u][1] for u in range(5)]
     t.ub[FORWARD][ATTR1] = [EXAMPLE_UB_F[u][0] for u in range(5)]
     t.ub[FORWARD][ATTR2] = [EXAMPLE_UB_F[u][1] for u in range(5)]
-    t.ensure_full(BACKWARD)
+    for attr in (ATTR1, ATTR2):
+        t.h[BACKWARD][attr] = [INF] * 5
+        t.ub[BACKWARD][attr] = [INF] * 5
     return t
 
 
@@ -79,7 +82,7 @@ def test_esu_at_target_state_always_passes_case_one():
 
 def test_esu_secondary_ordering_mirrors():
     # (f2, f1) order nominates via the cost2-optimal complement only.
-    t = BoundsTables(2)
+    t = BoundsTables()
     t.h[BACKWARD][ATTR1] = [0, 4]
     t.h[BACKWARD][ATTR2] = [0, 2]
     t.ub[BACKWARD][ATTR1] = [0, 6]
@@ -171,7 +174,7 @@ def _context_for(graph, tables, gb, bidirectional):
 
 def test_expand_prunes_dominated_successor():
     g = Graph(2, [(0, 1, 1, 1)])
-    t = BoundsTables(2)
+    t = BoundsTables()
     t.h[FORWARD][ATTR1] = [1, 0]
     t.h[FORWARD][ATTR2] = [1, 0]
     t.ub[FORWARD][ATTR1] = [9, 9]
@@ -187,7 +190,7 @@ def test_expand_prunes_dominated_successor():
 
 def test_expand_prunes_by_opposite_upper_bounds():
     g = Graph(2, [(0, 1, 5, 1)])
-    t = BoundsTables(2)
+    t = BoundsTables()
     t.h[FORWARD][ATTR1] = [0, 0]
     t.h[FORWARD][ATTR2] = [0, 0]
     t.ub[FORWARD][ATTR1] = [9, 9]
@@ -285,6 +288,44 @@ def test_wc_ba_htf_prunes_refreshed_f2_over_the_limit(seed, size, start, goal, w
     for cfg in (BUCKET_CFG, QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)):
         out = solve_wc_ba_star(g, inst, cfg, SolveOptions(check_invariants=True))
         assert (out.status, out.costs) == ("optimal", optimum), cfg.kind
+
+
+# Every Metrics counter but wall_time_s, in this order, for the golden runs below.
+GOLDEN_COUNTERS = ("expansions", "generations", "prunes_dominance", "prunes_state_ub",
+                   "prunes_global_f1", "prunes_global_f2", "stale_reinserts", "pushes",
+                   "pops", "queue_ops", "queue_peak", "pool_slots", "pool_blocks")
+GOLDEN_RUNS = [
+    # (grid seed, grid size, start, goal, W, queue, optimum, path, counters per solver)
+    (9, 10, 9, 90, 1451, BUCKET_CFG, (1913, 1358),
+     [9, 8, 7, 6, 5, 15, 25, 35, 45, 55, 54, 53, 52, 62, 61, 71, 70, 80, 90],
+     {"wc-astar": (30, 107, 33, 0, 29, 6, 0, 40, 32, 32, 10, 11, 1),
+      "wc-ba": (58, 203, 65, 29, 38, 11, 0, 62, 60, 489, 9, 11, 2),
+      "wc-ebba": (31, 107, 34, 18, 22, 1, 0, 34, 34, 19, 4, 6, 2),
+      "wc-ebba-par": (48, 165, 54, 24, 29, 7, 0, 53, 53, 59, 7, 9, 2)}),
+    (7, 12, 11, 132, 1513, QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY), (2252, 1406),
+     [11, 23, 35, 34, 46, 58, 70, 69, 68, 67, 66, 65, 64, 63, 62, 61, 60, 72, 84, 96, 108,
+      120, 132],
+     {"wc-astar": (35, 123, 37, 0, 41, 10, 0, 36, 36, 36, 4, 5, 1),
+      "wc-ba": (70, 252, 72, 35, 58, 9, 1, 81, 72, 136, 13, 15, 2),
+      "wc-ebba": (48, 166, 47, 21, 43, 4, 0, 53, 53, 50, 7, 9, 2),
+      "wc-ebba-par": (65, 229, 70, 25, 51, 13, 0, 72, 72, 92, 11, 13, 2)}),
+]
+
+
+@pytest.mark.parametrize("seed, size, start, goal, w, cfg, optimum, path, counters",
+                         GOLDEN_RUNS)
+def test_golden_counters_on_road_grids(seed, size, start, goal, w, cfg, optimum, path,
+                                       counters):
+    # Pinned answers and counters: a change to a hot loop that keeps the
+    # search's behaviour must leave every one of these numbers where it is.
+    assert set(GOLDEN_COUNTERS) == {f.name for f in fields(Metrics)} - {"wall_time_s"}
+    g = road_grid_graph(seed, size, size)
+    inst = ProblemInstance(start, goal, w)
+    for name, solver in SOLVERS.items():
+        out = solver(g, inst, cfg, SolveOptions())
+        assert (out.status, out.costs, out.path) == ("optimal", optimum, path), name
+        got = tuple(getattr(out.metrics, c) for c in GOLDEN_COUNTERS)
+        assert got == counters[name], name
 
 
 def test_degenerate_budget_behaves_like_forward_search():
