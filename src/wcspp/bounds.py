@@ -226,6 +226,20 @@ class Clock:
         return self.timed_out
 
 
+def parse_schedule(schedule: tuple) -> tuple[str, int]:
+    """(mode, steps per turn) of a ('lockstep', k >= 1) or ('threads', n) schedule;
+    any other value raises ValueError."""
+    mode = schedule[0]
+    if mode == "threads":
+        return mode, 1
+    if mode != "lockstep":
+        raise ValueError(f"unknown schedule mode {mode!r}")
+    k = schedule[1] if len(schedule) > 1 else 1
+    if k < 1:
+        raise ValueError(f"lockstep needs K >= 1 steps per turn, got {k}")
+    return mode, k
+
+
 def run_sides(schedule: tuple, steps: Sequence[Callable[[], bool]], *,
               require_both: bool = True, stop: Optional[Callable[[], bool]] = None,
               clock: Optional[Clock] = None) -> bool:
@@ -239,7 +253,7 @@ def run_sides(schedule: tuple, steps: Sequence[Callable[[], bool]], *,
     `require_both=False` the run ends as soon as one side is done. Returns
     True when the clock expired.
     """
-    mode = schedule[0]
+    mode, k = parse_schedule(schedule)
     if mode == "threads":
         halt = threading.Event()
 
@@ -259,11 +273,6 @@ def run_sides(schedule: tuple, steps: Sequence[Callable[[], bool]], *,
         for t in threads:
             t.join()
         return clock is not None and clock.timed_out
-    if mode != "lockstep":
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    k = schedule[1] if len(schedule) > 1 else 1
-    if k < 1:
-        raise ValueError(f"lockstep needs K >= 1 steps per turn, got {k}")
     done = [False] * len(steps)
     while not all(done):
         for side, step in enumerate(steps):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .bounds import ATTR1, ATTR2, BoundedSearch, INF
+from .bounds import ATTR1, ATTR2, BoundedSearch
 from .graph import FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
     randomize_cost2, write_gr
 from .oracle import constrained_optimum
@@ -348,8 +348,7 @@ def _weight_sweep(g: Graph, start: int, goal: int, rng: random.Random) -> list[i
     front = constrained_optimum(g, start, goal, 1 << 62)
     if front is None:
         return [rng.randint(1, 20)]  # unreachable: any limit is infeasible
-    on2 = BoundedSearch(g, start, FORWARD, ATTR2).run()
-    h2 = on2.dist[goal]
+    h2 = _settle(g, start, goal, ATTR2)[0]
     ub2 = front[1]  # cost2 of the lexicographically best unconstrained path
     sweep = {h2 - 1, h2, (h2 + ub2) // 2, ub2}
     return sorted(w for w in sweep if w >= 0)

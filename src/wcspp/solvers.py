@@ -25,7 +25,8 @@ from typing import Optional
 from .bounds import (ATTR1, ATTR2, INF, SEARCH, BoundsTables, Clock, GlobalBounds,
                      InitResult, SOL_NONE, SOL_PAIR, SOL_SINGLE,
                      SolutionRecord, budget_factors, init_parallel_bidirectional,
-                     init_sequential_bidirectional, init_unidirectional, run_sides)
+                     init_sequential_bidirectional, init_unidirectional, parse_schedule,
+                     run_sides)
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 from .nodepool import NodePool, ParentArrays, join_forward, reconstruct, walk_tree
 from .pqueue import QueueConfig, TIE_SECONDARY, new_queue
@@ -37,21 +38,18 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIMEOUT = "timeout"
 
-_BREAK = 0
-_CONTINUE = 1
-
-
 @dataclass
 class SolveOptions:
     schedule: tuple = ("lockstep", 1)  # ("lockstep", k >= 1) or ("threads", n)
     timeout: Optional[float] = None
     htf: bool = True  # wc-ba heuristic tuning switch
-    compute_path: bool = True
     use_geo: bool = True
     check_invariants: bool = False
-    record_incumbents: bool = False
     record_tuning: bool = False
     record_trace: bool = False
+
+    def __post_init__(self):
+        parse_schedule(self.schedule)  # every solver rejects a bad schedule
 
 
 @dataclass
@@ -93,7 +91,7 @@ class SolveOutcome:
     metrics: Metrics = field(default_factory=Metrics)
     record: SolutionRecord = field(default_factory=SolutionRecord)
     queue_stats: dict = field(default_factory=dict)
-    incumbents: Optional[list] = None
+    incumbents: list = field(default_factory=list)  # (cost1, cost2, source tag) per update
     tuned: Optional[list] = None
     trace: Optional[dict] = None
     parents: Optional[dict] = None  # direction -> ParentArrays, with record_trace
@@ -101,11 +99,6 @@ class SolveOutcome:
 
 # ---------------------------------------------------------------------------
 # Shared procedures
-
-
-def terminal_skip(tables: BoundsTables, direction: int, primary: int, state: int) -> bool:
-    """A state whose primary lower bound meets its upper bound needs no expansion."""
-    return tables.h[direction][primary][state] == tables.ub[direction][primary][state]
 
 
 def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
@@ -178,35 +171,13 @@ def store_partial(chi: dict, state: int, g1, g2, path_id: int, refine: bool) -> 
     lst.append((g1, g2, path_id))
 
 
-class DirectionState:
-    """Queue, pool, parent arrays and g_min for one search direction."""
+class SearchContext:
+    """One search direction: its queue, node pool, parent arrays and g_min, and
+    the node processor every solver runs on them."""
 
     def __init__(self, graph: Graph, tables: BoundsTables, gb: GlobalBounds,
                  direction: int, ordering: tuple, queue: QueueConfig,
-                 initial_state: int):
-        n = graph.state_count
-        p, s = ordering
-        self.direction = direction
-        self.ordering = ordering
-        self.g_min = [INF] * n
-        self.pool = NodePool()
-        self.parents = ParentArrays()
-        h = tables.h[direction]
-        f1 = h[ATTR1][initial_state]
-        f2 = h[ATTR2][initial_state]
-        fp = f1 if p == ATTR1 else f2
-        fmax = gb.f1_bar if p == ATTR1 else gb.f2_bar
-        self.open = new_queue(replace(queue, f_min=int(fp), f_max=int(fmax)))
-        handle = self.pool.allocate(initial_state, 0, 0, f1, f2, None, 0)
-        fs = f2 if p == ATTR1 else f1
-        self.open.push(int(fp), int(fs), handle)
-
-
-class SearchContext:
-    """Everything one direction's main loop needs, plus the node processor."""
-
-    def __init__(self, graph: Graph, tables: BoundsTables, gb: GlobalBounds,
-                 ds: DirectionState, *, bidirectional: bool,
+                 initial_state: int, *,
                  budget: Optional[Fraction] = None,
                  budget_opp: Optional[Fraction] = None,
                  chi_mine: Optional[dict] = None, chi_opp: Optional[dict] = None,
@@ -215,8 +186,22 @@ class SearchContext:
         self.graph = graph
         self.tables = tables
         self.gb = gb
-        self.ds = ds
-        self.bidirectional = bidirectional
+        self.direction = direction
+        self.ordering = ordering
+        self.opp = 1 - direction
+        p, s = ordering
+        self.p, self.s = p, s
+        self.h_p = tables.h[direction][p]
+        self.h_1 = tables.h[direction][ATTR1]
+        self.h_2 = tables.h[direction][ATTR2]
+        self.ub_p = tables.ub[direction][p]
+        self.ub_opp_1 = tables.ub[self.opp][ATTR1]
+        self.ub_opp_2 = tables.ub[self.opp][ATTR2]
+        # Only the bidirectional init plans install the opposite direction's
+        # tables; without them there are no opposite upper bounds to prune by.
+        self.bidirectional = self.ub_opp_1 is not None
+        self.tie_break = queue.tie_policy == TIE_SECONDARY
+        self.refine_store = not self.tie_break
         # g2 and h2 are integers and f2_bar stays at the weight limit, so
         # g2 <= beta * f2_bar holds exactly when g2 <= floor(beta * f2_bar).
         self.cap = INF if budget is None else math.floor(budget * gb.f2_bar)
@@ -229,33 +214,30 @@ class SearchContext:
         self.metrics = Metrics()
         self.trace: list = []
         self.tuned: list = []
-        d = ds.direction
-        self.opp = 1 - d
-        p, s = ds.ordering
-        self.p, self.s = p, s
-        self.h_p = tables.h[d][p]
-        self.h_1 = tables.h[d][ATTR1]
-        self.h_2 = tables.h[d][ATTR2]
-        self.ub_p = tables.ub[d][p]
-        self.ub_opp_1 = tables.ub[self.opp][ATTR1]
-        self.ub_opp_2 = tables.ub[self.opp][ATTR2]
-        self.tie_break = self.ds.open.cfg.tie_policy == TIE_SECONDARY
-        self.refine_store = not self.tie_break
         self._last_popped_fp = -INF
-        self.tag = f"esu:{'f' if d == FORWARD else 'b'}:{p + 1}{s + 1}"
+        self.tag = f"esu:{'f' if direction == FORWARD else 'b'}:{p + 1}{s + 1}"
 
-    def _lock_for(self, state: int):
-        return self.chi_locks[state & (len(self.chi_locks) - 1)]
+        self.g_min = [INF] * graph.state_count
+        self.pool = NodePool()
+        self.parents = ParentArrays()
+        f1 = self.h_1[initial_state]
+        f2 = self.h_2[initial_state]
+        fp, fs = (f1, f2) if p == ATTR1 else (f2, f1)
+        fmax = gb.f1_bar if p == ATTR1 else gb.f2_bar
+        self.open = new_queue(replace(queue, f_min=int(fp), f_max=int(fmax)))
+        handle = self.pool.allocate(initial_state, 0, 0, f1, f2, None, 0)
+        self.open.push(int(fp), int(fs), handle)
 
     def step(self) -> bool:
         """Pop and process one node; False once the queue is empty or the search ends."""
-        item = self.ds.open.pop()
-        return item is not None and self.process(item) != _BREAK
+        item = self.open.pop()
+        return item is not None and self.process(item)
 
-    def process(self, item) -> int:
-        """One Alg-8-style iteration body for an already-popped queue item."""
+    def process(self, item) -> bool:
+        """One Alg-8-style iteration body for an already-popped queue item;
+        False when the item ends the search."""
         kp, ks, handle = item
-        pool = self.ds.pool
+        pool = self.pool
         gb = self.gb
         u = pool.state[handle]
         g1 = pool.g1[handle]
@@ -272,7 +254,7 @@ class SearchContext:
         fp_bar = gb.f1_bar if p == ATTR1 else gb.f2_bar
         if fp > fp_bar:
             pool.recycle(handle)
-            return _BREAK
+            return False
 
         if self.htf:
             # A concurrent tuning of this direction's secondary heuristic can
@@ -288,8 +270,8 @@ class SearchContext:
                     f1 = pool.f1[handle] = fresh_fs
                 if self.tie_break:
                     self.metrics.stale_reinserts += 1
-                    self.ds.open.push(kp, fresh_fs, handle)
-                    return _CONTINUE
+                    self.open.push(kp, fresh_fs, handle)
+                    return True
 
         # Secondary-cost invalidation: nodes are not ordered by their secondary
         # f-value, and in (f1, f2) order a refreshed f2 can exceed f2_bar.
@@ -297,19 +279,19 @@ class SearchContext:
             if f1 > gb.f1_bar:
                 self.metrics.prunes_global_f1 += 1
                 pool.recycle(handle)
-                return _CONTINUE
+                return True
         elif f2 > gb.f2_bar:
             self.metrics.prunes_global_f2 += 1
             pool.recycle(handle)
-            return _CONTINUE
+            return True
 
         gs = g2 if p == ATTR1 else g1
-        if gs >= self.ds.g_min[u]:
+        if gs >= self.g_min[u]:
             self.metrics.prunes_dominance += 1
             pool.recycle(handle)
-            return _CONTINUE
+            return True
 
-        if self.htf and self.ds.g_min[u] == INF:
+        if self.htf and self.g_min[u] == INF:
             # First expansion of u in this ordering: its costs bound every later
             # valid path to u, so the opposite direction may adopt them.
             gp = g1 if p == ATTR1 else g2
@@ -318,21 +300,23 @@ class SearchContext:
             if self.options.record_tuning:
                 self.tuned.append((self.opp, p, u, gp, self.s, gs))
 
-        self.ds.g_min[u] = gs
-        idx = self.ds.parents.record_expansion(u, pool.parent_state[handle],
-                                               pool.parent_path_id[handle])
+        self.g_min[u] = gs
+        idx = self.parents.record_expansion(u, pool.parent_state[handle],
+                                            pool.parent_path_id[handle])
         if self.options.check_invariants:
-            seq = self.ds.parents.backtrack(u, idx)
+            seq = self.parents.backtrack(u, idx)
             assert len(set(seq)) == len(seq), "expanded path revisits a state"
         if self.options.record_trace:
             self.trace.append((u, g1, g2))
 
-        esu(gb, self.tables, self.ds.direction, self.ds.ordering,
+        esu(gb, self.tables, self.direction, self.ordering,
             u, g1, g2, f1, f2, idx, tag=self.tag)
 
+        # Terminal skip: a state whose primary lower bound meets its upper
+        # bound needs no expansion; the join above already covered it.
         if self.h_p[u] == self.ub_p[u]:
             pool.recycle(handle)
-            return _CONTINUE
+            return True
 
         gated = False
         if g2 <= self.cap:
@@ -345,30 +329,29 @@ class SearchContext:
 
         if self.chi_mine is not None:
             if self.h_2[u] <= self.cap_opp or self.chi_opp.get(u):
-                lock = self._lock_for(u)
-                with lock:
-                    match_partial(gb, self.chi_opp.get(u), self.ds.direction,
+                with self.chi_locks[u & (len(self.chi_locks) - 1)]:
+                    match_partial(gb, self.chi_opp.get(u), self.direction,
                                   u, g1, g2, idx, tag="match")
                     store_partial(self.chi_mine, u, g1, g2, idx, self.refine_store)
             elif gated and self.options.check_invariants:
                 raise AssertionError("budget-rejected node was not matched/stored")
 
         pool.recycle(handle)
-        return _CONTINUE
+        return True
 
     def expand_prune(self, u: int, g1, g2, idx: int) -> None:
         """ExP: generate successors, prune by dominance, state bounds and validity."""
         m = self.metrics
         m.expansions += 1
         gb = self.gb
-        pool = self.ds.pool
-        open_q = self.ds.open
+        pool = self.pool
+        open_q = self.open
         p = self.p
         h1 = self.h_1
         h2 = self.h_2
-        g_min = self.ds.g_min
+        g_min = self.g_min
         bidir = self.bidirectional
-        for v, c1, c2 in self.graph.successors(u, self.ds.direction):
+        for v, c1, c2 in self.graph.successors(u, self.direction):
             m.generations += 1
             ng1 = g1 + c1
             ng2 = g2 + c2
@@ -395,13 +378,13 @@ class SearchContext:
 
     def collect(self, metrics: Metrics) -> None:
         metrics.absorb(self.metrics)
-        st = self.ds.open.stats()
+        st = self.open.stats()
         metrics.pushes += st.pushes
         metrics.pops += st.pops
         metrics.queue_ops += st.queue_ops
         metrics.queue_peak += st.peak_size
-        metrics.pool_slots += self.ds.pool.slots_created
-        metrics.pool_blocks += self.ds.pool.blocks_allocated
+        metrics.pool_slots += self.pool.slots_created
+        metrics.pool_blocks += self.pool.blocks_allocated
 
 
 # ---------------------------------------------------------------------------
@@ -462,29 +445,26 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
     parents: dict[int, ParentArrays] = {}
     for ctx in contexts:
         ctx.collect(metrics)
-        name = "forward" if ctx.ds.direction == FORWARD else "backward"
-        qstats[name] = ctx.ds.open.stats()
-        parents[ctx.ds.direction] = ctx.ds.parents
+        name = "forward" if ctx.direction == FORWARD else "backward"
+        qstats[name] = ctx.open.stats()
+        parents[ctx.direction] = ctx.parents
     metrics.wall_time_s = time.monotonic() - started
 
     record = gb.record
-    status = STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL
     if record.kind == SOL_NONE:
-        outcome = SolveOutcome(STATUS_INFEASIBLE if not timed_out else STATUS_TIMEOUT,
-                               None, None, metrics, record, qstats)
+        outcome = SolveOutcome(STATUS_TIMEOUT if timed_out else STATUS_INFEASIBLE,
+                               None, None, metrics, record, qstats, gb.incumbents)
     else:
-        path = None
-        if options.compute_path:
-            path = reconstruct_solution(record, init.tables, parents)
-            if options.check_invariants and not timed_out:
-                assert tuple(path_cost(graph, path)) == tuple(record.costs)
-        outcome = SolveOutcome(status, tuple(record.costs), path, metrics, record, qstats)
-    if options.record_incumbents:
-        outcome.incumbents = gb.incumbents
+        path = reconstruct_solution(record, init.tables, parents)
+        if options.check_invariants and not timed_out:
+            assert tuple(path_cost(graph, path)) == tuple(record.costs)
+        outcome = SolveOutcome(STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL,
+                               tuple(record.costs), path, metrics, record, qstats,
+                               gb.incumbents)
     if options.record_tuning:
         outcome.tuned = [t for ctx in contexts for t in ctx.tuned]
     if options.record_trace:
-        outcome.trace = {("forward" if c.ds.direction == FORWARD else "backward"): c.trace
+        outcome.trace = {("forward" if c.direction == FORWARD else "backward"): c.trace
                          for c in contexts}
         outcome.parents = parents
     return outcome
@@ -499,8 +479,7 @@ def solve_wc_astar(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     if init.status != SEARCH:
         return _finish(graph, init, [], options, started, False)
 
-    ds = DirectionState(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start)
-    ctx = SearchContext(graph, init.tables, init.gb, ds, bidirectional=False,
+    ctx = SearchContext(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start,
                         options=options)
     clock = Clock(options.timeout)
     while not clock.expired() and ctx.step():
@@ -522,9 +501,8 @@ def _ebba_contexts(graph: Graph, inst: ProblemInstance, init: InitResult,
             (FORWARD, chi_f, chi_b, beta.forward, beta.backward),
             (BACKWARD, chi_b, chi_f, beta.backward, beta.forward)):
         start_state = inst.start if d == FORWARD else inst.goal
-        ds = DirectionState(graph, init.tables, init.gb, d, ORDER_12, queue, start_state)
-        contexts.append(SearchContext(graph, init.tables, init.gb, ds,
-                                      bidirectional=True, budget=b_own, budget_opp=b_opp,
+        contexts.append(SearchContext(graph, init.tables, init.gb, d, ORDER_12, queue,
+                                      start_state, budget=b_own, budget_opp=b_opp,
                                       chi_mine=chi_mine, chi_opp=chi_opp, chi_locks=locks,
                                       options=options))
     return contexts
@@ -542,8 +520,8 @@ def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
 
     contexts = _ebba_contexts(graph, inst, init, queue, options)
     fwd, bwd = contexts
-    f_open, b_open = fwd.ds.open, bwd.ds.open
-    tie = queue.tie_policy == TIE_SECONDARY
+    f_open, b_open = fwd.open, bwd.open
+    tie = fwd.tie_break
     clock = Clock(options.timeout)
     while not clock.expired():
         hf = f_open.peek() if len(f_open) else None
@@ -572,12 +550,10 @@ def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     if init.status != SEARCH:
         return _finish(graph, init, [], options, started, False)
 
-    ds_f = DirectionState(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start)
-    ds_b = DirectionState(graph, init.tables, init.gb, BACKWARD, ORDER_21, queue, inst.goal)
     contexts = [
-        SearchContext(graph, init.tables, init.gb, ds_f, bidirectional=True,
+        SearchContext(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start,
                       htf=options.htf, options=options),
-        SearchContext(graph, init.tables, init.gb, ds_b, bidirectional=True,
+        SearchContext(graph, init.tables, init.gb, BACKWARD, ORDER_21, queue, inst.goal,
                       htf=options.htf, options=options),
     ]
     timed_out = run_sides(options.schedule, [c.step for c in contexts],

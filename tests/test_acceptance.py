@@ -107,7 +107,7 @@ def test_criterion_1_golden_trace(example_graph):
 
 def _timed_solve(graph, inst):
     t0 = time.perf_counter()
-    solve_wc_astar(graph, inst, BUCKET_CFG, SolveOptions(compute_path=False))
+    solve_wc_astar(graph, inst, BUCKET_CFG, SolveOptions())
     return time.perf_counter() - t0
 
 
@@ -229,7 +229,7 @@ def test_criterion_5_tie_breaking_monotonicity(suite):
             for kind in (HYBRID, BINARY_HEAP):
                 for tie in (TIE_NONE_LIFO, TIE_SECONDARY):
                     cfg = QueueConfig(kind, 0, 0, 1, tie)
-                    out = solve_wc_astar(g, inst, cfg, SolveOptions(compute_path=False))
+                    out = solve_wc_astar(g, inst, cfg, SolveOptions())
                     counts[(kind, tie)] = out.metrics.expansions
             for kind in (HYBRID, BINARY_HEAP):
                 assert counts[(kind, TIE_NONE_LIFO)] >= counts[(kind, TIE_SECONDARY)]
@@ -252,7 +252,7 @@ def test_criterion_6_budget_coupling(suite):
     for g, s, t, weights, _ in suite[::3]:
         for w in weights:
             inst = ProblemInstance(s, t, w)
-            opts = SolveOptions(check_invariants=True, compute_path=False)
+            opts = SolveOptions(check_invariants=True)
             solve_wc_ebba(g, inst, BUCKET_CFG, opts)
             solve_wc_ebba_par(g, inst, BUCKET_CFG, opts)
 
@@ -285,9 +285,9 @@ def test_criterion_8_htf_safety(suite):
         for w in weights:
             inst = ProblemInstance(s, t, w)
             on = solve_wc_ba_star(g, inst, BUCKET_CFG,
-                                  SolveOptions(htf=True, compute_path=False))
+                                  SolveOptions(htf=True))
             off = solve_wc_ba_star(g, inst, BUCKET_CFG,
-                                   SolveOptions(htf=False, compute_path=False))
+                                   SolveOptions(htf=False))
             got_on = on.costs if on.status == "optimal" else None
             got_off = off.costs if off.status == "optimal" else None
             assert got_on == got_off == expected[w]
@@ -302,7 +302,7 @@ def test_criterion_8_htf_safety(suite):
                 continue
             inst = ProblemInstance(s, t, w)
             out = solve_wc_ba_star(g, inst, BUCKET_CFG,
-                                   SolveOptions(record_tuning=True, compute_path=False))
+                                   SolveOptions(record_tuning=True))
             if not out.tuned:
                 continue
             c1_star = out.costs[0]
@@ -343,7 +343,7 @@ def test_criterion_9_parallel_determinism(suite):
             inst = ProblemInstance(s, t, w)
             for solver in (solve_wc_ba_star, solve_wc_ebba_par):
                 runs = [solver(g, inst, BUCKET_CFG,
-                               SolveOptions(record_trace=True, compute_path=False))
+                               SolveOptions(record_trace=True))
                         for _ in range(2)]
                 assert runs[0].costs == runs[1].costs
                 assert runs[0].trace == runs[1].trace
@@ -355,7 +355,7 @@ def test_criterion_9_parallel_determinism(suite):
             inst = ProblemInstance(s, t, w)
             for solver in (solve_wc_ba_star, solve_wc_ebba_par):
                 out = solver(g, inst, BUCKET_CFG,
-                             SolveOptions(schedule=("threads", 2), compute_path=False))
+                             SolveOptions(schedule=("threads", 2)))
                 got = out.costs if out.status == "optimal" else None
                 assert got == expected[w]
 
@@ -390,7 +390,7 @@ def test_criterion_10_dimacs_ny_desk_check():
         costs = set()
         for name, solver in SOLVERS.items():
             t0 = time.monotonic()
-            out = solver(graph, inst, BUCKET_CFG, SolveOptions(compute_path=False))
+            out = solver(graph, inst, BUCKET_CFG, SolveOptions())
             elapsed = time.monotonic() - t0
             assert out.status == "optimal", (name, inst)
             assert elapsed < 10.0, (name, inst, elapsed)

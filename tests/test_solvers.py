@@ -11,10 +11,10 @@ from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import constrained_optimum, enumerate_pareto
 from wcspp.pqueue import (BINARY_HEAP, BUCKET, HYBRID, QueueConfig, TIE_NONE_FIFO,
                           TIE_NONE_LIFO, TIE_SECONDARY)
-from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, DirectionState, Metrics,
-                           SearchContext, SolveOptions, esu, match_partial, solve_wc_astar,
+from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, Metrics, SearchContext,
+                           SolveOptions, esu, match_partial, solve_wc_astar,
                            solve_wc_ba_star, solve_wc_ebba, solve_wc_ebba_par,
-                           store_partial, terminal_skip)
+                           store_partial)
 
 from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U2, U3, geo_random_graph,
                       road_grid_graph)
@@ -105,11 +105,23 @@ def test_esu_secondary_ordering_mirrors():
 # Terminal nodes
 
 
-def test_terminal_skip_examples():
-    t = example_tables()
-    assert terminal_skip(t, FORWARD, ATTR1, U2)  # h1 == ub1 == 2
-    assert terminal_skip(t, FORWARD, ATTR1, G)
-    assert not terminal_skip(t, FORWARD, ATTR1, U3)  # 3 != 4
+def test_terminal_skip_examples(example_graph):
+    # A popped node whose state's primary bounds meet is recycled unexpanded.
+    for state, g, expanded in ((U2, (3, 4), False),  # h1 == ub1 == 2
+                               (G, (6, 4), False),  # h1 == ub1 == 0
+                               (U3, (3, 1), True)):  # h1 = 3 != ub1 = 4
+        gb = GlobalBounds(100)
+        gb.f1_bar = 100
+        ctx = SearchContext(example_graph, example_tables(), gb, FORWARD, ORDER_12,
+                            BUCKET_CFG, S)
+        ctx.parents.record_expansion(S, None, 0)
+        f1 = g[0] + EXAMPLE_H_F[state][0]
+        f2 = g[1] + EXAMPLE_H_F[state][1]
+        handle = ctx.pool.allocate(state, g[0], g[1], f1, f2, S, 1)
+        assert ctx.process((f1, f2, handle))
+        assert ctx.metrics.expansions == int(expanded), state
+        # Every live node is queued: the processed one went back to the pool.
+        assert ctx.pool.live == len(ctx.open), state
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +177,11 @@ def test_store_without_refinement_appends():
 # ExP pruning rules, exercised through a hand-built context
 
 
-def _context_for(graph, tables, gb, bidirectional):
-    ds = DirectionState(graph, tables, gb, FORWARD, ORDER_12, BUCKET_CFG, 0)
-    ds.parents.record_expansion(0, None, 0)
-    return SearchContext(graph, tables, gb, ds, bidirectional=bidirectional,
-                         options=SolveOptions())
+def _context_for(graph, tables, gb):
+    ctx = SearchContext(graph, tables, gb, FORWARD, ORDER_12, BUCKET_CFG, 0,
+                        options=SolveOptions())
+    ctx.parents.record_expansion(0, None, 0)
+    return ctx
 
 
 def test_expand_prunes_dominated_successor():
@@ -181,11 +193,11 @@ def test_expand_prunes_dominated_successor():
     t.ub[FORWARD][ATTR2] = [9, 9]
     gb = GlobalBounds(100)
     gb.f1_bar = 100
-    ctx = _context_for(g, t, gb, bidirectional=False)
-    ctx.ds.g_min[1] = 1  # a previous expansion of state 1 had g2 = 1
+    ctx = _context_for(g, t, gb)
+    ctx.g_min[1] = 1  # a previous expansion of state 1 had g2 = 1
     ctx.expand_prune(0, 0, 0, idx=1)
     assert ctx.metrics.prunes_dominance == 1
-    assert len(ctx.ds.open) == 1  # only the setup node remains
+    assert len(ctx.open) == 1  # only the setup node remains
 
 
 def test_expand_prunes_by_opposite_upper_bounds():
@@ -201,14 +213,16 @@ def test_expand_prunes_by_opposite_upper_bounds():
     t.h[BACKWARD][ATTR2] = [0, 0]
     gb = GlobalBounds(100)
     gb.f1_bar = 100
-    ctx = _context_for(g, t, gb, bidirectional=True)
+    ctx = _context_for(g, t, gb)
     ctx.expand_prune(0, 0, 0, idx=1)
     assert ctx.metrics.prunes_state_ub == 1
     # without the opposite tables the same successor survives
-    ctx2 = _context_for(g, t, gb, bidirectional=False)
+    t.h[BACKWARD] = [None, None]
+    t.ub[BACKWARD] = [None, None]
+    ctx2 = _context_for(g, t, gb)
     ctx2.expand_prune(0, 0, 0, idx=1)
     assert ctx2.metrics.prunes_state_ub == 0
-    assert len(ctx2.ds.open) == 2
+    assert len(ctx2.open) == 2
 
 
 def test_expand_prunes_by_global_bounds(example_graph):
@@ -290,6 +304,32 @@ def test_wc_ba_htf_prunes_refreshed_f2_over_the_limit(seed, size, start, goal, w
         assert (out.status, out.costs) == ("optimal", optimum), cfg.kind
 
 
+@pytest.fixture(scope="module")
+def hub_grids():
+    """100 x 100 road-hub grids by seed, each built on first use."""
+    return {}
+
+
+@pytest.mark.parametrize("seed, start, goal, w, optimum", [
+    (201, 5790, 7273, 2226, (3304, 2189)),
+    (148, 6296, 7877, 2369, (3643, 2355)),
+], ids=["seed201", "seed148"])
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: wc-ebba-par's Match/Store depends on which "
+                            "side reaches a state first; it returns (3307, 2095) and "
+                            "(3669, 2330) here"))
+    if name == "wc-ebba-par" else name for name in sorted(SOLVERS)])
+def test_road_hub_reproducers(hub_grids, name, seed, start, goal, w, optimum):
+    # Queries of the benchmark's road-hub workload, seeds 201 and 148.
+    if seed not in hub_grids:
+        hub_grids[seed] = road_grid_graph(seed, 100, 100)
+    out = SOLVERS[name](hub_grids[seed], ProblemInstance(start, goal, w),
+                        QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY),
+                        SolveOptions(check_invariants=True))
+    assert (out.status, out.costs) == ("optimal", optimum)
+
+
 # Every Metrics counter but wall_time_s, in this order, for the golden runs below.
 GOLDEN_COUNTERS = ("expansions", "generations", "prunes_dominance", "prunes_state_ub",
                    "prunes_global_f1", "prunes_global_f2", "stale_reinserts", "pushes",
@@ -369,7 +409,8 @@ def test_lockstep_bitwise_reproducible(example_graph):
 
 
 @pytest.mark.parametrize("schedule", [("lockstep", 0), ("lockstep", -3), ("fifo", 1)])
-@pytest.mark.parametrize("solver", [solve_wc_ba_star, solve_wc_ebba_par])
+@pytest.mark.parametrize("solver", [solve_wc_astar, solve_wc_ba_star, solve_wc_ebba,
+                                    solve_wc_ebba_par])
 def test_bad_schedule_raises_instead_of_hanging(example_graph, solver, schedule):
     # Run in a thread so that a regression to the old endless loop fails the
     # test instead of hanging the suite.
@@ -462,9 +503,7 @@ def test_anytime_incumbents_lexicographically_decrease():
         n = rng.randint(5, 22)
         g = random_graph(rng.randrange(2**30), n, 2 * n)
         inst = ProblemInstance(0, n - 1, rng.randint(1, 60))
-        out = solve_wc_ba_star(g, inst, cfg, SolveOptions(record_incumbents=True))
-        if out.incumbents is None:
-            continue
+        out = solve_wc_ba_star(g, inst, cfg, SolveOptions())
         pairs = [(c1, c2) for c1, c2, _ in out.incumbents]
         for a, b in zip(pairs, pairs[1:]):
             assert b < a  # strictly lexicographically decreasing
@@ -479,8 +518,7 @@ def test_anytime_backward_solutions_are_pareto_optimal():
         g = random_graph(rng.randrange(2**30), n, 2 * n)
         s, t = 0, n - 1
         w = rng.randint(1, 60)
-        out = solve_wc_ba_star(g, ProblemInstance(s, t, w), cfg,
-                               SolveOptions(record_incumbents=True))
+        out = solve_wc_ba_star(g, ProblemInstance(s, t, w), cfg, SolveOptions())
         if out.status != "optimal":
             continue
         frontier = set(enumerate_pareto(g, s, t).cost_pairs())
