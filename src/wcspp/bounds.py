@@ -2,6 +2,15 @@
 initial global upper bounds and budget factors. Each solver's initialisation
 is a plan of rounds of these searches, run by `run_init`.
 
+Every plan starts with the same search: cost2 from the goal over the reversed
+graph, bounded by the weight limit W, with no heuristic, mask or joins. It
+depends only on the goal and on W, and a bounded run settles exactly the
+prefix with cost2 <= W of the unbounded run, in the same order. So it is not
+rerun per solve: each graph keeps one resumable search per goal (`GoalTree`,
+in the LRU `GoalTrees` cache on `graph.goal_trees`), extends it to W and
+replays that prefix one settled state at a time (`TreeReplay`) through the
+same step as a live search.
+
 Direction convention: tables for direction d bound costs from a state to that
 search's target (forward target = goal, backward target = start). The forward
 tables are therefore computed by traversing the reversed graph from the goal,
@@ -14,6 +23,9 @@ import heapq
 import math
 import threading
 import time
+from array import array
+from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
@@ -129,6 +141,11 @@ class InitResult:
     gb: GlobalBounds
     valid_states: Optional[list[bool]] = None  # S' membership mask
     settled_per_phase: list = field(default_factory=list)  # (direction, attr, mask) per search
+    # How the first (FORWARD, cost2) search was served from the goal's tree:
+    # of its states with cost2 <= W, how many were cached already and how
+    # many the tree settled live to reach W.
+    tree_replayed: int = 0
+    tree_settled: int = 0
 
 
 class BoundedSearch:
@@ -206,6 +223,155 @@ class BoundedSearch:
             if on_settle is not None:
                 on_settle(u, dp, ds)
         return self
+
+
+class GoalTree:
+    """The cost2 search from one goal over the reversed graph, paused and resumable.
+
+    It is `BoundedSearch(graph, goal, BACKWARD, ATTR2)` (no heuristic, so a
+    heap entry's f is its cost2), run in pieces: `extend(limit)` settles
+    every state whose cost2 is at most `limit` and pauses with the first
+    entry beyond it still on the heap. States settle in the same order as in
+    one unbounded run, so the states with cost2 <= W are a prefix of the
+    settle order, whatever limits came before. Settled labels are kept in
+    settle order in typed arrays, membership in a bytearray, and `best` only
+    for states not yet settled.
+    """
+
+    __slots__ = ("order", "dist", "comp", "pred", "settled", "best", "heap", "limit")
+
+    def __init__(self, state_count: int, goal: int):
+        self.order = array("q")
+        self.dist = array("q")  # cost2, non-decreasing
+        self.comp = array("q")  # cost1 companion
+        self.pred = array("q")  # -1 for the goal
+        self.settled = bytearray(state_count)
+        self.best: dict[int, tuple] = {goal: (0, 0)}
+        self.heap: list[tuple] = [(0, 0, goal, -1)]
+        self.limit = -1
+
+    def extend(self, graph: Graph, limit: int) -> int:
+        """Settle every state with cost2 <= limit; returns how many were new."""
+        if limit <= self.limit:
+            return 0
+        self.limit = limit
+        index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
+        heappop, heappush = heapq.heappop, heapq.heappush
+        heap, best, settled = self.heap, self.best, self.settled
+        settle, put_dist, put_comp, put_pred = (self.order.append, self.dist.append,
+                                                self.comp.append, self.pred.append)
+        before = len(self.order)
+        while heap:
+            dp, ds, u, pu = heap[0]
+            if settled[u]:
+                heappop(heap)
+                continue
+            if dp > limit:
+                break
+            heappop(heap)
+            settled[u] = 1
+            del best[u]
+            settle(u)
+            put_dist(dp)
+            put_comp(ds)
+            put_pred(pu)
+            for i in range(index[u], index[u + 1]):
+                v = to[i]
+                if settled[v]:
+                    continue
+                ndp = dp + c2[i]
+                nds = ds + c1[i]
+                cur = best.get(v)
+                if cur is None or (ndp, nds) < cur:
+                    best[v] = (ndp, nds)
+                    heappush(heap, (ndp, nds, v, u))
+        return len(self.order) - before
+
+
+class GoalTrees:
+    """A graph's goal trees, least recently used first out.
+
+    The bound is on labels, not on goals: each tree is charged its settled
+    states plus n/32 for its n-byte membership mask (a label's arrays take
+    32 bytes), and the cache holds at most `8 * n` charges. The tree just
+    used is evicted last. One lock serialises lookups and extensions; a
+    replay reads the append-only arrays outside it.
+    """
+
+    def __init__(self, state_count: int):
+        self.state_count = state_count
+        self.capacity = 8 * state_count
+        self.tree_charge = 1 + state_count // 32
+        self.trees: OrderedDict[int, GoalTree] = OrderedDict()
+        self.size = 0
+        self.hits = self.misses = self.evictions = 0
+        self._lock = threading.Lock()
+
+    def prefix(self, graph: Graph, goal: int, limit: int) -> tuple[GoalTree, int, int]:
+        """Extend `goal`'s tree to `limit`. Returns the tree, the length of its
+        settle-order prefix with cost2 <= limit, and how many of those states
+        were settled now."""
+        if not 0 <= goal < self.state_count:
+            raise IndexError(f"goal {goal} is not one of the graph's {self.state_count} states")
+        with self._lock:
+            tree = self.trees.get(goal)
+            if tree is None:
+                self.misses += 1
+                tree = self.trees[goal] = GoalTree(self.state_count, goal)
+                self.size += self.tree_charge
+            else:
+                self.hits += 1
+                self.trees.move_to_end(goal)
+            live = tree.extend(graph, limit)
+            self.size += live
+            while self.size > self.capacity and len(self.trees) > 1:
+                _, old = self.trees.popitem(last=False)
+                self.size -= len(old.order) + self.tree_charge
+                self.evictions += 1
+            return tree, bisect_right(tree.dist, limit), live
+
+
+_GOAL_TREES_LOCK = threading.Lock()
+
+
+def goal_trees(graph: Graph) -> GoalTrees:
+    """The graph's goal-tree cache, made on first use."""
+    cache = graph.goal_trees
+    if cache is None:
+        with _GOAL_TREES_LOCK:
+            if graph.goal_trees is None:
+                graph.goal_trees = GoalTrees(graph.state_count)
+            cache = graph.goal_trees
+    return cache
+
+
+class TreeReplay(BoundedSearch):
+    """The first init search, `BoundedSearch(graph, goal, BACKWARD, ATTR2,
+    bound=W)`, served from the goal's cached tree.
+
+    `steps()` yields the same settled states in the same order, writing the
+    same per-solve `dist`/`comp`/`pred`/`settled`/`order`; the tree's own
+    arrays are never handed out, as solvers write into their tables.
+    """
+
+    def __init__(self, graph: Graph, goal: int, tree: GoalTree, count: int):
+        super().__init__(graph, goal, BACKWARD, ATTR2)
+        self.tree = tree
+        self.count = count
+
+    def steps(self) -> Iterator[tuple[int, int, int]]:
+        tree = self.tree
+        order, tdist, tcomp, tpred = tree.order, tree.dist, tree.comp, tree.pred
+        dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
+                                             self.order.append)
+        for i in range(self.count):
+            u, dp, ds, pu = order[i], tdist[i], tcomp[i], tpred[i]
+            settled[u] = True
+            settle(u)
+            dist[u] = dp
+            comp[u] = ds
+            pred[u] = pu if pu >= 0 else None
+            yield u, dp, ds
 
 
 class Clock:
@@ -368,7 +534,9 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     label is one half of a start-goal path: it is joined with every opposite
     table. When the search's own target settles, a cost2 label seeds f1_bar and
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
-    search that ends without settling its target proves INFEASIBLE.
+    search that ends without settling its target proves INFEASIBLE. The
+    forward cost2 search with no heuristic and no mask, every plan's first,
+    is a replay of the goal's cached tree, extended to the weight limit here.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -376,9 +544,14 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     heuristic = tables.h[opp][attr]
     if heuristic is None and use_geo:
         heuristic = geo_heuristic(graph, target, attr)
-    search = BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
-                           bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
-                           allowed=allowed)
+    if table_dir == FORWARD and attr == ATTR2 and heuristic is None and allowed is None:
+        tree, count, live = goal_trees(graph).prefix(graph, source, gb.f2_bar)
+        result.tree_replayed, result.tree_settled = count - live, live
+        search = TreeReplay(graph, source, tree, count)
+    else:
+        search = BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
+                               bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
+                               allowed=allowed)
     joins = []  # (opposite attribute, its cost1 table, its cost2 table)
     for b in (ATTR1, ATTR2):
         h_arr = tables.h[opp][b]

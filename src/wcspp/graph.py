@@ -1,8 +1,9 @@
 """Directed bi-attribute graph storage, DIMACS ingestion and cost randomization.
 
-Graphs are immutable after construction: both adjacency directions are
-materialized once as compressed arrays (offset array + parallel edge arrays)
-so bidirectional searches can scan either side without rebuilding anything.
+A graph's arcs and costs are fixed at construction: both adjacency directions
+are materialized once as compressed arrays (offset array + parallel edge
+arrays) so bidirectional searches can scan either side without rebuilding
+anything. Two caches derived from them are filled lazily by `bounds`.
 State ids are 0-based internally; DIMACS 1-based ids are shifted on load and
 restored on output.
 """
@@ -58,6 +59,7 @@ class Graph:
         "rev_c2",
         "coords",
         "geo_cache",
+        "goal_trees",
     )
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int, int, int]],
@@ -79,6 +81,8 @@ class Graph:
         self.coords = list(coords) if coords is not None else None
         # Per-graph geometric data for bounds.geo_heuristic, filled on first use.
         self.geo_cache = None
+        # bounds.GoalTrees: the first init search per goal, made on first use.
+        self.goal_trees = None
 
     def _build_csr(self, best: dict[tuple[int, int], tuple[int, int]]) -> None:
         n = self.state_count

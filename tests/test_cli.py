@@ -11,7 +11,7 @@ from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTI
                        pair_cost2_bounds, read_instances, run_bench,
                        weight_from_tightness)
 from wcspp.graph import FORWARD, load_dimacs, random_graph
-from wcspp.solvers import SolveOutcome
+from wcspp.solvers import SOLVERS, SolveOutcome
 
 from conftest import G, S
 
@@ -194,6 +194,22 @@ def test_bench_repeats_deterministic_counts(example_dimacs, tmp_path):
                                                   + "\n".join(buf.getvalue().splitlines()[2:]))))
         outs.append([r[8] for r in rows_parsed[1:]])  # expansions column
     assert outs[0] == outs[1]
+
+
+def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
+    # Every cell replays the tree that run_bench extended; a goal outside the
+    # graph still becomes an error row instead of ending the batch.
+    inst = tmp_path / "i.txt"
+    inst.write_text("1 5 w 6\n1 5 w 3\n1 9 w 6\n", encoding="utf-8")
+    _, rows = read_instances(str(inst))
+    g = load_dimacs(*example_dimacs)
+    buf = io.StringIO()
+    assert run_bench(g, rows, sorted(SOLVERS), ["bucket"], ["none-lifo"], 2, 1, buf) == 12
+    cache = g.goal_trees
+    assert (cache.misses, cache.evictions) == (1, 0)
+    assert cache.trees[4].limit == 6
+    cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
+    assert [row[4] for row in cells].count("error") == 4
 
 
 def test_bench_failure_becomes_status_row(example_dimacs, tmp_path):

@@ -1,0 +1,211 @@
+"""The per-goal tree cache: a solve served from a warm cache must be the solve a
+fresh graph gives, counter for counter and table for table."""
+
+import random
+import sys
+import threading
+from dataclasses import fields
+
+import pytest
+
+import wcspp.solvers as solvers
+from wcspp.bounds import (ATTR2, INFEASIBLE, BoundedSearch, GoalTree, goal_trees,
+                          init_unidirectional)
+from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
+from wcspp.pqueue import BINARY_HEAP, BUCKET, QueueConfig, TIE_NONE_LIFO, TIE_SECONDARY
+from wcspp.solvers import SOLVERS, Metrics, SolveOptions
+
+from conftest import road_grid_graph
+
+HEAP_CFG = QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)
+BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
+COUNTERS = tuple(f.name for f in fields(Metrics) if f.name != "wall_time_s")
+
+# A query on a 16 x 16 road grid whose cost2 limit leaves 22 states outside
+# the goal's tree.
+START, GOAL, W = 254, 137, 1068
+
+
+def grid() -> Graph:
+    return road_grid_graph(7, 16, 16)
+
+
+@pytest.fixture
+def inits(monkeypatch):
+    """The InitResult of every solve made in the test, in order, per thread."""
+    seen: dict = {}
+    for name in ("init_unidirectional", "init_sequential_bidirectional",
+                 "init_parallel_bidirectional"):
+        def wrapped(*args, _original=getattr(solvers, name), **kwargs):
+            result = _original(*args, **kwargs)
+            seen.setdefault(threading.get_ident(), []).append(result)
+            return result
+        monkeypatch.setattr(solvers, name, wrapped)
+    return seen
+
+
+def fresh(graph: Graph) -> Graph:
+    """A graph of the same arcs, with empty caches."""
+    return Graph(graph.state_count, list(graph.edges()), graph.coords)
+
+
+def h2(graph: Graph, start: int, goal: int):
+    return BoundedSearch(graph, start, FORWARD, ATTR2).run().dist[goal]
+
+
+def solve(graph, inst, name, inits, cfg=HEAP_CFG, options=None) -> tuple:
+    """Everything a solve shows: its outcome and its init's tables and masks."""
+    out = SOLVERS[name](graph, inst, cfg, options or SolveOptions(check_invariants=True))
+    init = inits[threading.get_ident()][-1]
+    t = init.tables
+    return (out.status, out.costs, out.path,
+            tuple(getattr(out.metrics, c) for c in COUNTERS),
+            repr(out.incumbents), repr(out.tuned),
+            repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase,
+                  init.valid_states)))
+
+
+def check(graph, inst, inits, names=tuple(SOLVERS), **kwargs) -> None:
+    for name in names:
+        assert solve(graph, inst, name, inits, **kwargs) == \
+            solve(fresh(graph), inst, name, inits, **kwargs), name
+
+
+def test_pieces_make_one_unbounded_search():
+    # Extended in random steps, a tree settles the states, labels and
+    # predecessors of one unbounded cost2 search, in its order.
+    rng = random.Random(3)
+    for trial in range(40):
+        n = rng.randint(2, 30)
+        g = random_graph(rng.randrange(2**30), n, 2 * n)
+        goal = rng.randrange(n)
+        ref = BoundedSearch(g, goal, BACKWARD, ATTR2).run()
+        tree = GoalTree(n, goal)
+        limit = 0
+        while tree.heap:
+            limit += rng.randint(0, 12)
+            tree.extend(g, limit)
+            assert all(d <= limit for d in tree.dist)
+        assert list(tree.order) == ref.order
+        assert list(tree.dist) == [ref.dist[u] for u in ref.order]
+        assert list(tree.comp) == [ref.comp[u] for u in ref.order]
+        assert [None if p < 0 else p for p in tree.pred] == [ref.pred[u] for u in ref.order]
+        assert tree.best == {}
+
+
+def test_limits_below_at_and_above_the_cached_one(inits):
+    g = grid()
+    check(g, ProblemInstance(START, GOAL, W), inits)
+    low = (h2(g, START, GOAL) + W) // 2
+    for w in (low, W, W + 400):
+        for cfg in (HEAP_CFG, BUCKET_CFG):
+            check(g, ProblemInstance(START, GOAL, w), inits, cfg=cfg)
+    assert goal_trees(g).trees[GOAL].limit == W + 400
+
+
+def test_limit_under_the_cost2_distance_is_infeasible(inits):
+    g = grid()
+    check(g, ProblemInstance(START, GOAL, W + 400), inits)
+    inst = ProblemInstance(START, GOAL, h2(g, START, GOAL) - 1)
+    check(g, inst, inits)
+    assert solve(g, inst, "wc-ba", inits)[0] == "infeasible"
+    assert inits[threading.get_ident()][-1].status == INFEASIBLE
+
+
+def test_start_equals_goal(inits):
+    g = grid()
+    check(g, ProblemInstance(START, GOAL, W), inits)
+    for w in (0, W):
+        check(g, ProblemInstance(GOAL, GOAL, w), inits)
+
+
+def test_unreachable_start(inits):
+    # State 256 has no arcs; its search exhausts the goal's tree.
+    g = Graph(257, list(grid().edges()))
+    for w in (W, 10**9, W):
+        check(g, ProblemInstance(256, GOAL, w), inits)
+    assert not goal_trees(g).trees[GOAL].heap
+
+
+def test_htf_tuning_does_not_leak_into_the_cache(inits):
+    # wc-ba's backward search tunes the forward cost2 table, which the replay
+    # filled from the tree; a later solve of the same goal must not see it.
+    # A lower limit keeps tuned states outside its prefix.
+    g = grid()
+    inst = ProblemInstance(START, GOAL, W)
+    options = SolveOptions(record_tuning=True)
+    for w in (W, (h2(g, START, GOAL) + W) // 2):
+        out = SOLVERS["wc-ba"](g, inst, HEAP_CFG, options)
+        assert any(t[:2] == (FORWARD, ATTR2) for t in out.tuned)
+        check(g, ProblemInstance(START, GOAL, w), inits, names=("wc-astar",))
+    check(g, inst, inits, names=("wc-ba",), options=options)
+
+
+def test_eviction_keeps_the_bound_and_the_answers(inits):
+    g = grid()
+    goals = [GOAL, 0, 255, 77, 30, 100, 12, 66, 90, 121, 44, 5]
+    for goal in goals:
+        check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
+    cache = goal_trees(g)
+    assert cache.evictions > 0 and GOAL not in cache.trees
+    assert cache.size == sum(len(t.order) + cache.tree_charge for t in cache.trees.values())
+    assert cache.size <= cache.capacity
+    check(g, ProblemInstance(START, GOAL, W), inits)
+    assert cache.misses == len(goals) + 1
+
+
+def test_threads_schedule(inits):
+    # Under ('threads', 2) the sides of wc-ba and wc-ebba-par interleave as the
+    # threads run, so their counters vary from run to run: only the answers
+    # are compared. wc-astar and wc-ebba ignore the schedule.
+    g = grid()
+    options = SolveOptions(schedule=("threads", 2), check_invariants=True)
+    for w in (W, W - 50, W + 200):
+        inst = ProblemInstance(START, GOAL, w)
+        check(g, inst, inits, names=("wc-astar", "wc-ebba"), options=options)
+        for name in ("wc-ba", "wc-ebba-par"):
+            assert solve(g, inst, name, inits, options=options)[:2] == \
+                solve(fresh(g), inst, name, inits)[:2], name
+
+
+def test_python_threads_share_one_graph(inits):
+    # Four threads solve different limits for one goal at once, so they
+    # extend and replay the same tree concurrently.
+    g = grid()
+    limits = [W - 100, W, W + 150, W + 500]
+    expected = {w: {name: solve(fresh(g), ProblemInstance(START, GOAL, w), name, inits)
+                    for name in SOLVERS} for w in limits}
+    got: dict = {}
+
+    def work(w):
+        got[w] = [{name: solve(g, ProblemInstance(START, GOAL, w), name, inits)
+                   for name in SOLVERS} for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in limits]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for w in limits:
+        assert got[w] == [expected[w]] * 3, w
+
+
+def test_second_solve_replays_every_state(inits):
+    g = grid()
+    inst = ProblemInstance(START, GOAL, W)
+    for name in ("wc-astar", "wc-ba"):
+        solve(g, inst, name, inits)
+    first, second = inits[threading.get_ident()]
+    settled = sum(first.settled_per_phase[0][2])
+    assert (first.tree_replayed, first.tree_settled) == (0, settled)
+    assert (second.tree_replayed, second.tree_settled) == (settled, 0)
+    cache = goal_trees(g)
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
+    wider = init_unidirectional(g, ProblemInstance(START, GOAL, W + 300))
+    assert wider.tree_replayed == settled and wider.tree_settled > 0

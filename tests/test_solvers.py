@@ -368,6 +368,25 @@ def test_golden_counters_on_road_grids(seed, size, start, goal, w, cfg, optimum,
         assert got == counters[name], name
 
 
+@pytest.mark.parametrize("seed, start, goal, w, optimum, counters", [
+    (201, 863, 2678, 3278, (3299, 3213), (99, 376, 116, 77, 59, 5, 0, 121, 112, 315, 17, 19, 2)),
+    (148, 359, 2178, 3282, (3729, 3223), (86, 332, 93, 77, 53, 1, 0, 110, 99, 326, 23, 25, 2)),
+], ids=["seed201", "seed148"])
+def test_wc_ebba_breaks_primary_ties_on_the_secondary_key(hub_grids, seed, start, goal, w,
+                                                          optimum, counters):
+    # Road-hub queries on which the heads of the two queues tie on f1 under
+    # secondary tie-breaking. wc-ebba then expands the side with the smaller
+    # f2; always taking the forward side on a tie gives the same optimum with
+    # other counters (queue_ops 317 here on seed 201; prunes_global_f1 54 and
+    # pushes 109 on seed 148).
+    if seed not in hub_grids:
+        hub_grids[seed] = road_grid_graph(seed, 100, 100)
+    out = solve_wc_ebba(hub_grids[seed], ProblemInstance(start, goal, w),
+                        QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY), SolveOptions())
+    assert (out.status, out.costs) == ("optimal", optimum)
+    assert tuple(getattr(out.metrics, c) for c in GOLDEN_COUNTERS) == counters
+
+
 def test_degenerate_budget_behaves_like_forward_search():
     # Front-loaded costs push the whole budget to the forward side (beta_f = 1).
     g = Graph(4, [(0, 1, 10, 1), (1, 2, 1, 1), (2, 3, 1, 1), (0, 2, 20, 5),
