@@ -11,6 +11,14 @@ in the LRU `GoalTrees` cache on `graph.goal_trees`), extends it to W and
 replays that prefix one settled state at a time (`TreeReplay`) through the
 same step as a live search.
 
+The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
+`settled`, the round-two and S' masks, each search context's `g_min`) come
+from the graph's `ListPool` (`graph.list_pool`). Each list travels with the
+states written to it, and `solvers._finish` gives them back once the outcome
+is built, so the next solve on the graph resets only those states instead of
+allocating n-entry lists. A direct caller of `run_init` or `BoundedSearch`
+keeps the lists it gets.
+
 Direction convention: tables for direction d bound costs from a state to that
 search's target (forward target = goal, backward target = start). The forward
 tables are therefore computed by traversing the reversed graph from the goal,
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import threading
 import time
 from array import array
@@ -28,8 +37,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 
@@ -140,7 +148,10 @@ class InitResult:
     tables: BoundsTables
     gb: GlobalBounds
     valid_states: Optional[list[bool]] = None  # S' membership mask
+    valid_members: Optional[list[int]] = None  # the states of S', each once
     settled_per_phase: list = field(default_factory=list)  # (direction, attr, mask) per search
+    # (fill, list, written) per list taken from the graph's ListPool
+    taken: list = field(default_factory=list)
     # How the first (FORWARD, cost2) search was served from the goal's tree:
     # of its states with cost2 <= W, how many were cached already and how
     # many the tree settled live to reach W.
@@ -161,7 +172,6 @@ class BoundedSearch:
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
                  heuristic: Optional[Sequence] = None, bound=INF,
                  allowed: Optional[Sequence[bool]] = None):
-        n = graph.state_count
         self.graph = graph
         self.source = source
         self.traverse_dir = traverse_dir
@@ -169,10 +179,11 @@ class BoundedSearch:
         self.heuristic = heuristic
         self.bound = bound if callable(bound) else (lambda b=bound: b)
         self.allowed = allowed
-        self.dist = [INF] * n
-        self.comp = [INF] * n
-        self.pred: list[Optional[int]] = [None] * n
-        self.settled = [False] * n
+        pool = list_pool(graph)
+        self.dist = pool.take(INF)
+        self.comp = pool.take(INF)
+        self.pred: list[Optional[int]] = pool.take(None)
+        self.settled = pool.take(False)
         self.order: list[int] = []
         self.best: dict[int, tuple] = {source: (0, 0)}
         h0 = heuristic[source] if heuristic is not None else 0
@@ -223,6 +234,13 @@ class BoundedSearch:
             if on_settle is not None:
                 on_settle(u, dp, ds)
         return self
+
+    def taken(self) -> list[tuple]:
+        """(fill, list, written) for the four lists taken from the graph's pool;
+        they are written only at the settled states."""
+        written = (self.order,)
+        return [(INF, self.dist, written), (INF, self.comp, written),
+                (None, self.pred, written), (False, self.settled, written)]
 
 
 class GoalTree:
@@ -331,18 +349,88 @@ class GoalTrees:
             return tree, bisect_right(tree.dist, limit), live
 
 
-_GOAL_TREES_LOCK = threading.Lock()
+class ListPool:
+    """A graph's spare per-state lists, one free list per fill value (INF,
+    None, False).
+
+    `take(fill)` hands out an n-entry list holding `fill` everywhere. `give`
+    takes lists back, each with `written`, sequences that together name every
+    state written since it was taken (repeats allowed). A list is kept only if
+    at most n/16 states were written (or 64 on a graph of under 1,024 states):
+    past that, a fresh `[fill] * n` is cheaper than resetting the states one
+    by one in Python. The pool holds at most `CAPACITY` lists; a solve takes
+    at most 20. `take` reuses a kept list only when the pool holds its last
+    reference, so a list that a caller still reaches through an `InitResult`
+    is never overwritten; such a list is dropped instead. One lock guards
+    the free lists, so threads may share a graph; the reset runs outside it.
+    `reused`, `fresh` and `dropped` count lists served from the pool, lists
+    allocated, and lists given back but not reused.
+    """
+
+    CAPACITY = 32
+
+    def __init__(self, state_count: int):
+        self.state_count = state_count
+        self.keep_limit = max(state_count // 16, 64)
+        self.free: dict = {INF: [], None: [], False: []}
+        self.size = 0
+        self.reused = self.fresh = self.dropped = 0
+        self._lock = threading.Lock()
+
+    def take(self, fill) -> list:
+        free = self.free[fill]
+        with self._lock:
+            while free:
+                lst, written = free.pop()
+                self.size -= 1
+                # Two references: `lst` and getrefcount's own argument.
+                if sys.getrefcount(lst) == 2:
+                    self.reused += 1
+                    break
+                self.dropped += 1
+            else:
+                self.fresh += 1
+                return [fill] * self.state_count
+        for states in written:
+            for u in states:
+                lst[u] = fill
+        return lst
+
+    def give(self, taken: Iterable[tuple]) -> None:
+        """Keep (fill, list, written) lists for reuse, as the bounds allow."""
+        with self._lock:
+            for fill, lst, written in taken:
+                if (self.size < self.CAPACITY
+                        and sum(map(len, written)) <= self.keep_limit):
+                    self.free[fill].append((lst, written))
+                    self.size += 1
+                else:
+                    self.dropped += 1
+
+
+_GRAPH_SLOT_LOCK = threading.Lock()
 
 
 def goal_trees(graph: Graph) -> GoalTrees:
     """The graph's goal-tree cache, made on first use."""
     cache = graph.goal_trees
     if cache is None:
-        with _GOAL_TREES_LOCK:
+        with _GRAPH_SLOT_LOCK:
             if graph.goal_trees is None:
                 graph.goal_trees = GoalTrees(graph.state_count)
             cache = graph.goal_trees
     return cache
+
+
+def list_pool(graph: Graph) -> ListPool:
+    """The graph's pool of spare per-state lists, made on first use."""
+    pool = graph.list_pool
+    if pool is None:
+        with _GRAPH_SLOT_LOCK:
+            if graph.list_pool is None:
+                graph.list_pool = ListPool(graph.state_count)
+            pool = graph.list_pool
+    return pool
 
 
 class TreeReplay(BoundedSearch):
@@ -601,10 +689,11 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
     Every search after the first round is restricted to the states that all
     searches of the previous round settled. The init ends early on INFEASIBLE
     or SHORTCUT; otherwise S' is the union of the last round's settled states.
-    Both masks are scattered from the searches' settle orders, so building
-    them costs O(settled), not O(n), in Python.
+    Both masks are taken from the graph's pool and scattered from the
+    searches' settle orders, so building them costs O(settled), not O(n), in
+    Python. Every list taken is listed in `result.taken`.
     """
-    n = graph.state_count
+    pool = list_pool(graph)
     gb = GlobalBounds(inst.weight_limit)
     tables = BoundsTables()
     result = InitResult(SEARCH, tables, gb)
@@ -616,10 +705,11 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
         elif searches:
             first, second = searches
             in_second = second.settled
-            allowed = [False] * n
+            allowed = pool.take(False)
             for u in first.order:
                 if in_second[u]:
                     allowed[u] = True
+            result.taken.append((False, allowed, (first.order,)))
         sides = [_init_search(graph, inst, result, table_dir, attr, allowed, use_geo)
                  for table_dir, attr in rnd]
         if len(sides) == 1:
@@ -633,17 +723,23 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
         for (table_dir, attr), search in zip(rnd, searches):
             tables.install(table_dir, attr, search.dist, search.comp, search.pred)
             result.settled_per_phase.append((table_dir, attr, search.settled))
+            result.taken += search.taken()
         if result.status != SEARCH:
             break
     if result.status == INFEASIBLE:
         return result
     if len(searches) == 1:
         result.valid_states = searches[0].settled
+        result.valid_members = searches[0].order
     else:
-        valid = result.valid_states = [False] * n
-        for search in searches:
-            for u in search.order:
-                valid[u] = True
+        first, second = searches
+        in_first = first.settled
+        members = result.valid_members = first.order + [u for u in second.order
+                                                         if not in_first[u]]
+        valid = result.valid_states = pool.take(False)
+        for u in members:
+            valid[u] = True
+        result.taken.append((False, valid, (members,)))
     return result
 
 
@@ -668,16 +764,17 @@ def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance,
     return run_init(graph, inst, PLAN_PARALLEL, schedule=schedule, use_geo=use_geo)
 
 
-def budget_factors(valid_states: Sequence[bool], h_f1: Sequence, h_b1: Sequence) -> BudgetFactors:
+def budget_factors(members: Iterable[int], h_f1: Sequence, h_b1: Sequence) -> BudgetFactors:
     """Split the weight budget per the ratio of summed cost1 lower bounds over S'.
 
     The direction with the smaller sum gets beta = min(1, (sum_other/2) / sum_own);
     the other direction gets the complement. Exact rational arithmetic so the
-    two factors always add to exactly 1. Only the members of S' are visited.
+    two factors always add to exactly 1. Only `members`, the states of S' each
+    once (`InitResult.valid_members`), are visited.
     """
     sum_f = 0
     sum_b = 0
-    for u in compress(range(len(valid_states)), valid_states):
+    for u in members:
         if h_f1[u] != INF and h_b1[u] != INF:
             sum_f += h_f1[u]
             sum_b += h_b1[u]

@@ -252,8 +252,8 @@ def _bench_cell(graph: Graph, row: InstanceRow, weight: Optional[int], algorithm
         return ["unreachable", "", "", 0, 0, 0, 0, 0, 0, 0, 0]
     runs = []
     for _ in range(max(1, repeats)):
-        inst = ProblemInstance(row.start, row.goal, weight)
         try:
+            inst = ProblemInstance(row.start, row.goal, weight)
             t0 = time.monotonic()
             outcome = SOLVERS[algorithm](graph, inst, cfg, SolveOptions(timeout=timeout))
             elapsed = time.monotonic() - t0

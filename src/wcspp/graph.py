@@ -3,7 +3,8 @@
 A graph's arcs and costs are fixed at construction: both adjacency directions
 are materialized once as compressed arrays (offset array + parallel edge
 arrays) so bidirectional searches can scan either side without rebuilding
-anything. Two caches derived from them are filled lazily by `bounds`.
+anything. Three per-graph structures are filled lazily by `bounds`: two
+caches derived from the arcs and a pool of spare per-state lists.
 State ids are 0-based internally; DIMACS 1-based ids are shifted on load and
 restored on output.
 """
@@ -60,6 +61,7 @@ class Graph:
         "coords",
         "geo_cache",
         "goal_trees",
+        "list_pool",
     )
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int, int, int]],
@@ -83,6 +85,8 @@ class Graph:
         self.geo_cache = None
         # bounds.GoalTrees: the first init search per goal, made on first use.
         self.goal_trees = None
+        # bounds.ListPool: spare per-state lists for the next solve, made on first use.
+        self.list_pool = None
 
     def _build_csr(self, best: dict[tuple[int, int], tuple[int, int]]) -> None:
         n = self.state_count

@@ -163,7 +163,9 @@ class BucketQueue(_QueueBase):
     With delta_f == 1 it degenerates to a one-level queue: nodes live directly
     in the high-level buckets and no transfer step exists. Each bucket index is
     examined (counted) at most once over the queue's lifetime; an entered
-    bucket drains for free and the scan then moves past it.
+    bucket drains for free and the scan then moves past it. A bucket is None
+    until its first push, so building a queue costs one list of bucket_size
+    slots, whatever the range.
     """
 
     def __init__(self, cfg: QueueConfig):
@@ -171,13 +173,12 @@ class BucketQueue(_QueueBase):
         self.bucket_size = bucket_count(cfg.f_min, cfg.f_max, cfg.delta_f)
         self.one_level = cfg.delta_f == 1
         self.fifo = cfg.tie_policy == TIE_NONE_FIFO
-        make = deque if self.fifo else list
+        self.make = deque if self.fifo else list
+        self.high: list = [None] * self.bucket_size
         if self.one_level:
-            self.high = [make() for _ in range(self.bucket_size)]
             self.low = None
         else:
-            self.high = [[] for _ in range(self.bucket_size)]
-            self.low = [make() for _ in range(cfg.delta_f)]
+            self.low = [None] * cfg.delta_f
             self.low_count = 0
             self.low_j = 0
             self.low_entered = False
@@ -199,7 +200,10 @@ class BucketQueue(_QueueBase):
             if off < self.k:
                 raise MonotonicityError(
                     f"key {key_primary} is behind the drained region (scan at bucket {self.k})")
-            self.high[off].append(item)
+            bucket = self.high[off]
+            if bucket is None:
+                bucket = self.high[off] = self.make()
+            bucket.append(item)
         else:
             hi = off // cfg.delta_f
             if hi < self.k:
@@ -210,10 +214,16 @@ class BucketQueue(_QueueBase):
                 if j < self.low_j:
                     raise MonotonicityError(
                         f"key {key_primary} is behind the drained low-level region")
-                self.low[j].append(item)
+                bucket = self.low[j]
+                if bucket is None:
+                    bucket = self.low[j] = self.make()
+                bucket.append(item)
                 self.low_count += 1
             else:
-                self.high[hi].append(item)
+                bucket = self.high[hi]
+                if bucket is None:
+                    bucket = self.high[hi] = []
+                bucket.append(item)
         stats = self._stats
         stats.pushes += 1
         size = self.size = self.size + 1
@@ -262,11 +272,16 @@ class BucketQueue(_QueueBase):
                     break
                 self.k += 1
             moved = self.high[self.k]
-            self.high[self.k] = []
+            self.high[self.k] = None
             self.low_j = 0
             self.low_entered = False
+            low = self.low
             for item in moved:
-                self.low[(item[0] - self.cfg.f_min) % self.cfg.delta_f].append(item)
+                j = (item[0] - self.cfg.f_min) % self.cfg.delta_f
+                bucket = low[j]
+                if bucket is None:
+                    bucket = low[j] = self.make()
+                bucket.append(item)
             self.low_count += len(moved)
 
     def _current(self):
@@ -298,13 +313,13 @@ class HybridQueue(_QueueBase):
 
     The heap holds the current bucket's nodes; advancing the scan transfers the
     next non-empty bucket wholesale into the heap (one op counted per node
-    moved, plus the sift swaps).
+    moved, plus the sift swaps). A bucket is None until its first push.
     """
 
     def __init__(self, cfg: QueueConfig):
         super().__init__(cfg)
         self.bucket_size = bucket_count(cfg.f_min, cfg.f_max, cfg.delta_f)
-        self.high: list[list] = [[] for _ in range(self.bucket_size)]
+        self.high: list = [None] * self.bucket_size
         self.heap = _CountingHeap(cfg.tie_policy == TIE_SECONDARY, self._stats)
         self.k = 0
         self.entered = False
@@ -321,7 +336,10 @@ class HybridQueue(_QueueBase):
         if hi == self.k:
             self.heap.push(item)
         else:
-            self.high[hi].append(item)
+            bucket = self.high[hi]
+            if bucket is None:
+                bucket = self.high[hi] = []
+            bucket.append(item)
         self._note_push()
 
     def _fill_heap(self) -> None:
@@ -338,7 +356,7 @@ class HybridQueue(_QueueBase):
             for item in self.high[self.k]:
                 self._stats.queue_ops += 1  # node transferred high -> low
                 self.heap.push(item)
-            self.high[self.k] = []
+            self.high[self.k] = None
 
     def peek(self):
         if self.size == 0:

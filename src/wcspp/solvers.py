@@ -25,8 +25,8 @@ from typing import Optional
 from .bounds import (ATTR1, ATTR2, INF, SEARCH, BoundsTables, Clock, GlobalBounds,
                      InitResult, SOL_NONE, SOL_PAIR, SOL_SINGLE,
                      SolutionRecord, budget_factors, init_parallel_bidirectional,
-                     init_sequential_bidirectional, init_unidirectional, parse_schedule,
-                     run_sides)
+                     init_sequential_bidirectional, init_unidirectional, list_pool,
+                     parse_schedule, run_sides)
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 from .nodepool import NodePool, ParentArrays, join_forward, reconstruct, walk_tree
 from .pqueue import QueueConfig, TIE_SECONDARY, new_queue
@@ -173,7 +173,9 @@ def store_partial(chi: dict, state: int, g1, g2, path_id: int, refine: bool) -> 
 
 class SearchContext:
     """One search direction: its queue, node pool, parent arrays and g_min, and
-    the node processor every solver runs on them."""
+    the node processor every solver runs on them. `g_min` comes from the
+    graph's list pool and is written only at expanded states, the keys of
+    the parent arrays."""
 
     def __init__(self, graph: Graph, tables: BoundsTables, gb: GlobalBounds,
                  direction: int, ordering: tuple, queue: QueueConfig,
@@ -217,7 +219,7 @@ class SearchContext:
         self._last_popped_fp = -INF
         self.tag = f"esu:{'f' if direction == FORWARD else 'b'}:{p + 1}{s + 1}"
 
-        self.g_min = [INF] * graph.state_count
+        self.g_min = list_pool(graph).take(INF)
         self.pool = NodePool()
         self.parents = ParentArrays()
         f1 = self.h_1[initial_state]
@@ -295,6 +297,11 @@ class SearchContext:
             # First expansion of u in this ordering: its costs bound every later
             # valid path to u, so the opposite direction may adopt them.
             gp = g1 if p == ATTR1 else g2
+            if self.options.check_invariants:
+                # The pooled tables are reset only at the states their init
+                # search settled, so tuning must write nowhere else.
+                assert self.tables.h[self.opp][p][u] != INF, \
+                    "tuning writes a state its table's init search did not settle"
             self.tables.h[self.opp][p][u] = gp
             self.tables.ub[self.opp][self.s][u] = gs
             if self.options.record_tuning:
@@ -376,6 +383,10 @@ class SearchContext:
             else:
                 open_q.push(int(nf2), int(nf1), handle)
 
+    def taken(self) -> tuple:
+        """(fill, list, written) for the list taken from the graph's pool."""
+        return INF, self.g_min, (self.parents.parent_state,)
+
     def collect(self, metrics: Metrics) -> None:
         metrics.absorb(self.metrics)
         st = self.open.stats()
@@ -438,7 +449,10 @@ def path_cost(graph: Graph, path: list[int]) -> tuple[int, int]:
 
 def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
             options: SolveOptions, started: float, timed_out: bool) -> SolveOutcome:
-    """Build the outcome; a solve decided during initialisation has no contexts."""
+    """Build the outcome; a solve decided during initialisation has no contexts.
+
+    Once the path is rebuilt, the init's and the contexts' per-state lists go
+    back to the graph's pool; nothing in the outcome refers to them."""
     gb = init.gb
     metrics = Metrics()
     qstats = {}
@@ -467,6 +481,7 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
         outcome.trace = {("forward" if c.direction == FORWARD else "backward"): c.trace
                          for c in contexts}
         outcome.parents = parents
+    list_pool(graph).give(init.taken + [ctx.taken() for ctx in contexts])
     return outcome
 
 
@@ -491,7 +506,7 @@ def _ebba_contexts(graph: Graph, inst: ProblemInstance, init: InitResult,
                    queue: QueueConfig, options: SolveOptions) -> list[SearchContext]:
     """Forward and backward contexts of the biased bidirectional search: budget
     factors, the shared Match/Store lists and their locks."""
-    beta = budget_factors(init.valid_states, init.tables.h[FORWARD][ATTR1],
+    beta = budget_factors(init.valid_members, init.tables.h[FORWARD][ATTR1],
                           init.tables.h[BACKWARD][ATTR1])
     chi_f: dict = {}
     chi_b: dict = {}

@@ -244,7 +244,7 @@ def test_criterion_6_budget_coupling(suite):
         n = rng.randint(1, 30)
         hf = [rng.randint(0, 50) for _ in range(n)]
         hb = [rng.randint(0, 50) for _ in range(n)]
-        bf = budget_factors([True] * n, hf, hb)
+        bf = budget_factors(range(n), hf, hb)
         assert isinstance(bf.forward, Fraction) and isinstance(bf.backward, Fraction)
         assert bf.forward + bf.backward == 1
     # the in-search assertion (budget-rejected nodes are in the coupling area)

@@ -183,6 +183,8 @@ def test_plan_masks_follow_the_settled_states(plan):
             union = [any(mask[u] for mask in rounds[-1]) for u in range(n)]
             assert init.valid_states == union
             assert all(type(x) is bool for x in init.valid_states)
+            # valid_members lists the same states, each once
+            assert sorted(init.valid_members) == [u for u in range(n) if union[u]]
             searched += init.status == SEARCH
     assert searched > 0
 
@@ -362,24 +364,28 @@ def test_geo_heuristic_scans_edges_once_per_graph(monkeypatch):
 
 def test_budget_factors():
     # equal sums split evenly
-    bf = budget_factors([True, True], [50, 50], [50, 50])
+    bf = budget_factors(range(2), [50, 50], [50, 50])
     assert (bf.forward, bf.backward) == (Fraction(1, 2), Fraction(1, 2))
     # forward sum 100 vs backward 300: the cheap direction takes the whole budget
-    bf = budget_factors([True] * 2, [40, 60], [100, 200])
+    bf = budget_factors(range(2), [40, 60], [100, 200])
     assert (bf.forward, bf.backward) == (Fraction(1), Fraction(0))
     # mirrored case clamps the other way
-    bf = budget_factors([True] * 2, [100, 100], [40, 60])
+    bf = budget_factors(range(2), [100, 100], [40, 60])
     assert (bf.forward, bf.backward) == (Fraction(0), Fraction(1))
     # un-clamped ratio: sums 100 vs 150 give beta = min(1, 75/100) = 3/4
-    bf = budget_factors([True] * 2, [50, 50], [75, 75])
+    bf = budget_factors(range(2), [50, 50], [75, 75])
     assert (bf.forward, bf.backward) == (Fraction(3, 4), Fraction(1, 4))
     # degenerate all-zero bounds fall back to the even split
-    bf = budget_factors([True], [0], [0])
+    bf = budget_factors([0], [0], [0])
     assert (bf.forward, bf.backward) == (Fraction(1, 2), Fraction(1, 2))
     # exact-rational complement in all cases
     for hf, hb in (([3, 7], [2, 9]), ([1, 1], [1000, 3]), ([0, 5], [5, 0])):
-        bf = budget_factors([True, True], hf, hb)
+        bf = budget_factors(range(2), hf, hb)
         assert bf.forward + bf.backward == 1
+
+
+def members_of(mask):
+    return [u for u, inside in enumerate(mask) if inside]
 
 
 def test_budget_factors_visit_only_members_of_s_prime():
@@ -389,11 +395,14 @@ def test_budget_factors_visit_only_members_of_s_prime():
     valid = [True, False, True, True, True]
     h_f = [10, 100, INF, 5, 30]
     h_b = [20, 0, 4, INF, 40]
-    bf = budget_factors(valid, h_f, h_b)
+    bf = budget_factors(members_of(valid), h_f, h_b)
     assert (bf.forward, bf.backward) == (Fraction(3, 4), Fraction(1, 4))
+    # members in any order, or as an iterator, give the same split
+    for members in ([4, 3, 2, 0], iter([0, 2, 3, 4])):
+        assert budget_factors(members, h_f, h_b) == bf
     # an empty S', or one whose every member has an infinite bound, splits evenly
     for mask in ([False] * 5, [False, False, True, True, False]):
-        bf = budget_factors(mask, h_f, h_b)
+        bf = budget_factors(members_of(mask), h_f, h_b)
         assert (bf.forward, bf.backward) == (Fraction(1, 2), Fraction(1, 2))
     rng = random.Random(5)
     for _ in range(200):
@@ -404,7 +413,7 @@ def test_budget_factors_visit_only_members_of_s_prime():
         members = [u for u in range(n) if mask[u] and hf[u] != INF and hb[u] != INF]
         sum_f = sum(hf[u] for u in members)
         sum_b = sum(hb[u] for u in members)
-        bf = budget_factors(mask, hf, hb)
+        bf = budget_factors(reversed(members_of(mask)), hf, hb)
         assert bf.forward + bf.backward == 1
         small, large = sorted((sum_f, sum_b))
         share = Fraction(1, 2) if small == large else (

@@ -233,6 +233,24 @@ def test_bench_failure_becomes_status_row(example_dimacs, tmp_path):
     assert "error" in buf.getvalue()
 
 
+def test_bench_negative_weight_row_becomes_error_row(example_dimacs, tmp_path):
+    # A row whose explicit weight is negative cannot form an instance; it
+    # becomes error rows and the rows around it still run.
+    inst = tmp_path / "i.txt"
+    inst.write_text("1 5 w 6\n1 5 w -1\n1 5 w 6\n", encoding="utf-8")
+    _, rows = read_instances(str(inst))
+    g = load_dimacs(*example_dimacs)
+    buf = io.StringIO()
+    assert run_bench(g, rows, ["wc-astar", "wc-ba"], ["bucket"], ["none-lifo"], 1, 1,
+                     buf) == 6
+    cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
+    assert [(row[0], row[4]) for row in cells] == [
+        ("1-5-w6", "optimal"), ("1-5-w6", "optimal"),
+        ("1-5-w-1", "error"), ("1-5-w-1", "error"),
+        ("1-5-w6", "optimal"), ("1-5-w6", "optimal")]
+    assert {tuple(row[5:7]) for row in cells if row[4] == "optimal"} == {("5", "5")}
+
+
 def test_oracle_check_passes():
     ok, checked = oracle_check(seed=7, graph_count=100, max_states=30,
                                cost_lo=1, cost_hi=10)
