@@ -8,8 +8,8 @@ depends only on the goal and on W, and a bounded run settles exactly the
 prefix with cost2 <= W of the unbounded run, in the same order. So it is not
 rerun per solve: each graph keeps one resumable search per goal (`GoalTree`,
 in the LRU `GoalTrees` cache on `graph.goal_trees`), extends it to W and
-replays that prefix one settled state at a time (`TreeReplay`) through the
-same step as a live search.
+replays that prefix one settled state at a time (`GoalTree.replay`) into an
+ordinary `BoundedSearch`, through the same step as a live search.
 
 The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
 `settled`, the round-two and S' masks, each search context's `g_min`) come
@@ -90,14 +90,14 @@ class GlobalBounds:
         self.incumbents: list = []  # accepted (c1, c2, source) updates, in order
         self._lock = threading.Lock()
 
-    def offer(self, c1, c2, record_factory: Callable[[], SolutionRecord],
-              tag: str = "") -> bool:
-        """Install (c1, c2) if lexicographically smaller than (f1_bar, f2_sol)."""
+    def offer(self, c1, c2, kind: str, data: tuple, tag: str) -> bool:
+        """Install (c1, c2) if lexicographically smaller than (f1_bar, f2_sol);
+        only then is its solution record built."""
         with self._lock:
             if c1 < self.f1_bar or (c1 == self.f1_bar and c2 < self.f2_sol):
                 self.f1_bar = c1
                 self.f2_sol = c2
-                self.record = record_factory()
+                self.record = SolutionRecord(kind, (c1, c2), data)
                 self.incumbents.append((c1, c2, tag))
                 return True
             return False
@@ -111,12 +111,12 @@ class GlobalBounds:
                 return True
             return False
 
-    def seed(self, c1, record: SolutionRecord) -> None:
+    def seed(self, c1, c2, data: tuple) -> None:
         """Install the initialisation incumbent: bounds f1 but leaves f2_sol open."""
         with self._lock:
             if c1 < self.f1_bar:
                 self.f1_bar = c1
-                self.record = record
+                self.record = SolutionRecord(SOL_INITIAL, (c1, c2), data)
 
 
 @dataclass
@@ -228,11 +228,10 @@ class BoundedSearch:
                     hv = heuristic[v] if heuristic is not None else 0
                     heappush(heap, (ndp + hv, nds, ndp, v, u))
 
-    def run(self, on_settle=None) -> "BoundedSearch":
-        """Run to completion, firing `on_settle(u, dist, companion)` per settlement."""
-        for u, dp, ds in self.steps():
-            if on_settle is not None:
-                on_settle(u, dp, ds)
+    def run(self) -> "BoundedSearch":
+        """Run to completion."""
+        for _ in self.steps():
+            pass
         return self
 
     def taken(self) -> list[tuple]:
@@ -304,6 +303,24 @@ class GoalTree:
                     best[v] = (ndp, nds)
                     heappush(heap, (ndp, nds, v, u))
         return len(self.order) - before
+
+    def replay(self, search: BoundedSearch, count: int) -> Iterator[tuple[int, int, int]]:
+        """Settle the first `count` states of the tree into `search`, a fresh
+        `BoundedSearch(graph, goal, BACKWARD, ATTR2)`, as its `steps()` would
+        with a bound that admits exactly them: the same states in the same
+        order, written into the search's own lists. The tree's arrays are
+        never handed out, as solvers write into their tables."""
+        order, tdist, tcomp, tpred = self.order, self.dist, self.comp, self.pred
+        dist, comp, pred, settled, settle = (search.dist, search.comp, search.pred,
+                                             search.settled, search.order.append)
+        for i in range(count):
+            u, dp, ds, pu = order[i], tdist[i], tcomp[i], tpred[i]
+            settled[u] = True
+            settle(u)
+            dist[u] = dp
+            comp[u] = ds
+            pred[u] = pu if pu >= 0 else None
+            yield u, dp, ds
 
 
 class GoalTrees:
@@ -431,35 +448,6 @@ def list_pool(graph: Graph) -> ListPool:
                 graph.list_pool = ListPool(graph.state_count)
             pool = graph.list_pool
     return pool
-
-
-class TreeReplay(BoundedSearch):
-    """The first init search, `BoundedSearch(graph, goal, BACKWARD, ATTR2,
-    bound=W)`, served from the goal's cached tree.
-
-    `steps()` yields the same settled states in the same order, writing the
-    same per-solve `dist`/`comp`/`pred`/`settled`/`order`; the tree's own
-    arrays are never handed out, as solvers write into their tables.
-    """
-
-    def __init__(self, graph: Graph, goal: int, tree: GoalTree, count: int):
-        super().__init__(graph, goal, BACKWARD, ATTR2)
-        self.tree = tree
-        self.count = count
-
-    def steps(self) -> Iterator[tuple[int, int, int]]:
-        tree = self.tree
-        order, tdist, tcomp, tpred = tree.order, tree.dist, tree.comp, tree.pred
-        dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
-                                             self.order.append)
-        for i in range(self.count):
-            u, dp, ds, pu = order[i], tdist[i], tcomp[i], tpred[i]
-            settled[u] = True
-            settle(u)
-            dist[u] = dp
-            comp[u] = ds
-            pred[u] = pu if pu >= 0 else None
-            yield u, dp, ds
 
 
 class Clock:
@@ -606,13 +594,8 @@ PLAN_SEQUENTIAL = (((FORWARD, ATTR2),), ((BACKWARD, ATTR2),), ((BACKWARD, ATTR1)
 PLAN_PARALLEL = (((FORWARD, ATTR2), (BACKWARD, ATTR1)), ((BACKWARD, ATTR2), (FORWARD, ATTR1)))
 
 
-def _initial_record(state: int, attr_to_start: Optional[int], attr_to_goal: Optional[int],
-                    costs: tuple) -> SolutionRecord:
-    return SolutionRecord(SOL_INITIAL, costs, (state, attr_to_start, attr_to_goal))
-
-
 def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_dir: int,
-                 attr: int, allowed: Optional[Sequence[bool]], use_geo: bool):
+                 attr: int, allowed: Optional[Sequence[bool]]):
     """One bounded search of an init plan and its step callable.
 
     The search computes direction `table_dir` tables on `attr`, so it runs from
@@ -624,22 +607,24 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
     search that ends without settling its target proves INFEASIBLE. The
     forward cost2 search with no heuristic and no mask, every plan's first,
-    is a replay of the goal's cached tree, extended to the weight limit here.
+    settles by replaying the goal's cached tree, extended to the weight limit
+    here, instead of by its own `steps()`.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
     source, target = (inst.goal, inst.start) if table_dir == FORWARD else (inst.start, inst.goal)
     heuristic = tables.h[opp][attr]
-    if heuristic is None and use_geo:
+    if heuristic is None:
         heuristic = geo_heuristic(graph, target, attr)
+    search = BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
+                           bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
+                           allowed=allowed)
     if table_dir == FORWARD and attr == ATTR2 and heuristic is None and allowed is None:
         tree, count, live = goal_trees(graph).prefix(graph, source, gb.f2_bar)
         result.tree_replayed, result.tree_settled = count - live, live
-        search = TreeReplay(graph, source, tree, count)
+        settle = tree.replay(search, count)
     else:
-        search = BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
-                               bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
-                               allowed=allowed)
+        settle = search.steps()
     joins = []  # (opposite attribute, its cost1 table, its cost2 table)
     for b in (ATTR1, ATTR2):
         h_arr = tables.h[opp][b]
@@ -647,12 +632,10 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
             ub_arr = tables.ub[opp][1 - b]
             joins.append((b, h_arr, ub_arr) if b == ATTR1 else (b, ub_arr, h_arr))
 
-    def record(u: int, other: Optional[int], costs: tuple) -> SolutionRecord:
-        if table_dir == BACKWARD:
-            return _initial_record(u, attr, other, costs)
-        return _initial_record(u, other, attr, costs)
-
-    settle = search.steps()
+    def record(u: int, other: Optional[int]) -> tuple:
+        """An initial record's data: the join state and the attributes of
+        its tree walks toward the start and toward the goal."""
+        return (u, attr, other) if table_dir == BACKWARD else (u, other, attr)
 
     def step() -> bool:
         item = next(settle, None)
@@ -668,14 +651,12 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
         for b, tc1, tc2 in joins:
             o1, o2 = tc1[u], tc2[u]
             if o1 != INF and o2 != INF and c2 + o2 <= gb.f2_bar:
-                rec = record(u, b, (c1 + o1, c2 + o2))
-                gb.offer(c1 + o1, c2 + o2, lambda r=rec: r, tag="init-match")
+                gb.offer(c1 + o1, c2 + o2, SOL_INITIAL, record(u, b), "init-match")
         if u == target:
             if attr == ATTR2:
-                gb.seed(c1, record(u, None, (c1, c2)))
+                gb.seed(c1, c2, record(u, None))
             elif c2 <= gb.f2_bar:
-                rec = record(u, None, (c1, c2))
-                gb.offer(c1, c2, lambda r=rec: r, tag="init-shortcut")
+                gb.offer(c1, c2, SOL_INITIAL, record(u, None), "init-shortcut")
                 result.status = SHORTCUT
         return True
 
@@ -683,7 +664,7 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
 
 
 def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
-             schedule: tuple = ("lockstep", 1), use_geo: bool = True) -> InitResult:
+             schedule: tuple = ("lockstep", 1)) -> InitResult:
     """Run an init plan round by round.
 
     Every search after the first round is restricted to the states that all
@@ -710,7 +691,7 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
                 if in_second[u]:
                     allowed[u] = True
             result.taken.append((False, allowed, (first.order,)))
-        sides = [_init_search(graph, inst, result, table_dir, attr, allowed, use_geo)
+        sides = [_init_search(graph, inst, result, table_dir, attr, allowed)
                  for table_dir, attr in rnd]
         if len(sides) == 1:
             step = sides[0][1]
@@ -743,25 +724,22 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
     return result
 
 
-def init_unidirectional(graph: Graph, inst: ProblemInstance,
-                        use_geo: bool = True) -> InitResult:
+def init_unidirectional(graph: Graph, inst: ProblemInstance) -> InitResult:
     """Forward tables only: cost2 bounded by the weight limit, then cost1
     bounded by f1_bar (wc-astar)."""
-    return run_init(graph, inst, PLAN_UNIDIRECTIONAL, use_geo=use_geo)
+    return run_init(graph, inst, PLAN_UNIDIRECTIONAL)
 
 
-def init_sequential_bidirectional(graph: Graph, inst: ProblemInstance,
-                                  use_geo: bool = True) -> InitResult:
+def init_sequential_bidirectional(graph: Graph, inst: ProblemInstance) -> InitResult:
     """Four chained searches: both cost2 searches, then both cost1 searches (wc-ebba)."""
-    return run_init(graph, inst, PLAN_SEQUENTIAL, use_geo=use_geo)
+    return run_init(graph, inst, PLAN_SEQUENTIAL)
 
 
 def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance,
-                                schedule: tuple = ("lockstep", 1),
-                                use_geo: bool = True) -> InitResult:
+                                schedule: tuple = ("lockstep", 1)) -> InitResult:
     """Two rounds of two concurrent searches, the second mirroring the
     attributes of the first (wc-ba, wc-ebba-par)."""
-    return run_init(graph, inst, PLAN_PARALLEL, schedule=schedule, use_geo=use_geo)
+    return run_init(graph, inst, PLAN_PARALLEL, schedule=schedule)
 
 
 def budget_factors(members: Iterable[int], h_f1: Sequence, h_b1: Sequence) -> BudgetFactors:

@@ -2,8 +2,9 @@
 tightness formula, batch benchmarking with an instrumentation CSV, the
 brute-force cross-check suite, and cost randomization.
 
-Exit codes for `solve`: 0 optimal, 2 infeasible, 3 timeout; usage errors,
-conflicting flag combinations included, exit 64.
+Exit codes for `solve`: 0 optimal, 2 infeasible, 3 timeout. Every command
+exits 64 on a usage error: conflicting flags, a state outside the graph, or a
+graph or instance file that cannot be read or parsed (one `error:` line).
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ CSV_COLUMNS = [
 
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
+
+
+def _input_error(exc: Exception) -> int:
+    """Report a graph or instance file that cannot be read or parsed."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _settle(graph: Graph, start: int, goal: int, attr: int) -> Optional[tuple[int, int]]:
@@ -100,9 +107,15 @@ def read_instances(path: str) -> tuple[Optional[tuple[str, str]], list[InstanceR
                     raise ValueError(f"{path}:{lineno}: malformed graph header")
                 header = (parts[1], parts[2])
                 continue
-            if len(parts) != 4 or parts[2] not in ("w", "delta"):
-                raise ValueError(f"{path}:{lineno}: expected '<start> <goal> w|delta <value>'")
-            rows.append(InstanceRow(int(parts[0]) - 1, int(parts[1]) - 1, parts[2], parts[3]))
+            try:
+                if len(parts) != 4 or parts[2] not in ("w", "delta"):
+                    raise ValueError
+                (int if parts[2] == "w" else Fraction)(parts[3])
+                rows.append(InstanceRow(int(parts[0]) - 1, int(parts[1]) - 1, parts[2],
+                                        parts[3]))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{path}:{lineno}: expected '<start> <goal> w|delta "
+                                 f"<value>', got {line!r}") from None
     return header, rows
 
 
@@ -158,8 +171,15 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    graph = load_dimacs(args.cost1, args.cost2, args.coords)
+    try:
+        graph = load_dimacs(args.cost1, args.cost2, args.coords)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     start, goal = args.start - 1, args.goal - 1
+    if not (0 <= start < graph.state_count and 0 <= goal < graph.state_count):
+        print(f"error: --start and --goal must be states 1..{graph.state_count}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.weight_limit is not None:
         weight = args.weight_limit
     else:
@@ -167,7 +187,7 @@ def cmd_solve(args) -> int:
         if bounds2 is None:
             print("infeasible")
             return EXIT_INFEASIBLE
-        weight = weight_from_tightness(bounds2[0], bounds2[1], Fraction(args.delta))
+        weight = weight_from_tightness(bounds2[0], bounds2[1], args.delta)
     inst = ProblemInstance(start, goal, weight)
     outcome = SOLVERS[args.algorithm](graph, inst, cfg, _solve_options(args))
     return _print_outcome(outcome, args.print_path)
@@ -199,12 +219,17 @@ def _print_outcome(outcome: SolveOutcome, print_path: bool) -> int:
 
 
 def cmd_gen_instances(args) -> int:
-    graph = load_dimacs(args.cost1, args.cost2, args.coords)
-    pairs = []
-    for token in args.pairs.split():
-        s, g = token.split(",")
-        pairs.append((int(s) - 1, int(g) - 1))
-    deltas = [Fraction(d) for d in args.deltas.split(",")]
+    try:
+        graph = load_dimacs(args.cost1, args.cost2, args.coords)
+        pairs = []
+        for token in args.pairs.split():
+            s, g = token.split(",")
+            pairs.append((int(s) - 1, int(g) - 1))
+        if not all(0 <= u < graph.state_count for pair in pairs for u in pair):
+            raise ValueError(f"--pairs states must be 1..{graph.state_count}")
+        deltas = [Fraction(d) for d in args.deltas.split(",")]
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        return _input_error(exc)
     rows = gen_instances(graph, pairs, deltas, include_reversed=args.include_reversed)
     if args.output == "-":
         write_instances(sys.stdout, args.cost1, args.cost2, rows)
@@ -272,15 +297,18 @@ def _bench_cell(graph: Graph, row: InstanceRow, weight: Optional[int], algorithm
 
 
 def cmd_bench(args) -> int:
-    header, rows = read_instances(args.instances)
-    if args.cost1:
-        graph = load_dimacs(args.cost1, args.cost2, args.coords)
-    elif header:
-        graph = load_dimacs(header[0], header[1])
-    else:
-        print("error: no graph files given and instance file has no header",
-              file=sys.stderr)
-        return EXIT_USAGE
+    try:
+        header, rows = read_instances(args.instances)
+        if args.cost1:
+            graph = load_dimacs(args.cost1, args.cost2, args.coords)
+        elif header:
+            graph = load_dimacs(header[0], header[1])
+        else:
+            print("error: no graph files given and instance file has no header",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     algorithms = args.algorithms.split(",")
     for a in algorithms:
         if a not in SOLVERS:
@@ -367,7 +395,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_randomize(args) -> int:
-    graph = load_dimacs(args.cost1, args.cost2)
+    try:
+        graph = load_dimacs(args.cost1, args.cost2)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     shuffled = randomize_cost2(graph, args.seed, args.lo, args.hi)
     # Both attributes are rewritten in canonical arc order so the output files
     # form a loadable pair regardless of the input files' arc ordering.
@@ -386,6 +417,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _tightness(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 def _steps_per_turn(text: str) -> int:
@@ -411,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", type=int, required=True, help="goal state (1-based)")
     lim = p.add_mutually_exclusive_group(required=True)
     lim.add_argument("--weight-limit", "-W", type=int)
-    lim.add_argument("--delta", help="constraint tightness in (0,1]")
+    lim.add_argument("--delta", type=_tightness, help="constraint tightness in (0,1]")
     p.add_argument("--algorithm", choices=sorted(SOLVERS), default="wc-astar")
     p.add_argument("--queue", choices=sorted(QUEUE_KINDS), default="bucket")
     p.add_argument("--tie", choices=sorted(TIE_POLICIES), default="none-lifo")

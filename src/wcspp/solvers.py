@@ -38,12 +38,17 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIMEOUT = "timeout"
 
+# Match/Store locks, striped by state and shared by every solve. A chi lock
+# guards one match-and-store and nothing takes one while holding a
+# GlobalBounds lock, so solves that share a stripe contend but never deadlock.
+_CHI_LOCKS = tuple(threading.Lock() for _ in range(64))
+
+
 @dataclass
 class SolveOptions:
     schedule: tuple = ("lockstep", 1)  # ("lockstep", k >= 1) or ("threads", n)
     timeout: Optional[float] = None
     htf: bool = True  # wc-ba heuristic tuning switch
-    use_geo: bool = True
     check_invariants: bool = False
     record_tuning: bool = False
     record_trace: bool = False
@@ -114,8 +119,7 @@ def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
     if ordering == ORDER_12:
         f2p = g2 + ub2
         if f2p <= gb.f2_bar:
-            rec = SolutionRecord(SOL_SINGLE, (f1, f2p), (direction, state, path_id, ATTR1))
-            gb.offer(f1, f2p, lambda: rec, tag=tag)
+            gb.offer(f1, f2p, SOL_SINGLE, (direction, state, path_id, ATTR1), tag)
         else:
             f1p = g1 + ub1
             if f1p < gb.f1_bar:
@@ -123,8 +127,7 @@ def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
     else:
         f1p = g1 + ub1
         if f1p <= gb.f1_bar:
-            rec = SolutionRecord(SOL_SINGLE, (f1p, f2), (direction, state, path_id, ATTR2))
-            gb.offer(f1p, f2, lambda: rec, tag=tag)
+            gb.offer(f1p, f2, SOL_SINGLE, (direction, state, path_id, ATTR2), tag)
         else:
             f2p = g2 + ub2
             if f2p <= gb.f2_bar and f1 < gb.f1_bar:
@@ -150,8 +153,7 @@ def match_partial(gb: GlobalBounds, chi_opp: Optional[list], direction: int,
                 pair = ((FORWARD, state, path_id), (BACKWARD, state, yidx))
             else:
                 pair = ((FORWARD, state, yidx), (BACKWARD, state, path_id))
-            rec = SolutionRecord(SOL_PAIR, (c1, c2), pair)
-            gb.offer(c1, c2, lambda r=rec: r, tag=tag)
+            gb.offer(c1, c2, SOL_PAIR, pair, tag)
 
 
 def store_partial(chi: dict, state: int, g1, g2, path_id: int, refine: bool) -> None:
@@ -183,7 +185,7 @@ class SearchContext:
                  budget: Optional[Fraction] = None,
                  budget_opp: Optional[Fraction] = None,
                  chi_mine: Optional[dict] = None, chi_opp: Optional[dict] = None,
-                 chi_locks: Optional[list] = None, htf: bool = False,
+                 htf: bool = False,
                  options: Optional[SolveOptions] = None):
         self.graph = graph
         self.tables = tables
@@ -210,7 +212,6 @@ class SearchContext:
         self.cap_opp = INF if budget_opp is None else math.floor(budget_opp * gb.f2_bar)
         self.chi_mine = chi_mine
         self.chi_opp = chi_opp
-        self.chi_locks = chi_locks
         self.htf = htf
         self.options = options or SolveOptions()
         self.metrics = Metrics()
@@ -335,8 +336,9 @@ class SearchContext:
                     "budget-rejected node outside the coupling area"
 
         if self.chi_mine is not None:
-            if self.h_2[u] <= self.cap_opp or self.chi_opp.get(u):
-                with self.chi_locks[u & (len(self.chi_locks) - 1)]:
+            if (self.h_2[u] <= self.cap_opp or self.chi_opp.get(u)
+                    or not gated and self.feeds_opposite(u)):
+                with _CHI_LOCKS[u & 63]:
                     match_partial(gb, self.chi_opp.get(u), self.direction,
                                   u, g1, g2, idx, tag="match")
                     store_partial(self.chi_mine, u, g1, g2, idx, self.refine_store)
@@ -345,6 +347,39 @@ class SearchContext:
 
         pool.recycle(handle)
         return True
+
+    def feeds_opposite(self, u: int) -> bool:
+        """Whether an expanded label at u must be stored although the opposite
+        search may never expand u: some successor w of u, in this search's
+        direction, has h_2[w] <= cap_opp.
+
+        Take an optimal path P and let v* be the first state on P where the
+        forward g2 exceeds cap_F. The caps add to at least W - 1, so the
+        backward search expands v* within cap_B, while the forward search
+        pops v* but does not expand it (it is gated). The forward label always
+        passes the plain Store test, as h_2_F[v*] <= g2_B(v*) <= cap_B; the
+        backward label passes only when h_2_B[v*] <= cap_F, which can fail.
+        If the backward search then reaches v* first, it stores nothing, and
+        the later forward label has nothing to match. But the state x before
+        v* on P has h_2_B[x] <= g2_F(x) <= cap_F, so this test stores the
+        backward label: the forward search expands x and pops v*, gated or
+        not, and matches it. The same holds with the directions swapped. A
+        gated label keeps the plain test, since two gated labels at one state
+        add up to more than W.
+
+        The arcs are scanned from the graph's compressed arrays, so the
+        search's only `Graph.successors` calls stay its expansions.
+        """
+        graph = self.graph
+        if self.direction == FORWARD:
+            index, to = graph.fwd_index, graph.fwd_to
+        else:
+            index, to = graph.rev_index, graph.rev_to
+        h2, cap_opp = self.h_2, self.cap_opp
+        for i in range(index[u], index[u + 1]):
+            if h2[to[i]] <= cap_opp:
+                return True
+        return False
 
     def expand_prune(self, u: int, g1, g2, idx: int) -> None:
         """ExP: generate successors, prune by dominance, state bounds and validity."""
@@ -490,7 +525,7 @@ def solve_wc_astar(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     """Unidirectional forward search in (f1, f2) order."""
     options = options or SolveOptions()
     started = time.monotonic()
-    init = init_unidirectional(graph, inst, use_geo=options.use_geo)
+    init = init_unidirectional(graph, inst)
     if init.status != SEARCH:
         return _finish(graph, init, [], options, started, False)
 
@@ -505,12 +540,11 @@ def solve_wc_astar(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
 def _ebba_contexts(graph: Graph, inst: ProblemInstance, init: InitResult,
                    queue: QueueConfig, options: SolveOptions) -> list[SearchContext]:
     """Forward and backward contexts of the biased bidirectional search: budget
-    factors, the shared Match/Store lists and their locks."""
+    factors and the shared Match/Store lists."""
     beta = budget_factors(init.valid_members, init.tables.h[FORWARD][ATTR1],
                           init.tables.h[BACKWARD][ATTR1])
     chi_f: dict = {}
     chi_b: dict = {}
-    locks = [threading.Lock() for _ in range(64)]
     contexts = []
     for d, chi_mine, chi_opp, b_own, b_opp in (
             (FORWARD, chi_f, chi_b, beta.forward, beta.backward),
@@ -518,8 +552,7 @@ def _ebba_contexts(graph: Graph, inst: ProblemInstance, init: InitResult,
         start_state = inst.start if d == FORWARD else inst.goal
         contexts.append(SearchContext(graph, init.tables, init.gb, d, ORDER_12, queue,
                                       start_state, budget=b_own, budget_opp=b_opp,
-                                      chi_mine=chi_mine, chi_opp=chi_opp, chi_locks=locks,
-                                      options=options))
+                                      chi_mine=chi_mine, chi_opp=chi_opp, options=options))
     return contexts
 
 
@@ -529,7 +562,7 @@ def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     from whichever queue holds the globally smallest (f1, f2) node."""
     options = options or SolveOptions()
     started = time.monotonic()
-    init = init_sequential_bidirectional(graph, inst, use_geo=options.use_geo)
+    init = init_sequential_bidirectional(graph, inst)
     if init.status != SEARCH:
         return _finish(graph, init, [], options, started, False)
 
@@ -560,8 +593,7 @@ def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     sharing global bounds; terminates as soon as either search terminates."""
     options = options or SolveOptions()
     started = time.monotonic()
-    init = init_parallel_bidirectional(graph, inst, schedule=options.schedule,
-                                       use_geo=options.use_geo)
+    init = init_parallel_bidirectional(graph, inst, schedule=options.schedule)
     if init.status != SEARCH:
         return _finish(graph, init, [], options, started, False)
 
@@ -582,8 +614,7 @@ def solve_wc_ebba_par(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     terminates only when both searches have terminated."""
     options = options or SolveOptions()
     started = time.monotonic()
-    init = init_parallel_bidirectional(graph, inst, schedule=options.schedule,
-                                       use_geo=options.use_geo)
+    init = init_parallel_bidirectional(graph, inst, schedule=options.schedule)
     if init.status != SEARCH:
         return _finish(graph, init, [], options, started, False)
 

@@ -1,20 +1,25 @@
 """Shared fixtures: the worked 5-state example graph, DIMACS file helpers, small
-road grids from the benchmark's generator and the table-admissibility checker
-used by both the bounds tests and acceptance."""
+road grids from the benchmark's generator, the table-admissibility checker
+used by both the bounds tests and acceptance, and the identity harness that
+compares a solve on a warm graph with the same solve on a fresh one."""
 
 from __future__ import annotations
 
 import importlib.util
 import math
 import random
+import threading
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import wcspp.solvers as solvers
 from wcspp.bounds import ATTR1, ATTR2, INF
 from wcspp.graph import BACKWARD, FORWARD, Graph, random_graph
 from wcspp.nodepool import walk_tree
 from wcspp.oracle import all_simple_paths
+from wcspp.pqueue import BINARY_HEAP, BUCKET, QueueConfig, TIE_NONE_LIFO, TIE_SECONDARY
 
 # States: s=0, u1=1, u2=2, u3=3, g=4.
 EXAMPLE_EDGES = [
@@ -139,3 +144,58 @@ def check_tables_against_paths(graph, inst, init):
                 w1, w2 = walk_cost(graph, seq)
                 pair = (w1, w2) if attr == ATTR1 else (w2, w1)
                 assert pair == (h[u], ub[u])
+
+
+# ---------------------------------------------------------------------------
+# Identity harness: everything a solve shows, for byte-for-byte comparisons.
+
+HEAP_CFG = QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)
+BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
+# Every Metrics counter but the wall time.
+COUNTERS = tuple(f.name for f in fields(solvers.Metrics) if f.name != "wall_time_s")
+INIT_NAMES = ("init_unidirectional", "init_sequential_bidirectional",
+              "init_parallel_bidirectional")
+DIGEST_OPTIONS = solvers.SolveOptions(check_invariants=True, record_tuning=True)
+
+
+def grid() -> Graph:
+    """A 16 x 16 road grid."""
+    return road_grid_graph(7, 16, 16)
+
+
+def fresh(graph: Graph) -> Graph:
+    """A graph of the same arcs, with empty caches and an empty list pool."""
+    return Graph(graph.state_count, list(graph.edges()), graph.coords)
+
+
+def capture_inits(monkeypatch) -> dict:
+    """Wrap the solvers' init entry points so that each thread's InitResults
+    are listed in solve order; returns the thread id -> list dict."""
+    seen: dict = {}
+    for name in INIT_NAMES:
+        def wrapped(*args, _original=getattr(solvers, name), **kwargs):
+            result = _original(*args, **kwargs)
+            seen.setdefault(threading.get_ident(), []).append(result)
+            return result
+        monkeypatch.setattr(solvers, name, wrapped)
+    return seen
+
+
+@pytest.fixture
+def inits(monkeypatch):
+    """The InitResults of the test's solves, per thread, in order."""
+    return capture_inits(monkeypatch)
+
+
+def digest(graph, inst, name, inits, cfg=HEAP_CFG, options=DIGEST_OPTIONS) -> tuple:
+    """Everything a solve shows: status, costs, path, counters, incumbents with
+    their tags, tuning, and its init's tables, masks and S'. The solve's
+    InitResult is taken off `inits`, so its lists can serve the next solve."""
+    out = solvers.SOLVERS[name](graph, inst, cfg, options)
+    init = inits[threading.get_ident()].pop()
+    t = init.tables
+    return (out.status, out.costs, out.path,
+            tuple(getattr(out.metrics, c) for c in COUNTERS),
+            repr(out.incumbents), repr(out.tuned),
+            repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase,
+                  init.valid_states, init.valid_members)))

@@ -466,13 +466,11 @@ def test_reduction_soundness():
 
 
 def test_bounded_search_run_surface(example_graph):
-    seen = []
-    s = BoundedSearch(example_graph, G, BACKWARD, ATTR2).run(
-        lambda u, dp, ds: seen.append(u))
+    s = BoundedSearch(example_graph, G, BACKWARD, ATTR2).run()
     assert s.dist == [EXAMPLE_H_F[u][1] for u in range(5)]
     assert s.comp == [EXAMPLE_UB_F[u][0] for u in range(5)]
     assert all(s.settled)
-    assert sorted(seen) == list(range(5))
+    assert sorted(s.order) == list(range(5))
     # predecessor walk from the start reaches the goal
     u, hops = S, 0
     while s.pred[u] is not None:

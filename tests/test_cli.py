@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import wcspp.cli as cli_mod
 from wcspp.bounds import ATTR1, ATTR2, BoundedSearch
 from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTIMAL,
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
                        weight_from_tightness)
 from wcspp.graph import FORWARD, load_dimacs, random_graph
+from wcspp.pqueue import MonotonicityError
 from wcspp.solvers import SOLVERS, SolveOutcome
 
 from conftest import G, S
@@ -112,6 +114,8 @@ def test_solve_rejects_bucket_with_secondary(example_dimacs, capsys):
     ["-W", "6", "--threads", "--lockstep", "1"],
     ["-W", "6", "--lockstep", "0"],  # K < 1 used to hang wc-ba and wc-ebba-par
     ["-W", "6", "--lockstep", "-3"],
+    ["--delta", "x"],
+    ["--delta", "1/0"],
     [],  # no weight limit at all
 ])
 def test_solve_usage_errors_exit_64(example_dimacs, capsys, flags):
@@ -120,6 +124,56 @@ def test_solve_usage_errors_exit_64(example_dimacs, capsys, flags):
               "--start", "1", "--goal", "5", "--algorithm", "wc-ba"] + flags)
     assert exc.value.code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_missing_graph_file_exits_64(example_dimacs, tmp_path, capsys):
+    code = main(["solve", "--cost1", str(tmp_path / "missing.gr"), "--cost2",
+                 example_dimacs[1], "--start", "1", "--goal", "5", "-W", "6"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "missing.gr" in err[0]
+
+
+@pytest.mark.parametrize("start, goal", [("9", "5"), ("1", "9"), ("0", "5")])
+def test_solve_state_outside_the_graph_exits_64(example_dimacs, capsys, start, goal):
+    code = main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--start", start, "--goal", goal, "-W", "6"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_error_inside_the_solver_still_surfaces(example_dimacs, monkeypatch):
+    # Only reading the input files is turned into exit 64, not the solve.
+    def broken(*args):
+        raise MonotonicityError("pushed below the last popped key")
+
+    monkeypatch.setitem(cli_mod.SOLVERS, "wc-astar", broken)
+    with pytest.raises(MonotonicityError):
+        main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+              "--start", "1", "--goal", "5", "-W", "6"])
+
+
+@pytest.mark.parametrize("row", ["1 2 x 5", "1 2 w x", "a 2 w 5", "1 2 delta 1/0", "1 2 w"])
+def test_bench_malformed_instance_row_exits_64(example_dimacs, tmp_path, capsys, row):
+    inst = tmp_path / "i.txt"
+    inst.write_text(f"1 5 w 6\n{row}\n", encoding="utf-8")
+    code = main(["bench", "--instances", str(inst), "--cost1", example_dimacs[0],
+                 "--cost2", example_dimacs[1]])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and ":2:" in err[0]
+
+
+@pytest.mark.parametrize("pairs, deltas", [("1,5 7", "0.5"), ("1,x", "0.5"), ("1,9", "0.5"),
+                                            ("1,5", "x"), ("1,5", "1/0")])
+def test_gen_instances_bad_pairs_or_deltas_exit_64(example_dimacs, capsys, pairs, deltas):
+    code = main(["gen-instances", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--pairs", pairs, "--deltas", deltas])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_solve_command_lockstep_k(example_dimacs, capsys):
@@ -221,7 +275,6 @@ def test_bench_failure_becomes_status_row(example_dimacs, tmp_path):
     def broken(*a, **k):
         raise RuntimeError("boom")
 
-    import wcspp.cli as cli_mod
     original = dict(cli_mod.SOLVERS)
     cli_mod.SOLVERS = {"wc-astar": broken}
     try:

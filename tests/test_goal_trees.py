@@ -4,71 +4,27 @@ fresh graph gives, counter for counter and table for table."""
 import random
 import sys
 import threading
-from dataclasses import fields
 
-import pytest
-
-import wcspp.solvers as solvers
 from wcspp.bounds import (ATTR2, INFEASIBLE, BoundedSearch, GoalTree, goal_trees,
                           init_unidirectional)
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
-from wcspp.pqueue import BINARY_HEAP, BUCKET, QueueConfig, TIE_NONE_LIFO, TIE_SECONDARY
-from wcspp.solvers import SOLVERS, Metrics, SolveOptions
+from wcspp.solvers import SOLVERS, SolveOptions
 
-from conftest import road_grid_graph
-
-HEAP_CFG = QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)
-BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
-COUNTERS = tuple(f.name for f in fields(Metrics) if f.name != "wall_time_s")
+from conftest import BUCKET_CFG, HEAP_CFG, digest, fresh, grid
 
 # A query on a 16 x 16 road grid whose cost2 limit leaves 22 states outside
 # the goal's tree.
 START, GOAL, W = 254, 137, 1068
 
 
-def grid() -> Graph:
-    return road_grid_graph(7, 16, 16)
-
-
-@pytest.fixture
-def inits(monkeypatch):
-    """The InitResult of every solve made in the test, in order, per thread."""
-    seen: dict = {}
-    for name in ("init_unidirectional", "init_sequential_bidirectional",
-                 "init_parallel_bidirectional"):
-        def wrapped(*args, _original=getattr(solvers, name), **kwargs):
-            result = _original(*args, **kwargs)
-            seen.setdefault(threading.get_ident(), []).append(result)
-            return result
-        monkeypatch.setattr(solvers, name, wrapped)
-    return seen
-
-
-def fresh(graph: Graph) -> Graph:
-    """A graph of the same arcs, with empty caches."""
-    return Graph(graph.state_count, list(graph.edges()), graph.coords)
-
-
 def h2(graph: Graph, start: int, goal: int):
     return BoundedSearch(graph, start, FORWARD, ATTR2).run().dist[goal]
 
 
-def solve(graph, inst, name, inits, cfg=HEAP_CFG, options=None) -> tuple:
-    """Everything a solve shows: its outcome and its init's tables and masks."""
-    out = SOLVERS[name](graph, inst, cfg, options or SolveOptions(check_invariants=True))
-    init = inits[threading.get_ident()][-1]
-    t = init.tables
-    return (out.status, out.costs, out.path,
-            tuple(getattr(out.metrics, c) for c in COUNTERS),
-            repr(out.incumbents), repr(out.tuned),
-            repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase,
-                  init.valid_states)))
-
-
 def check(graph, inst, inits, names=tuple(SOLVERS), **kwargs) -> None:
     for name in names:
-        assert solve(graph, inst, name, inits, **kwargs) == \
-            solve(fresh(graph), inst, name, inits, **kwargs), name
+        assert digest(graph, inst, name, inits, **kwargs) == \
+            digest(fresh(graph), inst, name, inits, **kwargs), name
 
 
 def test_pieces_make_one_unbounded_search():
@@ -108,7 +64,7 @@ def test_limit_under_the_cost2_distance_is_infeasible(inits):
     check(g, ProblemInstance(START, GOAL, W + 400), inits)
     inst = ProblemInstance(START, GOAL, h2(g, START, GOAL) - 1)
     check(g, inst, inits)
-    assert solve(g, inst, "wc-ba", inits)[0] == "infeasible"
+    assert SOLVERS["wc-ba"](g, inst, HEAP_CFG).status == "infeasible"
     assert inits[threading.get_ident()][-1].status == INFEASIBLE
 
 
@@ -164,8 +120,8 @@ def test_threads_schedule(inits):
         inst = ProblemInstance(START, GOAL, w)
         check(g, inst, inits, names=("wc-astar", "wc-ebba"), options=options)
         for name in ("wc-ba", "wc-ebba-par"):
-            assert solve(g, inst, name, inits, options=options)[:2] == \
-                solve(fresh(g), inst, name, inits)[:2], name
+            assert digest(g, inst, name, inits, options=options)[:2] == \
+                digest(fresh(g), inst, name, inits)[:2], name
 
 
 def test_python_threads_share_one_graph(inits):
@@ -173,12 +129,12 @@ def test_python_threads_share_one_graph(inits):
     # extend and replay the same tree concurrently.
     g = grid()
     limits = [W - 100, W, W + 150, W + 500]
-    expected = {w: {name: solve(fresh(g), ProblemInstance(START, GOAL, w), name, inits)
+    expected = {w: {name: digest(fresh(g), ProblemInstance(START, GOAL, w), name, inits)
                     for name in SOLVERS} for w in limits}
     got: dict = {}
 
     def work(w):
-        got[w] = [{name: solve(g, ProblemInstance(START, GOAL, w), name, inits)
+        got[w] = [{name: digest(g, ProblemInstance(START, GOAL, w), name, inits)
                    for name in SOLVERS} for _ in range(3)]
 
     interval = sys.getswitchinterval()
@@ -200,7 +156,7 @@ def test_second_solve_replays_every_state(inits):
     g = grid()
     inst = ProblemInstance(START, GOAL, W)
     for name in ("wc-astar", "wc-ba"):
-        solve(g, inst, name, inits)
+        SOLVERS[name](g, inst, HEAP_CFG)
     first, second = inits[threading.get_ident()]
     settled = sum(first.settled_per_phase[0][2])
     assert (first.tree_replayed, first.tree_settled) == (0, settled)

@@ -4,7 +4,6 @@ solve a fresh graph gives, and a list that a caller still holds is never reused.
 import random
 import sys
 import threading
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,26 +12,9 @@ import wcspp.solvers as solvers
 from wcspp.bounds import INF, PLAN_PARALLEL, ListPool, list_pool, run_init
 from wcspp.cli import pair_cost2_bounds, weight_from_tightness
 from wcspp.graph import Graph, ProblemInstance
-from wcspp.pqueue import BINARY_HEAP, BUCKET, QueueConfig, TIE_NONE_LIFO, TIE_SECONDARY
-from wcspp.solvers import SOLVERS, Metrics, SolveOptions, path_cost
+from wcspp.solvers import SOLVERS, SolveOptions, path_cost
 
-from conftest import road_grid_graph
-
-HEAP_CFG = QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)
-BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
-COUNTERS = tuple(f.name for f in fields(Metrics) if f.name != "wall_time_s")
-OPTIONS = SolveOptions(check_invariants=True, record_tuning=True)
-INIT_NAMES = ("init_unidirectional", "init_sequential_bidirectional",
-              "init_parallel_bidirectional")
-
-
-def grid() -> Graph:
-    return road_grid_graph(7, 16, 16)
-
-
-def fresh(graph: Graph) -> Graph:
-    """A graph of the same arcs, with an empty pool and empty caches."""
-    return Graph(graph.state_count, list(graph.edges()), graph.coords)
+from conftest import BUCKET_CFG, DIGEST_OPTIONS, HEAP_CFG, digest, fresh, grid
 
 
 def queries(graph: Graph, seed: int, count: int) -> list[ProblemInstance]:
@@ -57,66 +39,40 @@ def queries(graph: Graph, seed: int, count: int) -> list[ProblemInstance]:
     return out
 
 
-@pytest.fixture
-def last_init(monkeypatch):
-    """The InitResult of each thread's last solve, until the test takes it."""
-    box: dict = {}
-    for name in INIT_NAMES:
-        def wrapped(*args, _original=getattr(solvers, name), **kwargs):
-            result = _original(*args, **kwargs)
-            box[threading.get_ident()] = result
-            return result
-        monkeypatch.setattr(solvers, name, wrapped)
-    return box
-
-
-def shown(graph, inst, name, cfg, box, options=OPTIONS) -> tuple:
-    """Everything a solve shows: its outcome and its init's tables and masks.
-    The InitResult is let go, so its lists can serve the next solve."""
-    out = SOLVERS[name](graph, inst, cfg, options)
-    init = box.pop(threading.get_ident())
-    t = init.tables
-    return (out.status, out.costs, out.path,
-            tuple(getattr(out.metrics, c) for c in COUNTERS),
-            repr(out.incumbents), repr(out.tuned),
-            repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase,
-                  init.valid_states, init.valid_members)))
-
-
 @pytest.mark.parametrize("cfg", [HEAP_CFG, BUCKET_CFG], ids=["heap", "bucket"])
-def test_warm_pool_solves_match_a_fresh_graph(cfg, last_init):
+def test_warm_pool_solves_match_a_fresh_graph(cfg, inits):
     g = grid()
     for inst in queries(fresh(g), 11, 24):
         for name in SOLVERS:
-            assert shown(g, inst, name, cfg, last_init) == \
-                shown(fresh(g), inst, name, cfg, last_init), (name, inst)
+            assert digest(g, inst, name, inits, cfg) == \
+                digest(fresh(g), inst, name, inits, cfg), (name, inst)
     pool = list_pool(g)
     assert pool.reused > 2 * pool.fresh
     assert pool.dropped > 0  # the long query's lists
     assert pool.size <= ListPool.CAPACITY
 
 
-def test_wc_ba_tuning_is_reset_between_solves(last_init):
+def test_wc_ba_tuning_is_reset_between_solves(inits):
     # wc-ba's tuning writes into the pooled tables; the next solve of the
     # same query must start from the untuned ones.
     g = grid()
     tuned = 0
     for inst in queries(g, 12, 16):
         for _ in range(2):
-            first = shown(g, inst, "wc-ba", HEAP_CFG, last_init)
-            assert first == shown(fresh(g), inst, "wc-ba", HEAP_CFG, last_init), inst
+            first = digest(g, inst, "wc-ba", inits)
+            assert first == digest(fresh(g), inst, "wc-ba", inits), inst
             tuned += first[5] not in ("None", "[]")
     assert tuned > 0
     assert list_pool(g).reused > 0
 
 
-def test_held_init_result_keeps_its_values(last_init):
+def test_held_init_result_keeps_its_values(inits):
     # A direct run_init keeps its lists; a solve's lists go back to the pool,
     # but the next solve must not take the ones `held` still reaches.
     g = grid()
     direct = run_init(g, ProblemInstance(20, 37, 400), PLAN_PARALLEL)
-    SOLVERS["wc-ba"](g, ProblemInstance(50, 67, 400), BUCKET_CFG, OPTIONS)
-    held = last_init.pop(threading.get_ident())
+    SOLVERS["wc-ba"](g, ProblemInstance(50, 67, 400), BUCKET_CFG, DIGEST_OPTIONS)
+    held = inits[threading.get_ident()].pop()
     before = repr((held.tables.h, held.tables.ub, held.tables.tree, held.settled_per_phase,
                    held.valid_states, direct.tables.h, direct.settled_per_phase,
                    direct.valid_states))
@@ -124,7 +80,7 @@ def test_held_init_result_keeps_its_values(last_init):
     dropped = pool.dropped
     for other in queries(g, 13, 10):
         for name in SOLVERS:
-            shown(g, other, name, BUCKET_CFG, last_init)
+            digest(g, other, name, inits, BUCKET_CFG)
     assert pool.dropped > dropped  # the held lists were let go, not reused
     assert repr((held.tables.h, held.tables.ub, held.tables.tree, held.settled_per_phase,
                  held.valid_states, direct.tables.h, direct.settled_per_phase,
@@ -170,11 +126,11 @@ def test_threads_share_one_graph_and_its_pool():
     assert pool.reused > 0 and pool.size <= ListPool.CAPACITY
 
 
-def test_solve_that_raises_leaves_the_pool_usable(monkeypatch, last_init):
+def test_solve_that_raises_leaves_the_pool_usable(monkeypatch, inits):
     g = grid()
     insts = queries(g, 15, 8)
     for inst in insts:
-        shown(g, inst, "wc-ebba-par", BUCKET_CFG, last_init)
+        digest(g, inst, "wc-ebba-par", inits, BUCKET_CFG)
     calls = [0]
     original = solvers.SearchContext.expand_prune
 
@@ -189,16 +145,16 @@ def test_solve_that_raises_leaves_the_pool_usable(monkeypatch, last_init):
     for inst in insts:
         for name in SOLVERS:
             try:
-                SOLVERS[name](g, inst, BUCKET_CFG, OPTIONS)
+                SOLVERS[name](g, inst, BUCKET_CFG, DIGEST_OPTIONS)
             except RuntimeError:
                 raised += 1
     assert raised > 0
     monkeypatch.setattr(solvers.SearchContext, "expand_prune", original)
-    last_init.clear()
+    inits.clear()
     for inst in insts:
         for name in SOLVERS:
-            assert shown(g, inst, name, BUCKET_CFG, last_init) == \
-                shown(fresh(g), inst, name, BUCKET_CFG, last_init), (name, inst)
+            assert digest(g, inst, name, inits, BUCKET_CFG) == \
+                digest(fresh(g), inst, name, inits, BUCKET_CFG), (name, inst)
     assert list_pool(g).size <= ListPool.CAPACITY
 
 

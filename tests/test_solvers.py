@@ -310,24 +310,68 @@ def hub_grids():
     return {}
 
 
-@pytest.mark.parametrize("seed, start, goal, w, optimum", [
+HUB_REPRODUCERS = pytest.mark.parametrize("seed, start, goal, w, optimum", [
     (201, 5790, 7273, 2226, (3304, 2189)),
     (148, 6296, 7877, 2369, (3643, 2355)),
 ], ids=["seed201", "seed148"])
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: wc-ebba-par's Match/Store depends on which "
-                            "side reaches a state first; it returns (3307, 2095) and "
-                            "(3669, 2330) here"))
-    if name == "wc-ebba-par" else name for name in sorted(SOLVERS)])
+
+
+@HUB_REPRODUCERS
+@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_road_hub_reproducers(hub_grids, name, seed, start, goal, w, optimum):
-    # Queries of the benchmark's road-hub workload, seeds 201 and 148.
+    # Queries of the benchmark's road-hub workload, seeds 201 and 148. When
+    # Match/Store depended on which side reached a state first, wc-ebba-par
+    # returned (3307, 2095) and (3669, 2330) here.
     if seed not in hub_grids:
         hub_grids[seed] = road_grid_graph(seed, 100, 100)
     out = SOLVERS[name](hub_grids[seed], ProblemInstance(start, goal, w),
                         QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY),
                         SolveOptions(check_invariants=True))
     assert (out.status, out.costs) == ("optimal", optimum)
+
+
+@HUB_REPRODUCERS
+def test_road_hub_reproducers_under_every_schedule(hub_grids, seed, start, goal, w,
+                                                   optimum):
+    # The old Store test failed on seed 201 at K = 1, 2, 5 and 7 and on seed
+    # 148 at every K. Under threads the sides interleave as the threads run,
+    # so only the answer is compared.
+    if seed not in hub_grids:
+        hub_grids[seed] = road_grid_graph(seed, 100, 100)
+    inst = ProblemInstance(start, goal, w)
+    cfg = QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)
+    for schedule in [("lockstep", k) for k in range(1, 9)] + [("threads", 2)]:
+        out = solve_wc_ebba_par(hub_grids[seed], inst, cfg, SolveOptions(schedule=schedule))
+        assert (out.status, out.costs) == ("optimal", optimum), schedule
+
+
+# s=0, c=1, a=2, v=3, b1=4, b3=5, t=6. With W = 60 the optimum is s-a-v-t,
+# (20, 60); its prefix to v costs 34 on cost2 and its suffix 26. Every other
+# way to v or from v is either cost1-free and cost2-heavy (via c or b1) or
+# cost2-free and cost1-heavy (via b3), so neither ESU nor the init joins find
+# the optimum: only a Match at v or a can.
+STORE_ORDER_EDGES = [(0, 1, 0, 50), (1, 2, 0, 50), (0, 2, 5, 5), (2, 3, 5, 29),
+                     (3, 6, 10, 26), (3, 4, 0, 50), (4, 6, 0, 50), (3, 5, 25, 0),
+                     (5, 6, 25, 0)]
+
+
+def test_wc_ebba_par_stores_a_state_the_backward_side_expands_first():
+    # The budget gives cap_F = 33 and cap_B = 26. At K = 1 the backward side
+    # expands v (g2 26) before the forward side pops it with g2 34, over its
+    # cap. The backward label fails the plain Store test (h_2_B[v] = 34 >
+    # cap_F); without the successor rule nothing was stored at v or a to
+    # match, and the answer was the initial (60, 34) at K = 1 and 2.
+    g = Graph(7, STORE_ORDER_EDGES)
+    inst = ProblemInstance(0, 6, 60)
+    assert constrained_optimum(g, 0, 6, 60) == (20, 60)
+    for cfg in (BUCKET_CFG, QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)):
+        for schedule in [("lockstep", k) for k in range(1, 9)] + [("threads", 2)]:
+            out = solve_wc_ebba_par(g, inst, cfg, SolveOptions(
+                schedule=schedule, check_invariants=True, record_trace=True))
+            assert (out.status, out.costs) == ("optimal", (20, 60)), (cfg.kind, schedule)
+            if schedule == ("lockstep", 1):
+                assert [u for u, _, _ in out.trace["backward"][:2]] == [6, 3]
+                assert [u for u, _, _ in out.trace["forward"][:3]] == [0, 2, 3]
 
 
 # Every Metrics counter but wall_time_s, in this order, for the golden runs below.
@@ -493,7 +537,7 @@ def test_all_solvers_with_coordinates_match_oracle():
                 out = solver(g, inst, cfg, SolveOptions(check_invariants=True))
                 got = out.costs if out.status == "optimal" else None
                 assert got == expected, (name, cfg.kind, seed, s, t, w)
-                plain = solver(g, inst, cfg, SolveOptions(use_geo=False))
+                plain = solver(Graph(n, list(g.edges())), inst, cfg, SolveOptions())
                 assert plain.costs == out.costs, (name, cfg.kind, seed, s, t, w)
 
 
