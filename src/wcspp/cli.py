@@ -110,7 +110,7 @@ def read_instances(path: str) -> tuple[Optional[tuple[str, str]], list[InstanceR
             try:
                 if len(parts) != 4 or parts[2] not in ("w", "delta"):
                     raise ValueError
-                (int if parts[2] == "w" else Fraction)(parts[3])
+                _row_value(parts[2], parts[3])
                 rows.append(InstanceRow(int(parts[0]) - 1, int(parts[1]) - 1, parts[2],
                                         parts[3]))
             except (ValueError, ZeroDivisionError):
@@ -119,15 +119,22 @@ def read_instances(path: str) -> tuple[Optional[tuple[str, str]], list[InstanceR
     return header, rows
 
 
+def _row_value(marker: str, text: str):
+    """A row's value: an int weight limit after 'w', a Fraction tightness
+    after 'delta'. Raises ValueError or ZeroDivisionError on bad text."""
+    return int(text) if marker == "w" else Fraction(text)
+
+
 def resolve_weight(graph: Graph, row: InstanceRow) -> Optional[int]:
     """Turn an instance row into an integer weight limit (None if unreachable)."""
+    value = _row_value(row.marker, row.value)
     if row.marker == "w":
-        return int(row.value)
+        return value
     bounds2 = pair_cost2_bounds(graph, row.start, row.goal)
     if bounds2 is None:
         return None
     h2, ub2 = bounds2
-    return weight_from_tightness(h2, ub2, Fraction(row.value))
+    return weight_from_tightness(h2, ub2, value)
 
 
 def gen_instances(graph: Graph, pairs: list[tuple[int, int]], deltas: list[Fraction],

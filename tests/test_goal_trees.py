@@ -10,7 +10,7 @@ from wcspp.bounds import (ATTR2, INFEASIBLE, BoundedSearch, GoalTree, goal_trees
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
 
-from conftest import BUCKET_CFG, HEAP_CFG, digest, fresh, grid
+from conftest import BUCKET_CFG, DIGEST_OPTIONS, HEAP_CFG, digest, fresh, grid
 
 # A query on a 16 x 16 road grid whose cost2 limit leaves 22 states outside
 # the goal's tree.
@@ -64,7 +64,7 @@ def test_limit_under_the_cost2_distance_is_infeasible(inits):
     check(g, ProblemInstance(START, GOAL, W + 400), inits)
     inst = ProblemInstance(START, GOAL, h2(g, START, GOAL) - 1)
     check(g, inst, inits)
-    assert SOLVERS["wc-ba"](g, inst, HEAP_CFG).status == "infeasible"
+    assert SOLVERS["wc-ba"](g, inst, HEAP_CFG, DIGEST_OPTIONS).status == "infeasible"
     assert inits[threading.get_ident()][-1].status == INFEASIBLE
 
 
@@ -156,7 +156,7 @@ def test_second_solve_replays_every_state(inits):
     g = grid()
     inst = ProblemInstance(START, GOAL, W)
     for name in ("wc-astar", "wc-ba"):
-        SOLVERS[name](g, inst, HEAP_CFG)
+        SOLVERS[name](g, inst, HEAP_CFG, DIGEST_OPTIONS)
     first, second = inits[threading.get_ident()]
     settled = sum(first.settled_per_phase[0][2])
     assert (first.tree_replayed, first.tree_settled) == (0, settled)

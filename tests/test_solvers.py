@@ -310,39 +310,34 @@ def hub_grids():
     return {}
 
 
-HUB_REPRODUCERS = pytest.mark.parametrize("seed, start, goal, w, optimum", [
+# Each solver under its default schedule; wc-ebba-par also at lockstep K = 2..8
+# and under two threads. The old Store test failed on seed 201 at K = 1, 2, 5
+# and 7 and on seed 148 at every K.
+HUB_SCHEDULES = ([(name, None) for name in sorted(SOLVERS)]
+                 + [("wc-ebba-par", ("lockstep", k)) for k in range(2, 9)]
+                 + [("wc-ebba-par", ("threads", 2))])
+
+
+@pytest.mark.parametrize("seed, start, goal, w, optimum", [
     (201, 5790, 7273, 2226, (3304, 2189)),
     (148, 6296, 7877, 2369, (3643, 2355)),
 ], ids=["seed201", "seed148"])
-
-
-@HUB_REPRODUCERS
-@pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_road_hub_reproducers(hub_grids, name, seed, start, goal, w, optimum):
+@pytest.mark.parametrize("name, schedule", HUB_SCHEDULES,
+                         ids=[name if schedule is None else f"{name}-{schedule[0]}{schedule[1]}"
+                              for name, schedule in HUB_SCHEDULES])
+def test_road_hub_reproducers(hub_grids, name, schedule, seed, start, goal, w, optimum):
     # Queries of the benchmark's road-hub workload, seeds 201 and 148. When
     # Match/Store depended on which side reached a state first, wc-ebba-par
-    # returned (3307, 2095) and (3669, 2330) here.
+    # returned (3307, 2095) and (3669, 2330) here. Under threads the sides
+    # interleave as the threads run, so only the answer is compared.
     if seed not in hub_grids:
         hub_grids[seed] = road_grid_graph(seed, 100, 100)
+    options = SolveOptions(check_invariants=True)
+    if schedule is not None:
+        options = SolveOptions(schedule=schedule, check_invariants=True)
     out = SOLVERS[name](hub_grids[seed], ProblemInstance(start, goal, w),
-                        QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY),
-                        SolveOptions(check_invariants=True))
+                        QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY), options)
     assert (out.status, out.costs) == ("optimal", optimum)
-
-
-@HUB_REPRODUCERS
-def test_road_hub_reproducers_under_every_schedule(hub_grids, seed, start, goal, w,
-                                                   optimum):
-    # The old Store test failed on seed 201 at K = 1, 2, 5 and 7 and on seed
-    # 148 at every K. Under threads the sides interleave as the threads run,
-    # so only the answer is compared.
-    if seed not in hub_grids:
-        hub_grids[seed] = road_grid_graph(seed, 100, 100)
-    inst = ProblemInstance(start, goal, w)
-    cfg = QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)
-    for schedule in [("lockstep", k) for k in range(1, 9)] + [("threads", 2)]:
-        out = solve_wc_ebba_par(hub_grids[seed], inst, cfg, SolveOptions(schedule=schedule))
-        assert (out.status, out.costs) == ("optimal", optimum), schedule
 
 
 # s=0, c=1, a=2, v=3, b1=4, b3=5, t=6. With W = 60 the optimum is s-a-v-t,
