@@ -4,12 +4,13 @@ is a plan of rounds of these searches, run by `run_init`.
 
 Every plan starts with the same search: cost2 from the goal over the reversed
 graph, bounded by the weight limit W, with no heuristic, mask or joins. It
-depends only on the goal and on W, and a bounded run settles exactly the
-prefix with cost2 <= W of the unbounded run, in the same order. So it is not
-rerun per solve: each graph keeps one resumable search per goal (`GoalTree`,
-in the LRU `GoalTrees` cache on `graph.goal_trees`), extends it to W and
-replays that prefix one settled state at a time (`GoalTree.replay`) into an
-ordinary `BoundedSearch`, through the same step as a live search.
+depends only on the goal and on W, and a run bounded by W settles exactly
+the prefix with cost2 <= W of any run with a larger bound, in the same order.
+So it is not rerun per solve: each graph records one finished search per goal
+(`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`), reruns it
+only for a W above the recorded bound, and replays the prefix one settled
+state at a time (`GoalTree.replay`) into an ordinary `BoundedSearch`, through
+the same step as a live search.
 
 The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
 `settled`, the round-two and S' masks, each search context's `g_min`) come
@@ -153,8 +154,8 @@ class InitResult:
     # (fill, list, written) per list taken from the graph's ListPool
     taken: list = field(default_factory=list)
     # How the first (FORWARD, cost2) search was served from the goal's tree:
-    # of its states with cost2 <= W, how many were cached already and how
-    # many the tree settled live to reach W.
+    # how many of its states were replayed from a cached tree, or, when the
+    # tree was rebuilt for this W, how many states the rebuild settled.
     tree_replayed: int = 0
     tree_settled: int = 0
 
@@ -243,66 +244,24 @@ class BoundedSearch:
 
 
 class GoalTree:
-    """The cost2 search from one goal over the reversed graph, paused and resumable.
-
-    It is `BoundedSearch(graph, goal, BACKWARD, ATTR2)` (no heuristic, so a
-    heap entry's f is its cost2), run in pieces: `extend(limit)` settles
-    every state whose cost2 is at most `limit` and pauses with the first
-    entry beyond it still on the heap. States settle in the same order as in
-    one unbounded run, so the states with cost2 <= W are a prefix of the
-    settle order, whatever limits came before. Settled labels are kept in
-    settle order in typed arrays, membership in a bytearray, and `best` only
-    for states not yet settled.
+    """A finished cost2 search from one goal over the reversed graph, the
+    record of `BoundedSearch(graph, goal, BACKWARD, ATTR2, bound=limit).run()`:
+    its settled states in settle order, with their cost2 (non-decreasing),
+    cost1 companion and predecessor (-1 for the goal), in typed arrays. With
+    no heuristic an entry's f is its cost2, so for every W <= limit the states
+    with cost2 <= W are the prefix of the settle order that a search bounded
+    by W settles, in the same order. A tree is never changed once made.
     """
 
-    __slots__ = ("order", "dist", "comp", "pred", "settled", "best", "heap", "limit")
+    __slots__ = ("order", "dist", "comp", "pred", "limit")
 
-    def __init__(self, state_count: int, goal: int):
-        self.order = array("q")
-        self.dist = array("q")  # cost2, non-decreasing
-        self.comp = array("q")  # cost1 companion
-        self.pred = array("q")  # -1 for the goal
-        self.settled = bytearray(state_count)
-        self.best: dict[int, tuple] = {goal: (0, 0)}
-        self.heap: list[tuple] = [(0, 0, goal, -1)]
-        self.limit = -1
-
-    def extend(self, graph: Graph, limit: int) -> int:
-        """Settle every state with cost2 <= limit; returns how many were new."""
-        if limit <= self.limit:
-            return 0
+    def __init__(self, search: BoundedSearch, limit: int):
+        order, dist, comp, pred = search.order, search.dist, search.comp, search.pred
+        self.order = array("q", order)
+        self.dist = array("q", [dist[u] for u in order])
+        self.comp = array("q", [comp[u] for u in order])
+        self.pred = array("q", [-1 if pred[u] is None else pred[u] for u in order])
         self.limit = limit
-        index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
-        heappop, heappush = heapq.heappop, heapq.heappush
-        heap, best, settled = self.heap, self.best, self.settled
-        settle, put_dist, put_comp, put_pred = (self.order.append, self.dist.append,
-                                                self.comp.append, self.pred.append)
-        before = len(self.order)
-        while heap:
-            dp, ds, u, pu = heap[0]
-            if settled[u]:
-                heappop(heap)
-                continue
-            if dp > limit:
-                break
-            heappop(heap)
-            settled[u] = 1
-            del best[u]
-            settle(u)
-            put_dist(dp)
-            put_comp(ds)
-            put_pred(pu)
-            for i in range(index[u], index[u + 1]):
-                v = to[i]
-                if settled[v]:
-                    continue
-                ndp = dp + c2[i]
-                nds = ds + c1[i]
-                cur = best.get(v)
-                if cur is None or (ndp, nds) < cur:
-                    best[v] = (ndp, nds)
-                    heappush(heap, (ndp, nds, v, u))
-        return len(self.order) - before
 
     def replay(self, search: BoundedSearch, count: int) -> Iterator[tuple[int, int, int]]:
         """Settle the first `count` states of the tree into `search`, a fresh
@@ -324,46 +283,46 @@ class GoalTree:
 
 
 class GoalTrees:
-    """A graph's goal trees, least recently used first out.
-
-    The bound is on labels, not on goals: each tree is charged its settled
-    states plus n/32 for its n-byte membership mask (a label's arrays take
-    32 bytes), and the cache holds at most `8 * n` charges. The tree just
-    used is evicted last. One lock serialises lookups and extensions; a
-    replay reads the append-only arrays outside it.
+    """A graph's goal trees, least recently used first out, holding at most
+    `8 * n` settled states in all. One lock serialises lookups and rebuilds.
+    A replay reads its tree outside the lock: a rebuild swaps in a new tree
+    and leaves the old one to the replays that hold it.
     """
 
     def __init__(self, state_count: int):
         self.state_count = state_count
         self.capacity = 8 * state_count
-        self.tree_charge = 1 + state_count // 32
         self.trees: OrderedDict[int, GoalTree] = OrderedDict()
         self.size = 0
         self.hits = self.misses = self.evictions = 0
         self._lock = threading.Lock()
 
     def prefix(self, graph: Graph, goal: int, limit: int) -> tuple[GoalTree, int, int]:
-        """Extend `goal`'s tree to `limit`. Returns the tree, the length of its
-        settle-order prefix with cost2 <= limit, and how many of those states
-        were settled now."""
+        """`goal`'s tree for weight limit `limit`, the length of its
+        settle-order prefix with cost2 <= limit, and how many states a
+        rebuild settled now: 0 on a hit, where the cached tree's limit is at
+        least `limit`; else the whole tree, searched afresh up to `limit`."""
         if not 0 <= goal < self.state_count:
             raise IndexError(f"goal {goal} is not one of the graph's {self.state_count} states")
         with self._lock:
-            tree = self.trees.get(goal)
-            if tree is None:
-                self.misses += 1
-                tree = self.trees[goal] = GoalTree(self.state_count, goal)
-                self.size += self.tree_charge
-            else:
+            tree = self.trees.pop(goal, None)
+            if tree is not None and tree.limit >= limit:
                 self.hits += 1
-                self.trees.move_to_end(goal)
-            live = tree.extend(graph, limit)
-            self.size += live
+                self.trees[goal] = tree
+                return tree, bisect_right(tree.dist, limit), 0
+            self.misses += 1
+            if tree is not None:
+                self.size -= len(tree.order)
+            search = BoundedSearch(graph, goal, BACKWARD, ATTR2, bound=limit).run()
+            tree = self.trees[goal] = GoalTree(search, limit)
+            list_pool(graph).give(search.taken())
+            count = len(tree.order)
+            self.size += count
             while self.size > self.capacity and len(self.trees) > 1:
                 _, old = self.trees.popitem(last=False)
-                self.size -= len(old.order) + self.tree_charge
+                self.size -= len(old.order)
                 self.evictions += 1
-            return tree, bisect_right(tree.dist, limit), live
+            return tree, count, count
 
 
 class ListPool:
@@ -607,8 +566,7 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
     search that ends without settling its target proves INFEASIBLE. The
     forward cost2 search with no heuristic and no mask, every plan's first,
-    settles by replaying the goal's cached tree, extended to the weight limit
-    here, instead of by its own `steps()`.
+    settles by replaying the goal's cached tree instead of by its own `steps()`.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir

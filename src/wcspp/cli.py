@@ -3,8 +3,9 @@ tightness formula, batch benchmarking with an instrumentation CSV, the
 brute-force cross-check suite, and cost randomization.
 
 Exit codes for `solve`: 0 optimal, 2 infeasible, 3 timeout. Every command
-exits 64 on a usage error: conflicting flags, a state outside the graph, or a
-graph or instance file that cannot be read or parsed (one `error:` line).
+exits 64 on a usage error: conflicting flags, an unknown or out-of-range flag
+value, a state outside the graph, or a graph or instance file that cannot be
+read or parsed (one `error:` line).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .bounds import ATTR1, ATTR2, BoundedSearch, goal_trees
+from .bounds import ATTR1, ATTR2, BoundedSearch, goal_trees, list_pool
 from .graph import FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
     randomize_cost2, write_gr
 from .oracle import constrained_optimum
@@ -56,11 +57,16 @@ def _input_error(exc: Exception) -> int:
 
 def _settle(graph: Graph, start: int, goal: int, attr: int) -> Optional[tuple[int, int]]:
     """(dist, companion) of `goal` in a search from `start` on `attr`, which
-    stops once `goal` settles; None if it is unreachable."""
-    for u, dist, comp in BoundedSearch(graph, start, FORWARD, attr).steps():
+    stops once `goal` settles; None if it is unreachable. The search's lists
+    go back to the graph's pool."""
+    search = BoundedSearch(graph, start, FORWARD, attr)
+    found = None
+    for u, dist, comp in search.steps():
         if u == goal:
-            return dist, comp
-    return None
+            found = dist, comp
+            break
+    list_pool(graph).give(search.taken())
+    return found
 
 
 def pair_cost2_bounds(graph: Graph, start: int, goal: int) -> Optional[tuple[int, int]]:
@@ -125,16 +131,28 @@ def _row_value(marker: str, text: str):
     return int(text) if marker == "w" else Fraction(text)
 
 
+def _check_row_states(graph: Graph, row: InstanceRow) -> None:
+    """Raise ValueError, naming the row, if its start or goal is not a state
+    of `graph`."""
+    n = graph.state_count
+    if not (0 <= row.start < n and 0 <= row.goal < n):
+        raise ValueError(f"instance row '{row.start + 1} {row.goal + 1} {row.marker} "
+                         f"{row.value}': states must be 1..{n}")
+
+
 def resolve_weight(graph: Graph, row: InstanceRow) -> Optional[int]:
-    """Turn an instance row into an integer weight limit (None if unreachable)."""
-    value = _row_value(row.marker, row.value)
-    if row.marker == "w":
-        return value
-    bounds2 = pair_cost2_bounds(graph, row.start, row.goal)
-    if bounds2 is None:
-        return None
-    h2, ub2 = bounds2
-    return weight_from_tightness(h2, ub2, value)
+    """Turn an instance row into an integer weight limit (None if unreachable).
+    Raises ValueError for a state outside the graph or a negative limit."""
+    _check_row_states(graph, row)
+    weight = _row_value(row.marker, row.value)
+    if row.marker == "delta":
+        bounds2 = pair_cost2_bounds(graph, row.start, row.goal)
+        if bounds2 is None:
+            return None
+        weight = weight_from_tightness(bounds2[0], bounds2[1], weight)
+    if weight < 0:
+        raise ValueError(f"weight limit {weight} is negative")
+    return weight
 
 
 def gen_instances(graph: Graph, pairs: list[tuple[int, int]], deltas: list[Fraction],
@@ -195,6 +213,9 @@ def cmd_solve(args) -> int:
             print("infeasible")
             return EXIT_INFEASIBLE
         weight = weight_from_tightness(bounds2[0], bounds2[1], args.delta)
+    if weight < 0:
+        print(f"error: the weight limit must be non-negative, got {weight}", file=sys.stderr)
+        return EXIT_USAGE
     inst = ProblemInstance(start, goal, weight)
     outcome = SOLVERS[args.algorithm](graph, inst, cfg, _solve_options(args))
     return _print_outcome(outcome, args.print_path)
@@ -251,18 +272,24 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
               delta_f: int, out: TextIO, timeout: Optional[float] = None) -> int:
     """Run the full (instance x algorithm x queue x tie) matrix; one CSV row per
     cell, taken from the repeat with the median runtime. Each instance's goal
-    tree is extended to its W before its cells, so `runtime_us` excludes it."""
+    tree is built for its W before its cells, so `runtime_us` excludes it. A
+    row whose weight cannot be resolved (a state outside the graph, a
+    negative limit) gives error cells."""
     writer = csv.writer(out)
     out.write(CSV_VERSION_LINE + "\n")
     writer.writerow(CSV_COLUMNS)
     count = 0
-    for i, row in enumerate(rows):
-        weight = resolve_weight(graph, row)
-        if weight is not None and 0 <= row.goal < graph.state_count:
-            # Extend the goal's cached init tree first, so no cell pays for it;
-            # a goal outside the graph is left to fail in its cells.
-            goal_trees(graph).prefix(graph, row.goal, weight)
+    for row in rows:
         instance_id = f"{row.start + 1}-{row.goal + 1}-{row.marker}{row.value}"
+        try:
+            weight = resolve_weight(graph, row)
+            if weight is not None:
+                # Build the goal's cached init tree first, so no cell pays for it.
+                goal_trees(graph).prefix(graph, row.goal, weight)
+            failed = False
+        except ValueError as exc:  # a bad row must not abort the batch
+            _warn(f"instance {instance_id}: {exc}")
+            weight, failed = None, True
         for algorithm in algorithms:
             for queue_flag in queue_flags:
                 for tie_flag in tie_flags:
@@ -270,18 +297,25 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
                         cfg = _queue_config(queue_flag, tie_flag, delta_f)
                     except ValueError:
                         continue  # unsupported combination, not a cell
-                    record = _bench_cell(graph, row, weight, algorithm, cfg, repeats,
-                                         timeout)
+                    if failed:
+                        record = ["error"] + _NO_RESULT
+                    else:
+                        record = _bench_cell(graph, row, weight, algorithm, cfg, repeats,
+                                             timeout)
                     writer.writerow([instance_id, algorithm, queue_flag, tie_flag]
                                     + record)
                     count += 1
     return count
 
 
+# The columns after `status` of a cell that has no solve to report.
+_NO_RESULT = ["", "", 0, 0, 0, 0, 0, 0, 0, 0]
+
+
 def _bench_cell(graph: Graph, row: InstanceRow, weight: Optional[int], algorithm: str,
                 cfg: QueueConfig, repeats: int, timeout: Optional[float]) -> list:
     if weight is None:
-        return ["unreachable", "", "", 0, 0, 0, 0, 0, 0, 0, 0]
+        return ["unreachable"] + _NO_RESULT
     runs = []
     for _ in range(max(1, repeats)):
         try:
@@ -292,7 +326,7 @@ def _bench_cell(graph: Graph, row: InstanceRow, weight: Optional[int], algorithm
             runs.append((elapsed, outcome))
         except Exception as exc:  # a failing cell must not abort the batch
             _warn(f"{algorithm}/{cfg.kind}: {exc}")
-            return ["error", "", "", 0, 0, 0, 0, 0, 0, 0, 0]
+            return ["error"] + _NO_RESULT
     runs.sort(key=lambda r: r[0])
     elapsed, outcome = runs[len(runs) // 2]  # median runtime run
     m = outcome.metrics
@@ -314,15 +348,24 @@ def cmd_bench(args) -> int:
             print("error: no graph files given and instance file has no header",
                   file=sys.stderr)
             return EXIT_USAGE
+        for row in rows:
+            _check_row_states(graph, row)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     algorithms = args.algorithms.split(",")
-    for a in algorithms:
-        if a not in SOLVERS:
-            print(f"error: unknown algorithm {a!r}", file=sys.stderr)
-            return EXIT_USAGE
     queues = args.queues.split(",")
     ties = args.ties.split(",")
+    for what, names, known in (("algorithm", algorithms, SOLVERS),
+                               ("queue kind", queues, QUEUE_KINDS),
+                               ("tie policy", ties, TIE_POLICIES)):
+        for name in names:
+            if name not in known:
+                print(f"error: unknown {what} {name!r}; choose from "
+                      f"{', '.join(sorted(known))}", file=sys.stderr)
+                return EXIT_USAGE
+    if args.delta_f < 1:
+        print(f"error: --delta-f must be at least 1, got {args.delta_f}", file=sys.stderr)
+        return EXIT_USAGE
     if args.output == "-":
         run_bench(graph, rows, algorithms, queues, ties, args.repeats, args.delta_f,
                   sys.stdout, args.timeout)

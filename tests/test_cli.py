@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import wcspp.cli as cli_mod
-from wcspp.bounds import ATTR1, ATTR2, BoundedSearch
+from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, list_pool
 from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTIMAL,
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
@@ -251,7 +251,7 @@ def test_bench_repeats_deterministic_counts(example_dimacs, tmp_path):
 
 
 def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
-    # Every cell replays the tree that run_bench extended; a goal outside the
+    # Every cell replays the tree that run_bench built; a goal outside the
     # graph still becomes an error row instead of ending the batch.
     inst = tmp_path / "i.txt"
     inst.write_text("1 5 w 6\n1 5 w 3\n1 9 w 6\n", encoding="utf-8")
@@ -302,6 +302,81 @@ def test_bench_negative_weight_row_becomes_error_row(example_dimacs, tmp_path):
         ("1-5-w-1", "error"), ("1-5-w-1", "error"),
         ("1-5-w6", "optimal"), ("1-5-w6", "optimal")]
     assert {tuple(row[5:7]) for row in cells if row[4] == "optimal"} == {("5", "5")}
+
+
+def test_bench_row_whose_weight_cannot_resolve_becomes_error_rows(example_dimacs, tmp_path):
+    # A delta row with a state outside the graph used to abort the batch with
+    # an IndexError, and a state 0 silently became state -1.
+    inst = tmp_path / "i.txt"
+    inst.write_text("1 5 w 6\n9 5 delta 0.5\n0 5 w 6\n1 5 delta 0.6\n", encoding="utf-8")
+    _, rows = read_instances(str(inst))
+    g = load_dimacs(*example_dimacs)
+    buf = io.StringIO()
+    assert run_bench(g, rows, ["wc-astar"], ["bucket"], ["none-lifo"], 1, 1, buf) == 4
+    cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
+    assert [(row[0], row[4]) for row in cells] == [
+        ("1-5-w6", "optimal"), ("9-5-delta0.5", "error"), ("0-5-w6", "error"),
+        ("1-5-delta0.6", "optimal")]
+
+
+BENCH_USAGE_ERRORS = [
+    (["--queues", "heap"], "1 5 w 6", "'heap'"),
+    (["--queues", "bucket,hybrid", "--ties", "fifo"], "1 5 w 6", "'fifo'"),
+    (["--delta-f", "0"], "1 5 w 6", "--delta-f"),
+    ([], "9 5 delta 0.5", "'9 5 delta 0.5'"),
+    ([], "0 5 w 6", "'0 5 w 6'"),
+]
+
+
+@pytest.mark.parametrize("flags, row, named", BENCH_USAGE_ERRORS,
+                         ids=["queue", "tie", "delta-f", "start-9", "start-0"])
+def test_bench_usage_errors_exit_64(example_dimacs, tmp_path, capsys, flags, row, named):
+    # Unknown queue or tie names used to end in a KeyError traceback, --delta-f
+    # 0 in a header-only CSV, and a row outside the graph in an IndexError or
+    # in error rows for state -1.
+    inst = tmp_path / "i.txt"
+    inst.write_text(f"1 5 w 6\n{row}\n", encoding="utf-8")
+    code = main(["bench", "--instances", str(inst), "--cost1", example_dimacs[0],
+                 "--cost2", example_dimacs[1], "--repeats", "1"] + flags)
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+def test_bench_skips_the_bucket_secondary_combination(example_dimacs, tmp_path, capsys):
+    inst = tmp_path / "i.txt"
+    inst.write_text("1 5 w 6\n", encoding="utf-8")
+    code = main(["bench", "--instances", str(inst), "--cost1", example_dimacs[0],
+                 "--cost2", example_dimacs[1], "--repeats", "1", "--algorithms", "wc-astar",
+                 "--queues", "bucket,binary-heap", "--ties", "none-lifo,secondary"])
+    assert code == 0
+    cells = list(csv.reader(io.StringIO(capsys.readouterr().out)))[2:]
+    assert [row[2:5] for row in cells] == [["bucket", "none-lifo", "optimal"],
+                                           ["binary-heap", "none-lifo", "optimal"],
+                                           ["binary-heap", "secondary", "optimal"]]
+
+
+def test_solve_negative_weight_limit_exits_64(example_dimacs, capsys):
+    code = main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--start", "1", "--goal", "5", "-W", "-1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+def test_pair_bounds_give_their_lists_back(example_dimacs):
+    # Each of the two searches takes four lists from the graph's pool; once
+    # they are given back, later pairs allocate none.
+    g = load_dimacs(*example_dimacs)
+    pool = list_pool(g)
+    assert pair_cost2_bounds(g, S, G) == (3, 8)
+    assert (pool.fresh, pool.reused, pool.size) == (4, 4, 4)
+    for _ in range(3):
+        assert pair_cost2_bounds(g, S, G) == (3, 8)
+    assert (pool.fresh, pool.reused, pool.size) == (4, 28, 4)
 
 
 def test_oracle_check_passes():

@@ -5,8 +5,7 @@ import random
 import sys
 import threading
 
-from wcspp.bounds import (ATTR2, INFEASIBLE, BoundedSearch, GoalTree, goal_trees,
-                          init_unidirectional)
+from wcspp.bounds import ATTR2, INFEASIBLE, BoundedSearch, goal_trees, init_unidirectional
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
 
@@ -28,25 +27,33 @@ def check(graph, inst, inits, names=tuple(SOLVERS), **kwargs) -> None:
 
 
 def test_pieces_make_one_unbounded_search():
-    # Extended in random steps, a tree settles the states, labels and
-    # predecessors of one unbounded cost2 search, in its order.
+    # A tree recorded at limit L serves every W <= L: its prefix with cost2
+    # <= W holds the states, labels and predecessors of a search bounded by
+    # W, in its order. A W above L rebuilds the tree.
     rng = random.Random(3)
     for trial in range(40):
         n = rng.randint(2, 30)
         g = random_graph(rng.randrange(2**30), n, 2 * n)
         goal = rng.randrange(n)
-        ref = BoundedSearch(g, goal, BACKWARD, ATTR2).run()
-        tree = GoalTree(n, goal)
-        limit = 0
-        while tree.heap:
-            limit += rng.randint(0, 12)
-            tree.extend(g, limit)
-            assert all(d <= limit for d in tree.dist)
-        assert list(tree.order) == ref.order
-        assert list(tree.dist) == [ref.dist[u] for u in ref.order]
-        assert list(tree.comp) == [ref.comp[u] for u in ref.order]
-        assert [None if p < 0 else p for p in tree.pred] == [ref.pred[u] for u in ref.order]
-        assert tree.best == {}
+        full = BoundedSearch(g, goal, BACKWARD, ATTR2).run()
+        top = rng.randint(0, max(full.dist[u] for u in full.order))
+        cache = goal_trees(g)
+        tree, count, live = cache.prefix(g, goal, top)
+        assert count == live == len(tree.order) and tree.limit == top
+        for _ in range(5):
+            w = rng.randint(0, top)
+            ref = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run()
+            same, count, live = cache.prefix(g, goal, w)
+            assert same is tree and live == 0
+            assert list(tree.order[:count]) == ref.order
+            assert list(tree.dist[:count]) == [ref.dist[u] for u in ref.order]
+            assert list(tree.comp[:count]) == [ref.comp[u] for u in ref.order]
+            assert [None if p < 0 else p for p in tree.pred[:count]] == \
+                [ref.pred[u] for u in ref.order]
+        wider, count, live = cache.prefix(g, goal, top + rng.randint(1, 12))
+        assert wider is not tree and count == live == len(wider.order)
+        assert wider.order[:len(tree.order)] == tree.order
+        assert (cache.hits, cache.misses, cache.trees[goal]) == (5, 2, wider)
 
 
 def test_limits_below_at_and_above_the_cached_one(inits):
@@ -76,11 +83,12 @@ def test_start_equals_goal(inits):
 
 
 def test_unreachable_start(inits):
-    # State 256 has no arcs; its search exhausts the goal's tree.
+    # State 256 has no arcs; its search settles every other state.
     g = Graph(257, list(grid().edges()))
     for w in (W, 10**9, W):
         check(g, ProblemInstance(256, GOAL, w), inits)
-    assert not goal_trees(g).trees[GOAL].heap
+    tree = goal_trees(g).trees[GOAL]
+    assert tree.limit == 10**9 and sorted(tree.order) == list(range(256))
 
 
 def test_htf_tuning_does_not_leak_into_the_cache(inits):
@@ -104,7 +112,7 @@ def test_eviction_keeps_the_bound_and_the_answers(inits):
         check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
     cache = goal_trees(g)
     assert cache.evictions > 0 and GOAL not in cache.trees
-    assert cache.size == sum(len(t.order) + cache.tree_charge for t in cache.trees.values())
+    assert cache.size == sum(len(t.order) for t in cache.trees.values())
     assert cache.size <= cache.capacity
     check(g, ProblemInstance(START, GOAL, W), inits)
     assert cache.misses == len(goals) + 1
@@ -126,7 +134,7 @@ def test_threads_schedule(inits):
 
 def test_python_threads_share_one_graph(inits):
     # Four threads solve different limits for one goal at once, so they
-    # extend and replay the same tree concurrently.
+    # rebuild and replay the goal's tree concurrently.
     g = grid()
     limits = [W - 100, W, W + 150, W + 500]
     expected = {w: {name: digest(fresh(g), ProblemInstance(START, GOAL, w), name, inits)
@@ -163,5 +171,7 @@ def test_second_solve_replays_every_state(inits):
     assert (second.tree_replayed, second.tree_settled) == (settled, 0)
     cache = goal_trees(g)
     assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
+    # A wider W reruns the search: nothing is replayed from the cached tree.
     wider = init_unidirectional(g, ProblemInstance(START, GOAL, W + 300))
-    assert wider.tree_replayed == settled and wider.tree_settled > 0
+    assert wider.tree_replayed == 0 and wider.tree_settled > settled
+    assert (cache.hits, cache.misses) == (1, 2) and cache.trees[GOAL].limit == W + 300

@@ -328,16 +328,22 @@ HUB_SCHEDULES = ([(name, None) for name in sorted(SOLVERS)]
 def test_road_hub_reproducers(hub_grids, name, schedule, seed, start, goal, w, optimum):
     # Queries of the benchmark's road-hub workload, seeds 201 and 148. When
     # Match/Store depended on which side reached a state first, wc-ebba-par
-    # returned (3307, 2095) and (3669, 2330) here. Under threads the sides
-    # interleave as the threads run, so only the answer is compared.
+    # returned (3307, 2095) and (3669, 2330) here. Its lockstep cases run
+    # under every queue kind and tie policy, the rest on the workload's
+    # binary heap. Under threads the sides interleave as the threads run, so
+    # only the answer is compared.
     if seed not in hub_grids:
         hub_grids[seed] = road_grid_graph(seed, 100, 100)
     options = SolveOptions(check_invariants=True)
     if schedule is not None:
         options = SolveOptions(schedule=schedule, check_invariants=True)
-    out = SOLVERS[name](hub_grids[seed], ProblemInstance(start, goal, w),
-                        QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY), options)
-    assert (out.status, out.costs) == ("optimal", optimum)
+    cfgs = [QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)]
+    if name == "wc-ebba-par" and options.schedule[0] == "lockstep":
+        cfgs = ALL_QUEUE_CFGS
+    inst = ProblemInstance(start, goal, w)
+    for cfg in cfgs:
+        out = SOLVERS[name](hub_grids[seed], inst, cfg, options)
+        assert (out.status, out.costs) == ("optimal", optimum), (cfg.kind, cfg.tie_policy)
 
 
 # s=0, c=1, a=2, v=3, b1=4, b3=5, t=6. With W = 60 the optimum is s-a-v-t,
@@ -359,11 +365,12 @@ def test_wc_ebba_par_stores_a_state_the_backward_side_expands_first():
     g = Graph(7, STORE_ORDER_EDGES)
     inst = ProblemInstance(0, 6, 60)
     assert constrained_optimum(g, 0, 6, 60) == (20, 60)
-    for cfg in (BUCKET_CFG, QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY)):
+    for cfg in ALL_QUEUE_CFGS:
         for schedule in [("lockstep", k) for k in range(1, 9)] + [("threads", 2)]:
             out = solve_wc_ebba_par(g, inst, cfg, SolveOptions(
                 schedule=schedule, check_invariants=True, record_trace=True))
-            assert (out.status, out.costs) == ("optimal", (20, 60)), (cfg.kind, schedule)
+            assert (out.status, out.costs) == ("optimal", (20, 60)), \
+                (cfg.kind, cfg.tie_policy, schedule)
             if schedule == ("lockstep", 1):
                 assert [u for u, _, _ in out.trace["backward"][:2]] == [6, 3]
                 assert [u for u, _, _ in out.trace["forward"][:3]] == [0, 2, 3]
