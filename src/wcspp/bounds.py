@@ -10,7 +10,10 @@ So it is not rerun per solve: each graph records one finished search per goal
 (`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`), reruns it
 only for a W above the recorded bound, and replays the prefix one settled
 state at a time (`GoalTree.replay`) into an ordinary `BoundedSearch`, through
-the same step as a live search.
+the same settle generator as a live search. Each init search is such a
+generator, yielding once per settled state; it ends by itself once either
+search of its round has decided the init, so `run_sides` drives it like any
+other side.
 
 The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
 `settled`, the round-two and S' masks, each search context's `g_min`) come
@@ -38,7 +41,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 
@@ -428,67 +431,62 @@ class Clock:
 
 
 def parse_schedule(schedule: tuple) -> tuple[str, int]:
-    """(mode, steps per turn) of a ('lockstep', k >= 1) or ('threads', n) schedule;
-    any other value raises ValueError."""
-    mode = schedule[0]
-    if mode == "threads":
-        return mode, 1
-    if mode != "lockstep":
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    k = schedule[1] if len(schedule) > 1 else 1
-    if k < 1:
-        raise ValueError(f"lockstep needs K >= 1 steps per turn, got {k}")
-    return mode, k
+    """(mode, steps per turn) of ('lockstep', k), with an int k >= 1 (1 if left
+    out), or of ('threads', 2); any other value raises ValueError."""
+    if isinstance(schedule, tuple) and 1 <= len(schedule) <= 2:
+        mode, n = schedule if len(schedule) == 2 else (schedule[0], 1)
+        if type(n) is int:  # not a bool, a float or a string
+            if mode == "lockstep" and n >= 1:
+                return mode, n
+            if mode == "threads" and n == 2:
+                return mode, 1
+    raise ValueError("a schedule is ('lockstep', k) with an int k >= 1 or ('threads', 2), "
+                     f"got {schedule!r}")
 
 
-def run_sides(schedule: tuple, steps: Sequence[Callable[[], bool]], *,
-              require_both: bool = True, stop: Optional[Callable[[], bool]] = None,
+_DONE = object()
+
+
+def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool = True,
               clock: Optional[Clock] = None) -> bool:
     """Drive the two sides of a bidirectional search under one schedule.
 
-    Each side is a step callable that does one unit of work and returns False
-    once that side is done. ('lockstep', k) gives each side k steps per turn,
-    in the order given, so runs repeat exactly; ('threads', n) runs each side
-    on its own thread. The clock is consulted before every step; `stop()`
-    after every step that did work, and a True halts both sides. With
-    `require_both=False` the run ends as soon as one side is done. Returns
-    True when the clock expired.
+    Each side is an iterator: one `next` does one unit of work, and the side
+    is done once its iterator is exhausted. A side that must halt when the
+    other decides the search ends its own iterator. ('lockstep', k) gives
+    each side k steps per turn, in the order given, so runs repeat exactly;
+    ('threads', 2) runs each side on its own thread. The clock is consulted
+    before every step. With `require_both=False` the run ends as soon as one
+    side is done. Returns True when the clock expired.
     """
     mode, k = parse_schedule(schedule)
     if mode == "threads":
         halt = threading.Event()
 
-        def work(step) -> None:
+        def work(side: Iterator) -> None:
             while not halt.is_set() and not (clock is not None and clock.expired()):
-                if not step():
+                if next(side, _DONE) is _DONE:
                     if not require_both:
                         halt.set()
                     return
-                if stop is not None and stop():
-                    halt.set()
-                    return
 
-        threads = [threading.Thread(target=work, args=(step,)) for step in steps]
+        threads = [threading.Thread(target=work, args=(side,)) for side in sides]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         return clock is not None and clock.timed_out
-    done = [False] * len(steps)
-    while not all(done):
-        for side, step in enumerate(steps):
-            if done[side]:
-                continue
+    live = list(sides)
+    while live:
+        for side in tuple(live):
             for _ in range(k):
                 if clock is not None and clock.expired():
                     return True
-                if not step():
-                    done[side] = True
+                if next(side, _DONE) is _DONE:
+                    if not require_both:
+                        return False
+                    live.remove(side)
                     break
-                if stop is not None and stop():
-                    return False
-            if done[side] and not require_both:
-                return False
     return False
 
 
@@ -555,7 +553,7 @@ PLAN_PARALLEL = (((FORWARD, ATTR2), (BACKWARD, ATTR1)), ((BACKWARD, ATTR2), (FOR
 
 def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_dir: int,
                  attr: int, allowed: Optional[Sequence[bool]]):
-    """One bounded search of an init plan and its step callable.
+    """One bounded search of an init plan and the generator that settles it.
 
     The search computes direction `table_dir` tables on `attr`, so it runs from
     that direction's target end toward the other end. Its heuristic is the
@@ -567,6 +565,8 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     search that ends without settling its target proves INFEASIBLE. The
     forward cost2 search with no heuristic and no mask, every plan's first,
     settles by replaying the goal's cached tree instead of by its own `steps()`.
+    The generator yields after each settled state's joins and target test, and
+    settles no further state once `result.status` is no longer SEARCH.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -580,9 +580,9 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     if table_dir == FORWARD and attr == ATTR2 and heuristic is None and allowed is None:
         tree, count, live = goal_trees(graph).prefix(graph, source, gb.f2_bar)
         result.tree_replayed, result.tree_settled = count - live, live
-        settle = tree.replay(search, count)
+        states = tree.replay(search, count)
     else:
-        settle = search.steps()
+        states = search.steps()
     joins = []  # (opposite attribute, its cost1 table, its cost2 table)
     for b in (ATTR1, ATTR2):
         h_arr = tables.h[opp][b]
@@ -595,35 +595,37 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
         its tree walks toward the start and toward the goal."""
         return (u, attr, other) if table_dir == BACKWARD else (u, other, attr)
 
-    def step() -> bool:
-        item = next(settle, None)
-        if item is None:
-            if attr == ATTR2 and not search.settled[target]:
-                result.status = INFEASIBLE
-            return False
-        u, dp, ds = item
-        if attr == ATTR1:
-            c1, c2 = dp, ds
-        else:
-            c1, c2 = ds, dp
-        for b, tc1, tc2 in joins:
-            o1, o2 = tc1[u], tc2[u]
-            if o1 != INF and o2 != INF and c2 + o2 <= gb.f2_bar:
-                gb.offer(c1 + o1, c2 + o2, SOL_INITIAL, record(u, b), "init-match")
-        if u == target:
-            if attr == ATTR2:
-                gb.seed(c1, c2, record(u, None))
-            elif c2 <= gb.f2_bar:
-                gb.offer(c1, c2, SOL_INITIAL, record(u, None), "init-shortcut")
-                result.status = SHORTCUT
-        return True
+    def settle() -> Iterator[None]:
+        if result.status != SEARCH:
+            return
+        for u, dp, ds in states:
+            if attr == ATTR1:
+                c1, c2 = dp, ds
+            else:
+                c1, c2 = ds, dp
+            for b, tc1, tc2 in joins:
+                o1, o2 = tc1[u], tc2[u]
+                if o1 != INF and o2 != INF and c2 + o2 <= gb.f2_bar:
+                    gb.offer(c1 + o1, c2 + o2, SOL_INITIAL, record(u, b), "init-match")
+            if u == target:
+                if attr == ATTR2:
+                    gb.seed(c1, c2, record(u, None))
+                elif c2 <= gb.f2_bar:
+                    gb.offer(c1, c2, SOL_INITIAL, record(u, None), "init-shortcut")
+                    result.status = SHORTCUT
+            yield
+            if result.status != SEARCH:
+                return
+        if attr == ATTR2 and not search.settled[target]:
+            result.status = INFEASIBLE
 
-    return search, step
+    return search, settle()
 
 
 def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
              schedule: tuple = ("lockstep", 1)) -> InitResult:
-    """Run an init plan round by round.
+    """Run an init plan round by round; the two searches of a round run side
+    by side under `schedule` until both are done or either decides the init.
 
     Every search after the first round is restricted to the states that all
     searches of the previous round settled. The init ends early on INFEASIBLE
@@ -652,12 +654,10 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
         sides = [_init_search(graph, inst, result, table_dir, attr, allowed)
                  for table_dir, attr in rnd]
         if len(sides) == 1:
-            step = sides[0][1]
-            while step() and result.status == SEARCH:
+            for _ in sides[0][1]:
                 pass
         else:
-            run_sides(schedule, [step for _, step in sides],
-                      stop=lambda: result.status != SEARCH)
+            run_sides(schedule, [settle for _, settle in sides])
         searches = [search for search, _ in sides]
         for (table_dir, attr), search in zip(rnd, searches):
             tables.install(table_dir, attr, search.dist, search.comp, search.pred)

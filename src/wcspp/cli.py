@@ -49,9 +49,9 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _input_error(exc: Exception) -> int:
-    """Report a graph or instance file that cannot be read or parsed."""
-    print(f"error: {exc}", file=sys.stderr)
+def _usage_error(message) -> int:
+    """Report a usage error on one `error:` line; returns EXIT_USAGE."""
+    print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -193,18 +193,16 @@ def _solve_options(args) -> SolveOptions:
 def cmd_solve(args) -> int:
     try:
         cfg = _queue_config(args.queue, args.tie, args.delta_f)
+        options = _solve_options(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     try:
         graph = load_dimacs(args.cost1, args.cost2, args.coords)
     except (OSError, ValueError) as exc:
-        return _input_error(exc)
+        return _usage_error(exc)
     start, goal = args.start - 1, args.goal - 1
     if not (0 <= start < graph.state_count and 0 <= goal < graph.state_count):
-        print(f"error: --start and --goal must be states 1..{graph.state_count}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"--start and --goal must be states 1..{graph.state_count}")
     if args.weight_limit is not None:
         weight = args.weight_limit
     else:
@@ -214,10 +212,9 @@ def cmd_solve(args) -> int:
             return EXIT_INFEASIBLE
         weight = weight_from_tightness(bounds2[0], bounds2[1], args.delta)
     if weight < 0:
-        print(f"error: the weight limit must be non-negative, got {weight}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"the weight limit must be non-negative, got {weight}")
     inst = ProblemInstance(start, goal, weight)
-    outcome = SOLVERS[args.algorithm](graph, inst, cfg, _solve_options(args))
+    outcome = SOLVERS[args.algorithm](graph, inst, cfg, options)
     return _print_outcome(outcome, args.print_path)
 
 
@@ -257,7 +254,7 @@ def cmd_gen_instances(args) -> int:
             raise ValueError(f"--pairs states must be 1..{graph.state_count}")
         deltas = [Fraction(d) for d in args.deltas.split(",")]
     except (OSError, ValueError, ZeroDivisionError) as exc:
-        return _input_error(exc)
+        return _usage_error(exc)
     rows = gen_instances(graph, pairs, deltas, include_reversed=args.include_reversed)
     if args.output == "-":
         write_instances(sys.stdout, args.cost1, args.cost2, rows)
@@ -345,13 +342,11 @@ def cmd_bench(args) -> int:
         elif header:
             graph = load_dimacs(header[0], header[1])
         else:
-            print("error: no graph files given and instance file has no header",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("no graph files given and instance file has no header")
         for row in rows:
             _check_row_states(graph, row)
     except (OSError, ValueError) as exc:
-        return _input_error(exc)
+        return _usage_error(exc)
     algorithms = args.algorithms.split(",")
     queues = args.queues.split(",")
     ties = args.ties.split(",")
@@ -360,12 +355,14 @@ def cmd_bench(args) -> int:
                                ("tie policy", ties, TIE_POLICIES)):
         for name in names:
             if name not in known:
-                print(f"error: unknown {what} {name!r}; choose from "
-                      f"{', '.join(sorted(known))}", file=sys.stderr)
-                return EXIT_USAGE
+                return _usage_error(f"unknown {what} {name!r}; choose from "
+                                    f"{', '.join(sorted(known))}")
     if args.delta_f < 1:
-        print(f"error: --delta-f must be at least 1, got {args.delta_f}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"--delta-f must be at least 1, got {args.delta_f}")
+    try:
+        SolveOptions(timeout=args.timeout)
+    except ValueError as exc:
+        return _usage_error(exc)
     if args.output == "-":
         run_bench(graph, rows, algorithms, queues, ties, args.repeats, args.delta_f,
                   sys.stdout, args.timeout)
@@ -448,7 +445,7 @@ def cmd_randomize(args) -> int:
     try:
         graph = load_dimacs(args.cost1, args.cost2)
     except (OSError, ValueError) as exc:
-        return _input_error(exc)
+        return _usage_error(exc)
     shuffled = randomize_cost2(graph, args.seed, args.lo, args.hi)
     # Both attributes are rewritten in canonical arc order so the output files
     # form a loadable pair regardless of the input files' arc ordering.

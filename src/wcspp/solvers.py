@@ -46,15 +46,16 @@ _CHI_LOCKS = tuple(threading.Lock() for _ in range(64))
 
 @dataclass
 class SolveOptions:
-    schedule: tuple = ("lockstep", 1)  # ("lockstep", k >= 1) or ("threads", n)
-    timeout: Optional[float] = None
+    schedule: tuple = ("lockstep", 1)  # ("lockstep", k >= 1) or ("threads", 2)
+    timeout: Optional[float] = None  # seconds, >= 0
     htf: bool = True  # wc-ba heuristic tuning switch
     check_invariants: bool = False
-    record_tuning: bool = False
-    record_trace: bool = False
+    record: bool = False  # fill SolveOutcome.tuned, trace and parents
 
     def __post_init__(self):
         parse_schedule(self.schedule)  # every solver rejects a bad schedule
+        if self.timeout is not None and not self.timeout >= 0:  # NaN fails too
+            raise ValueError(f"the timeout must be a number >= 0, got {self.timeout!r}")
 
 
 @dataclass
@@ -99,7 +100,7 @@ class SolveOutcome:
     incumbents: list = field(default_factory=list)  # (cost1, cost2, source tag) per update
     tuned: Optional[list] = None
     trace: Optional[dict] = None
-    parents: Optional[dict] = None  # direction -> ParentArrays, with record_trace
+    parents: Optional[dict] = None  # direction -> ParentArrays, with record
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ class SearchContext:
                     "tuning writes a state its table's init search did not settle"
             self.tables.h[self.opp][p][u] = gp
             self.tables.ub[self.opp][self.s][u] = gs
-            if self.options.record_tuning:
+            if self.options.record:
                 self.tuned.append((self.opp, p, u, gp, self.s, gs))
 
         self.g_min[u] = gs
@@ -314,7 +315,7 @@ class SearchContext:
         if self.options.check_invariants:
             seq = self.parents.backtrack(u, idx)
             assert len(set(seq)) == len(seq), "expanded path revisits a state"
-        if self.options.record_trace:
+        if self.options.record:
             self.trace.append((u, g1, g2))
 
         esu(gb, self.tables, self.direction, self.ordering,
@@ -510,9 +511,8 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
         outcome = SolveOutcome(STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL,
                                tuple(record.costs), path, metrics, record, qstats,
                                gb.incumbents)
-    if options.record_tuning:
+    if options.record:
         outcome.tuned = [t for ctx in contexts for t in ctx.tuned]
-    if options.record_trace:
         outcome.trace = {("forward" if c.direction == FORWARD else "backward"): c.trace
                          for c in contexts}
         outcome.parents = parents
@@ -603,7 +603,7 @@ def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
         SearchContext(graph, init.tables, init.gb, BACKWARD, ORDER_21, queue, inst.goal,
                       htf=options.htf, options=options),
     ]
-    timed_out = run_sides(options.schedule, [c.step for c in contexts],
+    timed_out = run_sides(options.schedule, [iter(c.step, False) for c in contexts],
                           require_both=False, clock=Clock(options.timeout))
     return _finish(graph, init, contexts, options, started, timed_out)
 
@@ -619,7 +619,7 @@ def solve_wc_ebba_par(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
         return _finish(graph, init, [], options, started, False)
 
     contexts = _ebba_contexts(graph, inst, init, queue, options)
-    timed_out = run_sides(options.schedule, [c.step for c in contexts],
+    timed_out = run_sides(options.schedule, [iter(c.step, False) for c in contexts],
                           clock=Clock(options.timeout))
     return _finish(graph, init, contexts, options, started, timed_out)
 

@@ -155,7 +155,7 @@ BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 COUNTERS = tuple(f.name for f in fields(solvers.Metrics) if f.name != "wall_time_s")
 INIT_NAMES = ("init_unidirectional", "init_sequential_bidirectional",
               "init_parallel_bidirectional")
-DIGEST_OPTIONS = solvers.SolveOptions(check_invariants=True, record_tuning=True)
+DIGEST_OPTIONS = solvers.SolveOptions(check_invariants=True, record=True)
 
 
 def grid() -> Graph:

@@ -86,7 +86,7 @@ def suite():
 def test_criterion_1_golden_trace(example_graph):
     inst = ProblemInstance(S, G, 6)
     out = solve_wc_astar(example_graph, inst, BUCKET_CFG,
-                         SolveOptions(record_trace=True))
+                         SolveOptions(record=True))
     assert out.status == "optimal"
     assert out.costs == (5, 5)
     assert out.path == [S, U2, G]  # partial path to u2 joined with its complement
@@ -302,7 +302,7 @@ def test_criterion_8_htf_safety(suite):
                 continue
             inst = ProblemInstance(s, t, w)
             out = solve_wc_ba_star(g, inst, BUCKET_CFG,
-                                   SolveOptions(record_tuning=True))
+                                   SolveOptions(record=True))
             if not out.tuned:
                 continue
             c1_star = out.costs[0]
@@ -343,7 +343,7 @@ def test_criterion_9_parallel_determinism(suite):
             inst = ProblemInstance(s, t, w)
             for solver in (solve_wc_ba_star, solve_wc_ebba_par):
                 runs = [solver(g, inst, BUCKET_CFG,
-                               SolveOptions(record_trace=True))
+                               SolveOptions(record=True))
                         for _ in range(2)]
                 assert runs[0].costs == runs[1].costs
                 assert runs[0].trace == runs[1].trace

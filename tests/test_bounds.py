@@ -480,17 +480,11 @@ def test_bounded_search_run_surface(example_graph):
 
 
 def _toy_sides(log):
-    """Step callables that log their name per step: side 'a' has 3 steps, 'b' 5."""
+    """Iterators that log their name per step: side 'a' has 3 steps, 'b' 5."""
     def side(name, n):
-        left = [n]
-
-        def step():
-            if left[0] == 0:
-                return False
-            left[0] -= 1
+        for _ in range(n):
             log.append(name)
-            return True
-        return step
+            yield
     return [side("a", 3), side("b", 5)]
 
 
@@ -504,19 +498,46 @@ def _toy_sides(log):
 ])
 def test_run_sides_lockstep_interleaving(k, require_both, expected):
     log = []
-    stops = []
-    timed_out = run_sides(("lockstep", k), _toy_sides(log), require_both=require_both,
-                          stop=lambda: stops.append(len(log)) or False)
+    timed_out = run_sides(("lockstep", k), _toy_sides(log), require_both=require_both)
     assert timed_out is False
     assert "".join(log) == expected
-    # stop() is consulted after every step that did work, and only then
-    assert stops == list(range(1, len(log) + 1))
 
 
-def test_run_sides_stop_halts_both_sides():
-    log = []
-    assert run_sides(("lockstep", 2), _toy_sides(log), stop=lambda: len(log) >= 3) is False
-    assert "".join(log) == "aab"
+def _line() -> Graph:
+    """A line 0 - 1 - ... - 7 with arcs both ways, each of cost (1, 5)."""
+    return Graph(8, [e for u in range(7) for e in ((u, u + 1, 1, 5), (u + 1, u, 1, 5))])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("start, goal, w, status", [
+    (0, 7, 12, INFEASIBLE),  # the cost2 side settles 3 states, the cost1 side has 8
+    (0, 7, 22, INFEASIBLE),
+    (2, 4, 100, SHORTCUT),  # the cost1 side settles the goal 5th, the cost2 side has 8
+    (0, 3, 100, SHORTCUT),
+])
+def test_a_round_one_decision_halts_the_other_side_at_once(k, start, goal, w, status):
+    # Round one of the parallel plan runs the (FORWARD, cost2) search from the
+    # goal and the (BACKWARD, cost1) search from the start in lockstep. Once
+    # one side decides the init, the other side settles no further state.
+    g = _line()
+    init = run_init(g, ProblemInstance(start, goal, w), PLAN_PARALLEL, schedule=("lockstep", k))
+    assert init.status == status
+    cost2_order = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run().order
+    cost1_order = BoundedSearch(g, start, FORWARD, ATTR1).run().order
+    if status == INFEASIBLE:
+        # The cost2 side ends on the call after its last state; the cost1 side
+        # has had a full turn after each of the cost2 side's earlier turns.
+        settled2 = len(cost2_order)
+        settled1 = k * (settled2 // k)
+    else:
+        # The cost1 side decides on its m-th state, in turn ceil(m / k); the
+        # cost2 side has had that many turns.
+        settled1 = cost1_order.index(goal) + 1
+        settled2 = min(len(cost2_order), k * -(-settled1 // k))
+    assert [(d, a) for d, a, _ in init.settled_per_phase] == [(FORWARD, ATTR2), (BACKWARD, ATTR1)]
+    masks = [mask for _, _, mask in init.settled_per_phase]
+    assert [u for u in range(8) if masks[0][u]] == sorted(cost2_order[:settled2])
+    assert [u for u in range(8) if masks[1][u]] == sorted(cost1_order[:settled1])
 
 
 def test_run_sides_expired_clock():
@@ -533,7 +554,10 @@ def test_run_sides_threads_run_each_side_to_completion():
     assert sorted(log) == list("aaabbbbb")
 
 
-@pytest.mark.parametrize("schedule", [("lockstep", 0), ("lockstep", -3), ("round-robin", 1)])
+@pytest.mark.parametrize("schedule", [
+    ("lockstep", 0), ("lockstep", -3), ("round-robin", 1), ("lockstep", 2.5), ("lockstep", True),
+    ("lockstep", "2"), ("lockstep", 2, 3), (), ["lockstep", 1], ("threads", 0), ("threads", -4),
+    ("threads", "x"), ("threads",), ("threads", 3)])
 def test_run_sides_rejects_bad_schedule(schedule):
     log = []
     with pytest.raises(ValueError):

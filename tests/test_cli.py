@@ -100,6 +100,18 @@ def test_solve_command_timeout(example_dimacs, capsys):
     assert "timeout" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("timeout", ["nan", "-1", "-0.5"])
+def test_solve_negative_or_nan_timeout_exits_64(example_dimacs, capsys, timeout):
+    # A NaN timeout never expired, and a negative one was accepted.
+    code = main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--start", "1", "--goal", "5", "-W", "6", "--timeout", timeout])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+    assert "timeout" in err[0]
+
+
 def test_solve_rejects_bucket_with_secondary(example_dimacs, capsys):
     code = main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
                  "--start", "1", "--goal", "5", "-W", "6",
@@ -325,15 +337,18 @@ BENCH_USAGE_ERRORS = [
     (["--delta-f", "0"], "1 5 w 6", "--delta-f"),
     ([], "9 5 delta 0.5", "'9 5 delta 0.5'"),
     ([], "0 5 w 6", "'0 5 w 6'"),
+    (["--timeout", "nan"], "1 5 w 6", "timeout"),
+    (["--timeout", "-1"], "1 5 w 6", "timeout"),
 ]
 
 
 @pytest.mark.parametrize("flags, row, named", BENCH_USAGE_ERRORS,
-                         ids=["queue", "tie", "delta-f", "start-9", "start-0"])
+                         ids=["queue", "tie", "delta-f", "start-9", "start-0", "timeout-nan",
+                              "timeout-negative"])
 def test_bench_usage_errors_exit_64(example_dimacs, tmp_path, capsys, flags, row, named):
     # Unknown queue or tie names used to end in a KeyError traceback, --delta-f
-    # 0 in a header-only CSV, and a row outside the graph in an IndexError or
-    # in error rows for state -1.
+    # 0 in a header-only CSV, a row outside the graph in an IndexError or in
+    # error rows for state -1, and a NaN or negative timeout in solves.
     inst = tmp_path / "i.txt"
     inst.write_text(f"1 5 w 6\n{row}\n", encoding="utf-8")
     code = main(["bench", "--instances", str(inst), "--cost1", example_dimacs[0],

@@ -97,7 +97,7 @@ def test_htf_tuning_does_not_leak_into_the_cache(inits):
     # A lower limit keeps tuned states outside its prefix.
     g = grid()
     inst = ProblemInstance(START, GOAL, W)
-    options = SolveOptions(record_tuning=True)
+    options = SolveOptions(record=True)
     for w in (W, (h2(g, START, GOAL) + W) // 2):
         out = SOLVERS["wc-ba"](g, inst, HEAP_CFG, options)
         assert any(t[:2] == (FORWARD, ATTR2) for t in out.tuned)

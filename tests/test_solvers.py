@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import threading
 from dataclasses import fields
@@ -270,7 +271,7 @@ def test_wc_astar_golden_counts(example_graph):
 
 def test_wc_ba_htf_tunes_backward_tables(example_graph):
     out = solve_wc_ba_star(example_graph, ProblemInstance(S, G, 6), BUCKET_CFG,
-                           SolveOptions(record_tuning=True))
+                           SolveOptions(record=True))
     assert out.costs == (5, 5)
     # the forward search's first expansion of u2 (g = (3,4)) informs the
     # backward tables: h_b1(u2) <- 3, ub_b2(u2) <- 4
@@ -368,7 +369,7 @@ def test_wc_ebba_par_stores_a_state_the_backward_side_expands_first():
     for cfg in ALL_QUEUE_CFGS:
         for schedule in [("lockstep", k) for k in range(1, 9)] + [("threads", 2)]:
             out = solve_wc_ebba_par(g, inst, cfg, SolveOptions(
-                schedule=schedule, check_invariants=True, record_trace=True))
+                schedule=schedule, check_invariants=True, record=True))
             assert (out.status, out.costs) == ("optimal", (20, 60)), \
                 (cfg.kind, cfg.tie_policy, schedule)
             if schedule == ("lockstep", 1):
@@ -454,6 +455,13 @@ def test_timeout_zero_returns_init_incumbent(example_graph):
     assert out.costs == (6, 4)
 
 
+@pytest.mark.parametrize("timeout", [math.nan, -1.0, -1e-9])
+def test_negative_or_nan_timeout_raises(timeout):
+    # A NaN timeout never expires: every comparison with the deadline is false.
+    with pytest.raises(ValueError):
+        SolveOptions(timeout=timeout)
+
+
 def test_lockstep_bitwise_reproducible(example_graph):
     # Only repeatability is checked: known defects still answer wrongly at some K.
     rng = random.Random(17)
@@ -464,7 +472,7 @@ def test_lockstep_bitwise_reproducible(example_graph):
         for solver, k in itertools.product((solve_wc_ba_star, solve_wc_ebba_par),
                                            (1, 2, 3, 5, 8)):
             runs = [solver(g, inst, BUCKET_CFG,
-                           SolveOptions(schedule=("lockstep", k), record_trace=True))
+                           SolveOptions(schedule=("lockstep", k), record=True))
                     for _ in range(2)]
             assert runs[0].status == runs[1].status
             assert runs[0].costs == runs[1].costs
@@ -473,7 +481,9 @@ def test_lockstep_bitwise_reproducible(example_graph):
             assert runs[0].metrics.pops == runs[1].metrics.pops
 
 
-@pytest.mark.parametrize("schedule", [("lockstep", 0), ("lockstep", -3), ("fifo", 1)])
+@pytest.mark.parametrize("schedule", [("lockstep", 0), ("lockstep", -3), ("fifo", 1),
+                                      ("lockstep", 2.5), (), ("threads", 0), ("threads", -4),
+                                      ("threads", "x")])
 @pytest.mark.parametrize("solver", [solve_wc_astar, solve_wc_ba_star, solve_wc_ebba,
                                     solve_wc_ebba_par])
 def test_bad_schedule_raises_instead_of_hanging(example_graph, solver, schedule):
