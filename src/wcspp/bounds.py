@@ -57,26 +57,35 @@ INFEASIBLE = "infeasible"
 SHORTCUT = "shortcut"  # optimum proven during initialisation
 SEARCH = "search"  # constrained search required
 
-# SolutionRecord.kind values
-SOL_NONE = "none"
-SOL_SINGLE = "single_node"
-SOL_PAIR = "node_pair"
-SOL_INITIAL = "initial"
+# How a SolutionRecord half is rebuilt: (PATH, path_id) backtracks that side's
+# recorded search path, (TREE, attr) walks that side's init tree on attr.
+PATH = "path"
+TREE = "tree"
+TREE_HALF = ((TREE, ATTR1), (TREE, ATTR2))  # indexed by attr, so offers share them
 
 
 @dataclass
 class SolutionRecord:
     """Best known feasible solution and how to rebuild its path.
 
-    data layout per kind:
-      single_node -- (direction, state, path_id, join_attr)
-      node_pair   -- ((FORWARD, state, path_id), (BACKWARD, state, path_id))
-      initial     -- (state, attr_toward_start | None, attr_toward_goal | None)
+    A start-side half and a goal-side half meet at the join `state`.
+    `to_start` is the start side's half: (PATH, path_id) for a path the
+    forward search recorded, (TREE, attr) for the backward init tree on attr
+    (it leads to the start), or None when `state` is the start. `to_goal`
+    mirrors it: the backward search's path, the forward init tree, or None
+    at the goal. `costs` is None while there is no solution.
     """
 
-    kind: str = SOL_NONE
     costs: Optional[tuple[int, int]] = None
-    data: tuple = ()
+    state: Optional[int] = None
+    to_start: Optional[tuple] = None
+    to_goal: Optional[tuple] = None
+
+
+def join_halves(side: int, state: int, mine: Optional[tuple], theirs: Optional[tuple]) -> tuple:
+    """A record's (state, to_start, to_goal) joining `mine`, the half of a search
+    that starts at `side`'s end of the path (FORWARD: the start), with `theirs`."""
+    return (state, mine, theirs) if side == FORWARD else (state, theirs, mine)
 
 
 class GlobalBounds:
@@ -94,14 +103,15 @@ class GlobalBounds:
         self.incumbents: list = []  # accepted (c1, c2, source) updates, in order
         self._lock = threading.Lock()
 
-    def offer(self, c1, c2, kind: str, data: tuple, tag: str) -> bool:
+    def offer(self, c1, c2, data: tuple, tag: str) -> bool:
         """Install (c1, c2) if lexicographically smaller than (f1_bar, f2_sol);
-        only then is its solution record built."""
+        only then is its solution record built from `data`, the record's
+        (state, to_start, to_goal)."""
         with self._lock:
             if c1 < self.f1_bar or (c1 == self.f1_bar and c2 < self.f2_sol):
                 self.f1_bar = c1
                 self.f2_sol = c2
-                self.record = SolutionRecord(kind, (c1, c2), data)
+                self.record = SolutionRecord((c1, c2), *data)
                 self.incumbents.append((c1, c2, tag))
                 return True
             return False
@@ -120,7 +130,7 @@ class GlobalBounds:
         with self._lock:
             if c1 < self.f1_bar:
                 self.f1_bar = c1
-                self.record = SolutionRecord(SOL_INITIAL, (c1, c2), data)
+                self.record = SolutionRecord((c1, c2), *data)
 
 
 @dataclass
@@ -457,24 +467,33 @@ def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool 
     each side k steps per turn, in the order given, so runs repeat exactly;
     ('threads', 2) runs each side on its own thread. The clock is consulted
     before every step. With `require_both=False` the run ends as soon as one
-    side is done. Returns True when the clock expired.
+    side is done. Returns True when the clock expired. An exception raised by
+    a side ends the run: under threads the failing side halts the other, and
+    the first exception is raised again once both threads have ended.
     """
     mode, k = parse_schedule(schedule)
     if mode == "threads":
         halt = threading.Event()
+        errors: list[BaseException] = []
 
         def work(side: Iterator) -> None:
-            while not halt.is_set() and not (clock is not None and clock.expired()):
-                if next(side, _DONE) is _DONE:
-                    if not require_both:
-                        halt.set()
-                    return
+            try:
+                while not halt.is_set() and not (clock is not None and clock.expired()):
+                    if next(side, _DONE) is _DONE:
+                        if not require_both:
+                            halt.set()
+                        return
+            except BaseException as exc:
+                errors.append(exc)
+                halt.set()
 
         threads = [threading.Thread(target=work, args=(side,)) for side in sides]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+        if errors:
+            raise errors[0]
         return clock is not None and clock.timed_out
     live = list(sides)
     while live:
@@ -583,17 +602,14 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
         states = tree.replay(search, count)
     else:
         states = search.steps()
-    joins = []  # (opposite attribute, its cost1 table, its cost2 table)
+    joins = []  # (the opposite tree's record half, its cost1 table, its cost2 table)
     for b in (ATTR1, ATTR2):
         h_arr = tables.h[opp][b]
         if h_arr is not None:
             ub_arr = tables.ub[opp][1 - b]
-            joins.append((b, h_arr, ub_arr) if b == ATTR1 else (b, ub_arr, h_arr))
-
-    def record(u: int, other: Optional[int]) -> tuple:
-        """An initial record's data: the join state and the attributes of
-        its tree walks toward the start and toward the goal."""
-        return (u, attr, other) if table_dir == BACKWARD else (u, other, attr)
+            joins.append((TREE_HALF[b], h_arr, ub_arr) if b == ATTR1
+                         else (TREE_HALF[b], ub_arr, h_arr))
+    mine = TREE_HALF[attr]
 
     def settle() -> Iterator[None]:
         if result.status != SEARCH:
@@ -603,15 +619,15 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
                 c1, c2 = dp, ds
             else:
                 c1, c2 = ds, dp
-            for b, tc1, tc2 in joins:
+            for half, tc1, tc2 in joins:
                 o1, o2 = tc1[u], tc2[u]
                 if o1 != INF and o2 != INF and c2 + o2 <= gb.f2_bar:
-                    gb.offer(c1 + o1, c2 + o2, SOL_INITIAL, record(u, b), "init-match")
+                    gb.offer(c1 + o1, c2 + o2, join_halves(opp, u, mine, half), "init-match")
             if u == target:
                 if attr == ATTR2:
-                    gb.seed(c1, c2, record(u, None))
+                    gb.seed(c1, c2, join_halves(opp, u, mine, None))
                 elif c2 <= gb.f2_bar:
-                    gb.offer(c1, c2, SOL_INITIAL, record(u, None), "init-shortcut")
+                    gb.offer(c1, c2, join_halves(opp, u, mine, None), "init-shortcut")
                     result.status = SHORTCUT
             yield
             if result.status != SEARCH:
@@ -632,8 +648,13 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
     or SHORTCUT; otherwise S' is the union of the last round's settled states.
     Both masks are taken from the graph's pool and scattered from the
     searches' settle orders, so building them costs O(settled), not O(n), in
-    Python. Every list taken is listed in `result.taken`.
+    Python. Every list taken is listed in `result.taken`. A start or goal
+    that is not a state of the graph raises ValueError.
     """
+    n = graph.state_count
+    for end, state in (("start", inst.start), ("goal", inst.goal)):
+        if not 0 <= state < n:
+            raise ValueError(f"the {end} {state} is not one of the graph's states 0..{n - 1}")
     pool = list_pool(graph)
     gb = GlobalBounds(inst.weight_limit)
     tables = BoundsTables()

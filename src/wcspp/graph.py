@@ -67,7 +67,8 @@ class Graph:
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int, int, int]],
                  coords: Optional[Sequence[tuple[float, float]]] = None):
         """Build from an iterable of (u, v, cost1, cost2); duplicates per (u, v) keep
-        the lexicographically smallest (cost1, cost2) pair."""
+        the lexicographically smallest (cost1, cost2) pair. `coords`, when
+        given, holds one (lat, lon) per state."""
         self.state_count = state_count
         best: dict[tuple[int, int], tuple[int, int]] = {}
         for u, v, c1, c2 in edges:
@@ -81,6 +82,8 @@ class Graph:
                 best[key] = (c1, c2)
         self._build_csr(best)
         self.coords = list(coords) if coords is not None else None
+        if self.coords is not None and len(self.coords) != state_count:
+            raise GraphFormatError(f"{len(self.coords)} coordinates for {state_count} states")
         # Per-graph geometric data for bounds.geo_heuristic, filled on first use.
         self.geo_cache = None
         # bounds.GoalTrees: the first init search per goal, made on first use.

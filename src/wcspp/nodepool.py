@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .graph import FORWARD
-
 BLOCK_NODES = 16_384  # slots per block in the pool_blocks figure
 
 INF = float("inf")
@@ -23,7 +21,7 @@ class NodePool:
     """Slot allocator with recycling; handles are indices into parallel arrays."""
 
     __slots__ = ("state", "g1", "g2", "f1", "f2", "parent_state", "parent_path_id",
-                 "_free", "_is_free", "live", "peak_live")
+                 "_free", "_is_free")
 
     def __init__(self):
         self.state: list[int] = []
@@ -35,8 +33,6 @@ class NodePool:
         self.parent_path_id: list[int] = []
         self._free: deque[int] = deque()
         self._is_free = bytearray()
-        self.live = 0
-        self.peak_live = 0
 
     def allocate(self, state: int, g1: int, g2: int, f1: int, f2: int,
                  parent_state: Optional[int], parent_path_id: int) -> int:
@@ -61,16 +57,17 @@ class NodePool:
             self.parent_state.append(parent_state)
             self.parent_path_id.append(parent_path_id)
             self._is_free.append(0)
-        self.live += 1
-        if self.live > self.peak_live:
-            self.peak_live = self.live
         return h
 
     def recycle(self, handle: int) -> None:
         assert not self._is_free[handle], f"slot {handle} recycled twice"
         self._is_free[handle] = 1
         self._free.append(handle)
-        self.live -= 1
+
+    @property
+    def live(self) -> int:
+        """Slots handed out and not yet recycled."""
+        return len(self.state) - len(self._free)
 
     @property
     def slots_created(self) -> int:
@@ -131,7 +128,7 @@ def walk_tree(pred: list, state: int) -> list[int]:
     """Follow a shortest-path-tree predecessor array from `state` to its root."""
     seq = [state]
     u = state
-    while pred[u] is not None and pred[u] >= 0:
+    while pred[u] is not None:
         u = pred[u]
         seq.append(u)
     return seq
@@ -156,19 +153,3 @@ def join_forward(partial_to_state: list[int], tree_walk_to_goal: list[int]) -> l
     """Concatenate a start..u partial path with a u..goal tree walk."""
     assert partial_to_state[-1] == tree_walk_to_goal[0]
     return splice_out_cycles(partial_to_state + tree_walk_to_goal[1:])
-
-
-def reconstruct(arrays: ParentArrays, tree: list, state: int, path_id: int,
-                direction: int) -> list[int]:
-    """Full start-goal sequence for a recorded partial path: backtrack it, then
-    splice on the complementary shortest-path-tree walk from its last state.
-
-    `tree` is the predecessor array retained for the join attribute; for a
-    backward-direction path the tree walk leads to the start instead, so the
-    two halves swap and reverse.
-    """
-    partial = arrays.backtrack(state, path_id)
-    walk = walk_tree(tree, state)
-    if direction == FORWARD:
-        return join_forward(partial, walk)
-    return join_forward(list(reversed(walk)), list(reversed(partial)))

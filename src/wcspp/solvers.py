@@ -22,13 +22,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import (ATTR1, ATTR2, INF, SEARCH, BoundsTables, Clock, GlobalBounds,
-                     InitResult, SOL_NONE, SOL_PAIR, SOL_SINGLE,
-                     SolutionRecord, budget_factors, init_parallel_bidirectional,
-                     init_sequential_bidirectional, init_unidirectional, list_pool,
-                     parse_schedule, run_sides)
+from .bounds import (ATTR1, ATTR2, INF, PATH, SEARCH, TREE_HALF, BoundsTables, Clock,
+                     GlobalBounds, InitResult, SolutionRecord, budget_factors,
+                     init_parallel_bidirectional, init_sequential_bidirectional,
+                     init_unidirectional, join_halves, list_pool, parse_schedule,
+                     run_sides)
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
-from .nodepool import NodePool, ParentArrays, join_forward, reconstruct, walk_tree
+from .nodepool import NodePool, ParentArrays, join_forward, walk_tree
 from .pqueue import QueueConfig, TIE_SECONDARY, new_queue
 
 ORDER_12 = (ATTR1, ATTR2)
@@ -95,7 +95,7 @@ class SolveOutcome:
     costs: Optional[tuple[int, int]] = None
     path: Optional[list[int]] = None
     metrics: Metrics = field(default_factory=Metrics)
-    record: SolutionRecord = field(default_factory=SolutionRecord)
+    record: SolutionRecord = field(default_factory=SolutionRecord)  # where each half came from
     queue_stats: dict = field(default_factory=dict)
     incumbents: list = field(default_factory=list)  # (cost1, cost2, source tag) per update
     tuned: Optional[list] = None
@@ -113,14 +113,17 @@ def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
 
     In (f1, f2) order the cost1-optimal complement can nominate a solution and
     the cost2-optimal one may still tighten f1_bar; in (f2, f1) order the roles
-    mirror, and only the cost2-optimal complement nominates.
+    mirror, and only the cost2-optimal complement nominates. A nominee joins
+    the node's recorded path with the init tree on that attribute that leads
+    to the other end.
     """
     ub1 = tables.ub[direction][ATTR1][state]
     ub2 = tables.ub[direction][ATTR2][state]
     if ordering == ORDER_12:
         f2p = g2 + ub2
         if f2p <= gb.f2_bar:
-            gb.offer(f1, f2p, SOL_SINGLE, (direction, state, path_id, ATTR1), tag)
+            gb.offer(f1, f2p, join_halves(direction, state, (PATH, path_id), TREE_HALF[ATTR1]),
+                     tag)
         else:
             f1p = g1 + ub1
             if f1p < gb.f1_bar:
@@ -128,7 +131,8 @@ def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
     else:
         f1p = g1 + ub1
         if f1p <= gb.f1_bar:
-            gb.offer(f1p, f2, SOL_SINGLE, (direction, state, path_id, ATTR2), tag)
+            gb.offer(f1p, f2, join_halves(direction, state, (PATH, path_id), TREE_HALF[ATTR2]),
+                     tag)
         else:
             f2p = g2 + ub2
             if f2p <= gb.f2_bar and f1 < gb.f1_bar:
@@ -150,11 +154,7 @@ def match_partial(gb: GlobalBounds, chi_opp: Optional[list], direction: int,
             break
         c2 = g2 + y2
         if c2 <= gb.f2_bar:
-            if direction == FORWARD:
-                pair = ((FORWARD, state, path_id), (BACKWARD, state, yidx))
-            else:
-                pair = ((FORWARD, state, yidx), (BACKWARD, state, path_id))
-            gb.offer(c1, c2, SOL_PAIR, pair, tag)
+            gb.offer(c1, c2, join_halves(direction, state, (PATH, path_id), (PATH, yidx)), tag)
 
 
 def store_partial(chi: dict, state: int, g1, g2, path_id: int, refine: bool) -> None:
@@ -439,30 +439,20 @@ class SearchContext:
 
 
 def reconstruct_solution(record: SolutionRecord, tables: BoundsTables,
-                         parents: dict[int, ParentArrays]) -> Optional[list[int]]:
-    """Rebuild the start-goal state sequence described by a solution record."""
-    if record.kind == SOL_NONE:
-        return None
-    if record.kind == SOL_SINGLE:
-        direction, state, path_id, join_attr = record.data
-        return reconstruct(parents[direction], tables.tree[direction][join_attr],
-                           state, path_id, direction)
-    if record.kind == SOL_PAIR:
-        (fd, fstate, fidx), (bd, bstate, bidx) = record.data
-        fpart = parents[FORWARD].backtrack(fstate, fidx)
-        bpart = parents[BACKWARD].backtrack(bstate, bidx)
-        return join_forward(fpart, list(reversed(bpart)))
-    # initial: two tree walks glued at the join state
-    state, attr_to_start, attr_to_goal = record.data
-    if attr_to_start is not None:
-        left = list(reversed(walk_tree(tables.tree[BACKWARD][attr_to_start], state)))
-    else:
-        left = [state]
-    if attr_to_goal is not None:
-        right = walk_tree(tables.tree[FORWARD][attr_to_goal], state)
-    else:
-        right = [state]
-    return join_forward(left, right)
+                         parents: dict[int, ParentArrays]) -> list[int]:
+    """Rebuild the start-goal state sequence of a solution record: the start
+    side's half reversed, then the goal side's half."""
+    state = record.state
+    halves = []  # each from the join state to its end of the path
+    # The search from the start is FORWARD; the init tree toward it is BACKWARD's.
+    for how, side in ((record.to_start, FORWARD), (record.to_goal, BACKWARD)):
+        if how is None:
+            halves.append([state])
+        elif how[0] == PATH:
+            halves.append(parents[side].backtrack(state, how[1])[::-1])
+        else:
+            halves.append(walk_tree(tables.tree[1 - side][how[1]], state))
+    return join_forward(halves[0][::-1], halves[1])
 
 
 def path_cost(graph: Graph, path: list[int]) -> tuple[int, int]:
@@ -501,7 +491,7 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
     metrics.wall_time_s = time.monotonic() - started
 
     record = gb.record
-    if record.kind == SOL_NONE:
+    if record.costs is None:
         outcome = SolveOutcome(STATUS_TIMEOUT if timed_out else STATUS_INFEASIBLE,
                                None, None, metrics, record, qstats, gb.incumbents)
     else:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -552,6 +553,29 @@ def test_run_sides_threads_run_each_side_to_completion():
     log = []
     assert run_sides(("threads", 2), _toy_sides(log)) is False
     assert sorted(log) == list("aaabbbbb")
+
+
+@pytest.mark.parametrize("require_both", [True, False])
+@pytest.mark.parametrize("schedule", [("lockstep", 1), ("threads", 2)])
+def test_run_sides_raises_a_side_error_and_stops_the_other_side(schedule, require_both):
+    # The endless side ends by itself only after ten seconds, which a run
+    # that ignores the failed side's error reaches. Under threads such a run
+    # used to return as if the failed side had finished.
+    deadline = time.monotonic() + 10
+    gave_up = []
+
+    def endless():
+        while time.monotonic() < deadline:
+            yield
+        gave_up.append(True)
+
+    def failing():
+        yield
+        raise RuntimeError("side failed")
+
+    with pytest.raises(RuntimeError, match="side failed"):
+        run_sides(schedule, [endless(), failing()], require_both=require_both)
+    assert gave_up == []
 
 
 @pytest.mark.parametrize("schedule", [

@@ -72,6 +72,14 @@ def test_negative_cost_rejected():
         Graph(2, [(0, 1, -1, 3)])
 
 
+@pytest.mark.parametrize("count", [0, 4, 6])
+def test_coordinate_count_must_match_state_count(count):
+    # A short list used to fail only in the first geometric heuristic lookup.
+    with pytest.raises(GraphFormatError, match=f"{count} coordinates for 5 states"):
+        Graph(5, EXAMPLE_EDGES, [(40.0, -73.0)] * count)
+    assert len(Graph(5, EXAMPLE_EDGES, [(40.0, -73.0)] * 5).coords) == 5
+
+
 def test_reversal_involution_and_conservation():
     rng = random.Random(5)
     for seed in range(20):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wcspp.graph import FORWARD, random_graph
+from wcspp.graph import random_graph
 from wcspp.nodepool import (BLOCK_NODES, NodePool, ParentArrays, join_forward,
                             splice_out_cycles, walk_tree)
 from wcspp.solvers import path_cost
@@ -29,7 +29,8 @@ def test_allocate_without_recycling_creates_distinct_slots():
 def test_live_count_returns_to_zero():
     pool = NodePool()
     handles = [pool.allocate(i, 0, 0, 0, 0, None, 0) for i in range(5)]
-    assert pool.peak_live == 5
+    assert pool.slots_created == 5
+    assert pool.live == 5
     for h in handles:
         pool.recycle(h)
     assert pool.live == 0
@@ -150,19 +151,3 @@ def test_reconstructed_cost_matches_reported(example_graph):
             if out.status == "optimal":
                 assert path_cost(g, out.path) == out.costs
                 assert len(set(out.path)) == len(out.path)
-
-
-def test_reconstruct_single_direction(example_graph):
-    from wcspp.nodepool import reconstruct
-    parents = ParentArrays()
-    parents.record_expansion(S, None, 0)
-    idx = parents.record_expansion(U2, S, 1)
-    tree = [U1, U2, G, G, None]  # next hop toward the goal
-    assert reconstruct(parents, tree, U2, idx, FORWARD) == [S, U2, G]
-    # backward flavor: partial goes goal..u, tree walk leads to the start
-    bparents = ParentArrays()
-    bparents.record_expansion(G, None, 0)
-    bidx = bparents.record_expansion(U2, G, 1)
-    btree = [None, 0, 0, 0, 2]  # predecessor toward the start
-    from wcspp.graph import BACKWARD
-    assert reconstruct(bparents, btree, U2, bidx, BACKWARD) == [S, U2, G]

@@ -6,18 +6,19 @@ from dataclasses import fields
 
 import pytest
 
-from wcspp.bounds import (ATTR1, ATTR2, INF, BoundsTables, GlobalBounds,
-                          SOL_NONE, SOL_PAIR, SOL_SINGLE)
+from wcspp.bounds import (ATTR1, ATTR2, INF, PATH, TREE, BoundsTables, GlobalBounds,
+                          SolutionRecord)
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
+from wcspp.nodepool import ParentArrays
 from wcspp.oracle import constrained_optimum, enumerate_pareto
 from wcspp.pqueue import (BINARY_HEAP, BUCKET, HYBRID, QueueConfig, TIE_NONE_FIFO,
                           TIE_NONE_LIFO, TIE_SECONDARY)
 from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, Metrics, SearchContext,
-                           SolveOptions, esu, match_partial, solve_wc_astar,
-                           solve_wc_ba_star, solve_wc_ebba, solve_wc_ebba_par,
-                           store_partial)
+                           SolveOptions, esu, match_partial, path_cost, reconstruct_solution,
+                           solve_wc_astar, solve_wc_ba_star, solve_wc_ebba,
+                           solve_wc_ebba_par, store_partial)
 
-from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U2, U3, geo_random_graph,
+from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U1, U2, U3, geo_random_graph,
                       road_grid_graph)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
@@ -52,8 +53,8 @@ def test_esu_records_tentative_solution_at_u2():
     gb.f1_bar = 7
     esu(gb, example_tables(), FORWARD, ORDER_12, U2, 3, 4, 5, 5, path_id=1)
     assert (gb.f1_bar, gb.f2_sol) == (5, 5)
-    assert gb.record.kind == SOL_SINGLE
-    assert gb.record.data == (FORWARD, U2, 1, ATTR1)
+    # the forward path to u2, then the forward cost1 tree to the goal
+    assert gb.record == SolutionRecord((5, 5), U2, (PATH, 1), (TREE, ATTR1))
 
 
 def test_esu_no_improvement_at_start():
@@ -62,7 +63,7 @@ def test_esu_no_improvement_at_start():
     esu(gb, example_tables(), FORWARD, ORDER_12, S, 0, 0, 3, 3, path_id=1)
     # joined cost2 is 8 > 6; fallback join gives exactly 7, not strictly smaller
     assert (gb.f1_bar, gb.f2_sol) == (7, INF)
-    assert gb.record.kind == SOL_NONE
+    assert gb.record == SolutionRecord()
 
 
 def test_esu_fallback_tightens_f1_only():
@@ -70,7 +71,7 @@ def test_esu_fallback_tightens_f1_only():
     gb.f1_bar = 9
     esu(gb, example_tables(), FORWARD, ORDER_12, S, 0, 0, 3, 3, path_id=1)
     assert (gb.f1_bar, gb.f2_sol) == (7, INF)
-    assert gb.record.kind == SOL_NONE
+    assert gb.record == SolutionRecord()
 
 
 def test_esu_at_target_state_always_passes_case_one():
@@ -78,7 +79,7 @@ def test_esu_at_target_state_always_passes_case_one():
     gb.f1_bar = 9
     esu(gb, example_tables(), FORWARD, ORDER_12, G, 4, 5, 4, 5, path_id=1)
     assert (gb.f1_bar, gb.f2_sol) == (4, 5)
-    assert gb.record.kind == SOL_SINGLE
+    assert gb.record == SolutionRecord((4, 5), G, (PATH, 1), (TREE, ATTR1))
 
 
 def test_esu_secondary_ordering_mirrors():
@@ -93,13 +94,14 @@ def test_esu_secondary_ordering_mirrors():
     # joined pair on the cost2 complement: (1 + 6, 3 + 2) = (7, 5)
     esu(gb, t, BACKWARD, ORDER_21, 1, 1, 3, 5, 5, path_id=1)
     assert (gb.f1_bar, gb.f2_sol) == (7, 5)
-    assert gb.record.data == (BACKWARD, 1, 1, ATTR2)
+    # the backward cost2 tree from the start, then the backward path
+    assert gb.record == SolutionRecord((7, 5), 1, (TREE, ATTR2), (PATH, 1))
     # fallback branch: joined cost1 too big, cost1-complement feasible and smaller
     gb2 = GlobalBounds(20)
     gb2.f1_bar = 6
     esu(gb2, t, BACKWARD, ORDER_21, 1, 1, 3, 5, 5, path_id=1)
     assert (gb2.f1_bar, gb2.f2_sol) == (5, INF)
-    assert gb2.record.kind == SOL_NONE
+    assert gb2.record == SolutionRecord()
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +135,8 @@ def test_match_single_join():
     gb = GlobalBounds(6)
     match_partial(gb, [(1, 1, 1)], FORWARD, 3, 2, 3, path_id=2)
     assert (gb.f1_bar, gb.f2_sol) == (3, 4)
-    assert gb.record.kind == SOL_PAIR
-    assert gb.record.data == ((FORWARD, 3, 2), (BACKWARD, 3, 1))
+    # forward path 2 to state 3, then the stored backward path 1
+    assert gb.record == SolutionRecord((3, 4), 3, (PATH, 2), (PATH, 1))
 
 
 def test_match_early_break():
@@ -143,14 +145,64 @@ def test_match_early_break():
     # y1 infeasible on cost2, y2 breaks the scan at 2 + 5 = 7 > 4
     match_partial(gb, [(1, 9, 1), (5, 1, 2)], FORWARD, 3, 2, 3, path_id=2)
     assert (gb.f1_bar, gb.f2_sol) == (4, INF)
-    assert gb.record.kind == SOL_NONE
+    assert gb.record == SolutionRecord()
 
 
 def test_match_empty_is_noop():
     gb = GlobalBounds(6)
     match_partial(gb, None, FORWARD, 3, 2, 3, path_id=2)
     match_partial(gb, [], FORWARD, 3, 2, 3, path_id=2)
-    assert gb.record.kind == SOL_NONE
+    assert gb.record == SolutionRecord()
+
+
+# ---------------------------------------------------------------------------
+# Path reconstruction
+
+
+def example_halves() -> tuple:
+    """Init trees per direction and attribute and recorded search paths on the
+    example graph, for every kind of record half."""
+    t = BoundsTables()
+    t.tree[FORWARD][ATTR1] = [U1, U2, G, G, None]  # next state toward the goal
+    t.tree[FORWARD][ATTR2] = [U3, G, G, G, None]
+    t.tree[BACKWARD][ATTR1] = [None, S, S, S, U2]  # next state toward the start
+    t.tree[BACKWARD][ATTR2] = [None, S, U3, S, U2]
+    fwd = ParentArrays()  # from the start: u2 by path 1 direct, by path 2 via u1
+    fwd.record_expansion(S, None, 0)
+    fwd.record_expansion(U1, S, 1)
+    fwd.record_expansion(U2, S, 1)
+    fwd.record_expansion(U2, U1, 1)
+    fwd.record_expansion(G, U2, 2)
+    bwd = ParentArrays()  # from the goal: u1 by path 1 direct, by path 2 via u2
+    bwd.record_expansion(G, None, 0)
+    bwd.record_expansion(U2, G, 1)
+    bwd.record_expansion(U1, G, 1)
+    bwd.record_expansion(U1, U2, 1)
+    bwd.record_expansion(S, U1, 2)
+    return t, {FORWARD: fwd, BACKWARD: bwd}
+
+
+@pytest.mark.parametrize("state, to_start, to_goal, path", [
+    (U2, (TREE, ATTR2), (TREE, ATTR1), [S, U3, U2, G]),
+    (U2, (PATH, 2), (TREE, ATTR1), [S, U1, U2, G]),
+    (U2, (PATH, 1), (TREE, ATTR2), [S, U2, G]),
+    (U1, (TREE, ATTR1), (PATH, 2), [S, U1, U2, G]),
+    (U2, (TREE, ATTR2), (PATH, 1), [S, U3, U2, G]),
+    (U1, (PATH, 1), (PATH, 2), [S, U1, U2, G]),
+    (U2, (PATH, 2), (PATH, 1), [S, U1, U2, G]),
+    (S, None, (TREE, ATTR2), [S, U3, G]),
+    (S, None, (PATH, 1), [S, U1, U2, G]),
+    (G, (TREE, ATTR1), None, [S, U2, G]),
+    (G, (PATH, 1), None, [S, U1, U2, G]),
+], ids=["tree+tree", "path+tree", "path+tree-2", "tree+path", "tree+path-2", "path+path",
+        "path+path-2", "start+tree", "start+path", "tree+goal", "path+goal"])
+def test_reconstruct_solution_every_half_shape(example_graph, state, to_start, to_goal, path):
+    # The start side's half runs from the join state back to the start: the
+    # forward search's path or the backward init tree. The goal side's half
+    # is the backward search's path or the forward init tree.
+    tables, parents = example_halves()
+    record = SolutionRecord(path_cost(example_graph, path), state, to_start, to_goal)
+    assert reconstruct_solution(record, tables, parents) == path
 
 
 def test_store_refinement_drops_equal_g1_tail():
@@ -265,8 +317,7 @@ def test_wc_astar_golden_counts(example_graph):
     assert m.expansions == 1  # only the start node is expanded
     assert m.pops == 3  # two processed pops, then the terminating pop
     assert m.pushes == 3  # initial node plus two surviving successors
-    assert out.record.kind == SOL_SINGLE
-    assert out.record.data == (FORWARD, U2, 1, ATTR1)
+    assert out.record == SolutionRecord((5, 5), U2, (PATH, 1), (TREE, ATTR1))
 
 
 def test_wc_ba_htf_tunes_backward_tables(example_graph):
@@ -503,6 +554,35 @@ def test_bad_schedule_raises_instead_of_hanging(example_graph, solver, schedule)
     t.join(timeout=10)
     assert not t.is_alive(), f"{schedule} did not return"
     assert len(raised) == 1
+
+
+@pytest.mark.parametrize("schedule", [("lockstep", 1), ("threads", 2)])
+def test_a_failing_side_fails_the_solve(monkeypatch, schedule):
+    # The backward side raises on its first expansion. Under threads the
+    # solve used to return the forward side's answer, optimal (2252, 1406).
+    expand_prune = SearchContext.expand_prune
+
+    def failing(self, *args):
+        if self.direction == BACKWARD:
+            raise RuntimeError("backward side failed")
+        return expand_prune(self, *args)
+
+    monkeypatch.setattr(SearchContext, "expand_prune", failing)
+    g = road_grid_graph(7, 12, 12)
+    with pytest.raises(RuntimeError, match="backward side failed"):
+        solve_wc_ebba_par(g, ProblemInstance(11, 132, 1513), BUCKET_CFG,
+                          SolveOptions(schedule=schedule))
+
+
+@pytest.mark.parametrize("start, goal, bad", [(-1, G, "start -1"), (-5, G, "start -5"),
+                                              (5, G, "start 5"), (7, G, "start 7"),
+                                              (S, -1, "goal -1"), (S, 5, "goal 5")])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_a_query_end_outside_the_graph_raises(example_graph, name, start, goal, bad):
+    # A start of -1 used to give optimal (0, 0) [-1] and one of -5 optimal
+    # (2, 4) [4] from the bidirectional solvers, read off the far end of the lists.
+    with pytest.raises(ValueError, match=f"the {bad} is not one of the graph's states 0..4"):
+        SOLVERS[name](example_graph, ProblemInstance(start, goal, 10), BUCKET_CFG)
 
 
 def test_threads_match_lockstep_costs():
