@@ -8,12 +8,20 @@ depends only on the goal and on W, and a run bounded by W settles exactly
 the prefix with cost2 <= W of any run with a larger bound, in the same order.
 So it is not rerun per solve: each graph records one finished search per goal
 (`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`), reruns it
-only for a W above the recorded bound, and replays the prefix one settled
-state at a time (`GoalTree.replay`) into an ordinary `BoundedSearch`, through
-the same settle generator as a live search. Each init search is such a
-generator, yielding once per settled state; it ends by itself once either
-search of its round has decided the init, so `run_sides` drives it like any
-other side.
+only for a W above the recorded bound, and serves the prefix as data: round
+one writes it into an ordinary `BoundedSearch`'s lists in one loop, then
+seeds f1_bar from the start's entry or, when the prefix lacks the start,
+marks the init INFEASIBLE. In the parallel plan a live cost1 search runs
+beside it; the round driver works out where the lockstep order would have
+put the seed and how much of the prefix it would have reached, so tables,
+masks and counters are those of the interleaved run. Under threads the
+prefix is applied whole before the live search starts.
+
+Every live init search is its `BoundedSearch.steps()` generator, with the
+joins against the opposite tables and its target test done inside the settle
+loop; it yields once per settled state and ends by itself once either search
+of its round has decided the init, so `run_sides` drives it like any other
+side.
 
 The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
 `settled`, the round-two and S' masks, each search context's `g_min`) come
@@ -38,9 +46,10 @@ import threading
 import time
 from array import array
 from bisect import bisect_right
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
@@ -167,7 +176,7 @@ class InitResult:
     # (fill, list, written) per list taken from the graph's ListPool
     taken: list = field(default_factory=list)
     # How the first (FORWARD, cost2) search was served from the goal's tree:
-    # how many of its states were replayed from a cached tree, or, when the
+    # how many of its states were served from a cached tree, or, when the
     # tree was rebuilt for this W, how many states the rebuild settled.
     tree_replayed: int = 0
     tree_settled: int = 0
@@ -181,11 +190,21 @@ class BoundedSearch:
     `steps()` yields one settled (state, dist, companion) at a time, before the
     state's successors are generated; `order` lists the settled states in
     settle order.
+
+    An init search also gets `init`, its round's InitResult, with `target`,
+    the state at the far end, and `joins`, (record half, cost1 table, cost2
+    table) per opposite table. Each settled label is then joined with those
+    tables, and the target's label seeds f1_bar (cost2) or decides the init
+    as the optimum (cost1 within the weight limit: SHORTCUT); a cost2 search
+    that ends without settling its target marks the init INFEASIBLE. Such a
+    search settles nothing once `init.status` is no longer SEARCH, read
+    before each state it settles.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
                  heuristic: Optional[Sequence] = None, bound=INF,
-                 allowed: Optional[Sequence[bool]] = None):
+                 allowed: Optional[Sequence[bool]] = None, *,
+                 init: Optional[InitResult] = None, target: int = -1, joins: Sequence = ()):
         self.graph = graph
         self.source = source
         self.traverse_dir = traverse_dir
@@ -193,13 +212,18 @@ class BoundedSearch:
         self.heuristic = heuristic
         self.bound = bound if callable(bound) else (lambda b=bound: b)
         self.allowed = allowed
+        self.init = init
+        self.target = target
+        self.joins = joins
         pool = list_pool(graph)
         self.dist = pool.take(INF)
         self.comp = pool.take(INF)
         self.pred: list[Optional[int]] = pool.take(None)
         self.settled = pool.take(False)
         self.order: list[int] = []
-        self.best: dict[int, tuple] = {source: (0, 0)}
+        # Tentative labels of the states in the heap: primary and secondary cost.
+        self.best_p: dict[int, int] = {source: 0}
+        self.best_s: dict[int, int] = {source: 0}
         h0 = heuristic[source] if heuristic is not None else 0
         self.heap: list[tuple] = [(h0, 0, 0, source, -1)]
 
@@ -210,12 +234,19 @@ class BoundedSearch:
         else:
             index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
         # Primary (searched) and secondary (companion) cost per arc.
-        cp, cs = (c1, c2) if self.attr == ATTR1 else (c2, c1)
+        attr = self.attr
+        cp, cs = (c1, c2) if attr == ATTR1 else (c2, c1)
         heappop, heappush = heapq.heappop, heapq.heappush
-        heap, best, heuristic, allowed, bound = (self.heap, self.best, self.heuristic,
-                                                 self.allowed, self.bound)
+        heap, best_p, best_s, heuristic, allowed, bound = (
+            self.heap, self.best_p, self.best_s, self.heuristic, self.allowed, self.bound)
         dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
                                              self.order.append)
+        init, target, joins = self.init, self.target, self.joins
+        if init is not None:
+            if init.status != SEARCH:
+                return
+            gb = init.gb
+            side, mine = self.traverse_dir, TREE_HALF[attr]
         while heap:
             f, ds, dp, u, pu = heappop(heap)
             if settled[u]:
@@ -227,7 +258,22 @@ class BoundedSearch:
             dist[u] = dp
             comp[u] = ds
             pred[u] = pu if pu >= 0 else None
+            if joins or u == target:
+                cu1, cu2 = (dp, ds) if attr == ATTR1 else (ds, dp)
+                for half, tc1, tc2 in joins:
+                    o1, o2 = tc1[u], tc2[u]
+                    if o1 != INF and o2 != INF and cu2 + o2 <= gb.f2_bar:
+                        gb.offer(cu1 + o1, cu2 + o2, join_halves(side, u, mine, half),
+                                 "init-match")
+                if u == target:
+                    if attr == ATTR2:
+                        gb.seed(cu1, cu2, join_halves(side, u, mine, None))
+                    elif cu2 <= gb.f2_bar:
+                        gb.offer(cu1, cu2, join_halves(side, u, mine, None), "init-shortcut")
+                        init.status = SHORTCUT
             yield u, dp, ds
+            if init is not None and init.status != SEARCH:
+                return
             for i in range(index[u], index[u + 1]):
                 v = to[i]
                 if allowed is not None and not allowed[v]:
@@ -236,11 +282,14 @@ class BoundedSearch:
                     continue
                 ndp = dp + cp[i]
                 nds = ds + cs[i]
-                cur = best.get(v)
-                if cur is None or (ndp, nds) < cur:
-                    best[v] = (ndp, nds)
+                cur = best_p.get(v)
+                if cur is None or ndp < cur or (ndp == cur and nds < best_s[v]):
+                    best_p[v] = ndp
+                    best_s[v] = nds
                     hv = heuristic[v] if heuristic is not None else 0
                     heappush(heap, (ndp + hv, nds, ndp, v, u))
+        if init is not None and attr == ATTR2 and not settled[target]:
+            init.status = INFEASIBLE
 
     def run(self) -> "BoundedSearch":
         """Run to completion."""
@@ -276,30 +325,12 @@ class GoalTree:
         self.pred = array("q", [-1 if pred[u] is None else pred[u] for u in order])
         self.limit = limit
 
-    def replay(self, search: BoundedSearch, count: int) -> Iterator[tuple[int, int, int]]:
-        """Settle the first `count` states of the tree into `search`, a fresh
-        `BoundedSearch(graph, goal, BACKWARD, ATTR2)`, as its `steps()` would
-        with a bound that admits exactly them: the same states in the same
-        order, written into the search's own lists. The tree's arrays are
-        never handed out, as solvers write into their tables."""
-        order, tdist, tcomp, tpred = self.order, self.dist, self.comp, self.pred
-        dist, comp, pred, settled, settle = (search.dist, search.comp, search.pred,
-                                             search.settled, search.order.append)
-        for i in range(count):
-            u, dp, ds, pu = order[i], tdist[i], tcomp[i], tpred[i]
-            settled[u] = True
-            settle(u)
-            dist[u] = dp
-            comp[u] = ds
-            pred[u] = pu if pu >= 0 else None
-            yield u, dp, ds
-
 
 class GoalTrees:
     """A graph's goal trees, least recently used first out, holding at most
     `8 * n` settled states in all. One lock serialises lookups and rebuilds.
-    A replay reads its tree outside the lock: a rebuild swaps in a new tree
-    and leaves the old one to the replays that hold it.
+    An init reads its tree outside the lock: a rebuild swaps in a new tree
+    and leaves the old one to the inits that hold it.
     """
 
     def __init__(self, state_count: int):
@@ -571,8 +602,8 @@ PLAN_PARALLEL = (((FORWARD, ATTR2), (BACKWARD, ATTR1)), ((BACKWARD, ATTR2), (FOR
 
 
 def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_dir: int,
-                 attr: int, allowed: Optional[Sequence[bool]]):
-    """One bounded search of an init plan and the generator that settles it.
+                 attr: int, allowed: Optional[Sequence[bool]]) -> BoundedSearch:
+    """One live bounded search of an init plan.
 
     The search computes direction `table_dir` tables on `attr`, so it runs from
     that direction's target end toward the other end. Its heuristic is the
@@ -581,11 +612,9 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     label is one half of a start-goal path: it is joined with every opposite
     table. When the search's own target settles, a cost2 label seeds f1_bar and
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
-    search that ends without settling its target proves INFEASIBLE. The
-    forward cost2 search with no heuristic and no mask, every plan's first,
-    settles by replaying the goal's cached tree instead of by its own `steps()`.
-    The generator yields after each settled state's joins and target test, and
-    settles no further state once `result.status` is no longer SEARCH.
+    search that ends without settling its target proves INFEASIBLE. Its
+    `steps()` does all of this per settled state and settles no further state
+    once `result.status` is no longer SEARCH.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -593,15 +622,6 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     heuristic = tables.h[opp][attr]
     if heuristic is None:
         heuristic = geo_heuristic(graph, target, attr)
-    search = BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
-                           bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
-                           allowed=allowed)
-    if table_dir == FORWARD and attr == ATTR2 and heuristic is None and allowed is None:
-        tree, count, live = goal_trees(graph).prefix(graph, source, gb.f2_bar)
-        result.tree_replayed, result.tree_settled = count - live, live
-        states = tree.replay(search, count)
-    else:
-        states = search.steps()
     joins = []  # (the opposite tree's record half, its cost1 table, its cost2 table)
     for b in (ATTR1, ATTR2):
         h_arr = tables.h[opp][b]
@@ -609,33 +629,66 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
             ub_arr = tables.ub[opp][1 - b]
             joins.append((TREE_HALF[b], h_arr, ub_arr) if b == ATTR1
                          else (TREE_HALF[b], ub_arr, h_arr))
-    mine = TREE_HALF[attr]
+    return BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
+                         bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
+                         allowed=allowed, init=result, target=target, joins=joins)
 
-    def settle() -> Iterator[None]:
-        if result.status != SEARCH:
-            return
-        for u, dp, ds in states:
-            if attr == ATTR1:
-                c1, c2 = dp, ds
-            else:
-                c1, c2 = ds, dp
-            for half, tc1, tc2 in joins:
-                o1, o2 = tc1[u], tc2[u]
-                if o1 != INF and o2 != INF and c2 + o2 <= gb.f2_bar:
-                    gb.offer(c1 + o1, c2 + o2, join_halves(opp, u, mine, half), "init-match")
-            if u == target:
-                if attr == ATTR2:
-                    gb.seed(c1, c2, join_halves(opp, u, mine, None))
-                elif c2 <= gb.f2_bar:
-                    gb.offer(c1, c2, join_halves(opp, u, mine, None), "init-shortcut")
-                    result.status = SHORTCUT
-            yield
-            if result.status != SEARCH:
-                return
-        if attr == ATTR2 and not search.settled[target]:
+
+def _tree_round(graph: Graph, inst: ProblemInstance, result: InitResult, rnd: tuple,
+                schedule: tuple) -> list[BoundedSearch]:
+    """Round one: the (FORWARD, cost2) search served from the goal's tree,
+    beside the round's live search if it has one.
+
+    The tree's prefix has no joins and meets the rest of the round in three
+    ways only: it seeds f1_bar when it reaches the start, at index `at`; it
+    proves INFEASIBLE when its `count` states lack the start; and it stops
+    once the live search decides. Run as a lockstep side under
+    ('lockstep', k), the replay would make that call, its `at + 1`-th (or
+    its `count + 1`-th, which finds the prefix ended), in turn `at // k`
+    (or `count // k`), after `(at // k) * k` (or `(count // k) * k`) calls
+    of the live search. So the live search makes those calls, the seed or
+    INFEASIBLE is applied unless it has decided, and it runs on. Had it
+    decided on its call `d` (from 0), the replay would have settled
+    `(d // k + 1) * k` states by then, so only those of the prefix are
+    written. Under ('threads', 2) the whole prefix comes first, one valid
+    interleaving of the two sides, which makes round one deterministic.
+    """
+    gb = result.gb
+    start = inst.start
+    search = BoundedSearch(graph, inst.goal, BACKWARD, ATTR2, bound=gb.f2_bar)
+    tree, count, rebuilt = goal_trees(graph).prefix(graph, inst.goal, gb.f2_bar)
+    result.tree_replayed, result.tree_settled = count - rebuilt, rebuilt
+    try:
+        at = tree.order.index(start, 0, count)
+    except ValueError:
+        at = -1
+    live = [_init_search(graph, inst, result, table_dir, attr, None)
+            for table_dir, attr in rnd[1:]]
+    mode, k = parse_schedule(schedule)
+    lockstep = bool(live) and mode == "lockstep"
+    steps = live[0].steps() if live else ()
+    if lockstep:
+        deque(islice(steps, ((at if at >= 0 else count) // k) * k), maxlen=0)
+    if result.status == SEARCH:
+        if at >= 0:
+            gb.seed(tree.comp[at], tree.dist[at],
+                    join_halves(BACKWARD, start, TREE_HALF[ATTR2], None))
+        else:
             result.status = INFEASIBLE
-
-    return search, settle()
+    deque(steps, maxlen=0)
+    stop = count
+    if lockstep and result.status == SHORTCUT:
+        stop = min(count, (len(live[0].order) - 1) // k * k + k)
+    search.order.extend(islice(tree.order, stop))
+    dist, comp, pred, settled = search.dist, search.comp, search.pred, search.settled
+    for u, dp, ds, pu in islice(zip(tree.order, tree.dist, tree.comp, tree.pred), stop):
+        settled[u] = True
+        dist[u] = dp
+        comp[u] = ds
+        pred[u] = pu
+    if stop:
+        pred[inst.goal] = None  # the tree's root, stored with predecessor -1
+    return [search] + live
 
 
 def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
@@ -643,13 +696,17 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
     """Run an init plan round by round; the two searches of a round run side
     by side under `schedule` until both are done or either decides the init.
 
-    Every search after the first round is restricted to the states that all
-    searches of the previous round settled. The init ends early on INFEASIBLE
-    or SHORTCUT; otherwise S' is the union of the last round's settled states.
-    Both masks are taken from the graph's pool and scattered from the
-    searches' settle orders, so building them costs O(settled), not O(n), in
-    Python. Every list taken is listed in `result.taken`. A start or goal
-    that is not a state of the graph raises ValueError.
+    Every plan starts with the (FORWARD, cost2) search, which round one
+    serves from the goal's cached tree as data (`_tree_round`), under
+    threads too: there the prefix is applied whole before the round's live
+    search starts. Every search after the first round is restricted to the
+    states that all searches of the previous round settled. The init ends
+    early on INFEASIBLE or SHORTCUT; otherwise S' is the union of the last
+    round's settled states. Both masks are taken from the graph's pool and
+    scattered from the searches' settle orders, so building them costs
+    O(settled), not O(n), in Python. Every list taken is listed in
+    `result.taken`. A start or goal that is not a state of the graph raises
+    ValueError.
     """
     n = graph.state_count
     for end, state in (("start", inst.start), ("goal", inst.goal)):
@@ -672,14 +729,15 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
                 if in_second[u]:
                     allowed[u] = True
             result.taken.append((False, allowed, (first.order,)))
-        sides = [_init_search(graph, inst, result, table_dir, attr, allowed)
-                 for table_dir, attr in rnd]
-        if len(sides) == 1:
-            for _ in sides[0][1]:
-                pass
+        if not searches:
+            searches = _tree_round(graph, inst, result, rnd, schedule)
         else:
-            run_sides(schedule, [settle for _, settle in sides])
-        searches = [search for search, _ in sides]
+            searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
+                        for table_dir, attr in rnd]
+            if len(searches) == 1:
+                deque(searches[0].steps(), maxlen=0)
+            else:
+                run_sides(schedule, [search.steps() for search in searches])
         for (table_dir, attr), search in zip(rnd, searches):
             tables.install(table_dir, attr, search.dist, search.comp, search.pred)
             result.settled_per_phase.append((table_dir, attr, search.settled))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, TextIO
 
 from .bounds import ATTR1, ATTR2, BoundedSearch, goal_trees, list_pool
-from .graph import FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
+from .graph import COST_MAX, FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
     randomize_cost2, write_gr
 from .oracle import constrained_optimum
 from .pqueue import (BINARY_HEAP, BUCKET, HYBRID, QueueConfig, TIE_NONE_FIFO,
@@ -435,6 +435,13 @@ def _weight_sweep(g: Graph, start: int, goal: int, rng: random.Random) -> list[i
 
 
 def cmd_oracle_check(args) -> int:
+    if args.graphs < 0:
+        return _usage_error(f"--graphs must be at least 0, got {args.graphs}")
+    if args.max_states < 4:
+        return _usage_error(f"--max-states must be at least 4, got {args.max_states}")
+    if not 0 <= args.cost_min <= args.cost_max <= COST_MAX:
+        return _usage_error(f"need 0 <= --cost-min <= --cost-max <= {COST_MAX}, "
+                            f"got {args.cost_min} and {args.cost_max}")
     ok, checked = oracle_check(args.seed, args.graphs, args.max_states,
                                args.cost_min, args.cost_max)
     print(f"{'pass' if ok else 'FAIL'}: {checked} solver runs checked")
@@ -442,6 +449,9 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_randomize(args) -> int:
+    if not 1 <= args.lo <= args.hi <= COST_MAX:
+        return _usage_error(f"need 1 <= --lo <= --hi <= {COST_MAX}, "
+                            f"got {args.lo} and {args.hi}")
     try:
         graph = load_dimacs(args.cost1, args.cost2)
     except (OSError, ValueError) as exc:

@@ -20,7 +20,7 @@ BACKWARD = 1
 
 INF = float("inf")
 
-_COST_MAX = 2**32 - 1
+COST_MAX = 2**32 - 1
 
 
 class GraphFormatError(ValueError):
@@ -74,7 +74,7 @@ class Graph:
         for u, v, c1, c2 in edges:
             if not (0 <= u < state_count and 0 <= v < state_count):
                 raise GraphFormatError(f"edge ({u},{v}) out of declared state range")
-            if c1 < 0 or c2 < 0 or c1 > _COST_MAX or c2 > _COST_MAX:
+            if c1 < 0 or c2 < 0 or c1 > COST_MAX or c2 > COST_MAX:
                 raise GraphFormatError(f"edge ({u},{v}) cost ({c1},{c2}) outside [0, 2^32)")
             key = (u, v)
             cur = best.get(key)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import wcspp.bounds as bounds_mod
 from wcspp.bounds import (ATTR1, ATTR2, PLAN_PARALLEL, PLAN_SEQUENTIAL, PLAN_UNIDIRECTIONAL,
                           BoundedSearch, Clock, INF, INFEASIBLE, SEARCH, SHORTCUT,
                           budget_factors, geo_heuristic, init_parallel_bidirectional,
@@ -509,21 +510,53 @@ def _line() -> Graph:
     return Graph(8, [e for u in range(7) for e in ((u, u + 1, 1, 5), (u + 1, u, 1, 5))])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def _spy_round_one_cost1_bound(monkeypatch) -> list:
+    """Make the first cost1 search that an init starts log (states it has
+    settled, bound) each time it reads its bound, once per state it pops."""
+    reads: list = []
+    spied: list = []
+
+    class Spy(bounds_mod.BoundedSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.attr == ATTR1 and not spied:
+                spied.append(self)
+                inner = self.bound
+
+                def bound():
+                    value = inner()
+                    reads.append((len(self.order), value))
+                    return value
+                self.bound = bound
+
+    monkeypatch.setattr(bounds_mod, "BoundedSearch", Spy)
+    return reads
+
+
+# Every k from 1 to 8, then two above the 8 states of the line's prefix.
+ROUND_ONE_KS = list(range(1, 9)) + [9, 50]
+
+
+@pytest.mark.parametrize("k", ROUND_ONE_KS)
 @pytest.mark.parametrize("start, goal, w, status", [
     (0, 7, 12, INFEASIBLE),  # the cost2 side settles 3 states, the cost1 side has 8
     (0, 7, 22, INFEASIBLE),
     (2, 4, 100, SHORTCUT),  # the cost1 side settles the goal 5th, the cost2 side has 8
     (0, 3, 100, SHORTCUT),
+    (0, 7, 100, SHORTCUT),  # the start is the last of the cost2 side's 8 states
+    (6, 1, 100, SHORTCUT),
 ])
-def test_a_round_one_decision_halts_the_other_side_at_once(k, start, goal, w, status):
+def test_a_round_one_decision_halts_the_other_side_at_once(monkeypatch, k, start, goal, w,
+                                                           status):
     # Round one of the parallel plan runs the (FORWARD, cost2) search from the
     # goal and the (BACKWARD, cost1) search from the start in lockstep. Once
     # one side decides the init, the other side settles no further state.
     g = _line()
+    reads = _spy_round_one_cost1_bound(monkeypatch)
     init = run_init(g, ProblemInstance(start, goal, w), PLAN_PARALLEL, schedule=("lockstep", k))
     assert init.status == status
-    cost2_order = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run().order
+    cost2 = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run()
+    cost2_order = cost2.order
     cost1_order = BoundedSearch(g, start, FORWARD, ATTR1).run().order
     if status == INFEASIBLE:
         # The cost2 side ends on the call after its last state; the cost1 side
@@ -535,10 +568,63 @@ def test_a_round_one_decision_halts_the_other_side_at_once(k, start, goal, w, st
         # cost2 side has had that many turns.
         settled1 = cost1_order.index(goal) + 1
         settled2 = min(len(cost2_order), k * -(-settled1 // k))
+        # The cost2 side settles the start on its call i + 1, in turn i // k:
+        # the cost1 side has made (i // k) * k calls under no bound, and from
+        # its next call on it reads the seed, the cost1 of the tree's path.
+        seeded = cost2_order.index(start) // k * k
+        assert reads == [(m, INF if m < seeded else cost2.comp[start])
+                         for m in range(settled1)]
     assert [(d, a) for d, a, _ in init.settled_per_phase] == [(FORWARD, ATTR2), (BACKWARD, ATTR1)]
     masks = [mask for _, _, mask in init.settled_per_phase]
     assert [u for u in range(8) if masks[0][u]] == sorted(cost2_order[:settled2])
     assert [u for u in range(8) if masks[1][u]] == sorted(cost1_order[:settled1])
+
+
+def _fan() -> Graph:
+    """States 1-6 each reach the goal 7 for cost2 1. The start 0 reaches it
+    directly for (1, 100), over the limit, and through 8 for (10, 4): the
+    start is the last of the goal's 9 states, but the cost1 search from the
+    start runs out after 3."""
+    return Graph(9, [(u, 7, 1, 1) for u in range(1, 7)]
+                 + [(0, 7, 1, 100), (0, 8, 5, 2), (8, 7, 5, 2)])
+
+
+@pytest.mark.parametrize("k", ROUND_ONE_KS)
+def test_round_one_cost1_side_runs_out_before_the_seed(monkeypatch, k):
+    # With k up to 8 the cost1 side runs out before the lockstep order reaches
+    # the start in the goal tree's prefix; the whole prefix is still settled
+    # and seeds f1_bar. Above 8 the seed comes first and bounds all three of
+    # the cost1 side's pops.
+    g = _fan()
+    reads = _spy_round_one_cost1_bound(monkeypatch)
+    init = run_init(g, ProblemInstance(0, 7, 10), PLAN_PARALLEL, schedule=("lockstep", k))
+    assert init.status == SEARCH
+    assert init.gb.f1_bar == 10 and init.gb.record.costs == (10, 4)
+    seeded = 8 // k * k
+    assert reads == [(m, INF if m < seeded else 10) for m in range(3)]
+    masks = [mask for _, _, mask in init.settled_per_phase[:2]]
+    assert [u for u in range(9) if masks[0][u]] == list(range(9))
+    assert [u for u in range(9) if masks[1][u]] == [0, 7, 8]
+
+
+@pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],
+                         ids=["uni", "seq", "par"])
+def test_threads_round_one_matches_lockstep_above_the_prefix_length(plan):
+    # Under threads the goal tree's prefix is applied whole before the live
+    # search of round one starts, which is what a lockstep turn longer than
+    # the prefix does; the later rounds are left to the threads.
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(4, 14)
+        g = random_graph(rng.randrange(2**30), n, 2 * n)
+        inst = ProblemInstance(0, n - 1, rng.randint(0, 12 * n))
+        lock = run_init(g, inst, plan, schedule=("lockstep", n + 1))
+        thr = run_init(g, inst, plan, schedule=("threads", 2))
+        width = len(plan[0])
+        assert [(d, a) for d, a, _ in thr.settled_per_phase[:width]] == \
+            [(d, a) for d, a, _ in lock.settled_per_phase[:width]]
+        assert [mask for _, _, mask in thr.settled_per_phase[:width]] == \
+            [mask for _, _, mask in lock.settled_per_phase[:width]]
 
 
 def test_run_sides_expired_clock():

@@ -436,3 +436,34 @@ def test_randomize_command(example_dimacs, tmp_path, capsys):
                  "--seed", "42", "--lo", "1", "--hi", "9", "-o", prefix + "b"])
     g2 = load_dimacs(f"{prefix}b.cost1.gr", f"{prefix}b.cost2.gr")
     assert list(g2.edges()) == list(g.edges())
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--graphs", "-3"], "--graphs"),  # printed "pass" for no graphs, with no warning
+    (["--max-states", "3"], "--max-states"),
+    (["--cost-min", "5", "--cost-max", "2"], "--cost-min"),
+    (["--cost-min", "-1"], "--cost-min"),
+    (["--cost-max", str(2**32)], "--cost-max"),
+])
+def test_oracle_check_usage_errors_exit_64(capsys, flags, named):
+    # Each of these ended in a traceback from the graph generator, but for
+    # --graphs -3.
+    code = main(["oracle-check", "--graphs", "2"] + flags)
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+@pytest.mark.parametrize("lo, hi", [("0", "9"), ("5", "4"), ("-3", "9"), ("1", str(2**32))])
+def test_randomize_bad_range_exits_64(example_dimacs, tmp_path, capsys, lo, hi):
+    # These ended in a ValueError or GraphFormatError traceback.
+    code = main(["randomize", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--seed", "42", "--lo", lo, "--hi", hi, "-o", str(tmp_path / "rand")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and "--lo" in err[0]
+    assert not list(tmp_path.glob("rand*"))
