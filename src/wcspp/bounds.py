@@ -9,13 +9,10 @@ the prefix with cost2 <= W of any run with a larger bound, in the same order.
 So it is not rerun per solve: each graph records one finished search per goal
 (`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`), reruns it
 only for a W above the recorded bound, and serves the prefix as data: round
-one writes it into an ordinary `BoundedSearch`'s lists in one loop, then
-seeds f1_bar from the start's entry or, when the prefix lacks the start,
-marks the init INFEASIBLE. In the parallel plan a live cost1 search runs
-beside it; the round driver works out where the lockstep order would have
-put the seed and how much of the prefix it would have reached, so tables,
-masks and counters are those of the interleaved run. Under threads the
-prefix is applied whole before the live search starts.
+one writes the whole prefix into an ordinary `BoundedSearch`'s lists in one
+loop, then seeds f1_bar from the start's entry or, when the prefix lacks the
+start, marks the init INFEASIBLE. Only then does the parallel plan's live
+cost1 search of round one start, under every schedule.
 
 Every live init search is its `BoundedSearch.steps()` generator, with the
 joins against the opposite tables and its target test done inside the settle
@@ -293,8 +290,7 @@ class BoundedSearch:
 
     def run(self) -> "BoundedSearch":
         """Run to completion."""
-        for _ in self.steps():
-            pass
+        deque(self.steps(), maxlen=0)
         return self
 
     def taken(self) -> list[tuple]:
@@ -634,80 +630,58 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
                          allowed=allowed, init=result, target=target, joins=joins)
 
 
-def _tree_round(graph: Graph, inst: ProblemInstance, result: InitResult, rnd: tuple,
-                schedule: tuple) -> list[BoundedSearch]:
+def _tree_round(graph: Graph, inst: ProblemInstance, result: InitResult,
+                rnd: tuple) -> list[BoundedSearch]:
     """Round one: the (FORWARD, cost2) search served from the goal's tree,
-    beside the round's live search if it has one.
+    then the round's live search, if it has one, run to its end.
 
-    The tree's prefix has no joins and meets the rest of the round in three
-    ways only: it seeds f1_bar when it reaches the start, at index `at`; it
-    proves INFEASIBLE when its `count` states lack the start; and it stops
-    once the live search decides. Run as a lockstep side under
-    ('lockstep', k), the replay would make that call, its `at + 1`-th (or
-    its `count + 1`-th, which finds the prefix ended), in turn `at // k`
-    (or `count // k`), after `(at // k) * k` (or `(count // k) * k`) calls
-    of the live search. So the live search makes those calls, the seed or
-    INFEASIBLE is applied unless it has decided, and it runs on. Had it
-    decided on its call `d` (from 0), the replay would have settled
-    `(d // k + 1) * k` states by then, so only those of the prefix are
-    written. Under ('threads', 2) the whole prefix comes first, one valid
-    interleaving of the two sides, which makes round one deterministic.
+    The tree's whole cost2 <= W prefix is written first; the start's entry
+    seeds f1_bar, or the init is INFEASIBLE when the prefix lacks the start.
+    The prefix has no joins, so finishing it before the live search moves is
+    one valid interleaving of the round's two searches, the same under every
+    schedule: the live cost1 search is bounded by the seed from its first
+    pop, and settles nothing once the init is decided.
     """
     gb = result.gb
-    start = inst.start
     search = BoundedSearch(graph, inst.goal, BACKWARD, ATTR2, bound=gb.f2_bar)
     tree, count, rebuilt = goal_trees(graph).prefix(graph, inst.goal, gb.f2_bar)
     result.tree_replayed, result.tree_settled = count - rebuilt, rebuilt
-    try:
-        at = tree.order.index(start, 0, count)
-    except ValueError:
-        at = -1
-    live = [_init_search(graph, inst, result, table_dir, attr, None)
-            for table_dir, attr in rnd[1:]]
-    mode, k = parse_schedule(schedule)
-    lockstep = bool(live) and mode == "lockstep"
-    steps = live[0].steps() if live else ()
-    if lockstep:
-        deque(islice(steps, ((at if at >= 0 else count) // k) * k), maxlen=0)
-    if result.status == SEARCH:
-        if at >= 0:
-            gb.seed(tree.comp[at], tree.dist[at],
-                    join_halves(BACKWARD, start, TREE_HALF[ATTR2], None))
-        else:
-            result.status = INFEASIBLE
-    deque(steps, maxlen=0)
-    stop = count
-    if lockstep and result.status == SHORTCUT:
-        stop = min(count, (len(live[0].order) - 1) // k * k + k)
-    search.order.extend(islice(tree.order, stop))
+    search.order.extend(islice(tree.order, count))
     dist, comp, pred, settled = search.dist, search.comp, search.pred, search.settled
-    for u, dp, ds, pu in islice(zip(tree.order, tree.dist, tree.comp, tree.pred), stop):
+    for u, dp, ds, pu in islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count):
         settled[u] = True
         dist[u] = dp
         comp[u] = ds
         pred[u] = pu
-    if stop:
+    if count:
         pred[inst.goal] = None  # the tree's root, stored with predecessor -1
-    return [search] + live
+    start = inst.start
+    if settled[start]:
+        gb.seed(comp[start], dist[start], join_halves(BACKWARD, start, TREE_HALF[ATTR2], None))
+    else:
+        result.status = INFEASIBLE
+    return [search] + [_init_search(graph, inst, result, table_dir, attr, None).run()
+                       for table_dir, attr in rnd[1:]]
 
 
 def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
              schedule: tuple = ("lockstep", 1)) -> InitResult:
-    """Run an init plan round by round; the two searches of a round run side
-    by side under `schedule` until both are done or either decides the init.
+    """Run an init plan round by round; the two searches of a later round
+    run side by side under `schedule` until both are done or either decides
+    the init.
 
-    Every plan starts with the (FORWARD, cost2) search, which round one
-    serves from the goal's cached tree as data (`_tree_round`), under
-    threads too: there the prefix is applied whole before the round's live
-    search starts. Every search after the first round is restricted to the
-    states that all searches of the previous round settled. The init ends
-    early on INFEASIBLE or SHORTCUT; otherwise S' is the union of the last
-    round's settled states. Both masks are taken from the graph's pool and
-    scattered from the searches' settle orders, so building them costs
-    O(settled), not O(n), in Python. Every list taken is listed in
-    `result.taken`. A start or goal that is not a state of the graph raises
-    ValueError.
+    Round one is the same under every schedule (`_tree_round`): the
+    (FORWARD, cost2) search is served whole from the goal's cached tree,
+    then the round's live search, if any, runs. Every search after the
+    first round is restricted to the states that all searches of the
+    previous round settled. The init ends early on INFEASIBLE or SHORTCUT;
+    otherwise S' is the union of the last round's settled states. Both
+    masks are taken from the graph's pool and scattered from the searches'
+    settle orders, so building them costs O(settled), not O(n), in Python.
+    Every list taken is listed in `result.taken`. A bad schedule, or a
+    start or goal that is not a state of the graph, raises ValueError.
     """
+    parse_schedule(schedule)  # rejected even when no round runs side by side
     n = graph.state_count
     for end, state in (("start", inst.start), ("goal", inst.goal)):
         if not 0 <= state < n:
@@ -730,12 +704,12 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
                     allowed[u] = True
             result.taken.append((False, allowed, (first.order,)))
         if not searches:
-            searches = _tree_round(graph, inst, result, rnd, schedule)
+            searches = _tree_round(graph, inst, result, rnd)
         else:
             searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
                         for table_dir, attr in rnd]
             if len(searches) == 1:
-                deque(searches[0].steps(), maxlen=0)
+                searches[0].run()
             else:
                 run_sides(schedule, [search.steps() for search in searches])
         for (table_dir, attr), search in zip(rnd, searches):

@@ -271,7 +271,9 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
     cell, taken from the repeat with the median runtime. Each instance's goal
     tree is built for its W before its cells, so `runtime_us` excludes it. A
     row whose weight cannot be resolved (a state outside the graph, a
-    negative limit) gives error cells."""
+    negative limit) gives error cells. `repeats` below 1 raises ValueError."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     writer = csv.writer(out)
     out.write(CSV_VERSION_LINE + "\n")
     writer.writerow(CSV_COLUMNS)
@@ -314,7 +316,7 @@ def _bench_cell(graph: Graph, row: InstanceRow, weight: Optional[int], algorithm
     if weight is None:
         return ["unreachable"] + _NO_RESULT
     runs = []
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         try:
             inst = ProblemInstance(row.start, row.goal, weight)
             t0 = time.monotonic()
@@ -335,6 +337,10 @@ def _bench_cell(graph: Graph, row: InstanceRow, weight: Optional[int], algorithm
 
 
 def cmd_bench(args) -> int:
+    if args.cost1 and not args.cost2:
+        return _usage_error("--cost1 needs --cost2")
+    if args.cost2 and not args.cost1:
+        return _usage_error("--cost2 needs --cost1")
     try:
         header, rows = read_instances(args.instances)
         if args.cost1:
@@ -359,6 +365,8 @@ def cmd_bench(args) -> int:
                                     f"{', '.join(sorted(known))}")
     if args.delta_f < 1:
         return _usage_error(f"--delta-f must be at least 1, got {args.delta_f}")
+    if args.repeats < 1:
+        return _usage_error(f"--repeats must be at least 1, got {args.repeats}")
     try:
         SolveOptions(timeout=args.timeout)
     except ValueError as exc:

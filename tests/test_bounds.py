@@ -537,47 +537,57 @@ def _spy_round_one_cost1_bound(monkeypatch) -> list:
 ROUND_ONE_KS = list(range(1, 9)) + [9, 50]
 
 
+def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) -> tuple:
+    """Run the parallel plan's init of `inst` under each schedule and check
+    round one: its cost2 search holds the goal tree's whole cost2 <= W
+    prefix, and its cost1 search reads the seed, the cost1 of the tree's
+    path from the start, from its first bound read on, or settles nothing
+    when the init is INFEASIBLE. Round one must not depend on the schedule.
+    Returns the last init and round one's (cost2, cost1) masks as state lists."""
+    cost2 = BoundedSearch(g, inst.goal, BACKWARD, ATTR2, bound=inst.weight_limit).run()
+    seen = []
+    for schedule in schedules:
+        with monkeypatch.context() as patch:
+            reads = _spy_round_one_cost1_bound(patch)
+            init = run_init(g, inst, PLAN_PARALLEL, schedule=schedule)
+        assert [(d, a) for d, a, _ in init.settled_per_phase[:2]] == \
+            [(FORWARD, ATTR2), (BACKWARD, ATTR1)]
+        masks = [[u for u in range(g.state_count) if mask[u]]
+                 for _, _, mask in init.settled_per_phase[:2]]
+        assert masks[0] == sorted(cost2.order)
+        if init.status == INFEASIBLE:
+            assert reads == [] and masks[1] == []
+        else:
+            seed = cost2.comp[inst.start]
+            assert reads == [(m, seed) for m in range(len(masks[1]))]
+        seen.append((init.status, masks))
+    assert all(entry == seen[0] for entry in seen)
+    return init, seen[0][1]
+
+
 @pytest.mark.parametrize("k", ROUND_ONE_KS)
 @pytest.mark.parametrize("start, goal, w, status", [
-    (0, 7, 12, INFEASIBLE),  # the cost2 side settles 3 states, the cost1 side has 8
+    (0, 7, 12, INFEASIBLE),  # the goal tree's prefix holds 3 states, not the start
     (0, 7, 22, INFEASIBLE),
-    (2, 4, 100, SHORTCUT),  # the cost1 side settles the goal 5th, the cost2 side has 8
+    (2, 4, 100, SHORTCUT),  # the cost1 side settles the goal 5th, the tree has 8
     (0, 3, 100, SHORTCUT),
-    (0, 7, 100, SHORTCUT),  # the start is the last of the cost2 side's 8 states
+    (0, 7, 100, SHORTCUT),  # the start is the last of the tree's 8 states
     (6, 1, 100, SHORTCUT),
 ])
 def test_a_round_one_decision_halts_the_other_side_at_once(monkeypatch, k, start, goal, w,
                                                            status):
-    # Round one of the parallel plan runs the (FORWARD, cost2) search from the
-    # goal and the (BACKWARD, cost1) search from the start in lockstep. Once
-    # one side decides the init, the other side settles no further state.
+    # Round one of the parallel plan applies the goal tree's whole prefix,
+    # then runs the (BACKWARD, cost1) search from the start, under lockstep
+    # and threads alike. A prefix without the start decides INFEASIBLE before
+    # the cost1 search settles a state; the cost1 search that settles the
+    # goal decides SHORTCUT and settles no further state.
     g = _line()
-    reads = _spy_round_one_cost1_bound(monkeypatch)
-    init = run_init(g, ProblemInstance(start, goal, w), PLAN_PARALLEL, schedule=("lockstep", k))
+    init, masks = _round_one(monkeypatch, g, ProblemInstance(start, goal, w),
+                             [("lockstep", k), ("threads", 2)])
     assert init.status == status
-    cost2 = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run()
-    cost2_order = cost2.order
-    cost1_order = BoundedSearch(g, start, FORWARD, ATTR1).run().order
-    if status == INFEASIBLE:
-        # The cost2 side ends on the call after its last state; the cost1 side
-        # has had a full turn after each of the cost2 side's earlier turns.
-        settled2 = len(cost2_order)
-        settled1 = k * (settled2 // k)
-    else:
-        # The cost1 side decides on its m-th state, in turn ceil(m / k); the
-        # cost2 side has had that many turns.
-        settled1 = cost1_order.index(goal) + 1
-        settled2 = min(len(cost2_order), k * -(-settled1 // k))
-        # The cost2 side settles the start on its call i + 1, in turn i // k:
-        # the cost1 side has made (i // k) * k calls under no bound, and from
-        # its next call on it reads the seed, the cost1 of the tree's path.
-        seeded = cost2_order.index(start) // k * k
-        assert reads == [(m, INF if m < seeded else cost2.comp[start])
-                         for m in range(settled1)]
-    assert [(d, a) for d, a, _ in init.settled_per_phase] == [(FORWARD, ATTR2), (BACKWARD, ATTR1)]
-    masks = [mask for _, _, mask in init.settled_per_phase]
-    assert [u for u in range(8) if masks[0][u]] == sorted(cost2_order[:settled2])
-    assert [u for u in range(8) if masks[1][u]] == sorted(cost1_order[:settled1])
+    if status == SHORTCUT:
+        cost1_order = BoundedSearch(g, start, FORWARD, ATTR1).run().order
+        assert masks[1] == sorted(cost1_order[:cost1_order.index(goal) + 1])
 
 
 def _fan() -> Graph:
@@ -591,40 +601,37 @@ def _fan() -> Graph:
 
 @pytest.mark.parametrize("k", ROUND_ONE_KS)
 def test_round_one_cost1_side_runs_out_before_the_seed(monkeypatch, k):
-    # With k up to 8 the cost1 side runs out before the lockstep order reaches
-    # the start in the goal tree's prefix; the whole prefix is still settled
-    # and seeds f1_bar. Above 8 the seed comes first and bounds all three of
-    # the cost1 side's pops.
-    g = _fan()
-    reads = _spy_round_one_cost1_bound(monkeypatch)
-    init = run_init(g, ProblemInstance(0, 7, 10), PLAN_PARALLEL, schedule=("lockstep", k))
+    # The cost1 side runs out after 3 pops, well before the start's place,
+    # the 9th and last, in the goal tree's settle order. The tree is applied
+    # first, so the seed, 10, still bounds all three pops, at every k and
+    # under threads.
+    init, masks = _round_one(monkeypatch, _fan(), ProblemInstance(0, 7, 10),
+                             [("lockstep", k), ("threads", 2)])
     assert init.status == SEARCH
     assert init.gb.f1_bar == 10 and init.gb.record.costs == (10, 4)
-    seeded = 8 // k * k
-    assert reads == [(m, INF if m < seeded else 10) for m in range(3)]
-    masks = [mask for _, _, mask in init.settled_per_phase[:2]]
-    assert [u for u in range(9) if masks[0][u]] == list(range(9))
-    assert [u for u in range(9) if masks[1][u]] == [0, 7, 8]
+    assert masks == [list(range(9)), [0, 7, 8]]
 
 
 @pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],
                          ids=["uni", "seq", "par"])
 def test_threads_round_one_matches_lockstep_above_the_prefix_length(plan):
-    # Under threads the goal tree's prefix is applied whole before the live
-    # search of round one starts, which is what a lockstep turn longer than
-    # the prefix does; the later rounds are left to the threads.
+    # Round one applies the goal tree's prefix whole before its live search
+    # starts, so it is the same under threads as under lockstep at every k,
+    # below the prefix length as well as above it; the later rounds are left
+    # to the threads.
     rng = random.Random(83)
     for _ in range(40):
         n = rng.randint(4, 14)
         g = random_graph(rng.randrange(2**30), n, 2 * n)
         inst = ProblemInstance(0, n - 1, rng.randint(0, 12 * n))
-        lock = run_init(g, inst, plan, schedule=("lockstep", n + 1))
         thr = run_init(g, inst, plan, schedule=("threads", 2))
         width = len(plan[0])
-        assert [(d, a) for d, a, _ in thr.settled_per_phase[:width]] == \
-            [(d, a) for d, a, _ in lock.settled_per_phase[:width]]
-        assert [mask for _, _, mask in thr.settled_per_phase[:width]] == \
-            [mask for _, _, mask in lock.settled_per_phase[:width]]
+        for k in ROUND_ONE_KS + [n + 1]:
+            lock = run_init(g, inst, plan, schedule=("lockstep", k))
+            assert [(d, a) for d, a, _ in thr.settled_per_phase[:width]] == \
+                [(d, a) for d, a, _ in lock.settled_per_phase[:width]]
+            assert [mask for _, _, mask in thr.settled_per_phase[:width]] == \
+                [mask for _, _, mask in lock.settled_per_phase[:width]]
 
 
 def test_run_sides_expired_clock():
@@ -673,3 +680,12 @@ def test_run_sides_rejects_bad_schedule(schedule):
     with pytest.raises(ValueError):
         run_sides(schedule, _toy_sides(log))
     assert log == []
+
+
+@pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],
+                         ids=["uni", "seq", "par"])
+def test_run_init_rejects_bad_schedule_whatever_the_plan(example_graph, plan):
+    # Only round two of the parallel plan runs under the schedule; a bad one
+    # is still refused when no such round runs.
+    with pytest.raises(ValueError):
+        run_init(example_graph, ProblemInstance(S, G, 6), plan, schedule=("lockstep", 0))

@@ -339,16 +339,19 @@ BENCH_USAGE_ERRORS = [
     ([], "0 5 w 6", "'0 5 w 6'"),
     (["--timeout", "nan"], "1 5 w 6", "timeout"),
     (["--timeout", "-1"], "1 5 w 6", "timeout"),
+    (["--repeats", "0"], "1 5 w 6", "--repeats"),
+    (["--repeats", "-2"], "1 5 w 6", "--repeats"),
 ]
 
 
 @pytest.mark.parametrize("flags, row, named", BENCH_USAGE_ERRORS,
                          ids=["queue", "tie", "delta-f", "start-9", "start-0", "timeout-nan",
-                              "timeout-negative"])
+                              "timeout-negative", "repeats-0", "repeats-negative"])
 def test_bench_usage_errors_exit_64(example_dimacs, tmp_path, capsys, flags, row, named):
     # Unknown queue or tie names used to end in a KeyError traceback, --delta-f
     # 0 in a header-only CSV, a row outside the graph in an IndexError or in
-    # error rows for state -1, and a NaN or negative timeout in solves.
+    # error rows for state -1, a NaN or negative timeout in solves, and
+    # --repeats below 1 in rows of one repeat.
     inst = tmp_path / "i.txt"
     inst.write_text(f"1 5 w 6\n{row}\n", encoding="utf-8")
     code = main(["bench", "--instances", str(inst), "--cost1", example_dimacs[0],
@@ -358,6 +361,21 @@ def test_bench_usage_errors_exit_64(example_dimacs, tmp_path, capsys, flags, row
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+@pytest.mark.parametrize("given, missing", [("--cost1", "--cost2"), ("--cost2", "--cost1")])
+def test_bench_with_one_graph_flag_exits_64(example_dimacs, tmp_path, capsys, given, missing):
+    # --cost1 alone used to end in a TypeError traceback from open(None), and
+    # --cost2 alone in "no graph files given".
+    inst = tmp_path / "i.txt"
+    inst.write_text("1 5 w 6\n", encoding="utf-8")
+    path = example_dimacs[0] if given == "--cost1" else example_dimacs[1]
+    code = main(["bench", "--instances", str(inst), given, path])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and missing in err[0]
 
 
 def test_bench_skips_the_bucket_secondary_combination(example_dimacs, tmp_path, capsys):
