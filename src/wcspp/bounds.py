@@ -70,7 +70,7 @@ TREE = "tree"
 TREE_HALF = ((TREE, ATTR1), (TREE, ATTR2))  # indexed by attr, so offers share them
 
 
-@dataclass
+@dataclass(slots=True)
 class SolutionRecord:
     """Best known feasible solution and how to rebuild its path.
 
@@ -305,7 +305,8 @@ class GoalTree:
     """A finished cost2 search from one goal over the reversed graph, the
     record of `BoundedSearch(graph, goal, BACKWARD, ATTR2, bound=limit).run()`:
     its settled states in settle order, with their cost2 (non-decreasing),
-    cost1 companion and predecessor (-1 for the goal), in typed arrays. With
+    cost1 companion and predecessor (-1 for the goal), in typed arrays of
+    32-bit ints (64-bit where a value does not fit), 16 bytes per state. With
     no heuristic an entry's f is its cost2, so for every W <= limit the states
     with cost2 <= W are the prefix of the settle order that a search bounded
     by W settles, in the same order. A tree is never changed once made.
@@ -315,11 +316,19 @@ class GoalTree:
 
     def __init__(self, search: BoundedSearch, limit: int):
         order, dist, comp, pred = search.order, search.dist, search.comp, search.pred
-        self.order = array("q", order)
-        self.dist = array("q", [dist[u] for u in order])
-        self.comp = array("q", [comp[u] for u in order])
-        self.pred = array("q", [-1 if pred[u] is None else pred[u] for u in order])
+        self.order = _int_array(order)
+        self.dist = _int_array([dist[u] for u in order])
+        self.comp = _int_array([comp[u] for u in order])
+        self.pred = _int_array([-1 if pred[u] is None else pred[u] for u in order])
         self.limit = limit
+
+
+def _int_array(values: list) -> array:
+    """`values` as 32-bit ints, or as 64-bit ints if one does not fit."""
+    try:
+        return array("i", values)
+    except OverflowError:
+        return array("q", values)
 
 
 class GoalTrees:

@@ -12,7 +12,10 @@ restored on output.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator, Optional, Sequence
 
 FORWARD = 0
@@ -70,16 +73,19 @@ class Graph:
         the lexicographically smallest (cost1, cost2) pair. `coords`, when
         given, holds one (lat, lon) per state."""
         self.state_count = state_count
-        best: dict[tuple[int, int], tuple[int, int]] = {}
+        # One int per pair: key u * n + v, value (cost1 << 32) | cost2. Both
+        # costs fit in 32 bits, so int order on values is (cost1, cost2) order.
+        best: dict[int, int] = {}
         for u, v, c1, c2 in edges:
             if not (0 <= u < state_count and 0 <= v < state_count):
                 raise GraphFormatError(f"edge ({u},{v}) out of declared state range")
             if c1 < 0 or c2 < 0 or c1 > COST_MAX or c2 > COST_MAX:
                 raise GraphFormatError(f"edge ({u},{v}) cost ({c1},{c2}) outside [0, 2^32)")
-            key = (u, v)
+            key = u * state_count + v
+            costs = (c1 << 32) | c2
             cur = best.get(key)
-            if cur is None or (c1, c2) < cur:
-                best[key] = (c1, c2)
+            if cur is None or costs < cur:
+                best[key] = costs
         self._build_csr(best)
         self.coords = list(coords) if coords is not None else None
         if self.coords is not None and len(self.coords) != state_count:
@@ -91,15 +97,18 @@ class Graph:
         # bounds.ListPool: spare per-state lists for the next solve, made on first use.
         self.list_pool = None
 
-    def _build_csr(self, best: dict[tuple[int, int], tuple[int, int]]) -> None:
+    def _build_csr(self, best: dict[int, int]) -> None:
+        """Fill the forward arrays from `best` in key order, (u, v), and the
+        reverse ones from the same arcs stably re-sorted by v, so in (v, u)
+        order. Empties `best`; both directions share their int objects."""
         n = self.state_count
-        fwd: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        rev: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for (u, v), (c1, c2) in best.items():
-            fwd[u].append((v, c1, c2))
-            rev[v].append((u, c1, c2))
-        self.fwd_index, self.fwd_to, self.fwd_c1, self.fwd_c2 = _flatten(fwd)
-        self.rev_index, self.rev_to, self.rev_c1, self.rev_c2 = _flatten(rev)
+        heads, to, c1, c2 = _sorted_arcs(best, n)
+        self.fwd_index, self.fwd_to, self.fwd_c1, self.fwd_c2 = _offsets(heads, n), to, c1, c2
+        order = sorted(range(len(to)), key=to.__getitem__)
+        self.rev_index = _offsets([to[i] for i in order], n)
+        self.rev_to = [heads[i] for i in order]
+        self.rev_c1 = [c1[i] for i in order]
+        self.rev_c2 = [c2[i] for i in order]
 
     @property
     def edge_count(self) -> int:
@@ -126,25 +135,27 @@ class Graph:
                 yield u, self.fwd_to[i], self.fwd_c1[i], self.fwd_c2[i]
 
 
-def _flatten(adj: list[list[tuple[int, int, int]]]):
-    index = [0] * (len(adj) + 1)
-    to: list[int] = []
-    c1: list[int] = []
-    c2: list[int] = []
-    for u, lst in enumerate(adj):
-        lst.sort()
-        for v, a, b in lst:
-            to.append(v)
-            c1.append(a)
-            c2.append(b)
-        index[u + 1] = len(to)
-    return index, to, c1, c2
+def _sorted_arcs(best: dict[int, int], n: int) -> tuple[list, list, list, list]:
+    """Empty `best` into four lists over its arcs in (u, v) order: u, v,
+    cost1 and cost2."""
+    keys = sorted(best)
+    costs = [best[k] for k in keys]
+    best.clear()
+    return ([k // n for k in keys], [k % n for k in keys],
+            [c >> 32 for c in costs], [c & COST_MAX for c in costs])
 
 
-def _parse_gr(path: str) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Parse a DIMACS 9th-challenge .gr file into (n, m, [(u, v, w), ...]) with 1-based ids."""
+def _offsets(heads: list[int], n: int) -> list[int]:
+    """CSR offsets of arcs sorted by head: where each of states 0..n starts."""
+    return [bisect_left(heads, u) for u in range(n + 1)]
+
+
+def _read_gr(path: str) -> Iterator:
+    """Stream a DIMACS 9th-challenge .gr file: first its state count n, then
+    each arc as (u, v, w) with 1-based ids. Raises GraphFormatError at the
+    first bad line, or at the end if the header's arc count is wrong."""
     n = m = None
-    arcs: list[tuple[int, int, int]] = []
+    found = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -152,9 +163,10 @@ def _parse_gr(path: str) -> tuple[int, int, list[tuple[int, int, int]]]:
                 continue
             parts = line.split()
             if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "sp":
+                if len(parts) != 4 or parts[1] != "sp" or n is not None:
                     raise GraphFormatError(f"{path}:{lineno}: malformed problem line {line!r}")
                 n, m = int(parts[2]), int(parts[3])
+                yield n
             elif parts[0] == "a":
                 if len(parts) != 4:
                     raise GraphFormatError(f"{path}:{lineno}: malformed arc line {line!r}")
@@ -163,14 +175,32 @@ def _parse_gr(path: str) -> tuple[int, int, list[tuple[int, int, int]]]:
                     raise GraphFormatError(f"{path}:{lineno}: arc before problem line")
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise GraphFormatError(f"{path}:{lineno}: state id out of range 1..{n}")
-                arcs.append((u, v, w))
+                found += 1
+                yield u, v, w
             else:
                 raise GraphFormatError(f"{path}:{lineno}: unrecognized line {line!r}")
     if n is None:
         raise GraphFormatError(f"{path}: missing 'p sp <n> <m>' line")
-    if m is not None and m != len(arcs):
-        raise GraphFormatError(f"{path}: header declares {m} arcs, found {len(arcs)}")
-    return n, m, arcs
+    if m != found:
+        raise GraphFormatError(f"{path}: header declares {m} arcs, found {found}")
+
+
+def _paired_arcs(arcs1: Iterator, arcs2: Iterator, file1: str, file2: str) -> Iterator:
+    """Zip two `_read_gr` arc streams into 0-based (u, v, w1, w2)."""
+    count = 0
+    for a1, a2 in zip_longest(arcs1, arcs2):
+        if a1 is None or a2 is None:
+            rest = 1 + sum(1 for _ in (arcs1 if a2 is None else arcs2))
+            counts = (count + rest, count) if a2 is None else (count, count + rest)
+            raise GraphFormatError(
+                f"arc count mismatch: {file1} has {counts[0]}, {file2} has {counts[1]}")
+        (u1, v1, w1), (u2, v2, w2) = a1, a2
+        if u1 != u2 or v1 != v2:
+            raise GraphFormatError(
+                f"arc sequence mismatch between {file1} and {file2}: "
+                f"({u1},{v1}) vs ({u2},{v2})")
+        count += 1
+        yield u1 - 1, v1 - 1, w1, w2
 
 
 def _parse_co(path: str, n: int) -> list[tuple[float, float]]:
@@ -202,24 +232,19 @@ def load_dimacs(cost1_file: str, cost2_file: str, coord_file: Optional[str] = No
     The i-th arc of each file must name the same (u, v) pair; the kept attribute
     pair is (w from file 1, w from file 2). Among duplicate (u, v) arcs exactly
     one survives: the one with the lexicographically smallest (cost1, cost2).
+    The two files are read in lockstep, one arc line from each, straight into
+    the graph, so no per-arc list is built; a bad pair of files reports the
+    first bad line in that reading order, and the coordinate file is read last.
     """
-    n1, _, arcs1 = _parse_gr(cost1_file)
-    n2, _, arcs2 = _parse_gr(cost2_file)
-    if n1 != n2:
-        raise GraphFormatError(
-            f"state count mismatch: {cost1_file} has {n1}, {cost2_file} has {n2}")
-    if len(arcs1) != len(arcs2):
-        raise GraphFormatError(
-            f"arc count mismatch: {cost1_file} has {len(arcs1)}, {cost2_file} has {len(arcs2)}")
-    edges = []
-    for (u1, v1, w1), (u2, v2, w2) in zip(arcs1, arcs2):
-        if (u1, v1) != (u2, v2):
+    with closing(_read_gr(cost1_file)) as arcs1, closing(_read_gr(cost2_file)) as arcs2:
+        n1, n2 = next(arcs1), next(arcs2)
+        if n1 != n2:
             raise GraphFormatError(
-                f"arc sequence mismatch between {cost1_file} and {cost2_file}: "
-                f"({u1},{v1}) vs ({u2},{v2})")
-        edges.append((u1 - 1, v1 - 1, w1, w2))
-    coords = _parse_co(coord_file, n1) if coord_file else None
-    return Graph(n1, edges, coords)
+                f"state count mismatch: {cost1_file} has {n1}, {cost2_file} has {n2}")
+        graph = Graph(n1, _paired_arcs(arcs1, arcs2, cost1_file, cost2_file))
+    if coord_file:
+        graph.coords = _parse_co(coord_file, n1)
+    return graph
 
 
 def write_gr(graph: Graph, path: str, attribute: int, comment: str = "") -> None:
@@ -243,7 +268,7 @@ def randomize_cost2(graph: Graph, seed: int, lo: int, hi: int) -> Graph:
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     rng = random.Random(seed)
-    edges = [(u, v, c1, rng.randint(lo, hi)) for u, v, c1, _ in graph.edges()]
+    edges = ((u, v, c1, rng.randint(lo, hi)) for u, v, c1, _ in graph.edges())
     return Graph(graph.state_count, edges, graph.coords)
 
 

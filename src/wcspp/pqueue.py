@@ -54,7 +54,7 @@ class QueueConfig:
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueStats:
     pushes: int = 0
     pops: int = 0

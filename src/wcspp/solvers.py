@@ -58,7 +58,7 @@ class SolveOptions:
             raise ValueError(f"the timeout must be a number >= 0, got {self.timeout!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Metrics:
     expansions: int = 0
     generations: int = 0
@@ -89,7 +89,7 @@ class Metrics:
         return self.prunes_global_f1 + self.prunes_global_f2
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveOutcome:
     status: str
     costs: Optional[tuple[int, int]] = None

@@ -6,7 +6,7 @@ import sys
 import threading
 
 from wcspp.bounds import ATTR2, INFEASIBLE, BoundedSearch, goal_trees, init_unidirectional
-from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
+from wcspp.graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
 
 from conftest import BUCKET_CFG, DIGEST_OPTIONS, HEAP_CFG, digest, fresh, grid
@@ -175,3 +175,16 @@ def test_second_solve_replays_every_state(inits):
     wider = init_unidirectional(g, ProblemInstance(START, GOAL, W + 300))
     assert wider.tree_replayed == 0 and wider.tree_settled > settled
     assert (cache.hits, cache.misses) == (1, 2) and cache.trees[GOAL].limit == W + 300
+
+
+def test_trees_keep_32_bit_labels_unless_a_value_needs_64():
+    # 16 bytes per label; a cost past 2^31 moves only its own array to 64 bits.
+    small = random_graph(7, 20, 40)
+    tree, _, _ = goal_trees(small).prefix(small, 19, 10**6)
+    assert {a.itemsize for a in (tree.order, tree.dist, tree.comp, tree.pred)} == {4}
+    big = Graph(3, [(0, 1, COST_MAX, 2**31), (1, 2, 1, 1)])
+    tree, count, _ = goal_trees(big).prefix(big, 2, 2**32)
+    assert (tree.order.itemsize, tree.dist.itemsize, tree.comp.itemsize, tree.pred.itemsize) == \
+        (4, 8, 8, 4)
+    assert count == 3 and list(tree.order) == [2, 1, 0] and list(tree.pred) == [-1, 2, 1]
+    assert list(tree.dist) == [0, 1, 2**31 + 1] and list(tree.comp) == [0, 1, COST_MAX + 1]
