@@ -119,16 +119,28 @@ def read_instances(path: str) -> tuple[Optional[tuple[str, str]], list[InstanceR
                 _row_value(parts[2], parts[3])
                 rows.append(InstanceRow(int(parts[0]) - 1, int(parts[1]) - 1, parts[2],
                                         parts[3]))
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected '<start> <goal> w|delta "
                                  f"<value>', got {line!r}") from None
     return header, rows
 
 
 def _row_value(marker: str, text: str):
-    """A row's value: an int weight limit after 'w', a Fraction tightness
-    after 'delta'. Raises ValueError or ZeroDivisionError on bad text."""
-    return int(text) if marker == "w" else Fraction(text)
+    """A row's value: an int weight limit after 'w', a tightness after
+    'delta'. Raises ValueError on bad text."""
+    return int(text) if marker == "w" else tightness(text)
+
+
+def tightness(text: str) -> Fraction:
+    """A constraint tightness, a number in [0, 1]; raises ValueError otherwise.
+    Instance rows, `solve --delta` and `gen-instances --deltas` all read it here."""
+    try:
+        delta = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"tightness {text!r} is not a number") from None
+    if not 0 <= delta <= 1:
+        raise ValueError(f"tightness {text!r} is outside [0, 1]")
+    return delta
 
 
 def _check_row_states(graph: Graph, row: InstanceRow) -> None:
@@ -178,11 +190,22 @@ def gen_instances(graph: Graph, pairs: list[tuple[int, int]], deltas: list[Fract
 
 
 def _queue_config(kind_flag: str, tie_flag: str, delta_f: int) -> QueueConfig:
-    kind = QUEUE_KINDS[kind_flag]
-    tie = TIE_POLICIES[tie_flag]
-    cfg = QueueConfig(kind, 0, 0, delta_f, tie)
+    cfg = QueueConfig(QUEUE_KINDS[kind_flag], 0, 0, delta_f, TIE_POLICIES[tie_flag])
     cfg.validate()
     return cfg
+
+
+def valid_queue_configs(delta_f: int = 1) -> dict[tuple[str, str], QueueConfig]:
+    """Every valid queue configuration, keyed by its (kind, tie) flags, in
+    QUEUE_KINDS x TIE_POLICIES order."""
+    configs = {}
+    for kind_flag in QUEUE_KINDS:
+        for tie_flag in TIE_POLICIES:
+            try:
+                configs[kind_flag, tie_flag] = _queue_config(kind_flag, tie_flag, delta_f)
+            except ValueError:
+                pass  # a kind that cannot honour the tie policy
+    return configs
 
 
 def _solve_options(args) -> SolveOptions:
@@ -252,8 +275,8 @@ def cmd_gen_instances(args) -> int:
             pairs.append((int(s) - 1, int(g) - 1))
         if not all(0 <= u < graph.state_count for pair in pairs for u in pair):
             raise ValueError(f"--pairs states must be 1..{graph.state_count}")
-        deltas = [Fraction(d) for d in args.deltas.split(",")]
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+        deltas = [tightness(d) for d in args.deltas.split(",")]
+    except (OSError, ValueError) as exc:
         return _usage_error(exc)
     rows = gen_instances(graph, pairs, deltas, include_reversed=args.include_reversed)
     if args.output == "-":
@@ -274,6 +297,7 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
     negative limit) gives error cells. `repeats` below 1 raises ValueError."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    configs = valid_queue_configs(delta_f)
     writer = csv.writer(out)
     out.write(CSV_VERSION_LINE + "\n")
     writer.writerow(CSV_COLUMNS)
@@ -292,9 +316,8 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
         for algorithm in algorithms:
             for queue_flag in queue_flags:
                 for tie_flag in tie_flags:
-                    try:
-                        cfg = _queue_config(queue_flag, tie_flag, delta_f)
-                    except ValueError:
+                    cfg = configs.get((queue_flag, tie_flag))
+                    if cfg is None:
                         continue  # unsupported combination, not a cell
                     if failed:
                         record = ["error"] + _NO_RESULT
@@ -394,14 +417,7 @@ def oracle_check(seed: int, graph_count: int, max_states: int, cost_lo: int,
         report("warning: 0 graphs requested; vacuous pass")
         return True, 0
     rng = random.Random(seed)
-    configs = [
-        QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO),
-        QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_FIFO),
-        QueueConfig(HYBRID, 0, 0, 1, TIE_NONE_LIFO),
-        QueueConfig(HYBRID, 0, 0, 1, TIE_SECONDARY),
-        QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_NONE_LIFO),
-        QueueConfig(BINARY_HEAP, 0, 0, 1, TIE_SECONDARY),
-    ]
+    configs = list(valid_queue_configs().values())
     checked = 0
     for gi in range(graph_count):
         n = rng.randint(4, max_states)
@@ -486,9 +502,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _tightness(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        return tightness(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _steps_per_turn(text: str) -> int:
@@ -514,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", type=int, required=True, help="goal state (1-based)")
     lim = p.add_mutually_exclusive_group(required=True)
     lim.add_argument("--weight-limit", "-W", type=int)
-    lim.add_argument("--delta", type=_tightness, help="constraint tightness in (0,1]")
+    lim.add_argument("--delta", type=_tightness, help="constraint tightness in [0,1]")
     p.add_argument("--algorithm", choices=sorted(SOLVERS), default="wc-astar")
     p.add_argument("--queue", choices=sorted(QUEUE_KINDS), default="bucket")
     p.add_argument("--tie", choices=sorted(TIE_POLICIES), default="none-lifo")

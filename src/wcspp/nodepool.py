@@ -1,10 +1,11 @@
-"""Recycling allocator for search nodes plus sparse per-state parent arrays.
+"""Recycling allocator for search nodes plus sparse per-state parent entries.
 
-A search node lives in the pool only while it sits in a priority queue or is
-being processed; once processed, the few fields backtracking needs move into
-the per-state parent arrays and the slot returns to the free list. Freed slots
-are reissued oldest-first; fresh slots are appended one at a time and counted
-in blocks of BLOCK_NODES.
+A search node is one tuple (state, g1, g2, f1, f2, parent_state,
+parent_path_id) that lives in the pool only while it sits in a priority queue
+or is being processed; once processed, its parent pair moves into the
+per-state parent entries and its slot is set to None and returns to the free
+list. Freed slots are reissued oldest-first; fresh slots are appended one at
+a time and counted in blocks of BLOCK_NODES.
 """
 
 from __future__ import annotations
@@ -14,112 +15,84 @@ from typing import Optional
 
 BLOCK_NODES = 16_384  # slots per block in the pool_blocks figure
 
-INF = float("inf")
-
 
 class NodePool:
-    """Slot allocator with recycling; handles are indices into parallel arrays."""
+    """Slot allocator with recycling; a handle indexes one node tuple in `nodes`."""
 
-    __slots__ = ("state", "g1", "g2", "f1", "f2", "parent_state", "parent_path_id",
-                 "_free", "_is_free")
+    __slots__ = ("nodes", "_free")
 
     def __init__(self):
-        self.state: list[int] = []
-        self.g1: list[int] = []
-        self.g2: list[int] = []
-        self.f1: list[int] = []
-        self.f2: list[int] = []
-        self.parent_state: list[Optional[int]] = []
-        self.parent_path_id: list[int] = []
+        self.nodes: list[Optional[tuple]] = []  # None marks a recycled slot
         self._free: deque[int] = deque()
-        self._is_free = bytearray()
 
     def allocate(self, state: int, g1: int, g2: int, f1: int, f2: int,
                  parent_state: Optional[int], parent_path_id: int) -> int:
         """Return a slot holding the given node fields; recycled slots are reused first."""
+        node = (state, g1, g2, f1, f2, parent_state, parent_path_id)
         if self._free:
             h = self._free.popleft()
-            self._is_free[h] = 0
-            self.state[h] = state
-            self.g1[h] = g1
-            self.g2[h] = g2
-            self.f1[h] = f1
-            self.f2[h] = f2
-            self.parent_state[h] = parent_state
-            self.parent_path_id[h] = parent_path_id
+            self.nodes[h] = node
         else:
-            h = len(self.state)
-            self.state.append(state)
-            self.g1.append(g1)
-            self.g2.append(g2)
-            self.f1.append(f1)
-            self.f2.append(f2)
-            self.parent_state.append(parent_state)
-            self.parent_path_id.append(parent_path_id)
-            self._is_free.append(0)
+            h = len(self.nodes)
+            self.nodes.append(node)
         return h
 
     def recycle(self, handle: int) -> None:
-        assert not self._is_free[handle], f"slot {handle} recycled twice"
-        self._is_free[handle] = 1
+        assert self.nodes[handle] is not None, f"slot {handle} recycled twice"
+        self.nodes[handle] = None
         self._free.append(handle)
 
     @property
     def live(self) -> int:
         """Slots handed out and not yet recycled."""
-        return len(self.state) - len(self._free)
+        return len(self.nodes) - len(self._free)
 
     @property
     def slots_created(self) -> int:
         """Distinct slots ever handed out."""
-        return len(self.state)
+        return len(self.nodes)
 
     @property
     def blocks_allocated(self) -> int:
         """Slots counted in BLOCK_NODES-sized blocks, the last one partly filled."""
-        return -(-len(self.state) // BLOCK_NODES)
+        return -(-len(self.nodes) // BLOCK_NODES)
 
 
 class ParentArrays:
-    """Per-state append-only (parent_state, parent_path_id) pairs.
+    """Per-state append-only lists of (parent_state, parent_path_id) pairs.
 
     Entry i (1-based) of state u records the i-th successful expansion of u in
     one search direction; id 0 with parent state None marks the initial node.
-    Only expanded states hold entries, so the arrays grow with the search,
+    Only expanded states hold entries, so the lists grow with the search,
     not with the graph.
     """
 
     def __init__(self):
-        self.parent_state: dict[int, list[Optional[int]]] = {}
-        self.parent_path_id: dict[int, list[int]] = {}
+        self.pairs: dict[int, list[tuple[Optional[int], int]]] = {}
 
     def record_expansion(self, state: int, parent_state: Optional[int],
                          parent_path_id: int) -> int:
         """Append one entry for `state` and return its 1-based index."""
         if parent_state is not None:
-            assert 1 <= parent_path_id <= len(self.parent_state.get(parent_state, ()))
-        states = self.parent_state.get(state)
-        if states is None:
-            states = self.parent_state[state] = []
-            self.parent_path_id[state] = []
-        states.append(parent_state)
-        self.parent_path_id[state].append(parent_path_id)
-        return len(states)
+            assert 1 <= parent_path_id <= len(self.pairs.get(parent_state, ()))
+        pairs = self.pairs.get(state)
+        if pairs is None:
+            pairs = self.pairs[state] = []
+        pairs.append((parent_state, parent_path_id))
+        return len(pairs)
 
     def entries(self, state: int) -> tuple[list[Optional[int]], list[int]]:
-        return self.parent_state.get(state, []), self.parent_path_id.get(state, [])
+        """The state's parent states and parent path ids, in entry order."""
+        pairs = self.pairs.get(state, [])
+        return [p for p, _ in pairs], [i for _, i in pairs]
 
     def backtrack(self, state: int, path_id: int) -> list[int]:
         """States from the search's initial state to `state`, following a recorded path."""
         seq = []
         u, i = state, path_id
-        while True:
+        while u is not None:
             seq.append(u)
-            p = self.parent_state[u][i - 1]
-            if p is None:
-                break
-            i = self.parent_path_id[u][i - 1]
-            u = p
+            u, i = self.pairs[u][i - 1]
         seq.reverse()
         return seq
 

@@ -40,11 +40,10 @@ class QueueConfig:
     def validate(self) -> None:
         if self.kind not in (BUCKET, HYBRID, BINARY_HEAP):
             raise ValueError(f"unknown queue kind {self.kind!r}")
-        if self.kind != BINARY_HEAP:
-            if self.f_max < self.f_min:
-                raise ValueError("f_max must be >= f_min")
-            if self.delta_f < 1:
-                raise ValueError("delta_f must be >= 1")
+        if self.kind != BINARY_HEAP and self.f_max < self.f_min:
+            raise ValueError("f_max must be >= f_min")
+        if self.delta_f < 1:
+            raise ValueError("delta_f must be >= 1")
         if self.kind == BUCKET and self.tie_policy == TIE_SECONDARY:
             raise ValueError("bucket queues use linked lists and cannot tie-break; "
                              "pick none_lifo or none_fifo")
@@ -383,8 +382,9 @@ class BinaryHeapQueue(_QueueBase):
         self._last_popped = None
 
     def push(self, key_primary: int, key_secondary: int, payload) -> None:
-        assert self._last_popped is None or key_primary >= self._last_popped, \
-            f"monotone contract violated: push {key_primary} after pop {self._last_popped}"
+        if self._last_popped is not None and key_primary < self._last_popped:
+            raise MonotonicityError(
+                f"key {key_primary} is behind the last popped key {self._last_popped}")
         self.heap.push((key_primary, key_secondary, payload))
         self._note_push()
 

@@ -243,11 +243,7 @@ class SearchContext:
         kp, ks, handle = item
         pool = self.pool
         gb = self.gb
-        u = pool.state[handle]
-        g1 = pool.g1[handle]
-        g2 = pool.g2[handle]
-        f1 = pool.f1[handle]
-        f2 = pool.f2[handle]
+        u, g1, g2, f1, f2, parent_state, parent_path_id = pool.nodes[handle]
         p = self.p
         fp = f1 if p == ATTR1 else f2
 
@@ -269,10 +265,11 @@ class SearchContext:
             stored_fs = f2 if p == ATTR1 else f1
             if fresh_fs > stored_fs:
                 if p == ATTR1:
-                    f2 = pool.f2[handle] = fresh_fs
+                    f2 = fresh_fs
                 else:
-                    f1 = pool.f1[handle] = fresh_fs
+                    f1 = fresh_fs
                 if self.tie_break:
+                    pool.nodes[handle] = (u, g1, g2, f1, f2, parent_state, parent_path_id)
                     self.metrics.stale_reinserts += 1
                     self.open.push(kp, fresh_fs, handle)
                     return True
@@ -310,8 +307,7 @@ class SearchContext:
                 self.tuned.append((self.opp, p, u, gp, self.s, gs))
 
         self.g_min[u] = gs
-        idx = self.parents.record_expansion(u, pool.parent_state[handle],
-                                            pool.parent_path_id[handle])
+        idx = self.parents.record_expansion(u, parent_state, parent_path_id)
         if self.options.check_invariants:
             seq = self.parents.backtrack(u, idx)
             assert len(set(seq)) == len(seq), "expanded path revisits a state"
@@ -421,7 +417,7 @@ class SearchContext:
 
     def taken(self) -> tuple:
         """(fill, list, written) for the list taken from the graph's pool."""
-        return INF, self.g_min, (self.parents.parent_state,)
+        return INF, self.g_min, (self.parents.pairs,)
 
     def collect(self, metrics: Metrics) -> None:
         metrics.absorb(self.metrics)

@@ -129,13 +129,21 @@ def test_solve_rejects_bucket_with_secondary(example_dimacs, capsys):
     ["--delta", "x"],
     ["--delta", "1/0"],
     [],  # no weight limit at all
+    ["--delta", "7"],  # a tightness outside [0, 1] used to solve
+    ["--delta", "-0.5"],
+    ["-W", "6", "--queue", "binary-heap", "--delta-f", "-3"],  # used to solve
 ])
 def test_solve_usage_errors_exit_64(example_dimacs, capsys, flags):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
-              "--start", "1", "--goal", "5", "--algorithm", "wc-ba"] + flags)
-    assert exc.value.code == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+    # Argument errors exit from the parser; the rest return the code.
+    try:
+        code = main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                     "--start", "1", "--goal", "5", "--algorithm", "wc-ba"] + flags)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
 def test_solve_missing_graph_file_exits_64(example_dimacs, tmp_path, capsys):
@@ -165,7 +173,8 @@ def test_solve_error_inside_the_solver_still_surfaces(example_dimacs, monkeypatc
               "--start", "1", "--goal", "5", "-W", "6"])
 
 
-@pytest.mark.parametrize("row", ["1 2 x 5", "1 2 w x", "a 2 w 5", "1 2 delta 1/0", "1 2 w"])
+@pytest.mark.parametrize("row", ["1 2 x 5", "1 2 w x", "a 2 w 5", "1 2 delta 1/0", "1 2 w",
+                                 "1 2 delta 7", "1 2 delta -0.5"])
 def test_bench_malformed_instance_row_exits_64(example_dimacs, tmp_path, capsys, row):
     inst = tmp_path / "i.txt"
     inst.write_text(f"1 5 w 6\n{row}\n", encoding="utf-8")
@@ -179,7 +188,8 @@ def test_bench_malformed_instance_row_exits_64(example_dimacs, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("pairs, deltas", [("1,5 7", "0.5"), ("1,x", "0.5"), ("1,9", "0.5"),
-                                            ("1,5", "x"), ("1,5", "1/0")])
+                                            ("1,5", "x"), ("1,5", "1/0"),
+                                            ("1,5", "-0.5"), ("1,5", "0.5,1.5")])
 def test_gen_instances_bad_pairs_or_deltas_exit_64(example_dimacs, capsys, pairs, deltas):
     code = main(["gen-instances", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
                  "--pairs", pairs, "--deltas", deltas])
@@ -194,6 +204,14 @@ def test_solve_command_lockstep_k(example_dimacs, capsys):
                  "--algorithm", "wc-ebba-par"])
     assert code == EXIT_OPTIMAL
     assert "optimal 5 5" in capsys.readouterr().out
+
+
+def test_gen_instances_accepts_both_ends_of_the_tightness_range(example_dimacs, capsys):
+    # Tightness 0 gives the pair's h2 and 1 its ub2.
+    code = main(["gen-instances", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--pairs", "1,5", "--deltas", "0,1"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["1 5 w 3", "1 5 w 8"]
 
 
 def test_gen_instances_command_roundtrip(example_dimacs, tmp_path):

@@ -45,6 +45,14 @@ def test_heap_and_hybrid_reject_fifo():
 
 
 @pytest.mark.parametrize("kind,tie", ALL_CONFIGS)
+def test_every_kind_rejects_delta_f_below_one(kind, tie):
+    # The binary heap ignores delta_f but used to accept any value for it.
+    for delta_f in (0, -3):
+        with pytest.raises(ValueError, match="delta_f"):
+            make(kind, tie, delta_f=delta_f)
+
+
+@pytest.mark.parametrize("kind,tie", ALL_CONFIGS)
 def test_single_element(kind, tie):
     q = make(kind, tie, 0, 10)
     q.push(4, 0, "a")
@@ -147,7 +155,7 @@ def test_stats_counters():
 
 
 def test_monotonicity_violation_raises():
-    for kind in (BUCKET, HYBRID):
+    for kind in (BUCKET, HYBRID, BINARY_HEAP):
         q = make(kind, TIE_NONE_LIFO, 0, 100, 1)
         q.push(5, 0, "a")
         q.pop()

@@ -498,12 +498,26 @@ def test_degenerate_budget_behaves_like_forward_search():
             constrained_optimum(g, 0, 3, w)
 
 
-def test_timeout_zero_returns_init_incumbent(example_graph):
-    out = solve_wc_ebba_par(example_graph, ProblemInstance(S, G, 6), BUCKET_CFG,
-                            SolveOptions(timeout=0.0))
-    assert out.status == "timeout"
-    # the parallel initialisation already matched a feasible (6,4) join
-    assert out.costs == (6, 4)
+# (status, costs) of each solver at timeout 0 on the example, W = 6.
+TIMEOUT_ZERO = {"wc-astar": ("timeout", (7, 3)), "wc-ba": ("timeout", (6, 4)),
+                "wc-ebba": ("optimal", (5, 5)), "wc-ebba-par": ("timeout", (6, 4))}
+
+
+@pytest.mark.parametrize("name", TIMEOUT_ZERO)
+def test_timeout_zero_returns_init_incumbent(example_graph, name):
+    status, costs = TIMEOUT_ZERO[name]
+    inst = ProblemInstance(S, G, 6)
+    out = SOLVERS[name](example_graph, inst, BUCKET_CFG, SolveOptions(timeout=0.0))
+    assert (out.status, out.costs) == (status, costs)
+    if out.status == "timeout":
+        # The incumbent the init found: a feasible path with the reported costs.
+        assert out.costs[1] <= inst.weight_limit
+        assert path_cost(example_graph, out.path) == out.costs
+    else:
+        # The init decided the solve, so no search ran and the timeout did not matter.
+        assert out.metrics.expansions == 0
+        full = SOLVERS[name](example_graph, inst, BUCKET_CFG, SolveOptions())
+        assert (full.status, full.costs) == (status, costs)
 
 
 @pytest.mark.parametrize("timeout", [math.nan, -1.0, -1e-9])
