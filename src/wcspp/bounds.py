@@ -7,12 +7,13 @@ graph, bounded by the weight limit W, with no heuristic, mask or joins. It
 depends only on the goal and on W, and a run bounded by W settles exactly
 the prefix with cost2 <= W of any run with a larger bound, in the same order.
 So it is not rerun per solve: each graph records one finished search per goal
-(`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`), reruns it
-only for a W above the recorded bound, and serves the prefix as data: round
-one writes the whole prefix into an ordinary `BoundedSearch`'s lists in one
-loop, then seeds f1_bar from the start's entry or, when the prefix lacks the
-start, marks the init INFEASIBLE. Only then does the parallel plan's live
-cost1 search of round one start, under every schedule.
+(`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in
+bytes), reruns it only for a W above the recorded bound, and serves the
+prefix as data: round one writes the whole prefix into an ordinary
+`BoundedSearch`'s lists in one loop, then seeds f1_bar from the start's entry
+or, when the prefix lacks the start, marks the init INFEASIBLE. Only then
+does the parallel plan's live cost1 search of round one start, under every
+schedule.
 
 Every live init search is its `BoundedSearch.steps()` generator, with the
 joins against the opposite tables and its target test done inside the settle
@@ -305,14 +306,16 @@ class GoalTree:
     """A finished cost2 search from one goal over the reversed graph, the
     record of `BoundedSearch(graph, goal, BACKWARD, ATTR2, bound=limit).run()`:
     its settled states in settle order, with their cost2 (non-decreasing),
-    cost1 companion and predecessor (-1 for the goal), in typed arrays of
-    32-bit ints (64-bit where a value does not fit), 16 bytes per state. With
-    no heuristic an entry's f is its cost2, so for every W <= limit the states
-    with cost2 <= W are the prefix of the settle order that a search bounded
-    by W settles, in the same order. A tree is never changed once made.
+    cost1 companion and predecessor (-1 for the goal), in four typed arrays,
+    each of the narrowest int width that holds its values (`_int_array`):
+    8 bytes per state where every value fits in 16 bits. `nbytes` is the
+    arrays' size. With no heuristic an entry's f is its cost2, so for every
+    W <= limit the states with cost2 <= W are the prefix of the settle order
+    that a search bounded by W settles, in the same order. A tree is never
+    changed once made.
     """
 
-    __slots__ = ("order", "dist", "comp", "pred", "limit")
+    __slots__ = ("order", "dist", "comp", "pred", "limit", "nbytes")
 
     def __init__(self, search: BoundedSearch, limit: int):
         order, dist, comp, pred = search.order, search.dist, search.comp, search.pred
@@ -321,26 +324,33 @@ class GoalTree:
         self.comp = _int_array([comp[u] for u in order])
         self.pred = _int_array([-1 if pred[u] is None else pred[u] for u in order])
         self.limit = limit
+        self.nbytes = sum(a.itemsize * len(a)
+                          for a in (self.order, self.dist, self.comp, self.pred))
 
 
 def _int_array(values: list) -> array:
-    """`values` as 32-bit ints, or as 64-bit ints if one does not fit."""
-    try:
-        return array("i", values)
-    except OverflowError:
-        return array("q", values)
+    """`values` as 16-bit ints, else 32-bit, else 64-bit: the narrowest width
+    that holds every one of them."""
+    for code in "hi":
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return array("q", values)
 
 
 class GoalTrees:
     """A graph's goal trees, least recently used first out, holding at most
-    `8 * n` settled states in all. One lock serialises lookups and rebuilds.
-    An init reads its tree outside the lock: a rebuild swaps in a new tree
-    and leaves the old one to the inits that hold it.
+    `256 * n` bytes of tree arrays in all (`size` and `capacity` count
+    `GoalTree.nbytes`): 32 whole-graph trees at 8 bytes per state. One lock
+    serialises lookups and rebuilds. An init reads its tree outside the lock:
+    a rebuild swaps in a new tree and leaves the old one to the inits that
+    hold it.
     """
 
     def __init__(self, state_count: int):
         self.state_count = state_count
-        self.capacity = 8 * state_count
+        self.capacity = 256 * state_count
         self.trees: OrderedDict[int, GoalTree] = OrderedDict()
         self.size = 0
         self.hits = self.misses = self.evictions = 0
@@ -361,16 +371,16 @@ class GoalTrees:
                 return tree, bisect_right(tree.dist, limit), 0
             self.misses += 1
             if tree is not None:
-                self.size -= len(tree.order)
+                self.size -= tree.nbytes
             search = BoundedSearch(graph, goal, BACKWARD, ATTR2, bound=limit).run()
             tree = self.trees[goal] = GoalTree(search, limit)
             list_pool(graph).give(search.taken())
-            count = len(tree.order)
-            self.size += count
+            self.size += tree.nbytes
             while self.size > self.capacity and len(self.trees) > 1:
                 _, old = self.trees.popitem(last=False)
-                self.size -= len(old.order)
+                self.size -= old.nbytes
                 self.evictions += 1
+            count = len(tree.order)
             return tree, count, count
 
 

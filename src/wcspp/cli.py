@@ -291,28 +291,34 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
               queue_flags: list[str], tie_flags: list[str], repeats: int,
               delta_f: int, out: TextIO, timeout: Optional[float] = None) -> int:
     """Run the full (instance x algorithm x queue x tie) matrix; one CSV row per
-    cell, taken from the repeat with the median runtime. Each instance's goal
-    tree is built for its W before its cells, so `runtime_us` excludes it. A
-    row whose weight cannot be resolved (a state outside the graph, a
-    negative limit) gives error cells. `repeats` below 1 raises ValueError."""
+    cell, taken from the repeat with the median runtime. Every row's weight
+    is resolved first. Before a row's cells its goal's tree is looked up at
+    the largest W among that goal's rows, so `runtime_us` excludes the build
+    and a goal is built once while the cache holds it. A row whose weight
+    cannot be resolved (a state outside the graph, a negative limit) gives
+    error cells. `repeats` below 1 raises ValueError."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     configs = valid_queue_configs(delta_f)
+    resolved = []  # (row, instance_id, weight, failed)
+    largest: dict[int, int] = {}  # goal -> the largest W among its rows
+    for row in rows:
+        instance_id = f"{row.start + 1}-{row.goal + 1}-{row.marker}{row.value}"
+        try:
+            weight, failed = resolve_weight(graph, row), False
+        except ValueError as exc:  # a bad row must not abort the batch
+            _warn(f"instance {instance_id}: {exc}")
+            weight, failed = None, True
+        if weight is not None:
+            largest[row.goal] = max(weight, largest.get(row.goal, weight))
+        resolved.append((row, instance_id, weight, failed))
     writer = csv.writer(out)
     out.write(CSV_VERSION_LINE + "\n")
     writer.writerow(CSV_COLUMNS)
     count = 0
-    for row in rows:
-        instance_id = f"{row.start + 1}-{row.goal + 1}-{row.marker}{row.value}"
-        try:
-            weight = resolve_weight(graph, row)
-            if weight is not None:
-                # Build the goal's cached init tree first, so no cell pays for it.
-                goal_trees(graph).prefix(graph, row.goal, weight)
-            failed = False
-        except ValueError as exc:  # a bad row must not abort the batch
-            _warn(f"instance {instance_id}: {exc}")
-            weight, failed = None, True
+    for row, instance_id, weight, failed in resolved:
+        if weight is not None:
+            goal_trees(graph).prefix(graph, row.goal, largest[row.goal])
         for algorithm in algorithms:
             for queue_flag in queue_flags:
                 for tie_flag in tie_flags:
@@ -401,6 +407,10 @@ def cmd_bench(args) -> int:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             run_bench(graph, rows, algorithms, queues, ties, args.repeats, args.delta_f,
                       fh, args.timeout)
+    cache = goal_trees(graph)
+    print(f"info: goal trees hits={cache.hits} misses={cache.misses} "
+          f"evictions={cache.evictions} trees={len(cache.trees)} bytes={cache.size}",
+          file=sys.stderr)
     return 0
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import wcspp.cli as cli_mod
-from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, list_pool
+from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, goal_trees, list_pool
 from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTIMAL,
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
@@ -281,19 +281,37 @@ def test_bench_repeats_deterministic_counts(example_dimacs, tmp_path):
 
 
 def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
-    # Every cell replays the tree that run_bench built; a goal outside the
-    # graph still becomes an error row instead of ending the batch.
+    # Every cell replays the tree that run_bench built, once per goal at its
+    # largest W whatever the rows' order; a goal outside the graph still
+    # becomes an error row instead of ending the batch.
+    for text in ("1 5 w 6\n1 5 w 3\n1 9 w 6\n", "1 5 w 3\n1 5 w 6\n1 9 w 6\n"):
+        inst = tmp_path / "i.txt"
+        inst.write_text(text, encoding="utf-8")
+        _, rows = read_instances(str(inst))
+        g = load_dimacs(*example_dimacs)
+        buf = io.StringIO()
+        assert run_bench(g, rows, sorted(SOLVERS), ["bucket"], ["none-lifo"], 2, 1, buf) == 12
+        cache = g.goal_trees
+        assert (cache.misses, cache.evictions) == (1, 0), text
+        assert cache.trees[4].limit == 6
+        cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
+        assert [row[4] for row in cells].count("error") == 4
+
+
+def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, capsys):
     inst = tmp_path / "i.txt"
-    inst.write_text("1 5 w 6\n1 5 w 3\n1 9 w 6\n", encoding="utf-8")
-    _, rows = read_instances(str(inst))
+    inst.write_text("1 5 w 3\n1 5 w 6\n", encoding="utf-8")
+    code = main(["bench", "--instances", str(inst), "--cost1", example_dimacs[0],
+                 "--cost2", example_dimacs[1], "--repeats", "1", "--algorithms", "wc-astar"])
+    assert code == 0
+    captured = capsys.readouterr()
+    # 2 lookups before the cells, then 1 per solve: 1 miss, 3 hits.
     g = load_dimacs(*example_dimacs)
-    buf = io.StringIO()
-    assert run_bench(g, rows, sorted(SOLVERS), ["bucket"], ["none-lifo"], 2, 1, buf) == 12
-    cache = g.goal_trees
-    assert (cache.misses, cache.evictions) == (1, 0)
-    assert cache.trees[4].limit == 6
-    cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
-    assert [row[4] for row in cells].count("error") == 4
+    tree, _, _ = goal_trees(g).prefix(g, 4, 6)
+    assert captured.err.splitlines() == [
+        f"info: goal trees hits=3 misses=1 evictions=0 trees=1 bytes={tree.nbytes}"]
+    assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
+    assert len(captured.out.splitlines()) == 4
 
 
 def test_bench_failure_becomes_status_row(example_dimacs, tmp_path):

@@ -5,7 +5,8 @@ import random
 import sys
 import threading
 
-from wcspp.bounds import ATTR2, INFEASIBLE, BoundedSearch, goal_trees, init_unidirectional
+from wcspp.bounds import ATTR2, INFEASIBLE, BoundedSearch, _int_array, goal_trees, \
+    init_unidirectional
 from wcspp.graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
 
@@ -106,16 +107,37 @@ def test_htf_tuning_does_not_leak_into_the_cache(inits):
 
 
 def test_eviction_keeps_the_bound_and_the_answers(inits):
+    # n = 256, so the budget is 65,536 bytes: exactly 32 whole-graph trees of
+    # 256 labels at 8 bytes each. A 33rd tree evicts the least recently used.
     g = grid()
-    goals = [GOAL, 0, 255, 77, 30, 100, 12, 66, 90, 121, 44, 5]
-    for goal in goals:
-        check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
     cache = goal_trees(g)
-    assert cache.evictions > 0 and GOAL not in cache.trees
-    assert cache.size == sum(len(t.order) for t in cache.trees.values())
+    for goal in range(32):
+        check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
+    assert (cache.size, cache.capacity, cache.evictions) == (65536, 65536, 0)
+    check(g, ProblemInstance(START, 32, 10**6), inits, names=("wc-astar",))
+    assert cache.evictions == 1 and 0 not in cache.trees
+    for goal in range(1, 33):
+        assert cache.prefix(g, goal, 10**6)[1:] == (256, 0)
+    assert (cache.hits, cache.misses) == (32, 33)
+    assert cache.size == sum(t.nbytes for t in cache.trees.values())
     assert cache.size <= cache.capacity
     check(g, ProblemInstance(START, GOAL, W), inits)
-    assert cache.misses == len(goals) + 1
+    assert cache.misses == 34 and cache.size <= cache.capacity
+
+
+def test_a_cycle_of_goals_that_fits_stops_missing(inits):
+    # The benchmark solves the same queries pass after pass. Once every
+    # goal's tree fits the budget, the second round is all hits.
+    g = grid()
+    queries = [ProblemInstance(START, goal, W if goal % 2 else 10**6)
+               for goal in range(0, 240, 10)]
+    cache = goal_trees(g)
+    for inst in queries:
+        check(g, inst, inits, names=("wc-astar",))
+    assert (cache.misses, cache.evictions) == (len(queries), 0)
+    for inst in queries:
+        check(g, inst, inits, names=("wc-astar",))
+    assert (cache.hits, cache.misses, cache.evictions) == (len(queries), len(queries), 0)
 
 
 def test_threads_schedule(inits):
@@ -177,14 +199,22 @@ def test_second_solve_replays_every_state(inits):
     assert (cache.hits, cache.misses) == (1, 2) and cache.trees[GOAL].limit == W + 300
 
 
-def test_trees_keep_32_bit_labels_unless_a_value_needs_64():
-    # 16 bytes per label; a cost past 2^31 moves only its own array to 64 bits.
+def test_trees_take_the_narrowest_width_per_array():
+    assert [_int_array(v).typecode for v in
+            ([-1, 32767], [-32768], [32768], [-32769], [2**31 - 1], [2**31], [-1, -2**31 - 1])] \
+        == ["h", "h", "i", "i", "i", "q", "q"]
+    # 8 bytes per label where every value fits in 16 bits.
     small = random_graph(7, 20, 40)
     tree, _, _ = goal_trees(small).prefix(small, 19, 10**6)
-    assert {a.itemsize for a in (tree.order, tree.dist, tree.comp, tree.pred)} == {4}
-    big = Graph(3, [(0, 1, COST_MAX, 2**31), (1, 2, 1, 1)])
-    tree, count, _ = goal_trees(big).prefix(big, 2, 2**32)
-    assert (tree.order.itemsize, tree.dist.itemsize, tree.comp.itemsize, tree.pred.itemsize) == \
-        (4, 8, 8, 4)
-    assert count == 3 and list(tree.order) == [2, 1, 0] and list(tree.pred) == [-1, 2, 1]
-    assert list(tree.dist) == [0, 1, 2**31 + 1] and list(tree.comp) == [0, 1, COST_MAX + 1]
+    assert {a.itemsize for a in (tree.order, tree.dist, tree.comp, tree.pred)} == {2}
+    assert tree.nbytes == 8 * len(tree.order) == goal_trees(small).size
+    # A cost2 distance of 32,768 moves only the dist array to 32 bits, one
+    # past 2^31 moves it to 64; the cost1 companion widens on its own.
+    for c1, c2, widths in ((5, 32767, (2, 4, 2, 2)), (COST_MAX, 2**31, (2, 8, 8, 2))):
+        big = Graph(3, [(0, 1, c1, c2), (1, 2, 1, 1)])
+        tree, count, _ = goal_trees(big).prefix(big, 2, 2**32)
+        arrays = (tree.order, tree.dist, tree.comp, tree.pred)
+        assert tuple(a.itemsize for a in arrays) == widths
+        assert tree.nbytes == 3 * sum(widths) == goal_trees(big).size
+        assert count == 3 and list(tree.order) == [2, 1, 0] and list(tree.pred) == [-1, 2, 1]
+        assert list(tree.dist) == [0, 1, c2 + 1] and list(tree.comp) == [0, 1, c1 + 1]
