@@ -9,17 +9,16 @@ the prefix with cost2 <= W of any run with a larger bound, in the same order.
 So it is not rerun per solve: each graph records one finished search per goal
 (`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in
 bytes), reruns it only for a W above the recorded bound, and serves the
-prefix as data: round one writes the whole prefix into an ordinary
+prefix as data: the first search writes the whole prefix into an ordinary
 `BoundedSearch`'s lists in one loop, then seeds f1_bar from the start's entry
-or, when the prefix lacks the start, marks the init INFEASIBLE. Only then
-does the parallel plan's live cost1 search of round one start, under every
-schedule.
+or, when the prefix lacks the start, marks the init INFEASIBLE.
 
-Every live init search is its `BoundedSearch.steps()` generator, with the
-joins against the opposite tables and its target test done inside the settle
-loop; it yields once per settled state and ends by itself once either search
-of its round has decided the init, so `run_sides` drives it like any other
-side.
+Every later init search is a live `BoundedSearch`, with the joins against
+the opposite tables and its target test done inside the settle loop. The
+searches of a round run one after another in plan order, each to its end,
+under every schedule: the schedule drives only the solvers' main searches
+(`run_sides`). A search that starts once the init is decided settles
+nothing.
 
 The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
 `settled`, the round-two and S' masks, each search context's `g_min`) come
@@ -195,8 +194,9 @@ class BoundedSearch:
     tables, and the target's label seeds f1_bar (cost2) or decides the init
     as the optimum (cost1 within the weight limit: SHORTCUT); a cost2 search
     that ends without settling its target marks the init INFEASIBLE. Such a
-    search settles nothing once `init.status` is no longer SEARCH, read
-    before each state it settles.
+    search settles nothing once `init.status` is no longer SEARCH, whether
+    another search decided the init before it started or it decided it
+    itself.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
@@ -505,11 +505,11 @@ _DONE = object()
 
 def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool = True,
               clock: Optional[Clock] = None) -> bool:
-    """Drive the two sides of a bidirectional search under one schedule.
+    """Drive the two sides of a solver's bidirectional main search under one
+    schedule; the init searches do not run here.
 
     Each side is an iterator: one `next` does one unit of work, and the side
-    is done once its iterator is exhausted. A side that must halt when the
-    other decides the search ends its own iterator. ('lockstep', k) gives
+    is done once its iterator is exhausted. ('lockstep', k) gives
     each side k steps per turn, in the order given, so runs repeat exactly;
     ('threads', 2) runs each side on its own thread. The clock is consulted
     before every step. With `require_both=False` the run ends as soon as one
@@ -609,7 +609,7 @@ def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[GeoHeuristic
 
 
 # Init plans: a tuple of rounds, each one or two (table direction, attribute)
-# searches. The searches of a round run side by side under the schedule.
+# searches. The searches of a round run one after another, in this order.
 PLAN_UNIDIRECTIONAL = (((FORWARD, ATTR2),), ((FORWARD, ATTR1),))
 PLAN_SEQUENTIAL = (((FORWARD, ATTR2),), ((BACKWARD, ATTR2),), ((BACKWARD, ATTR1),),
                    ((FORWARD, ATTR1),))
@@ -649,20 +649,14 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
                          allowed=allowed, init=result, target=target, joins=joins)
 
 
-def _tree_round(graph: Graph, inst: ProblemInstance, result: InitResult,
-                rnd: tuple) -> list[BoundedSearch]:
-    """Round one: the (FORWARD, cost2) search served from the goal's tree,
-    then the round's live search, if it has one, run to its end.
-
-    The tree's whole cost2 <= W prefix is written first; the start's entry
-    seeds f1_bar, or the init is INFEASIBLE when the prefix lacks the start.
-    The prefix has no joins, so finishing it before the live search moves is
-    one valid interleaving of the round's two searches, the same under every
-    schedule: the live cost1 search is bounded by the seed from its first
-    pop, and settles nothing once the init is decided.
-    """
+def _tree_search(graph: Graph, inst: ProblemInstance, result: InitResult) -> BoundedSearch:
+    """The plan's first search, (FORWARD, cost2), served from the goal's tree:
+    the tree's whole cost2 <= W prefix is written into a finished search's
+    lists, then the start's entry seeds f1_bar, or the init is INFEASIBLE
+    when the prefix lacks the start."""
     gb = result.gb
     search = BoundedSearch(graph, inst.goal, BACKWARD, ATTR2, bound=gb.f2_bar)
+    search.heap.clear()  # the prefix is all a search bounded by W settles
     tree, count, rebuilt = goal_trees(graph).prefix(graph, inst.goal, gb.f2_bar)
     result.tree_replayed, result.tree_settled = count - rebuilt, rebuilt
     search.order.extend(islice(tree.order, count))
@@ -679,28 +673,26 @@ def _tree_round(graph: Graph, inst: ProblemInstance, result: InitResult,
         gb.seed(comp[start], dist[start], join_halves(BACKWARD, start, TREE_HALF[ATTR2], None))
     else:
         result.status = INFEASIBLE
-    return [search] + [_init_search(graph, inst, result, table_dir, attr, None).run()
-                       for table_dir, attr in rnd[1:]]
+    return search
 
 
-def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
-             schedule: tuple = ("lockstep", 1)) -> InitResult:
-    """Run an init plan round by round; the two searches of a later round
-    run side by side under `schedule` until both are done or either decides
-    the init.
+def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
+    """Run an init plan round by round, and each round's searches one after
+    another in plan order, each to its end.
 
-    Round one is the same under every schedule (`_tree_round`): the
-    (FORWARD, cost2) search is served whole from the goal's cached tree,
-    then the round's live search, if any, runs. Every search after the
-    first round is restricted to the states that all searches of the
-    previous round settled. The init ends early on INFEASIBLE or SHORTCUT;
-    otherwise S' is the union of the last round's settled states. Both
-    masks are taken from the graph's pool and scattered from the searches'
-    settle orders, so building them costs O(settled), not O(n), in Python.
-    Every list taken is listed in `result.taken`. A bad schedule, or a
-    start or goal that is not a state of the graph, raises ValueError.
+    The plan's first search, (FORWARD, cost2), is served whole from the
+    goal's cached tree (`_tree_search`). A round's searches are all made
+    before the first of them runs, so none joins against a table of its own
+    round; they share only the global bounds, and a search that starts once
+    the init is decided settles nothing. Every search after the first round
+    is restricted to the states that all searches of the previous round
+    settled. The init ends early on INFEASIBLE or SHORTCUT; only a SEARCH
+    init gets S', the union of the last round's settled states. Both masks
+    are taken from the graph's pool and scattered from the searches' settle
+    orders, so building them costs O(settled), not O(n), in Python. Every
+    list taken is listed in `result.taken`. A start or goal that is not a
+    state of the graph raises ValueError.
     """
-    parse_schedule(schedule)  # rejected even when no round runs side by side
     n = graph.state_count
     for end, state in (("start", inst.start), ("goal", inst.goal)):
         if not 0 <= state < n:
@@ -709,36 +701,32 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple,
     gb = GlobalBounds(inst.weight_limit)
     tables = BoundsTables()
     result = InitResult(SEARCH, tables, gb)
-    allowed = None
     searches: list[BoundedSearch] = []
     for rnd in plan:
-        if len(searches) == 1:
-            allowed = searches[0].settled
-        elif searches:
-            first, second = searches
-            in_second = second.settled
-            allowed = pool.take(False)
-            for u in first.order:
-                if in_second[u]:
-                    allowed[u] = True
-            result.taken.append((False, allowed, (first.order,)))
         if not searches:
-            searches = _tree_round(graph, inst, result, rnd)
+            allowed = None
+            searches = [_tree_search(graph, inst, result)]  # the round's first search
         else:
-            searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
-                        for table_dir, attr in rnd]
             if len(searches) == 1:
-                searches[0].run()
+                allowed = searches[0].settled
             else:
-                run_sides(schedule, [search.steps() for search in searches])
+                first, second = searches
+                in_second = second.settled
+                allowed = pool.take(False)
+                for u in first.order:
+                    if in_second[u]:
+                        allowed[u] = True
+                result.taken.append((False, allowed, (first.order,)))
+            searches = []
+        searches += [_init_search(graph, inst, result, table_dir, attr, allowed)
+                     for table_dir, attr in rnd[len(searches):]]
         for (table_dir, attr), search in zip(rnd, searches):
+            search.run()
             tables.install(table_dir, attr, search.dist, search.comp, search.pred)
             result.settled_per_phase.append((table_dir, attr, search.settled))
             result.taken += search.taken()
         if result.status != SEARCH:
-            break
-    if result.status == INFEASIBLE:
-        return result
+            return result
     if len(searches) == 1:
         result.valid_states = searches[0].settled
         result.valid_members = searches[0].order
@@ -765,11 +753,10 @@ def init_sequential_bidirectional(graph: Graph, inst: ProblemInstance) -> InitRe
     return run_init(graph, inst, PLAN_SEQUENTIAL)
 
 
-def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance,
-                                schedule: tuple = ("lockstep", 1)) -> InitResult:
-    """Two rounds of two concurrent searches, the second mirroring the
-    attributes of the first (wc-ba, wc-ebba-par)."""
-    return run_init(graph, inst, PLAN_PARALLEL, schedule=schedule)
+def init_parallel_bidirectional(graph: Graph, inst: ProblemInstance) -> InitResult:
+    """Two rounds of two searches, the second mirroring the attributes of the
+    first (wc-ba, wc-ebba-par)."""
+    return run_init(graph, inst, PLAN_PARALLEL)
 
 
 def budget_factors(members: Iterable[int], h_f1: Sequence, h_b1: Sequence) -> BudgetFactors:

@@ -487,16 +487,15 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
     metrics.wall_time_s = time.monotonic() - started
 
     record = gb.record
-    if record.costs is None:
-        outcome = SolveOutcome(STATUS_TIMEOUT if timed_out else STATUS_INFEASIBLE,
-                               None, None, metrics, record, qstats, gb.incumbents)
-    else:
+    costs = path = None
+    if record.costs is not None:
+        costs = tuple(record.costs)
         path = reconstruct_solution(record, init.tables, parents)
         if options.check_invariants and not timed_out:
-            assert tuple(path_cost(graph, path)) == tuple(record.costs)
-        outcome = SolveOutcome(STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL,
-                               tuple(record.costs), path, metrics, record, qstats,
-                               gb.incumbents)
+            assert tuple(path_cost(graph, path)) == costs
+    status = (STATUS_TIMEOUT if timed_out else STATUS_INFEASIBLE if costs is None
+              else STATUS_OPTIMAL)
+    outcome = SolveOutcome(status, costs, path, metrics, record, qstats, gb.incumbents)
     if options.record:
         outcome.tuned = [t for ctx in contexts for t in ctx.tuned]
         outcome.trace = {("forward" if c.direction == FORWARD else "backward"): c.trace
@@ -506,40 +505,40 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
     return outcome
 
 
+def _contexts(graph: Graph, inst: ProblemInstance, init: InitResult, queue: QueueConfig,
+              options: SolveOptions, orderings: tuple, *, htf: bool = False,
+              biased: bool = False) -> list[SearchContext]:
+    """The solve's search contexts, one per entry of `orderings`: the forward
+    search from the start, then the backward one from the goal. There are
+    none when the init decided the solve. A biased pair (wc-ebba,
+    wc-ebba-par) splits the weight budget by `budget_factors` over S' and
+    shares the Match/Store lists."""
+    if init.status != SEARCH:
+        return []
+    budgets = chis = (None, None)  # indexed by direction
+    if biased:
+        beta = budget_factors(init.valid_members, init.tables.h[FORWARD][ATTR1],
+                              init.tables.h[BACKWARD][ATTR1])
+        budgets = (beta.forward, beta.backward)
+        chis = ({}, {})
+    return [SearchContext(graph, init.tables, init.gb, d, ordering, queue, end,
+                          budget=budgets[d], budget_opp=budgets[1 - d], chi_mine=chis[d],
+                          chi_opp=chis[1 - d], htf=htf, options=options)
+            for d, ordering, end in zip((FORWARD, BACKWARD), orderings, (inst.start, inst.goal))]
+
+
 def solve_wc_astar(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
                    options: Optional[SolveOptions] = None) -> SolveOutcome:
     """Unidirectional forward search in (f1, f2) order."""
     options = options or SolveOptions()
     started = time.monotonic()
     init = init_unidirectional(graph, inst)
-    if init.status != SEARCH:
-        return _finish(graph, init, [], options, started, False)
-
-    ctx = SearchContext(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start,
-                        options=options)
+    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12,))
     clock = Clock(options.timeout)
-    while not clock.expired() and ctx.step():
-        pass
-    return _finish(graph, init, [ctx], options, started, clock.timed_out)
-
-
-def _ebba_contexts(graph: Graph, inst: ProblemInstance, init: InitResult,
-                   queue: QueueConfig, options: SolveOptions) -> list[SearchContext]:
-    """Forward and backward contexts of the biased bidirectional search: budget
-    factors and the shared Match/Store lists."""
-    beta = budget_factors(init.valid_members, init.tables.h[FORWARD][ATTR1],
-                          init.tables.h[BACKWARD][ATTR1])
-    chi_f: dict = {}
-    chi_b: dict = {}
-    contexts = []
-    for d, chi_mine, chi_opp, b_own, b_opp in (
-            (FORWARD, chi_f, chi_b, beta.forward, beta.backward),
-            (BACKWARD, chi_b, chi_f, beta.backward, beta.forward)):
-        start_state = inst.start if d == FORWARD else inst.goal
-        contexts.append(SearchContext(graph, init.tables, init.gb, d, ORDER_12, queue,
-                                      start_state, budget=b_own, budget_opp=b_opp,
-                                      chi_mine=chi_mine, chi_opp=chi_opp, options=options))
-    return contexts
+    for ctx in contexts:
+        while not clock.expired() and ctx.step():
+            pass
+    return _finish(graph, init, contexts, options, started, clock.timed_out)
 
 
 def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
@@ -549,27 +548,25 @@ def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     options = options or SolveOptions()
     started = time.monotonic()
     init = init_sequential_bidirectional(graph, inst)
-    if init.status != SEARCH:
-        return _finish(graph, init, [], options, started, False)
-
-    contexts = _ebba_contexts(graph, inst, init, queue, options)
-    fwd, bwd = contexts
-    f_open, b_open = fwd.open, bwd.open
-    tie = fwd.tie_break
+    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12, ORDER_12), biased=True)
     clock = Clock(options.timeout)
-    while not clock.expired():
-        hf = f_open.peek() if len(f_open) else None
-        hb = b_open.peek() if len(b_open) else None
-        if hf is None and hb is None:
-            break
-        # Smallest key wins; on an exact tie the forward side goes first.
-        if hf is None or (hb is not None and (
-                hb[0] < hf[0] or (tie and hb[0] == hf[0] and hb[1] < hf[1]))):
-            side = bwd
-        else:
-            side = fwd
-        if not side.step():
-            break
+    if contexts:
+        fwd, bwd = contexts
+        f_open, b_open = fwd.open, bwd.open
+        tie = fwd.tie_break
+        while not clock.expired():
+            hf = f_open.peek() if len(f_open) else None
+            hb = b_open.peek() if len(b_open) else None
+            if hf is None and hb is None:
+                break
+            # Smallest key wins; on an exact tie the forward side goes first.
+            if hf is None or (hb is not None and (
+                    hb[0] < hf[0] or (tie and hb[0] == hf[0] and hb[1] < hf[1]))):
+                side = bwd
+            else:
+                side = fwd
+            if not side.step():
+                break
     return _finish(graph, init, contexts, options, started, clock.timed_out)
 
 
@@ -579,16 +576,9 @@ def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     sharing global bounds; terminates as soon as either search terminates."""
     options = options or SolveOptions()
     started = time.monotonic()
-    init = init_parallel_bidirectional(graph, inst, schedule=options.schedule)
-    if init.status != SEARCH:
-        return _finish(graph, init, [], options, started, False)
-
-    contexts = [
-        SearchContext(graph, init.tables, init.gb, FORWARD, ORDER_12, queue, inst.start,
-                      htf=options.htf, options=options),
-        SearchContext(graph, init.tables, init.gb, BACKWARD, ORDER_21, queue, inst.goal,
-                      htf=options.htf, options=options),
-    ]
+    init = init_parallel_bidirectional(graph, inst)
+    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12, ORDER_21),
+                         htf=options.htf)
     timed_out = run_sides(options.schedule, [iter(c.step, False) for c in contexts],
                           require_both=False, clock=Clock(options.timeout))
     return _finish(graph, init, contexts, options, started, timed_out)
@@ -600,11 +590,8 @@ def solve_wc_ebba_par(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     terminates only when both searches have terminated."""
     options = options or SolveOptions()
     started = time.monotonic()
-    init = init_parallel_bidirectional(graph, inst, schedule=options.schedule)
-    if init.status != SEARCH:
-        return _finish(graph, init, [], options, started, False)
-
-    contexts = _ebba_contexts(graph, inst, init, queue, options)
+    init = init_parallel_bidirectional(graph, inst)
+    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12, ORDER_12), biased=True)
     timed_out = run_sides(options.schedule, [iter(c.step, False) for c in contexts],
                           clock=Clock(options.timeout))
     return _finish(graph, init, contexts, options, started, timed_out)

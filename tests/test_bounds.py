@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import wcspp.bounds as bounds_mod
+import wcspp.solvers as solvers_mod
 from wcspp.bounds import (ATTR1, ATTR2, PLAN_PARALLEL, PLAN_SEQUENTIAL, PLAN_UNIDIRECTIONAL,
                           BoundedSearch, Clock, INF, INFEASIBLE, SEARCH, SHORTCUT,
                           budget_factors, geo_heuristic, init_parallel_bidirectional,
@@ -13,9 +14,9 @@ from wcspp.bounds import (ATTR1, ATTR2, PLAN_PARALLEL, PLAN_SEQUENTIAL, PLAN_UNI
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import constrained_optimum
 from wcspp.pqueue import BUCKET, QueueConfig, TIE_NONE_LIFO
-from wcspp.solvers import SolveOptions, solve_wc_ba_star
+from wcspp.solvers import SOLVERS, SolveOptions, solve_wc_ba_star
 
-from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U1, U2, U3,
+from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, INIT_NAMES, S, U1, U2, U3,
                       check_tables_against_paths, geo_random_graph, haversine_deg)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
@@ -159,9 +160,10 @@ def test_parallel_round_two_keeps_to_states_both_searches_settled():
 def test_plan_masks_follow_the_settled_states(plan):
     # S' is the union of the last round's settled states, and every search of
     # a later round stays inside the states all searches of the round before
-    # settled; both masks are plain lists of bools.
+    # settled; both masks are plain lists of bools. An init that decides the
+    # solve (INFEASIBLE or SHORTCUT) gets no S'.
     rng = random.Random(len(plan))
-    searched = 0
+    searched = decided = 0
     for trial in range(60):
         n = rng.randint(4, 24)
         seed = rng.randrange(2**30)
@@ -172,23 +174,23 @@ def test_plan_masks_follow_the_settled_states(plan):
         if h2 == INF:
             continue
         inst = ProblemInstance(start, goal, max(0, h2 + rng.randint(-1, 2 * n)))
-        for schedule in (("lockstep", 1), ("lockstep", 3)):
-            init = run_init(g, inst, plan, schedule=schedule)
-            rounds = _rounds(plan, init.settled_per_phase)
-            for prev, cur in zip(rounds, rounds[1:]):
-                inside = [all(mask[u] for mask in prev) for u in range(n)]
-                for mask in cur:
-                    assert all(inside[u] for u in range(n) if mask[u])
-            if init.status == INFEASIBLE:
-                assert init.valid_states is None
-                continue
-            union = [any(mask[u] for mask in rounds[-1]) for u in range(n)]
-            assert init.valid_states == union
-            assert all(type(x) is bool for x in init.valid_states)
-            # valid_members lists the same states, each once
-            assert sorted(init.valid_members) == [u for u in range(n) if union[u]]
-            searched += init.status == SEARCH
-    assert searched > 0
+        init = run_init(g, inst, plan)
+        rounds = _rounds(plan, init.settled_per_phase)
+        for prev, cur in zip(rounds, rounds[1:]):
+            inside = [all(mask[u] for mask in prev) for u in range(n)]
+            for mask in cur:
+                assert all(inside[u] for u in range(n) if mask[u])
+        if init.status != SEARCH:
+            assert init.valid_states is None and init.valid_members is None
+            decided += 1
+            continue
+        union = [any(mask[u] for mask in rounds[-1]) for u in range(n)]
+        assert init.valid_states == union
+        assert all(type(x) is bool for x in init.valid_states)
+        # valid_members lists the same states, each once
+        assert sorted(init.valid_members) == [u for u in range(n) if union[u]]
+        searched += 1
+    assert searched > 0 and decided > 0
 
 
 def test_init_unidirectional_example(example_graph):
@@ -223,9 +225,11 @@ def test_init_sequential_example(example_graph):
     assert init.gb.f1_bar == 5
     assert init.status == SHORTCUT
     assert init.gb.record.costs == (5, 5)
-    # u1 drops out: any path through it weighs more than the limit
-    assert init.valid_states[U1] is False or init.valid_states[U1] == False  # noqa: E712
-    assert all(init.valid_states[u] for u in (S, U2, U3, G))
+    # u1 drops out: any path through it weighs more than the limit, so the
+    # deciding search never settles it; a decided init gets no S'
+    mask = init.settled_per_phase[-1][2]
+    assert not mask[U1] and all(mask[u] for u in (S, U2, U3, G))
+    assert init.valid_states is None
 
 
 def test_init_sequential_infeasible(example_graph):
@@ -256,12 +260,18 @@ def test_init_parallel_feasible_shortest_path_aborts(example_graph):
     assert init.gb.record.costs == (3, 8)
 
 
-def test_init_parallel_threads_matches_lockstep(example_graph):
-    lock = init_parallel_bidirectional(example_graph, ProblemInstance(S, G, 6))
-    thr = init_parallel_bidirectional(example_graph, ProblemInstance(S, G, 6),
-                                      schedule=("threads", 2))
-    assert thr.status == lock.status
-    assert thr.gb.f1_bar <= 7 and lock.gb.f1_bar <= 7
+def test_init_parallel_threads_matches_lockstep(monkeypatch, example_graph):
+    # The init runs its searches in plan order whatever the solve's
+    # schedule, so a wc-ba solve under threads gets the init it gets under
+    # lockstep.
+    inst = ProblemInstance(S, G, 6)
+    with monkeypatch.context() as patch:
+        seen = _inits_at_return(patch)
+        for schedule in (("lockstep", 1), ("threads", 2)):
+            solve_wc_ba_star(example_graph, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
+    (lock, lock_digest), (thr, thr_digest) = seen
+    assert lock.status == SEARCH and lock.gb.f1_bar <= 7
+    assert thr_digest == lock_digest
 
 
 def test_init_parallel_round_two_can_decide():
@@ -533,23 +543,46 @@ def _spy_round_one_cost1_bound(monkeypatch) -> list:
     return reads
 
 
+def _init_digest(init) -> str:
+    """Everything an InitResult holds but how the goal-tree cache served it."""
+    gb, t = init.gb, init.tables
+    return repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase, init.valid_states,
+                 init.valid_members, gb.f1_bar, gb.f2_bar, gb.f2_sol, gb.record, gb.incumbents))
+
+
+def _inits_at_return(patch) -> list:
+    """Wrap the solvers' init entry points so that each solve's InitResult is
+    listed with its digest, taken as the init returns: before the main
+    search tunes tables or moves bounds."""
+    seen: list = []
+    for name in INIT_NAMES:
+        def wrapped(*args, _original=getattr(solvers_mod, name), **kwargs):
+            init = _original(*args, **kwargs)
+            seen.append((init, _init_digest(init)))
+            return init
+        patch.setattr(solvers_mod, name, wrapped)
+    return seen
+
+
 # Every k from 1 to 8, then two above the 8 states of the line's prefix.
 ROUND_ONE_KS = list(range(1, 9)) + [9, 50]
 
 
 def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) -> tuple:
-    """Run the parallel plan's init of `inst` under each schedule and check
-    round one: its cost2 search holds the goal tree's whole cost2 <= W
-    prefix, and its cost1 search reads the seed, the cost1 of the tree's
-    path from the start, from its first bound read on, or settles nothing
-    when the init is INFEASIBLE. Round one must not depend on the schedule.
-    Returns the last init and round one's (cost2, cost1) masks as state lists."""
+    """Solve `inst` with wc-ba under each schedule and check its init's round
+    one: the cost2 search holds the goal tree's whole cost2 <= W prefix, and
+    the cost1 search reads the seed, the cost1 of the tree's path from the
+    start, from its first bound read on, or settles nothing when the init is
+    INFEASIBLE. The init must not depend on the solve's schedule. Returns
+    the last init and round one's (cost2, cost1) masks as state lists."""
     cost2 = BoundedSearch(g, inst.goal, BACKWARD, ATTR2, bound=inst.weight_limit).run()
     seen = []
     for schedule in schedules:
         with monkeypatch.context() as patch:
             reads = _spy_round_one_cost1_bound(patch)
-            init = run_init(g, inst, PLAN_PARALLEL, schedule=schedule)
+            inits = _inits_at_return(patch)
+            solve_wc_ba_star(g, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
+        (init, digest), = inits
         assert [(d, a) for d, a, _ in init.settled_per_phase[:2]] == \
             [(FORWARD, ATTR2), (BACKWARD, ATTR1)]
         masks = [[u for u in range(g.state_count) if mask[u]]
@@ -560,7 +593,7 @@ def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) ->
         else:
             seed = cost2.comp[inst.start]
             assert reads == [(m, seed) for m in range(len(masks[1]))]
-        seen.append((init.status, masks))
+        seen.append((digest, masks))
     assert all(entry == seen[0] for entry in seen)
     return init, seen[0][1]
 
@@ -577,17 +610,22 @@ def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) ->
 def test_a_round_one_decision_halts_the_other_side_at_once(monkeypatch, k, start, goal, w,
                                                            status):
     # Round one of the parallel plan applies the goal tree's whole prefix,
-    # then runs the (BACKWARD, cost1) search from the start, under lockstep
-    # and threads alike. A prefix without the start decides INFEASIBLE before
-    # the cost1 search settles a state; the cost1 search that settles the
-    # goal decides SHORTCUT and settles no further state.
+    # then runs the (BACKWARD, cost1) search from the start, whatever the
+    # solve's schedule (lockstep k or threads). A prefix without the start
+    # decides INFEASIBLE, and the cost1 search, run after the decision,
+    # settles no state; the cost1 search that settles the goal decides
+    # SHORTCUT and settles no further state. A search run after either
+    # decision settles nothing.
     g = _line()
-    init, masks = _round_one(monkeypatch, g, ProblemInstance(start, goal, w),
-                             [("lockstep", k), ("threads", 2)])
+    inst = ProblemInstance(start, goal, w)
+    init, masks = _round_one(monkeypatch, g, inst, [("lockstep", k), ("threads", 2)])
     assert init.status == status
     if status == SHORTCUT:
         cost1_order = BoundedSearch(g, start, FORWARD, ATTR1).run().order
         assert masks[1] == sorted(cost1_order[:cost1_order.index(goal) + 1])
+    for table_dir, attr in PLAN_PARALLEL[1]:  # round two's searches, run anyway
+        late = bounds_mod._init_search(g, inst, init, table_dir, attr, None).run()
+        assert late.order == [] and not any(late.settled) and init.status == status
 
 
 def _fan() -> Graph:
@@ -603,8 +641,8 @@ def _fan() -> Graph:
 def test_round_one_cost1_side_runs_out_before_the_seed(monkeypatch, k):
     # The cost1 side runs out after 3 pops, well before the start's place,
     # the 9th and last, in the goal tree's settle order. The tree is applied
-    # first, so the seed, 10, still bounds all three pops, at every k and
-    # under threads.
+    # first, so the seed, 10, still bounds all three pops, whatever the
+    # solve's schedule.
     init, masks = _round_one(monkeypatch, _fan(), ProblemInstance(0, 7, 10),
                              [("lockstep", k), ("threads", 2)])
     assert init.status == SEARCH
@@ -614,24 +652,43 @@ def test_round_one_cost1_side_runs_out_before_the_seed(monkeypatch, k):
 
 @pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],
                          ids=["uni", "seq", "par"])
-def test_threads_round_one_matches_lockstep_above_the_prefix_length(plan):
-    # Round one applies the goal tree's prefix whole before its live search
-    # starts, so it is the same under threads as under lockstep at every k,
-    # below the prefix length as well as above it; the later rounds are left
-    # to the threads.
+def test_threads_round_one_matches_lockstep_above_the_prefix_length(monkeypatch, plan):
+    # A solve's init runs its searches in plan order, so the plan's solver
+    # gets the same init under threads as under lockstep at every k, below
+    # the goal tree's prefix length as well as above it.
+    name = {PLAN_UNIDIRECTIONAL: "wc-astar", PLAN_SEQUENTIAL: "wc-ebba",
+            PLAN_PARALLEL: "wc-ba"}[plan]
     rng = random.Random(83)
     for _ in range(40):
         n = rng.randint(4, 14)
         g = random_graph(rng.randrange(2**30), n, 2 * n)
         inst = ProblemInstance(0, n - 1, rng.randint(0, 12 * n))
-        thr = run_init(g, inst, plan, schedule=("threads", 2))
-        width = len(plan[0])
-        for k in ROUND_ONE_KS + [n + 1]:
-            lock = run_init(g, inst, plan, schedule=("lockstep", k))
-            assert [(d, a) for d, a, _ in thr.settled_per_phase[:width]] == \
-                [(d, a) for d, a, _ in lock.settled_per_phase[:width]]
-            assert [mask for _, _, mask in thr.settled_per_phase[:width]] == \
-                [mask for _, _, mask in lock.settled_per_phase[:width]]
+        with monkeypatch.context() as patch:
+            seen = _inits_at_return(patch)
+            for schedule in [("threads", 2)] + [("lockstep", k) for k in ROUND_ONE_KS + [n + 1]]:
+                SOLVERS[name](g, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
+        assert len(seen) == len(ROUND_ONE_KS) + 2
+        assert all(digest == seen[0][1] for _, digest in seen)
+
+
+@pytest.mark.parametrize("name", ["wc-ba", "wc-ebba-par"])
+def test_the_init_is_the_same_under_every_schedule(monkeypatch, name):
+    # Both rounds of the parallel plan run their searches in plan order, so
+    # the init's digest, taken as it returns, does not depend on the solve's
+    # schedule; only the main searches run under it.
+    rng = random.Random(3)
+    searched = 0
+    for _ in range(300):
+        n = rng.randint(6, 40)
+        g = random_graph(rng.randrange(2**30), n, 2 * n)
+        inst = ProblemInstance(rng.randrange(n), rng.randrange(n), rng.randint(1, 60))
+        with monkeypatch.context() as patch:
+            seen = _inits_at_return(patch)
+            for schedule in (("lockstep", 1), ("lockstep", 3), ("threads", 2)):
+                SOLVERS[name](g, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
+        assert seen[1][1] == seen[0][1] == seen[2][1], inst
+        searched += len(seen[0][0].settled_per_phase) == 4
+    assert searched > 0
 
 
 def test_run_sides_expired_clock():
@@ -680,12 +737,3 @@ def test_run_sides_rejects_bad_schedule(schedule):
     with pytest.raises(ValueError):
         run_sides(schedule, _toy_sides(log))
     assert log == []
-
-
-@pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],
-                         ids=["uni", "seq", "par"])
-def test_run_init_rejects_bad_schedule_whatever_the_plan(example_graph, plan):
-    # Only round two of the parallel plan runs under the schedule; a bad one
-    # is still refused when no such round runs.
-    with pytest.raises(ValueError):
-        run_init(example_graph, ProblemInstance(S, G, 6), plan, schedule=("lockstep", 0))

@@ -705,9 +705,9 @@ def test_wider_bucket_widths_match_oracle():
         expected = constrained_optimum(g, 0, n - 1, inst.weight_limit)
         for delta_f in (3, 10):
             for kind, tie in ((BUCKET, TIE_NONE_LIFO), (BUCKET, TIE_NONE_FIFO),
-                              (HYBRID, TIE_SECONDARY)):
+                              (HYBRID, TIE_NONE_LIFO), (HYBRID, TIE_SECONDARY)):
                 cfg = QueueConfig(kind, 0, 0, delta_f, tie)
-                for solver in (solve_wc_astar, solve_wc_ebba, solve_wc_ba_star):
+                for solver in SOLVERS.values():
                     out = solver(g, inst, cfg, SolveOptions())
                     got = out.costs if out.status == "optimal" else None
                     assert got == expected, (kind, tie, delta_f, got, expected)
