@@ -2,18 +2,25 @@
 initial global upper bounds and budget factors. Each solver's initialisation
 is a plan of rounds of these searches, run by `run_init`.
 
-Every plan starts with the same search: cost2 from the goal over the reversed
-graph, bounded by the weight limit W, with no heuristic, mask or joins. It
-depends only on the goal and on W, and a run bounded by W settles exactly
-the prefix with cost2 <= W of any run with a larger bound, in the same order.
-So it is not rerun per solve: each graph records one finished search per goal
-(`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in
-bytes), reruns it only for a W above the recorded bound, and serves the
-prefix as data: the first search writes the whole prefix into an ordinary
-`BoundedSearch`'s lists in one loop, then seeds f1_bar from the start's entry
-or, when the prefix lacks the start, marks the init INFEASIBLE.
+An init search is "plain" when it has no heuristic, no mask and no joins:
+then its settle order depends only on the graph, its source, its traverse
+direction and its attribute, and a run bounded by L settles exactly the
+prefix with primary cost <= L of any run with a larger bound, in the same
+order. Plain searches are not rerun per solve. Each graph records one
+finished search per (source, traverse direction, attribute) (`GoalTree`, in
+the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in bytes), reruns it
+only for a bound above the recorded one, and serves the prefix as data: the
+search writes the whole prefix into an ordinary `BoundedSearch`'s lists in
+one loop and applies the live loop's target rule to the target's entry.
+Every plan's first search, cost2 from the goal over the reversed graph
+bounded by the weight limit W, is plain (a goal tree): the start's entry
+seeds f1_bar, or, when the prefix lacks the start, the init is INFEASIBLE.
+So is the parallel plan's round-one cost1 search from the start, bounded by
+f1_bar, on a graph without coordinates (a start tree): when the goal lies in
+its prefix within W, the prefix is cut just after the goal and the init is a
+SHORTCUT.
 
-Every later init search is a live `BoundedSearch`, with the joins against
+Every other init search is a live `BoundedSearch`, with the joins against
 the opposite tables and its target test done inside the settle loop. The
 searches of a round run one after another in plan order, each to its end,
 under every schedule: the schedule drives only the solvers' main searches
@@ -172,9 +179,10 @@ class InitResult:
     settled_per_phase: list = field(default_factory=list)  # (direction, attr, mask) per search
     # (fill, list, written) per list taken from the graph's ListPool
     taken: list = field(default_factory=list)
-    # How the first (FORWARD, cost2) search was served from the goal's tree:
-    # how many of its states were served from a cached tree, or, when the
-    # tree was rebuilt for this W, how many states the rebuild settled.
+    # How the plain searches were served from the graph's tree cache, summed
+    # over them: the states written from a tree the cache already held, and
+    # the states settled by the rebuilds of trees it did not hold at the
+    # bound asked for (a rebuilt tree's states count only there).
     tree_replayed: int = 0
     tree_settled: int = 0
 
@@ -303,16 +311,18 @@ class BoundedSearch:
 
 
 class GoalTree:
-    """A finished cost2 search from one goal over the reversed graph, the
-    record of `BoundedSearch(graph, goal, BACKWARD, ATTR2, bound=limit).run()`:
-    its settled states in settle order, with their cost2 (non-decreasing),
-    cost1 companion and predecessor (-1 for the goal), in four typed arrays,
-    each of the narrowest int width that holds its values (`_int_array`):
-    8 bytes per state where every value fits in 16 bits. `nbytes` is the
-    arrays' size. With no heuristic an entry's f is its cost2, so for every
-    W <= limit the states with cost2 <= W are the prefix of the settle order
-    that a search bounded by W settles, in the same order. A tree is never
-    changed once made.
+    """A finished plain search, the record of `BoundedSearch(graph, source,
+    traverse_dir, attr, bound=limit).run()`: a goal tree (cost2 from a goal
+    over the reversed graph) or a start tree (cost1 from a start over the
+    graph). It holds the settled states in settle order, with their primary
+    cost (non-decreasing), secondary companion and predecessor (-1 for the
+    source), in four typed arrays, each of the narrowest int width that
+    holds its values (`_int_array`): 8 bytes per state where every value
+    fits in 16 bits. `nbytes` is the arrays' size. With no heuristic an
+    entry's f is its primary cost, so for every bound L <= limit the states
+    with primary cost <= L are the prefix of the settle order that a search
+    bounded by L settles, in the same order. A tree is never changed once
+    made.
     """
 
     __slots__ = ("order", "dist", "comp", "pred", "limit", "nbytes")
@@ -340,40 +350,45 @@ def _int_array(values: list) -> array:
 
 
 class GoalTrees:
-    """A graph's goal trees, least recently used first out, holding at most
-    `256 * n` bytes of tree arrays in all (`size` and `capacity` count
-    `GoalTree.nbytes`): 32 whole-graph trees at 8 bytes per state. One lock
-    serialises lookups and rebuilds. An init reads its tree outside the lock:
-    a rebuild swaps in a new tree and leaves the old one to the inits that
-    hold it.
+    """A graph's finished plain searches, goal trees and start trees alike,
+    keyed by (source, traverse direction, attribute) and least recently used
+    first out, holding at most `256 * n` bytes of tree arrays in all (`size`
+    and `capacity` count `GoalTree.nbytes`): 32 whole-graph trees at 8 bytes
+    per state. One lock serialises lookups and rebuilds. An init reads its
+    tree outside the lock: a rebuild swaps in a new tree and leaves the old
+    one to the inits that hold it.
     """
 
     def __init__(self, state_count: int):
         self.state_count = state_count
         self.capacity = 256 * state_count
-        self.trees: OrderedDict[int, GoalTree] = OrderedDict()
+        self.trees: OrderedDict[tuple[int, int, int], GoalTree] = OrderedDict()
         self.size = 0
         self.hits = self.misses = self.evictions = 0
         self._lock = threading.Lock()
 
-    def prefix(self, graph: Graph, goal: int, limit: int) -> tuple[GoalTree, int, int]:
-        """`goal`'s tree for weight limit `limit`, the length of its
-        settle-order prefix with cost2 <= limit, and how many states a
-        rebuild settled now: 0 on a hit, where the cached tree's limit is at
-        least `limit`; else the whole tree, searched afresh up to `limit`."""
-        if not 0 <= goal < self.state_count:
-            raise IndexError(f"goal {goal} is not one of the graph's {self.state_count} states")
+    def prefix(self, graph: Graph, key: tuple[int, int, int],
+               limit) -> tuple[GoalTree, int, int]:
+        """The tree of `key`, (source, traverse direction, attribute), for
+        bound `limit`, the length of its settle-order prefix with primary cost
+        <= limit, and how many states a rebuild settled now: 0 on a hit,
+        where the cached tree's limit is at least `limit`; else the whole
+        tree, searched afresh up to `limit`."""
+        source, traverse_dir, attr = key
+        if not 0 <= source < self.state_count:
+            raise IndexError(f"source {source} is not one of the graph's "
+                             f"{self.state_count} states")
         with self._lock:
-            tree = self.trees.pop(goal, None)
+            tree = self.trees.pop(key, None)
             if tree is not None and tree.limit >= limit:
                 self.hits += 1
-                self.trees[goal] = tree
+                self.trees[key] = tree
                 return tree, bisect_right(tree.dist, limit), 0
             self.misses += 1
             if tree is not None:
                 self.size -= tree.nbytes
-            search = BoundedSearch(graph, goal, BACKWARD, ATTR2, bound=limit).run()
-            tree = self.trees[goal] = GoalTree(search, limit)
+            search = BoundedSearch(graph, source, traverse_dir, attr, bound=limit).run()
+            tree = self.trees[key] = GoalTree(search, limit)
             list_pool(graph).give(search.taken())
             self.size += tree.nbytes
             while self.size > self.capacity and len(self.trees) > 1:
@@ -447,7 +462,7 @@ _GRAPH_SLOT_LOCK = threading.Lock()
 
 
 def goal_trees(graph: Graph) -> GoalTrees:
-    """The graph's goal-tree cache, made on first use."""
+    """The graph's cache of plain-search trees, made on first use."""
     cache = graph.goal_trees
     if cache is None:
         with _GRAPH_SLOT_LOCK:
@@ -618,7 +633,7 @@ PLAN_PARALLEL = (((FORWARD, ATTR2), (BACKWARD, ATTR1)), ((BACKWARD, ATTR2), (FOR
 
 def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_dir: int,
                  attr: int, allowed: Optional[Sequence[bool]]) -> BoundedSearch:
-    """One live bounded search of an init plan.
+    """One bounded search of an init plan, made but not run.
 
     The search computes direction `table_dir` tables on `attr`, so it runs from
     that direction's target end toward the other end. Its heuristic is the
@@ -629,7 +644,9 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
     search that ends without settling its target proves INFEASIBLE. Its
     `steps()` does all of this per settled state and settles no further state
-    once `result.status` is no longer SEARCH.
+    once `result.status` is no longer SEARCH; `_tree_search` does the same
+    from the graph's tree cache when the search has no heuristic, mask or
+    joins.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -649,16 +666,39 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
                          allowed=allowed, init=result, target=target, joins=joins)
 
 
-def _tree_search(graph: Graph, inst: ProblemInstance, result: InitResult) -> BoundedSearch:
-    """The plan's first search, (FORWARD, cost2), served from the goal's tree:
-    the tree's whole cost2 <= W prefix is written into a finished search's
-    lists, then the start's entry seeds f1_bar, or the init is INFEASIBLE
-    when the prefix lacks the start."""
-    gb = result.gb
-    search = BoundedSearch(graph, inst.goal, BACKWARD, ATTR2, bound=gb.f2_bar)
-    search.heap.clear()  # the prefix is all a search bounded by W settles
-    tree, count, rebuilt = goal_trees(graph).prefix(graph, inst.goal, gb.f2_bar)
-    result.tree_replayed, result.tree_settled = count - rebuilt, rebuilt
+def _tree_search(graph: Graph, search: BoundedSearch, result: InitResult) -> None:
+    """Run a plain init search, one with no heuristic, mask or joins, from the
+    graph's tree cache. The cached tree's prefix within the search's bound,
+    read as the search begins, is what the live search settles: it is
+    written into the search's lists in one loop, and the heap is emptied.
+    The live loop's target rule applies to the target's entry: on cost2 it
+    seeds f1_bar, or the init is INFEASIBLE when the prefix lacks the
+    target; on cost1 within the weight limit it is the optimum, offered as
+    the live search offers it, so the prefix is cut just after the target
+    and the init is a SHORTCUT. Only that offer moves f1_bar while the
+    search runs, since the search has no joins. Like a live init search, it
+    settles nothing once the init is decided."""
+    search.heap.clear()
+    if result.status != SEARCH:
+        return
+    gb, source, target, attr = result.gb, search.source, search.target, search.attr
+    tree, count, rebuilt = goal_trees(graph).prefix(
+        graph, (source, search.traverse_dir, attr), search.bound())
+    data = join_halves(search.traverse_dir, target, TREE_HALF[attr], None)
+    if attr == ATTR1:
+        try:
+            i = tree.order.index(target, 0, count)
+        except ValueError:
+            pass
+        else:
+            if tree.comp[i] <= gb.f2_bar:
+                gb.offer(tree.dist[i], tree.comp[i], data, "init-shortcut")
+                result.status = SHORTCUT
+                count = i + 1
+    if rebuilt:
+        result.tree_settled += rebuilt
+    else:
+        result.tree_replayed += count
     search.order.extend(islice(tree.order, count))
     dist, comp, pred, settled = search.dist, search.comp, search.pred, search.settled
     for u, dp, ds, pu in islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count):
@@ -667,31 +707,31 @@ def _tree_search(graph: Graph, inst: ProblemInstance, result: InitResult) -> Bou
         comp[u] = ds
         pred[u] = pu
     if count:
-        pred[inst.goal] = None  # the tree's root, stored with predecessor -1
-    start = inst.start
-    if settled[start]:
-        gb.seed(comp[start], dist[start], join_halves(BACKWARD, start, TREE_HALF[ATTR2], None))
-    else:
-        result.status = INFEASIBLE
-    return search
+        pred[source] = None  # the tree's root, stored with predecessor -1
+    if attr == ATTR2:
+        if settled[target]:
+            gb.seed(comp[target], dist[target], data)
+        else:
+            result.status = INFEASIBLE
 
 
 def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
     """Run an init plan round by round, and each round's searches one after
     another in plan order, each to its end.
 
-    The plan's first search, (FORWARD, cost2), is served whole from the
-    goal's cached tree (`_tree_search`). A round's searches are all made
-    before the first of them runs, so none joins against a table of its own
-    round; they share only the global bounds, and a search that starts once
-    the init is decided settles nothing. Every search after the first round
-    is restricted to the states that all searches of the previous round
-    settled. The init ends early on INFEASIBLE or SHORTCUT; only a SEARCH
-    init gets S', the union of the last round's settled states. Both masks
-    are taken from the graph's pool and scattered from the searches' settle
-    orders, so building them costs O(settled), not O(n), in Python. Every
-    list taken is listed in `result.taken`. A start or goal that is not a
-    state of the graph raises ValueError.
+    A plain search (no heuristic, mask or joins) is served from the graph's
+    tree cache (`_tree_search`), every other one runs live. A round's
+    searches are all made before the first of them runs, so none joins
+    against a table of its own round; they share only the global bounds,
+    and a search that starts once the init is decided settles nothing.
+    Every search after the first round is restricted to the states that all
+    searches of the previous round settled. The init ends early on
+    INFEASIBLE or SHORTCUT; only a SEARCH init gets S', the union of the
+    last round's settled states. Both masks are taken from the graph's pool
+    and scattered from the searches' settle orders, so building them costs
+    O(settled), not O(n), in Python. Every list taken is listed in
+    `result.taken`. A start or goal that is not a state of the graph raises
+    ValueError.
     """
     n = graph.state_count
     for end, state in (("start", inst.start), ("goal", inst.goal)):
@@ -703,25 +743,24 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
     result = InitResult(SEARCH, tables, gb)
     searches: list[BoundedSearch] = []
     for rnd in plan:
-        if not searches:
-            allowed = None
-            searches = [_tree_search(graph, inst, result)]  # the round's first search
-        else:
-            if len(searches) == 1:
-                allowed = searches[0].settled
-            else:
-                first, second = searches
-                in_second = second.settled
-                allowed = pool.take(False)
-                for u in first.order:
-                    if in_second[u]:
-                        allowed[u] = True
-                result.taken.append((False, allowed, (first.order,)))
-            searches = []
-        searches += [_init_search(graph, inst, result, table_dir, attr, allowed)
-                     for table_dir, attr in rnd[len(searches):]]
+        allowed = None
+        if len(searches) == 1:
+            allowed = searches[0].settled
+        elif searches:
+            first, second = searches
+            in_second = second.settled
+            allowed = pool.take(False)
+            for u in first.order:
+                if in_second[u]:
+                    allowed[u] = True
+            result.taken.append((False, allowed, (first.order,)))
+        searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
+                    for table_dir, attr in rnd]
         for (table_dir, attr), search in zip(rnd, searches):
-            search.run()
+            if search.heuristic is None and search.allowed is None and not search.joins:
+                _tree_search(graph, search, result)
+            else:
+                search.run()
             tables.install(table_dir, attr, search.dist, search.comp, search.pred)
             result.settled_per_phase.append((table_dir, attr, search.settled))
             result.taken += search.taken()

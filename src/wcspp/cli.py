@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, TextIO
 
 from .bounds import ATTR1, ATTR2, BoundedSearch, goal_trees, list_pool
-from .graph import COST_MAX, FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
+from .graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
     randomize_cost2, write_gr
 from .oracle import constrained_optimum
 from .pqueue import (BINARY_HEAP, BUCKET, HYBRID, QueueConfig, TIE_NONE_FIFO,
@@ -294,7 +294,9 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
     cell, taken from the repeat with the median runtime. Every row's weight
     is resolved first. Before a row's cells its goal's tree is looked up at
     the largest W among that goal's rows, so `runtime_us` excludes the build
-    and a goal is built once while the cache holds it. A row whose weight
+    and a goal is built once while the cache holds it; a start tree (the
+    parallel plan's round-one cost1 search, on a graph without coordinates)
+    is built by the first solve that asks for it. A row whose weight
     cannot be resolved (a state outside the graph, a negative limit) gives
     error cells. `repeats` below 1 raises ValueError."""
     if repeats < 1:
@@ -318,7 +320,7 @@ def run_bench(graph: Graph, rows: list[InstanceRow], algorithms: list[str],
     count = 0
     for row, instance_id, weight, failed in resolved:
         if weight is not None:
-            goal_trees(graph).prefix(graph, row.goal, largest[row.goal])
+            goal_trees(graph).prefix(graph, (row.goal, BACKWARD, ATTR2), largest[row.goal])
         for algorithm in algorithms:
             for queue_flag in queue_flags:
                 for tie_flag in tie_flags:
@@ -408,7 +410,7 @@ def cmd_bench(args) -> int:
             run_bench(graph, rows, algorithms, queues, ties, args.repeats, args.delta_f,
                       fh, args.timeout)
     cache = goal_trees(graph)
-    print(f"info: goal trees hits={cache.hits} misses={cache.misses} "
+    print(f"info: init tree cache hits={cache.hits} misses={cache.misses} "
           f"evictions={cache.evictions} trees={len(cache.trees)} bytes={cache.size}",
           file=sys.stderr)
     return 0

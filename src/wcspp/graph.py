@@ -92,7 +92,7 @@ class Graph:
             raise GraphFormatError(f"{len(self.coords)} coordinates for {state_count} states")
         # Per-graph geometric data for bounds.geo_heuristic, filled on first use.
         self.geo_cache = None
-        # bounds.GoalTrees: the first init search per goal, made on first use.
+        # bounds.GoalTrees: the init's plain searches (goal and start trees), made on first use.
         self.goal_trees = None
         # bounds.ListPool: spare per-state lists for the next solve, made on first use.
         self.list_pool = None

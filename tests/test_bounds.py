@@ -8,7 +8,7 @@ import wcspp.bounds as bounds_mod
 import wcspp.solvers as solvers_mod
 from wcspp.bounds import (ATTR1, ATTR2, PLAN_PARALLEL, PLAN_SEQUENTIAL, PLAN_UNIDIRECTIONAL,
                           BoundedSearch, Clock, INF, INFEASIBLE, SEARCH, SHORTCUT,
-                          budget_factors, geo_heuristic, init_parallel_bidirectional,
+                          budget_factors, geo_heuristic, goal_trees, init_parallel_bidirectional,
                           init_sequential_bidirectional, init_unidirectional, run_init,
                           run_sides)
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
@@ -17,7 +17,7 @@ from wcspp.pqueue import BUCKET, QueueConfig, TIE_NONE_LIFO
 from wcspp.solvers import SOLVERS, SolveOptions, solve_wc_ba_star
 
 from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, INIT_NAMES, S, U1, U2, U3,
-                      check_tables_against_paths, geo_random_graph, haversine_deg)
+                      check_tables_against_paths, fresh, geo_random_graph, haversine_deg)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 
@@ -544,7 +544,7 @@ def _spy_round_one_cost1_bound(monkeypatch) -> list:
 
 
 def _init_digest(init) -> str:
-    """Everything an InitResult holds but how the goal-tree cache served it."""
+    """Everything an InitResult holds but how the tree cache served it."""
     gb, t = init.gb, init.tables
     return repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase, init.valid_states,
                  init.valid_members, gb.f1_bar, gb.f2_bar, gb.f2_sol, gb.record, gb.incumbents))
@@ -569,19 +569,26 @@ ROUND_ONE_KS = list(range(1, 9)) + [9, 50]
 
 
 def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) -> tuple:
-    """Solve `inst` with wc-ba under each schedule and check its init's round
-    one: the cost2 search holds the goal tree's whole cost2 <= W prefix, and
-    the cost1 search reads the seed, the cost1 of the tree's path from the
-    start, from its first bound read on, or settles nothing when the init is
-    INFEASIBLE. The init must not depend on the solve's schedule. Returns
-    the last init and round one's (cost2, cost1) masks as state lists."""
+    """Solve `inst` with wc-ba on a graph without coordinates, first on a
+    fresh copy of `g` and then under each schedule on a copy whose start
+    tree already reaches past every seed, and check its init's round one.
+    The cost2 search holds the goal tree's whole cost2 <= W prefix. The
+    cost1 search holds the start tree's prefix with cost1 <= the seed, the
+    cost1 of the goal tree's path from the start; on a SHORTCUT (the goal
+    within that prefix and within W) the prefix is cut just after the goal,
+    and on an INFEASIBLE init it holds nothing. The init must depend neither
+    on the solve's schedule nor on what the cache held. Returns the last
+    init and round one's (cost2, cost1) masks as state lists."""
+    assert g.coords is None  # else the cost1 search gets a heuristic and runs live
     cost2 = BoundedSearch(g, inst.goal, BACKWARD, ATTR2, bound=inst.weight_limit).run()
+    cost1 = BoundedSearch(g, inst.start, FORWARD, ATTR1).run()
+    warm = fresh(g)
+    goal_trees(warm).prefix(warm, (inst.start, FORWARD, ATTR1), INF)
     seen = []
-    for schedule in schedules:
+    for graph, schedule in [(fresh(g), schedules[0])] + [(warm, s) for s in schedules]:
         with monkeypatch.context() as patch:
-            reads = _spy_round_one_cost1_bound(patch)
             inits = _inits_at_return(patch)
-            solve_wc_ba_star(g, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
+            solve_wc_ba_star(graph, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
         (init, digest), = inits
         assert [(d, a) for d, a, _ in init.settled_per_phase[:2]] == \
             [(FORWARD, ATTR2), (BACKWARD, ATTR1)]
@@ -589,20 +596,37 @@ def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) ->
                  for _, _, mask in init.settled_per_phase[:2]]
         assert masks[0] == sorted(cost2.order)
         if init.status == INFEASIBLE:
-            assert reads == [] and masks[1] == []
+            assert masks[1] == []
         else:
             seed = cost2.comp[inst.start]
-            assert reads == [(m, seed) for m in range(len(masks[1]))]
+            prefix = [u for u in cost1.order if cost1.dist[u] <= seed]
+            if inst.goal in prefix and cost1.comp[inst.goal] <= inst.weight_limit:
+                assert init.status == SHORTCUT
+                prefix = prefix[:prefix.index(inst.goal) + 1]
+            assert masks[1] == sorted(prefix)
         seen.append((digest, masks))
     assert all(entry == seen[0] for entry in seen)
     return init, seen[0][1]
+
+
+def _assert_late_searches_settle_nothing(g: Graph, inst: ProblemInstance, init) -> None:
+    """Searches started after the init is decided, live or served from the
+    tree cache, settle no state and leave the status as it is."""
+    status = init.status
+    for table_dir, attr in PLAN_PARALLEL[1]:  # round two's searches, run anyway
+        late = bounds_mod._init_search(g, inst, init, table_dir, attr, None).run()
+        assert late.order == [] and not any(late.settled) and init.status == status
+    plain = BoundedSearch(g, inst.start, FORWARD, ATTR1, bound=lambda: init.gb.f1_bar,
+                          init=init, target=inst.goal)
+    bounds_mod._tree_search(g, plain, init)
+    assert plain.order == [] and not any(plain.settled) and init.status == status
 
 
 @pytest.mark.parametrize("k", ROUND_ONE_KS)
 @pytest.mark.parametrize("start, goal, w, status", [
     (0, 7, 12, INFEASIBLE),  # the goal tree's prefix holds 3 states, not the start
     (0, 7, 22, INFEASIBLE),
-    (2, 4, 100, SHORTCUT),  # the cost1 side settles the goal 5th, the tree has 8
+    (2, 4, 100, SHORTCUT),  # the cost1 search settles the goal 5th, the tree has 8
     (0, 3, 100, SHORTCUT),
     (0, 7, 100, SHORTCUT),  # the start is the last of the tree's 8 states
     (6, 1, 100, SHORTCUT),
@@ -610,12 +634,12 @@ def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) ->
 def test_a_round_one_decision_halts_the_other_side_at_once(monkeypatch, k, start, goal, w,
                                                            status):
     # Round one of the parallel plan applies the goal tree's whole prefix,
-    # then runs the (BACKWARD, cost1) search from the start, whatever the
-    # solve's schedule (lockstep k or threads). A prefix without the start
-    # decides INFEASIBLE, and the cost1 search, run after the decision,
-    # settles no state; the cost1 search that settles the goal decides
-    # SHORTCUT and settles no further state. A search run after either
-    # decision settles nothing.
+    # then serves the (BACKWARD, cost1) search from the start's tree,
+    # whatever the solve's schedule (lockstep k or threads). A prefix
+    # without the start decides INFEASIBLE, and the cost1 search, run after
+    # the decision, settles no state; a cost1 prefix that holds the goal
+    # within W decides SHORTCUT and ends at the goal. A search run after
+    # either decision settles nothing.
     g = _line()
     inst = ProblemInstance(start, goal, w)
     init, masks = _round_one(monkeypatch, g, inst, [("lockstep", k), ("threads", 2)])
@@ -623,9 +647,27 @@ def test_a_round_one_decision_halts_the_other_side_at_once(monkeypatch, k, start
     if status == SHORTCUT:
         cost1_order = BoundedSearch(g, start, FORWARD, ATTR1).run().order
         assert masks[1] == sorted(cost1_order[:cost1_order.index(goal) + 1])
-    for table_dir, attr in PLAN_PARALLEL[1]:  # round two's searches, run anyway
-        late = bounds_mod._init_search(g, inst, init, table_dir, attr, None).run()
-        assert late.order == [] and not any(late.settled) and init.status == status
+    _assert_late_searches_settle_nothing(g, inst, init)
+
+
+@pytest.mark.parametrize("edges, w, masks", [
+    # States 1, 2 and 3 are one arc from the start 0 at the same (1, 1), so
+    # the start tree's prefix within the seed, 1, holds all four; the goal 1
+    # settles second, so the SHORTCUT leaves 2 and 3 unsettled.
+    ([(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1)], 5, [[0, 1], [0, 1]]),
+    # The goal 1 is reached for (2, 20) through 2 and for (10, 2) through 3,
+    # the seed; 4 lies past it, at cost1 22. A tree that reaches 4 must not
+    # serve it.
+    ([(0, 2, 1, 10), (2, 1, 1, 10), (0, 3, 5, 1), (3, 1, 5, 1), (1, 4, 20, 1)], 5,
+     [[0, 1, 3], [0, 1, 2, 3]]),
+], ids=["cut-at-the-goal", "stop-at-the-seed"])
+def test_round_one_cost1_prefix_ends_at_the_goal_or_the_seed(monkeypatch, edges, w, masks):
+    g = Graph(5, edges)
+    inst = ProblemInstance(0, 1, w)
+    init, got = _round_one(monkeypatch, g, inst,
+                           [("lockstep", 1), ("lockstep", 3), ("threads", 2)])
+    assert got == masks
+    _assert_late_searches_settle_nothing(g, inst, init)
 
 
 def _fan() -> Graph:
@@ -639,15 +681,43 @@ def _fan() -> Graph:
 
 @pytest.mark.parametrize("k", ROUND_ONE_KS)
 def test_round_one_cost1_side_runs_out_before_the_seed(monkeypatch, k):
-    # The cost1 side runs out after 3 pops, well before the start's place,
-    # the 9th and last, in the goal tree's settle order. The tree is applied
-    # first, so the seed, 10, still bounds all three pops, whatever the
-    # solve's schedule.
+    # The start's tree ends after 3 states, well before the start's place,
+    # the 9th and last, in the goal tree's settle order. The goal tree is
+    # applied first, so the seed, 10, bounds the start tree's prefix, which
+    # is the whole tree, whatever the solve's schedule.
     init, masks = _round_one(monkeypatch, _fan(), ProblemInstance(0, 7, 10),
                              [("lockstep", k), ("threads", 2)])
     assert init.status == SEARCH
     assert init.gb.f1_bar == 10 and init.gb.record.costs == (10, 4)
     assert masks == [list(range(9)), [0, 7, 8]]
+
+
+@pytest.mark.parametrize("start, goal, w, status", [(0, 7, 12, INFEASIBLE),
+                                                    (2, 4, 100, SHORTCUT)])
+def test_round_one_cost1_search_runs_live_on_a_graph_with_coordinates(monkeypatch, start, goal,
+                                                                       w, status):
+    # With coordinates the cost1 search from the start gets the geometric
+    # heuristic, so it is not plain: it runs live, reads the seed from its
+    # first bound read on, whatever the schedule, and leaves no start tree.
+    line = _line()
+    g = Graph(8, list(line.edges()), [(40.0, -73.0 + 0.01 * u) for u in range(8)])
+    inst = ProblemInstance(start, goal, w)
+    seed = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run().comp[start]
+    seen = []
+    for schedule in (("lockstep", 1), ("threads", 2)):
+        with monkeypatch.context() as patch:
+            reads = _spy_round_one_cost1_bound(patch)
+            inits = _inits_at_return(patch)
+            solve_wc_ba_star(g, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
+        (init, digest), = inits
+        assert init.status == status
+        mask = init.settled_per_phase[1][2]
+        assert reads == [(m, seed) for m in range(sum(mask))]
+        assert (status == INFEASIBLE) == (reads == [])
+        seen.append(digest)
+    assert seen[0] == seen[1]
+    assert list(goal_trees(g).trees) == [(goal, BACKWARD, ATTR2)]
+    _assert_late_searches_settle_nothing(g, inst, init)
 
 
 @pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],

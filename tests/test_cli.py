@@ -11,7 +11,7 @@ from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTI
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
                        weight_from_tightness)
-from wcspp.graph import FORWARD, load_dimacs, random_graph
+from wcspp.graph import BACKWARD, FORWARD, load_dimacs, random_graph
 from wcspp.pqueue import MonotonicityError
 from wcspp.solvers import SOLVERS, SolveOutcome
 
@@ -281,9 +281,11 @@ def test_bench_repeats_deterministic_counts(example_dimacs, tmp_path):
 
 
 def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
-    # Every cell replays the tree that run_bench built, once per goal at its
-    # largest W whatever the rows' order; a goal outside the graph still
-    # becomes an error row instead of ending the batch.
+    # Every cell replays the goal tree that run_bench built, once per goal at
+    # its largest W whatever the rows' order; a goal outside the graph still
+    # becomes an error row instead of ending the batch. The graph has no
+    # coordinates, so the first wc-ba cell also builds the start's tree,
+    # which both W's share: their seed is the same.
     for text in ("1 5 w 6\n1 5 w 3\n1 9 w 6\n", "1 5 w 3\n1 5 w 6\n1 9 w 6\n"):
         inst = tmp_path / "i.txt"
         inst.write_text(text, encoding="utf-8")
@@ -292,8 +294,9 @@ def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
         buf = io.StringIO()
         assert run_bench(g, rows, sorted(SOLVERS), ["bucket"], ["none-lifo"], 2, 1, buf) == 12
         cache = g.goal_trees
-        assert (cache.misses, cache.evictions) == (1, 0), text
-        assert cache.trees[4].limit == 6
+        assert (cache.misses, cache.evictions) == (2, 0), text
+        assert list(cache.trees) == [(4, BACKWARD, ATTR2), (0, FORWARD, ATTR1)]
+        assert cache.trees[4, BACKWARD, ATTR2].limit == 6
         cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
         assert [row[4] for row in cells].count("error") == 4
 
@@ -307,9 +310,9 @@ def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, 
     captured = capsys.readouterr()
     # 2 lookups before the cells, then 1 per solve: 1 miss, 3 hits.
     g = load_dimacs(*example_dimacs)
-    tree, _, _ = goal_trees(g).prefix(g, 4, 6)
+    tree, _, _ = goal_trees(g).prefix(g, (4, BACKWARD, ATTR2), 6)
     assert captured.err.splitlines() == [
-        f"info: goal trees hits=3 misses=1 evictions=0 trees=1 bytes={tree.nbytes}"]
+        f"info: init tree cache hits=3 misses=1 evictions=0 trees=1 bytes={tree.nbytes}"]
     assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
     assert len(captured.out.splitlines()) == 4
 

@@ -1,20 +1,33 @@
-"""The per-goal tree cache: a solve served from a warm cache must be the solve a
-fresh graph gives, counter for counter and table for table."""
+"""The per-graph tree cache of plain init searches (goal trees and start
+trees): a solve served from a warm cache must be the solve a fresh graph
+gives, counter for counter and table for table."""
 
 import random
 import sys
 import threading
+from fractions import Fraction
 
-from wcspp.bounds import ATTR2, INFEASIBLE, BoundedSearch, _int_array, goal_trees, \
-    init_unidirectional
+from wcspp.bounds import ATTR1, ATTR2, INFEASIBLE, SEARCH, SHORTCUT, BoundedSearch, \
+    _int_array, goal_trees, init_parallel_bidirectional, init_unidirectional
+from wcspp.cli import gen_instances
 from wcspp.graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
 
-from conftest import BUCKET_CFG, DIGEST_OPTIONS, HEAP_CFG, digest, fresh, grid
+from conftest import BUCKET_CFG, DIGEST_OPTIONS, HEAP_CFG, digest, fresh, geo_random_graph, grid
 
 # A query on a 16 x 16 road grid whose cost2 limit leaves 22 states outside
 # the goal's tree.
 START, GOAL, W = 254, 137, 1068
+
+
+def goal_key(goal: int) -> tuple:
+    """The cache key of `goal`'s goal tree."""
+    return (goal, BACKWARD, ATTR2)
+
+
+def start_key(start: int) -> tuple:
+    """The cache key of `start`'s start tree."""
+    return (start, FORWARD, ATTR1)
 
 
 def h2(graph: Graph, start: int, goal: int):
@@ -39,22 +52,22 @@ def test_pieces_make_one_unbounded_search():
         full = BoundedSearch(g, goal, BACKWARD, ATTR2).run()
         top = rng.randint(0, max(full.dist[u] for u in full.order))
         cache = goal_trees(g)
-        tree, count, live = cache.prefix(g, goal, top)
+        tree, count, live = cache.prefix(g, goal_key(goal), top)
         assert count == live == len(tree.order) and tree.limit == top
         for _ in range(5):
             w = rng.randint(0, top)
             ref = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run()
-            same, count, live = cache.prefix(g, goal, w)
+            same, count, live = cache.prefix(g, goal_key(goal), w)
             assert same is tree and live == 0
             assert list(tree.order[:count]) == ref.order
             assert list(tree.dist[:count]) == [ref.dist[u] for u in ref.order]
             assert list(tree.comp[:count]) == [ref.comp[u] for u in ref.order]
             assert [None if p < 0 else p for p in tree.pred[:count]] == \
                 [ref.pred[u] for u in ref.order]
-        wider, count, live = cache.prefix(g, goal, top + rng.randint(1, 12))
+        wider, count, live = cache.prefix(g, goal_key(goal), top + rng.randint(1, 12))
         assert wider is not tree and count == live == len(wider.order)
         assert wider.order[:len(tree.order)] == tree.order
-        assert (cache.hits, cache.misses, cache.trees[goal]) == (5, 2, wider)
+        assert (cache.hits, cache.misses, cache.trees[goal_key(goal)]) == (5, 2, wider)
 
 
 def test_limits_below_at_and_above_the_cached_one(inits):
@@ -64,7 +77,7 @@ def test_limits_below_at_and_above_the_cached_one(inits):
     for w in (low, W, W + 400):
         for cfg in (HEAP_CFG, BUCKET_CFG):
             check(g, ProblemInstance(START, GOAL, w), inits, cfg=cfg)
-    assert goal_trees(g).trees[GOAL].limit == W + 400
+    assert goal_trees(g).trees[goal_key(GOAL)].limit == W + 400
 
 
 def test_limit_under_the_cost2_distance_is_infeasible(inits):
@@ -88,8 +101,61 @@ def test_unreachable_start(inits):
     g = Graph(257, list(grid().edges()))
     for w in (W, 10**9, W):
         check(g, ProblemInstance(256, GOAL, w), inits)
-    tree = goal_trees(g).trees[GOAL]
+    tree = goal_trees(g).trees[goal_key(GOAL)]
     assert tree.limit == 10**9 and sorted(tree.order) == list(range(256))
+
+
+def test_served_start_trees_match_a_fresh_graph(inits):
+    # On a graph without coordinates wc-ba and wc-ebba-par serve round one's
+    # cost1 search from the start's tree, bounded by the seed (the cost1 of
+    # the goal tree's path from the start). The goal always lies within the
+    # seed; a W that covers its cost2 in the start tree decides SHORTCUT
+    # there and cuts the prefix just after it.
+    g = grid()
+    cache = goal_trees(g)
+    names = ("wc-ba", "wc-ebba-par")
+    deltas = [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
+    rows = [int(row[3]) for row in gen_instances(g, [(START, GOAL)], deltas)]
+    rows.append(h2(g, START, GOAL) - 1)  # infeasible
+
+    def solve_rows():
+        for w in rows:
+            check(g, ProblemInstance(START, GOAL, w), inits, names=names)
+
+    solve_rows()
+    seed = BoundedSearch(g, GOAL, BACKWARD, ATTR2).run().comp[START]
+    tree = cache.trees[start_key(START)]
+    assert tree.limit == seed
+    at = list(tree.order).index(GOAL)
+    assert rows[2] < tree.comp[at] <= rows[3] and at + 1 < len(tree.order)
+    for w, status, cost1_states in ((rows[2], SEARCH, len(tree.order)),
+                                    (rows[3], SHORTCUT, at + 1), (rows[4], INFEASIBLE, 0)):
+        init = init_parallel_bidirectional(g, ProblemInstance(START, GOAL, w))
+        assert init.status == status and sum(init.settled_per_phase[1][2]) == cost1_states
+    for w in (0, W):  # start == goal: the start tree's first state decides
+        check(g, ProblemInstance(GOAL, GOAL, w), inits, names=names)
+    # A farther goal from the same start rebuilds its tree at a larger
+    # seed; the rows of GOAL are then served from a tree that reaches past
+    # their seed.
+    check(g, ProblemInstance(START, 0, 10**6), inits, names=names)
+    assert cache.trees[start_key(START)].limit > seed
+    solve_rows()
+    # Whole-graph goal trees evict the start tree; it is built again.
+    goal = 0
+    while start_key(START) in cache.trees:
+        init_unidirectional(g, ProblemInstance(START, goal, 10**6))
+        goal += 1
+    misses = cache.misses
+    solve_rows()
+    assert cache.trees[start_key(START)].limit == seed and cache.misses > misses
+    # With coordinates the cost1 search has the geometric heuristic and
+    # runs live: only goal trees are cached.
+    rng = random.Random(11)
+    for _ in range(10):
+        geo = geo_random_graph(rng.randrange(2**30), 20, 40)
+        for w in (10, 40, 10**6):
+            check(geo, ProblemInstance(0, 19, w), inits, names=names)
+        assert [key[1:] for key in goal_trees(geo).trees] == [(BACKWARD, ATTR2)]
 
 
 def test_htf_tuning_does_not_leak_into_the_cache(inits):
@@ -109,20 +175,26 @@ def test_htf_tuning_does_not_leak_into_the_cache(inits):
 def test_eviction_keeps_the_bound_and_the_answers(inits):
     # n = 256, so the budget is 65,536 bytes: exactly 32 whole-graph trees of
     # 256 labels at 8 bytes each. A 33rd tree evicts the least recently used.
+    # wc-astar serves only goal trees: its cost1 search keeps to a mask.
     g = grid()
     cache = goal_trees(g)
     for goal in range(32):
         check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
     assert (cache.size, cache.capacity, cache.evictions) == (65536, 65536, 0)
     check(g, ProblemInstance(START, 32, 10**6), inits, names=("wc-astar",))
-    assert cache.evictions == 1 and 0 not in cache.trees
+    assert cache.evictions == 1 and goal_key(0) not in cache.trees
     for goal in range(1, 33):
-        assert cache.prefix(g, goal, 10**6)[1:] == (256, 0)
+        assert cache.prefix(g, goal_key(goal), 10**6)[1:] == (256, 0)
     assert (cache.hits, cache.misses) == (32, 33)
     assert cache.size == sum(t.nbytes for t in cache.trees.values())
     assert cache.size <= cache.capacity
+    # Every solver: GOAL's tree and, for wc-ba and wc-ebba-par, START's
+    # start tree are built, each evicting the least recently used tree.
     check(g, ProblemInstance(START, GOAL, W), inits)
-    assert cache.misses == 34 and cache.size <= cache.capacity
+    assert (cache.misses, cache.evictions) == (35, 3)
+    assert list(cache.trees)[-2:] == [goal_key(GOAL), start_key(START)]
+    assert goal_key(1) not in cache.trees and goal_key(2) not in cache.trees
+    assert cache.size == sum(t.nbytes for t in cache.trees.values()) <= cache.capacity
 
 
 def test_a_cycle_of_goals_that_fits_stops_missing(inits):
@@ -183,20 +255,26 @@ def test_python_threads_share_one_graph(inits):
 
 
 def test_second_solve_replays_every_state(inits):
+    # tree_replayed and tree_settled sum over an init's served searches: the
+    # goal tree's, and for wc-ba also the start tree's.
     g = grid()
     inst = ProblemInstance(START, GOAL, W)
-    for name in ("wc-astar", "wc-ba"):
+    for name in ("wc-astar", "wc-ba", "wc-ba"):
         SOLVERS[name](g, inst, HEAP_CFG, DIGEST_OPTIONS)
-    first, second = inits[threading.get_ident()]
+    first, second, third = inits[threading.get_ident()]
     settled = sum(first.settled_per_phase[0][2])
+    from_start = sum(second.settled_per_phase[1][2])
+    assert second.status == third.status == SEARCH
+    assert len(goal_trees(g).trees[start_key(START)].order) == from_start
     assert (first.tree_replayed, first.tree_settled) == (0, settled)
-    assert (second.tree_replayed, second.tree_settled) == (settled, 0)
+    assert (second.tree_replayed, second.tree_settled) == (settled, from_start)
+    assert (third.tree_replayed, third.tree_settled) == (settled + from_start, 0)
     cache = goal_trees(g)
-    assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
+    assert (cache.hits, cache.misses, cache.evictions) == (3, 2, 0)
     # A wider W reruns the search: nothing is replayed from the cached tree.
     wider = init_unidirectional(g, ProblemInstance(START, GOAL, W + 300))
     assert wider.tree_replayed == 0 and wider.tree_settled > settled
-    assert (cache.hits, cache.misses) == (1, 2) and cache.trees[GOAL].limit == W + 300
+    assert (cache.hits, cache.misses) == (3, 3) and cache.trees[goal_key(GOAL)].limit == W + 300
 
 
 def test_trees_take_the_narrowest_width_per_array():
@@ -205,14 +283,14 @@ def test_trees_take_the_narrowest_width_per_array():
         == ["h", "h", "i", "i", "i", "q", "q"]
     # 8 bytes per label where every value fits in 16 bits.
     small = random_graph(7, 20, 40)
-    tree, _, _ = goal_trees(small).prefix(small, 19, 10**6)
+    tree, _, _ = goal_trees(small).prefix(small, goal_key(19), 10**6)
     assert {a.itemsize for a in (tree.order, tree.dist, tree.comp, tree.pred)} == {2}
     assert tree.nbytes == 8 * len(tree.order) == goal_trees(small).size
     # A cost2 distance of 32,768 moves only the dist array to 32 bits, one
     # past 2^31 moves it to 64; the cost1 companion widens on its own.
     for c1, c2, widths in ((5, 32767, (2, 4, 2, 2)), (COST_MAX, 2**31, (2, 8, 8, 2))):
         big = Graph(3, [(0, 1, c1, c2), (1, 2, 1, 1)])
-        tree, count, _ = goal_trees(big).prefix(big, 2, 2**32)
+        tree, count, _ = goal_trees(big).prefix(big, goal_key(2), 2**32)
         arrays = (tree.order, tree.dist, tree.comp, tree.pred)
         assert tuple(a.itemsize for a in arrays) == widths
         assert tree.nbytes == 3 * sum(widths) == goal_trees(big).size

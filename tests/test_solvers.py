@@ -3,11 +3,13 @@ import math
 import random
 import threading
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
 from wcspp.bounds import (ATTR1, ATTR2, INF, PATH, TREE, BoundsTables, GlobalBounds,
                           SolutionRecord)
+from wcspp.cli import gen_instances
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.nodepool import ParentArrays
 from wcspp.oracle import constrained_optimum, enumerate_pareto
@@ -18,7 +20,7 @@ from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, Metrics, SearchContext,
                            solve_wc_astar, solve_wc_ba_star, solve_wc_ebba,
                            solve_wc_ebba_par, store_partial)
 
-from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, S, U1, U2, U3, geo_random_graph,
+from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, HEAP_CFG, S, U1, U2, U3, geo_random_graph,
                       road_grid_graph)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
@@ -711,3 +713,32 @@ def test_wider_bucket_widths_match_oracle():
                     out = solver(g, inst, cfg, SolveOptions())
                     got = out.costs if out.status == "optimal" else None
                     assert got == expected, (kind, tie, delta_f, got, expected)
+
+
+def test_road_grid_queries_reach_the_main_search_and_match_oracle():
+    # The random-graph oracle tests mostly end in the init (SHORTCUT or
+    # INFEASIBLE). Pairs across a grid without coordinates, at W between the
+    # cost2-shortest distance h2 and ub2, the cost2 of the cost1-shortest
+    # path, as `wcspp gen-instances` derives it, leave most solves to the
+    # main search.
+    rng = random.Random(29)
+    solves = searched = 0
+    for seed in range(9):
+        size = 8 + seed % 3
+        g = road_grid_graph(100 + seed, size, size)
+        last = size * size - 1
+        pairs = [(rng.randrange(size), last - rng.randrange(size)) for _ in range(2)]
+        pairs += [(rng.randrange(size) * size, rng.randrange(size) * size + size - 1)
+                  for _ in range(2)]
+        rows = gen_instances(g, pairs, [Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)])
+        for start, goal, _, w in rows:
+            inst = ProblemInstance(start, goal, int(w))
+            expected = constrained_optimum(g, start, goal, inst.weight_limit)
+            for cfg in (BUCKET_CFG, HEAP_CFG):
+                for name, solver in SOLVERS.items():
+                    out = solver(g, inst, cfg, SolveOptions())
+                    got = out.costs if out.status == "optimal" else None
+                    assert got == expected, (seed, inst, name, cfg.kind)
+                    solves += 1
+                    searched += out.metrics.expansions > 1
+    assert searched * 2 >= solves, (searched, solves)
