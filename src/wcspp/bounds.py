@@ -25,7 +25,11 @@ the opposite tables and its target test done inside the settle loop. The
 searches of a round run one after another in plan order, each to its end,
 under every schedule: the schedule drives only the solvers' main searches
 (`run_sides`). A search that starts once the init is decided settles
-nothing.
+nothing. A search reads its bound as it starts, not when it is made: the
+weight limit W on cost2, f1_bar on cost1, which an earlier search of its
+own round may have lowered. No other search runs beside it, so f1_bar then
+moves only through its own join and target offers: a cost1 search re-reads
+it after those, and nowhere else.
 
 The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
 `settled`, the round-two and S' masks, each search context's `g_min`) come
@@ -50,7 +54,7 @@ import threading
 import time
 from array import array
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -179,32 +183,25 @@ class InitResult:
     settled_per_phase: list = field(default_factory=list)  # (direction, attr, mask) per search
     # (fill, list, written) per list taken from the graph's ListPool
     taken: list = field(default_factory=list)
-    # How the plain searches were served from the graph's tree cache, summed
-    # over them: the states written from a tree the cache already held, and
-    # the states settled by the rebuilds of trees it did not hold at the
-    # bound asked for (a rebuilt tree's states count only there).
-    tree_replayed: int = 0
-    tree_settled: int = 0
 
 
 class BoundedSearch:
     """Label-setting search on one attribute with lexicographic tie-breaking on the other.
 
-    Stops before expanding any state whose f-value exceeds the bound (which may
-    be a callable re-read every pop, for bounds tightened concurrently).
-    `steps()` yields one settled (state, dist, companion) at a time, before the
-    state's successors are generated; `order` lists the settled states in
-    settle order.
+    `run()` settles states until the next one's f-value exceeds `bound`, a
+    number; `order` lists the settled states in settle order.
 
     An init search also gets `init`, its round's InitResult, with `target`,
     the state at the far end, and `joins`, (record half, cost1 table, cost2
-    table) per opposite table. Each settled label is then joined with those
-    tables, and the target's label seeds f1_bar (cost2) or decides the init
-    as the optimum (cost1 within the weight limit: SHORTCUT); a cost2 search
-    that ends without settling its target marks the init INFEASIBLE. Such a
-    search settles nothing once `init.status` is no longer SEARCH, whether
-    another search decided the init before it started or it decided it
-    itself.
+    table) per opposite table. Its `bound` is unused: `run()` reads the
+    bound from `init.gb` as it starts (f2_bar on cost2, f1_bar on cost1) and
+    re-reads f1_bar after each join and target block, the only place f1_bar
+    moves while it runs. Each settled label is joined with those tables,
+    and the target's label seeds f1_bar (cost2) or decides the init as the
+    optimum (cost1 within the weight limit: SHORTCUT, and the search ends
+    there); a cost2 search that ends without settling its target marks the
+    init INFEASIBLE. Such a search settles nothing when `init.status` is no
+    longer SEARCH as it starts.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
@@ -216,7 +213,7 @@ class BoundedSearch:
         self.traverse_dir = traverse_dir
         self.attr = attr
         self.heuristic = heuristic
-        self.bound = bound if callable(bound) else (lambda b=bound: b)
+        self.bound = bound
         self.allowed = allowed
         self.init = init
         self.target = target
@@ -233,7 +230,9 @@ class BoundedSearch:
         h0 = heuristic[source] if heuristic is not None else 0
         self.heap: list[tuple] = [(h0, 0, 0, source, -1)]
 
-    def steps(self) -> Iterator[tuple[int, int, int]]:
+    def run(self, stop: int = -1) -> "BoundedSearch":
+        """Settle states until the bound or the heap runs out, or until `stop`
+        has settled."""
         graph = self.graph
         if self.traverse_dir == FORWARD:
             index, to, c1, c2 = graph.fwd_index, graph.fwd_to, graph.fwd_c1, graph.fwd_c2
@@ -250,14 +249,15 @@ class BoundedSearch:
         init, target, joins = self.init, self.target, self.joins
         if init is not None:
             if init.status != SEARCH:
-                return
+                return self
             gb = init.gb
+            bound = gb.f1_bar if attr == ATTR1 else gb.f2_bar
             side, mine = self.traverse_dir, TREE_HALF[attr]
         while heap:
             f, ds, dp, u, pu = heappop(heap)
             if settled[u]:
                 continue
-            if f > bound():
+            if f > bound:
                 break
             settled[u] = True
             settle(u)
@@ -277,9 +277,11 @@ class BoundedSearch:
                     elif cu2 <= gb.f2_bar:
                         gb.offer(cu1, cu2, join_halves(side, u, mine, None), "init-shortcut")
                         init.status = SHORTCUT
-            yield u, dp, ds
-            if init is not None and init.status != SEARCH:
-                return
+                        return self
+                if attr == ATTR1:
+                    bound = gb.f1_bar  # lowered by this block's offers
+            if u == stop:
+                return self
             for i in range(index[u], index[u + 1]):
                 v = to[i]
                 if allowed is not None and not allowed[v]:
@@ -296,10 +298,6 @@ class BoundedSearch:
                     heappush(heap, (ndp + hv, nds, ndp, v, u))
         if init is not None and attr == ATTR2 and not settled[target]:
             init.status = INFEASIBLE
-
-    def run(self) -> "BoundedSearch":
-        """Run to completion."""
-        deque(self.steps(), maxlen=0)
         return self
 
     def taken(self) -> list[tuple]:
@@ -368,12 +366,11 @@ class GoalTrees:
         self._lock = threading.Lock()
 
     def prefix(self, graph: Graph, key: tuple[int, int, int],
-               limit) -> tuple[GoalTree, int, int]:
+               limit) -> tuple[GoalTree, int]:
         """The tree of `key`, (source, traverse direction, attribute), for
-        bound `limit`, the length of its settle-order prefix with primary cost
-        <= limit, and how many states a rebuild settled now: 0 on a hit,
-        where the cached tree's limit is at least `limit`; else the whole
-        tree, searched afresh up to `limit`."""
+        bound `limit`, and the length of its settle-order prefix with primary
+        cost <= limit. The cached tree serves when its limit is at least
+        `limit`; else the tree is searched afresh up to `limit`."""
         source, traverse_dir, attr = key
         if not 0 <= source < self.state_count:
             raise IndexError(f"source {source} is not one of the graph's "
@@ -383,7 +380,7 @@ class GoalTrees:
             if tree is not None and tree.limit >= limit:
                 self.hits += 1
                 self.trees[key] = tree
-                return tree, bisect_right(tree.dist, limit), 0
+                return tree, bisect_right(tree.dist, limit)
             self.misses += 1
             if tree is not None:
                 self.size -= tree.nbytes
@@ -395,8 +392,7 @@ class GoalTrees:
                 _, old = self.trees.popitem(last=False)
                 self.size -= old.nbytes
                 self.evictions += 1
-            count = len(tree.order)
-            return tree, count, count
+            return tree, len(tree.order)
 
 
 class ListPool:
@@ -638,15 +634,16 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     The search computes direction `table_dir` tables on `attr`, so it runs from
     that direction's target end toward the other end. Its heuristic is the
     opposite direction's table on `attr` when one exists, else the geometric
-    bound; cost2 is bounded by the weight limit, cost1 by f1_bar. Each settled
+    bound. It gets no bound of its own: as it starts, `run()` reads the weight
+    limit (cost2) or f1_bar (cost1) from `result.gb`, and a cost1 search
+    re-reads f1_bar after each of its join and target blocks. Each settled
     label is one half of a start-goal path: it is joined with every opposite
     table. When the search's own target settles, a cost2 label seeds f1_bar and
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
-    search that ends without settling its target proves INFEASIBLE. Its
-    `steps()` does all of this per settled state and settles no further state
-    once `result.status` is no longer SEARCH; `_tree_search` does the same
-    from the graph's tree cache when the search has no heuristic, mask or
-    joins.
+    search that ends without settling its target proves INFEASIBLE. It
+    settles nothing when `result.status` is no longer SEARCH as it starts;
+    `_tree_search` does the same from the graph's tree cache when the search
+    has no heuristic, mask or joins.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -661,16 +658,16 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
             ub_arr = tables.ub[opp][1 - b]
             joins.append((TREE_HALF[b], h_arr, ub_arr) if b == ATTR1
                          else (TREE_HALF[b], ub_arr, h_arr))
-    return BoundedSearch(graph, source, opp, attr, heuristic=heuristic,
-                         bound=gb.f2_bar if attr == ATTR2 else (lambda: gb.f1_bar),
-                         allowed=allowed, init=result, target=target, joins=joins)
+    return BoundedSearch(graph, source, opp, attr, heuristic=heuristic, allowed=allowed,
+                         init=result, target=target, joins=joins)
 
 
 def _tree_search(graph: Graph, search: BoundedSearch, result: InitResult) -> None:
     """Run a plain init search, one with no heuristic, mask or joins, from the
-    graph's tree cache. The cached tree's prefix within the search's bound,
-    read as the search begins, is what the live search settles: it is
-    written into the search's lists in one loop, and the heap is emptied.
+    graph's tree cache. The cached tree's prefix within the bound that the
+    live search reads as it starts (the weight limit on cost2, f1_bar on
+    cost1) is what the live search settles: it is written into the search's
+    lists in one loop, and the heap is emptied.
     The live loop's target rule applies to the target's entry: on cost2 it
     seeds f1_bar, or the init is INFEASIBLE when the prefix lacks the
     target; on cost1 within the weight limit it is the optimum, offered as
@@ -682,8 +679,8 @@ def _tree_search(graph: Graph, search: BoundedSearch, result: InitResult) -> Non
     if result.status != SEARCH:
         return
     gb, source, target, attr = result.gb, search.source, search.target, search.attr
-    tree, count, rebuilt = goal_trees(graph).prefix(
-        graph, (source, search.traverse_dir, attr), search.bound())
+    tree, count = goal_trees(graph).prefix(graph, (source, search.traverse_dir, attr),
+                                           gb.f1_bar if attr == ATTR1 else gb.f2_bar)
     data = join_halves(search.traverse_dir, target, TREE_HALF[attr], None)
     if attr == ATTR1:
         try:
@@ -695,10 +692,6 @@ def _tree_search(graph: Graph, search: BoundedSearch, result: InitResult) -> Non
                 gb.offer(tree.dist[i], tree.comp[i], data, "init-shortcut")
                 result.status = SHORTCUT
                 count = i + 1
-    if rebuilt:
-        result.tree_settled += rebuilt
-    else:
-        result.tree_replayed += count
     search.order.extend(islice(tree.order, count))
     dist, comp, pred, settled = search.dist, search.comp, search.pred, search.settled
     for u, dp, ds, pu in islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count):

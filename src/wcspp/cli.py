@@ -59,12 +59,8 @@ def _settle(graph: Graph, start: int, goal: int, attr: int) -> Optional[tuple[in
     """(dist, companion) of `goal` in a search from `start` on `attr`, which
     stops once `goal` settles; None if it is unreachable. The search's lists
     go back to the graph's pool."""
-    search = BoundedSearch(graph, start, FORWARD, attr)
-    found = None
-    for u, dist, comp in search.steps():
-        if u == goal:
-            found = dist, comp
-            break
+    search = BoundedSearch(graph, start, FORWARD, attr).run(stop=goal)
+    found = (search.dist[goal], search.comp[goal]) if search.settled[goal] else None
     list_pool(graph).give(search.taken())
     return found
 

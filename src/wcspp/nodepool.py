@@ -43,11 +43,6 @@ class NodePool:
         self._free.append(handle)
 
     @property
-    def live(self) -> int:
-        """Slots handed out and not yet recycled."""
-        return len(self.nodes) - len(self._free)
-
-    @property
     def slots_created(self) -> int:
         """Distinct slots ever handed out."""
         return len(self.nodes)
@@ -80,11 +75,6 @@ class ParentArrays:
             pairs = self.pairs[state] = []
         pairs.append((parent_state, parent_path_id))
         return len(pairs)
-
-    def entries(self, state: int) -> tuple[list[Optional[int]], list[int]]:
-        """The state's parent states and parent path ids, in entry order."""
-        pairs = self.pairs.get(state, [])
-        return [p for p, _ in pairs], [i for _, i in pairs]
 
     def backtrack(self, state: int, path_id: int) -> list[int]:
         """States from the search's initial state to `state`, following a recorded path."""

@@ -58,7 +58,7 @@ def _textbook_search(graph, source, traverse_dir, attr, heuristic, limit, allowe
     the open state with the smallest (f, companion, dist, state), where a
     state's label is the lexicographically smallest (dist, companion) offered
     so far (the first offer wins a tie) and f = dist + h. It stops once that
-    f exceeds limit(number of states settled so far)."""
+    f exceeds limit."""
     h = (lambda v: 0) if heuristic is None else heuristic.__getitem__
     label = {source: (0, 0, None)}  # state -> (dist, companion, predecessor)
     order, settled = [], set()
@@ -68,7 +68,7 @@ def _textbook_search(graph, source, traverse_dir, attr, heuristic, limit, allowe
             break
         u = min(open_states, key=lambda v: (label[v][0] + h(v), label[v][1], label[v][0], v))
         dp, ds, _ = label[u]
-        if dp + h(u) > limit(len(order)):
+        if dp + h(u) > limit:
             break
         settled.add(u)
         order.append(u)
@@ -89,13 +89,15 @@ def _textbook_search(graph, source, traverse_dir, attr, heuristic, limit, allowe
 @pytest.mark.parametrize("seed", range(8))
 def test_bounded_search_matches_textbook_search(seed):
     # Both traverse directions and attributes, with and without a mask, a table
-    # or geometric heuristic, and constant or tightening bounds: the settle
+    # or geometric heuristic, and a finite or infinite bound: the settle
     # sequence and every dist/comp/pred entry agree with the plain version.
+    # A run with a stop state settles the plain version's order cut just
+    # after that state, with the same labels there.
     rng = random.Random(seed)
     n = rng.randint(6, 30)
     # costs of 1-3 make equal labels common, so the tie rules are exercised
     g = geo_random_graph(seed, n, 3 * n) if seed % 2 else random_graph(seed, n, 3 * n, 3)
-    cases = 0
+    cases = cut_short = 0
     for _ in range(12):
         source = rng.randrange(n)
         tdir = rng.choice((FORWARD, BACKWARD))
@@ -109,22 +111,26 @@ def test_bounded_search_matches_textbook_search(seed):
             heuristic = [rng.randint(0, 6) for _ in range(n)]
         elif kind == "geo" and attr == ATTR1:
             heuristic = geo_heuristic(g, rng.randrange(n), ATTR1)
-        top = rng.choice((INF, rng.randint(5, 10 * n)))
-        shrink = rng.randint(0, 3)
-        limit = (lambda k: top) if shrink == 0 else (lambda k: top - shrink * k)
-        box = []
-        bound = top if shrink == 0 else (lambda: limit(len(box[0].order)))
+        bound = rng.choice((INF, rng.randint(0, 10 * n)))
         search = BoundedSearch(g, source, tdir, attr, heuristic=heuristic, bound=bound,
-                               allowed=allowed)
-        box.append(search)
-        seq = [u for u, _, _ in search.steps()]
-        order, dist, comp, pred = _textbook_search(g, source, tdir, attr, heuristic, limit,
+                               allowed=allowed).run()
+        order, dist, comp, pred = _textbook_search(g, source, tdir, attr, heuristic, bound,
                                                    allowed)
-        assert seq == search.order == order
+        assert search.order == order
         assert (search.dist, search.comp, search.pred) == (dist, comp, pred)
         assert search.settled == [u in set(order) for u in range(n)]
         cases += len(order) > 1
-    assert cases > 0
+        if order:
+            stop = rng.choice(order)
+            cut = order[:order.index(stop) + 1]
+            part = BoundedSearch(g, source, tdir, attr, heuristic=heuristic, bound=bound,
+                                 allowed=allowed).run(stop=stop)
+            assert part.order == cut
+            assert [(part.dist[u], part.comp[u], part.pred[u]) for u in range(n)] == \
+                [(dist[u], comp[u], pred[u]) if u in cut else (INF, INF, None)
+                 for u in range(n)]
+            cut_short += len(cut) < len(order)
+    assert cases > 0 and cut_short > 0
 
 
 def _rounds(plan, settled_per_phase):
@@ -302,8 +308,7 @@ def test_shortcut_round_stops_when_its_target_settles():
             continue
         (_, _, first), (table_dir, attr, mask) = init.settled_per_phase
         assert (table_dir, attr) == (FORWARD, ATTR1)
-        order = [u for u, _, _ in
-                 BoundedSearch(g, n - 1, BACKWARD, ATTR1, allowed=first).steps()]
+        order = BoundedSearch(g, n - 1, BACKWARD, ATTR1, allowed=first).run().order
         upto = order[:order.index(0) + 1]
         assert [u for u in range(n) if mask[u]] == sorted(upto)
         assert init.gb.record.costs == constrained_optimum(g, 0, n - 1, 1 << 40)
@@ -520,29 +525,6 @@ def _line() -> Graph:
     return Graph(8, [e for u in range(7) for e in ((u, u + 1, 1, 5), (u + 1, u, 1, 5))])
 
 
-def _spy_round_one_cost1_bound(monkeypatch) -> list:
-    """Make the first cost1 search that an init starts log (states it has
-    settled, bound) each time it reads its bound, once per state it pops."""
-    reads: list = []
-    spied: list = []
-
-    class Spy(bounds_mod.BoundedSearch):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            if self.attr == ATTR1 and not spied:
-                spied.append(self)
-                inner = self.bound
-
-                def bound():
-                    value = inner()
-                    reads.append((len(self.order), value))
-                    return value
-                self.bound = bound
-
-    monkeypatch.setattr(bounds_mod, "BoundedSearch", Spy)
-    return reads
-
-
 def _init_digest(init) -> str:
     """Everything an InitResult holds but how the tree cache served it."""
     gb, t = init.gb, init.tables
@@ -616,8 +598,7 @@ def _assert_late_searches_settle_nothing(g: Graph, inst: ProblemInstance, init) 
     for table_dir, attr in PLAN_PARALLEL[1]:  # round two's searches, run anyway
         late = bounds_mod._init_search(g, inst, init, table_dir, attr, None).run()
         assert late.order == [] and not any(late.settled) and init.status == status
-    plain = BoundedSearch(g, inst.start, FORWARD, ATTR1, bound=lambda: init.gb.f1_bar,
-                          init=init, target=inst.goal)
+    plain = BoundedSearch(g, inst.start, FORWARD, ATTR1, init=init, target=inst.goal)
     bounds_mod._tree_search(g, plain, init)
     assert plain.order == [] and not any(plain.settled) and init.status == status
 
@@ -697,23 +678,26 @@ def test_round_one_cost1_side_runs_out_before_the_seed(monkeypatch, k):
 def test_round_one_cost1_search_runs_live_on_a_graph_with_coordinates(monkeypatch, start, goal,
                                                                        w, status):
     # With coordinates the cost1 search from the start gets the geometric
-    # heuristic, so it is not plain: it runs live, reads the seed from its
-    # first bound read on, whatever the schedule, and leaves no start tree.
+    # heuristic, so it is not plain: it runs live, bounded by the seed,
+    # whatever the schedule, and leaves no start tree. On a SHORTCUT it
+    # settles the states of a search bounded by the seed up to the goal; on
+    # an INFEASIBLE init it settles nothing.
     line = _line()
     g = Graph(8, list(line.edges()), [(40.0, -73.0 + 0.01 * u) for u in range(8)])
     inst = ProblemInstance(start, goal, w)
     seed = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run().comp[start]
+    order = BoundedSearch(g, start, FORWARD, ATTR1, heuristic=geo_heuristic(g, goal, ATTR1),
+                          bound=seed).run().order
+    prefix = order[:order.index(goal) + 1] if status == SHORTCUT else []
     seen = []
     for schedule in (("lockstep", 1), ("threads", 2)):
         with monkeypatch.context() as patch:
-            reads = _spy_round_one_cost1_bound(patch)
             inits = _inits_at_return(patch)
             solve_wc_ba_star(g, inst, BUCKET_CFG, SolveOptions(schedule=schedule))
         (init, digest), = inits
         assert init.status == status
         mask = init.settled_per_phase[1][2]
-        assert reads == [(m, seed) for m in range(sum(mask))]
-        assert (status == INFEASIBLE) == (reads == [])
+        assert [u for u in range(g.state_count) if mask[u]] == sorted(prefix)
         seen.append(digest)
     assert seen[0] == seen[1]
     assert list(goal_trees(g).trees) == [(goal, BACKWARD, ATTR2)]

@@ -310,7 +310,7 @@ def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, 
     captured = capsys.readouterr()
     # 2 lookups before the cells, then 1 per solve: 1 miss, 3 hits.
     g = load_dimacs(*example_dimacs)
-    tree, _, _ = goal_trees(g).prefix(g, (4, BACKWARD, ATTR2), 6)
+    tree, _ = goal_trees(g).prefix(g, (4, BACKWARD, ATTR2), 6)
     assert captured.err.splitlines() == [
         f"info: init tree cache hits=3 misses=1 evictions=0 trees=1 bytes={tree.nbytes}"]
     assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]

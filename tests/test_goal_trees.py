@@ -52,20 +52,20 @@ def test_pieces_make_one_unbounded_search():
         full = BoundedSearch(g, goal, BACKWARD, ATTR2).run()
         top = rng.randint(0, max(full.dist[u] for u in full.order))
         cache = goal_trees(g)
-        tree, count, live = cache.prefix(g, goal_key(goal), top)
-        assert count == live == len(tree.order) and tree.limit == top
+        tree, count = cache.prefix(g, goal_key(goal), top)
+        assert count == len(tree.order) and tree.limit == top
         for _ in range(5):
             w = rng.randint(0, top)
             ref = BoundedSearch(g, goal, BACKWARD, ATTR2, bound=w).run()
-            same, count, live = cache.prefix(g, goal_key(goal), w)
-            assert same is tree and live == 0
+            same, count = cache.prefix(g, goal_key(goal), w)
+            assert same is tree
             assert list(tree.order[:count]) == ref.order
             assert list(tree.dist[:count]) == [ref.dist[u] for u in ref.order]
             assert list(tree.comp[:count]) == [ref.comp[u] for u in ref.order]
             assert [None if p < 0 else p for p in tree.pred[:count]] == \
                 [ref.pred[u] for u in ref.order]
-        wider, count, live = cache.prefix(g, goal_key(goal), top + rng.randint(1, 12))
-        assert wider is not tree and count == live == len(wider.order)
+        wider, count = cache.prefix(g, goal_key(goal), top + rng.randint(1, 12))
+        assert wider is not tree and count == len(wider.order)
         assert wider.order[:len(tree.order)] == tree.order
         assert (cache.hits, cache.misses, cache.trees[goal_key(goal)]) == (5, 2, wider)
 
@@ -184,7 +184,7 @@ def test_eviction_keeps_the_bound_and_the_answers(inits):
     check(g, ProblemInstance(START, 32, 10**6), inits, names=("wc-astar",))
     assert cache.evictions == 1 and goal_key(0) not in cache.trees
     for goal in range(1, 33):
-        assert cache.prefix(g, goal_key(goal), 10**6)[1:] == (256, 0)
+        assert cache.prefix(g, goal_key(goal), 10**6)[1] == 256
     assert (cache.hits, cache.misses) == (32, 33)
     assert cache.size == sum(t.nbytes for t in cache.trees.values())
     assert cache.size <= cache.capacity
@@ -255,26 +255,28 @@ def test_python_threads_share_one_graph(inits):
 
 
 def test_second_solve_replays_every_state(inits):
-    # tree_replayed and tree_settled sum over an init's served searches: the
-    # goal tree's, and for wc-ba also the start tree's.
+    # The first solve of a goal builds its tree (a miss) of exactly the
+    # states its cost2 search settles; wc-ba's first solve is served the goal
+    # tree (a hit) and builds the start tree. The second wc-ba solve is
+    # served both trees and settles the same states.
     g = grid()
     inst = ProblemInstance(START, GOAL, W)
+    cache = goal_trees(g)
+    counts = []
     for name in ("wc-astar", "wc-ba", "wc-ba"):
         SOLVERS[name](g, inst, HEAP_CFG, DIGEST_OPTIONS)
+        counts.append((cache.hits, cache.misses))
+    assert counts == [(0, 1), (1, 2), (3, 2)] and cache.evictions == 0
     first, second, third = inits[threading.get_ident()]
     settled = sum(first.settled_per_phase[0][2])
-    from_start = sum(second.settled_per_phase[1][2])
     assert second.status == third.status == SEARCH
-    assert len(goal_trees(g).trees[start_key(START)].order) == from_start
-    assert (first.tree_replayed, first.tree_settled) == (0, settled)
-    assert (second.tree_replayed, second.tree_settled) == (settled, from_start)
-    assert (third.tree_replayed, third.tree_settled) == (settled + from_start, 0)
-    cache = goal_trees(g)
-    assert (cache.hits, cache.misses, cache.evictions) == (3, 2, 0)
-    # A wider W reruns the search: nothing is replayed from the cached tree.
+    assert len(cache.trees[goal_key(GOAL)].order) == settled
+    assert len(cache.trees[start_key(START)].order) == sum(second.settled_per_phase[1][2])
+    assert third.settled_per_phase == second.settled_per_phase
+    # A wider W rebuilds the goal tree, which holds every state it settles.
     wider = init_unidirectional(g, ProblemInstance(START, GOAL, W + 300))
-    assert wider.tree_replayed == 0 and wider.tree_settled > settled
     assert (cache.hits, cache.misses) == (3, 3) and cache.trees[goal_key(GOAL)].limit == W + 300
+    assert len(cache.trees[goal_key(GOAL)].order) == sum(wider.settled_per_phase[0][2]) > settled
 
 
 def test_trees_take_the_narrowest_width_per_array():
@@ -283,14 +285,14 @@ def test_trees_take_the_narrowest_width_per_array():
         == ["h", "h", "i", "i", "i", "q", "q"]
     # 8 bytes per label where every value fits in 16 bits.
     small = random_graph(7, 20, 40)
-    tree, _, _ = goal_trees(small).prefix(small, goal_key(19), 10**6)
+    tree, _ = goal_trees(small).prefix(small, goal_key(19), 10**6)
     assert {a.itemsize for a in (tree.order, tree.dist, tree.comp, tree.pred)} == {2}
     assert tree.nbytes == 8 * len(tree.order) == goal_trees(small).size
     # A cost2 distance of 32,768 moves only the dist array to 32 bits, one
     # past 2^31 moves it to 64; the cost1 companion widens on its own.
     for c1, c2, widths in ((5, 32767, (2, 4, 2, 2)), (COST_MAX, 2**31, (2, 8, 8, 2))):
         big = Graph(3, [(0, 1, c1, c2), (1, 2, 1, 1)])
-        tree, count, _ = goal_trees(big).prefix(big, goal_key(2), 2**32)
+        tree, count = goal_trees(big).prefix(big, goal_key(2), 2**32)
         arrays = (tree.order, tree.dist, tree.comp, tree.pred)
         assert tuple(a.itemsize for a in arrays) == widths
         assert tree.nbytes == 3 * sum(widths) == goal_trees(big).size

@@ -30,10 +30,10 @@ def test_live_count_returns_to_zero():
     pool = NodePool()
     handles = [pool.allocate(i, 0, 0, 0, 0, None, 0) for i in range(5)]
     assert pool.slots_created == 5
-    assert pool.live == 5
+    assert sum(node is not None for node in pool.nodes) == 5
     for h in handles:
         pool.recycle(h)
-    assert pool.live == 0
+    assert sum(node is not None for node in pool.nodes) == 0
 
 
 def test_blocks_count_fresh_slots_in_whole_blocks():
@@ -86,24 +86,24 @@ def test_seven_node_replay_uses_four_slots():
     expand("x7", n5["x7"], g, (u2, 2), [])
 
     assert pool.slots_created == 4
-    assert pool.live == 0
+    assert sum(node is not None for node in pool.nodes) == 0
     # slot reuse pattern: M1 = x1,x4; M2 = x2,x6; M3 = x3,x7; M4 = x5
     groups = {}
     for name, slot in slot_of.items():
         groups.setdefault(slot, []).append(name)
     assert sorted(sorted(v) for v in groups.values()) == [
         ["x1", "x4"], ["x2", "x6"], ["x3", "x7"], ["x5"]]
-    assert parents.entries(s) == ([None], [0])
-    assert parents.entries(u1) == ([s], [1])
-    assert parents.entries(u2) == ([s, u1], [1, 1])
-    assert parents.entries(g) == ([u1, u2, u2], [1, 1, 2])
+    assert parents.pairs[s] == [(None, 0)]
+    assert parents.pairs[u1] == [(s, 1)]
+    assert parents.pairs[u2] == [(s, 1), (u1, 1)]
+    assert parents.pairs[g] == [(u1, 1), (u2, 1), (u2, 2)]
 
 
 def test_record_expansion_initial_node():
     parents = ParentArrays()
     idx = parents.record_expansion(0, None, 0)
     assert idx == 1
-    assert parents.entries(0) == ([None], [0])
+    assert parents.pairs[0] == [(None, 0)]
 
 
 def test_backtrack_and_join(example_graph):

@@ -126,7 +126,7 @@ def test_terminal_skip_examples(example_graph):
         assert ctx.process((f1, f2, handle))
         assert ctx.metrics.expansions == int(expanded), state
         # Every live node is queued: the processed one went back to the pool.
-        assert ctx.pool.live == len(ctx.open), state
+        assert sum(node is not None for node in ctx.pool.nodes) == len(ctx.open), state
 
 
 # ---------------------------------------------------------------------------
