@@ -2,23 +2,38 @@
 initial global upper bounds and budget factors. Each solver's initialisation
 is a plan of rounds of these searches, run by `run_init`.
 
-An init search is "plain" when it has no heuristic, no mask and no joins:
-then its settle order depends only on the graph, its source, its traverse
+An init search is "plain" when it has no heuristic and no joins. Without a
+mask, its settle order depends only on the graph, its source, its traverse
 direction and its attribute, and a run bounded by L settles exactly the
 prefix with primary cost <= L of any run with a larger bound, in the same
 order. Plain searches are not rerun per solve. Each graph records one
-finished search per (source, traverse direction, attribute) (`GoalTree`, in
-the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in bytes), reruns it
-only for a bound above the recorded one, and serves the prefix as data: the
-search writes the whole prefix into an ordinary `BoundedSearch`'s lists in
-one loop and applies the live loop's target rule to the target's entry.
-Every plan's first search, cost2 from the goal over the reversed graph
-bounded by the weight limit W, is plain (a goal tree): the start's entry
-seeds f1_bar, or, when the prefix lacks the start, the init is INFEASIBLE.
-So is the parallel plan's round-one cost1 search from the start, bounded by
-f1_bar, on a graph without coordinates (a start tree): when the goal lies in
-its prefix within W, the prefix is cut just after the goal and the init is a
-SHORTCUT.
+finished unmasked search per (source, traverse direction, attribute)
+(`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in
+bytes), reruns it only for a bound above the recorded one, and serves the
+prefix as data: the search writes the prefix into an ordinary
+`BoundedSearch`'s lists in one loop and applies the live loop's target rule
+to the target's entry. Every plan's first search, cost2 from the goal over
+the reversed graph bounded by the weight limit W, is plain (a goal tree):
+the start's entry seeds f1_bar, or, when the prefix lacks the start, the
+init is INFEASIBLE. So is the parallel plan's round-one cost1 search from
+the start, bounded by f1_bar, on a graph without coordinates (a start
+tree): when the goal lies in its prefix within W, the prefix is cut just
+after the goal and the init is a SHORTCUT. And so is the unidirectional
+plan's round-two cost1 search from the goal, bounded by f1_bar and kept to
+the states that the cost2 search settled, on a graph without coordinates (a
+cost1 goal tree).
+
+A masked search is served the tree's prefix filtered to the mask, for as
+long as each served state's tree predecessor was itself served. That much
+is what the live masked search settles first, in the same order, with the
+same labels and predecessors: a lexicographic Dijkstra always settles the
+least (primary, secondary, id) label of its frontier and takes as
+predecessor the first settled neighbour that gives the final label, and
+both facts hold in the filtered prefix while each state's tree path stays
+inside the mask. At the first
+allowed state whose predecessor was not served, the mask binds (counted in
+`GoalTrees.binds`): the search rebuilds the live search's frontier from the
+served states (`BoundedSearch.rebuild_frontier`) and goes on live.
 
 Every other init search is a live `BoundedSearch`, with the joins against
 the opposite tables and its target test done inside the settle loop. The
@@ -230,17 +245,21 @@ class BoundedSearch:
         h0 = heuristic[source] if heuristic is not None else 0
         self.heap: list[tuple] = [(h0, 0, 0, source, -1)]
 
-    def run(self, stop: int = -1) -> "BoundedSearch":
-        """Settle states until the bound or the heap runs out, or until `stop`
-        has settled."""
+    def _arcs(self) -> tuple:
+        """(index, to, primary cost, secondary cost): the compressed arc
+        arrays of the traverse direction, costs ordered by `attr`."""
         graph = self.graph
         if self.traverse_dir == FORWARD:
             index, to, c1, c2 = graph.fwd_index, graph.fwd_to, graph.fwd_c1, graph.fwd_c2
         else:
             index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
-        # Primary (searched) and secondary (companion) cost per arc.
+        return (index, to, c1, c2) if self.attr == ATTR1 else (index, to, c2, c1)
+
+    def run(self, stop: int = -1) -> "BoundedSearch":
+        """Settle states until the bound or the heap runs out, or until `stop`
+        has settled."""
+        index, to, cp, cs = self._arcs()
         attr = self.attr
-        cp, cs = (c1, c2) if attr == ATTR1 else (c2, c1)
         heappop, heappush = heapq.heappop, heapq.heappush
         heap, best_p, best_s, heuristic, allowed, bound = (
             self.heap, self.best_p, self.best_s, self.heuristic, self.allowed, self.bound)
@@ -300,6 +319,36 @@ class BoundedSearch:
             init.status = INFEASIBLE
         return self
 
+    def rebuild_frontier(self) -> None:
+        """Make the heap the one a run would hold after settling exactly
+        `order`, in that order, with the labels and predecessors written in
+        the lists: for each unsettled allowed neighbour of a settled state,
+        its best label from `run()`'s relaxation rule, with the first
+        settled state in `order` that gives it as predecessor. A later
+        `run()` then continues that run."""
+        index, to, cp, cs = self._arcs()
+        best_p, best_s, heuristic, allowed = self.best_p, self.best_s, self.heuristic, self.allowed
+        dist, comp, settled = self.dist, self.comp, self.settled
+        frontier = {}
+        for u in self.order:
+            dp, ds = dist[u], comp[u]
+            for i in range(index[u], index[u + 1]):
+                v = to[i]
+                if allowed is not None and not allowed[v]:
+                    continue
+                if settled[v]:
+                    continue
+                ndp = dp + cp[i]
+                nds = ds + cs[i]
+                cur = best_p.get(v)
+                if cur is None or ndp < cur or (ndp == cur and nds < best_s[v]):
+                    best_p[v] = ndp
+                    best_s[v] = nds
+                    hv = heuristic[v] if heuristic is not None else 0
+                    frontier[v] = (ndp + hv, nds, ndp, v, u)
+        self.heap = list(frontier.values())
+        heapq.heapify(self.heap)
+
     def taken(self) -> list[tuple]:
         """(fill, list, written) for the four lists taken from the graph's pool;
         they are written only at the settled states."""
@@ -309,10 +358,11 @@ class BoundedSearch:
 
 
 class GoalTree:
-    """A finished plain search, the record of `BoundedSearch(graph, source,
-    traverse_dir, attr, bound=limit).run()`: a goal tree (cost2 from a goal
-    over the reversed graph) or a start tree (cost1 from a start over the
-    graph). It holds the settled states in settle order, with their primary
+    """A finished unmasked plain search, the record of `BoundedSearch(graph,
+    source, traverse_dir, attr, bound=limit).run()`: a goal tree (cost2 from
+    a goal over the reversed graph), a cost1 goal tree (cost1 from a goal
+    over the reversed graph, which serves wc-astar's masked cost1 search) or
+    a start tree (cost1 from a start over the graph). It holds the settled states in settle order, with their primary
     cost (non-decreasing), secondary companion and predecessor (-1 for the
     source), in four typed arrays, each of the narrowest int width that
     holds its values (`_int_array`): 8 bytes per state where every value
@@ -348,13 +398,15 @@ def _int_array(values: list) -> array:
 
 
 class GoalTrees:
-    """A graph's finished plain searches, goal trees and start trees alike,
-    keyed by (source, traverse direction, attribute) and least recently used
-    first out, holding at most `256 * n` bytes of tree arrays in all (`size`
+    """A graph's finished plain searches, goal trees, cost1 goal trees and
+    start trees alike, keyed by (source, traverse direction, attribute) and
+    least recently used first out, holding at most `256 * n` bytes of tree arrays in all (`size`
     and `capacity` count `GoalTree.nbytes`): 32 whole-graph trees at 8 bytes
     per state. One lock serialises lookups and rebuilds. An init reads its
     tree outside the lock: a rebuild swaps in a new tree and leaves the old
-    one to the inits that hold it.
+    one to the inits that hold it. `hits`, `misses` and `evictions` count
+    lookups and trees; `binds` counts served masked searches whose mask
+    bound, so that they went on live.
     """
 
     def __init__(self, state_count: int):
@@ -362,7 +414,7 @@ class GoalTrees:
         self.capacity = 256 * state_count
         self.trees: OrderedDict[tuple[int, int, int], GoalTree] = OrderedDict()
         self.size = 0
-        self.hits = self.misses = self.evictions = 0
+        self.hits = self.misses = self.evictions = self.binds = 0
         self._lock = threading.Lock()
 
     def prefix(self, graph: Graph, key: tuple[int, int, int],
@@ -643,7 +695,7 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     search that ends without settling its target proves INFEASIBLE. It
     settles nothing when `result.status` is no longer SEARCH as it starts;
     `_tree_search` does the same from the graph's tree cache when the search
-    has no heuristic, mask or joins.
+    has no heuristic and no joins.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -663,57 +715,92 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
 
 
 def _tree_search(graph: Graph, search: BoundedSearch, result: InitResult) -> None:
-    """Run a plain init search, one with no heuristic, mask or joins, from the
+    """Run a plain init search, one with no heuristic and no joins, from the
     graph's tree cache. The cached tree's prefix within the bound that the
     live search reads as it starts (the weight limit on cost2, f1_bar on
-    cost1) is what the live search settles: it is written into the search's
-    lists in one loop, and the heap is emptied.
+    cost1) is what an unmasked live search settles: it is written into the
+    search's lists in one loop, and the heap is emptied. A masked search is
+    written the prefix's allowed states (and the source) in order, up to the
+    first allowed state whose tree predecessor was not written: there the
+    mask binds, the frontier is rebuilt from the written states and the
+    search runs on live (`BoundedSearch.rebuild_frontier`, then `run()`).
     The live loop's target rule applies to the target's entry: on cost2 it
-    seeds f1_bar, or the init is INFEASIBLE when the prefix lacks the
-    target; on cost1 within the weight limit it is the optimum, offered as
-    the live search offers it, so the prefix is cut just after the target
-    and the init is a SHORTCUT. Only that offer moves f1_bar while the
-    search runs, since the search has no joins. Like a live init search, it
-    settles nothing once the init is decided."""
+    seeds f1_bar, or the init is INFEASIBLE when the search ends without
+    the target; on cost1 within the weight limit it is the optimum, offered
+    as the live search offers it, so the prefix is cut just after the
+    target and the init is a SHORTCUT. Only that offer moves f1_bar while
+    the search runs, since the search has no joins. Like a live init
+    search, it settles nothing once the init is decided."""
     search.heap.clear()
     if result.status != SEARCH:
         return
-    gb, source, target, attr = result.gb, search.source, search.target, search.attr
-    tree, count = goal_trees(graph).prefix(graph, (source, search.traverse_dir, attr),
-                                           gb.f1_bar if attr == ATTR1 else gb.f2_bar)
+    gb, source, target, attr, allowed = (result.gb, search.source, search.target, search.attr,
+                                         search.allowed)
+    cache = goal_trees(graph)
+    tree, count = cache.prefix(graph, (source, search.traverse_dir, attr),
+                               gb.f1_bar if attr == ATTR1 else gb.f2_bar)
     data = join_halves(search.traverse_dir, target, TREE_HALF[attr], None)
-    if attr == ATTR1:
+    shortcut = False
+    if attr == ATTR1 and (allowed is None or allowed[target]):
         try:
             i = tree.order.index(target, 0, count)
         except ValueError:
             pass
         else:
             if tree.comp[i] <= gb.f2_bar:
-                gb.offer(tree.dist[i], tree.comp[i], data, "init-shortcut")
-                result.status = SHORTCUT
+                shortcut = True
                 count = i + 1
-    search.order.extend(islice(tree.order, count))
     dist, comp, pred, settled = search.dist, search.comp, search.pred, search.settled
-    for u, dp, ds, pu in islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count):
-        settled[u] = True
-        dist[u] = dp
-        comp[u] = ds
-        pred[u] = pu
-    if count:
-        pred[source] = None  # the tree's root, stored with predecessor -1
+    entries = islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count)
+    binds = False
+    if allowed is None:
+        search.order.extend(islice(tree.order, count))
+        for u, dp, ds, pu in entries:
+            settled[u] = True
+            dist[u] = dp
+            comp[u] = ds
+            pred[u] = pu
+        if count:
+            pred[source] = None  # the tree's root, stored with predecessor -1
+    else:
+        settle = search.order.append
+        for u, dp, ds, pu in islice(entries, 1):  # the source, whatever the mask
+            settle(u)
+            settled[u] = True
+            dist[u] = dp
+            comp[u] = ds
+        for u, dp, ds, pu in entries:
+            if allowed[u]:
+                if not settled[pu]:  # the mask cuts u's tree path: it binds
+                    binds = True
+                    break
+                settle(u)
+                settled[u] = True
+                dist[u] = dp
+                comp[u] = ds
+                pred[u] = pu
+    if shortcut and settled[target]:
+        gb.offer(dist[target], comp[target], data, "init-shortcut")
+        result.status = SHORTCUT
+        return
     if attr == ATTR2:
         if settled[target]:
             gb.seed(comp[target], dist[target], data)
-        else:
+        elif not binds:
             result.status = INFEASIBLE
+    if binds:
+        with cache._lock:
+            cache.binds += 1
+        search.rebuild_frontier()
+        search.run()
 
 
 def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
     """Run an init plan round by round, and each round's searches one after
     another in plan order, each to its end.
 
-    A plain search (no heuristic, mask or joins) is served from the graph's
-    tree cache (`_tree_search`), every other one runs live. A round's
+    A plain search (no heuristic and no joins, masked or not) is served from
+    the graph's tree cache (`_tree_search`), every other one runs live. A round's
     searches are all made before the first of them runs, so none joins
     against a table of its own round; they share only the global bounds,
     and a search that starts once the init is decided settles nothing.
@@ -750,7 +837,7 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
         searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
                     for table_dir, attr in rnd]
         for (table_dir, attr), search in zip(rnd, searches):
-            if search.heuristic is None and search.allowed is None and not search.joins:
+            if search.heuristic is None and not search.joins:
                 _tree_search(graph, search, result)
             else:
                 search.run()

@@ -407,7 +407,8 @@ def cmd_bench(args) -> int:
                       fh, args.timeout)
     cache = goal_trees(graph)
     print(f"info: init tree cache hits={cache.hits} misses={cache.misses} "
-          f"evictions={cache.evictions} trees={len(cache.trees)} bytes={cache.size}",
+          f"evictions={cache.evictions} binds={cache.binds} trees={len(cache.trees)} "
+          f"bytes={cache.size}",
           file=sys.stderr)
     return 0
 

@@ -284,8 +284,9 @@ def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
     # Every cell replays the goal tree that run_bench built, once per goal at
     # its largest W whatever the rows' order; a goal outside the graph still
     # becomes an error row instead of ending the batch. The graph has no
-    # coordinates, so the first wc-ba cell also builds the start's tree,
-    # which both W's share: their seed is the same.
+    # coordinates, so the first wc-astar cell also builds the goal's cost1
+    # tree for its masked cost1 search, and the first wc-ba cell the start's
+    # tree; both W's share each of them, since their seed f1_bar is the same.
     for text in ("1 5 w 6\n1 5 w 3\n1 9 w 6\n", "1 5 w 3\n1 5 w 6\n1 9 w 6\n"):
         inst = tmp_path / "i.txt"
         inst.write_text(text, encoding="utf-8")
@@ -294,9 +295,11 @@ def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
         buf = io.StringIO()
         assert run_bench(g, rows, sorted(SOLVERS), ["bucket"], ["none-lifo"], 2, 1, buf) == 12
         cache = g.goal_trees
-        assert (cache.misses, cache.evictions) == (2, 0), text
-        assert list(cache.trees) == [(4, BACKWARD, ATTR2), (0, FORWARD, ATTR1)]
+        assert (cache.misses, cache.evictions, cache.binds) == (3, 0, 0), text
+        assert list(cache.trees) == [(4, BACKWARD, ATTR1), (4, BACKWARD, ATTR2),
+                                     (0, FORWARD, ATTR1)]
         assert cache.trees[4, BACKWARD, ATTR2].limit == 6
+        assert cache.trees[4, BACKWARD, ATTR1].limit == cache.trees[0, FORWARD, ATTR1].limit == 7
         cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
         assert [row[4] for row in cells].count("error") == 4
 
@@ -308,11 +311,15 @@ def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, 
                  "--cost2", example_dimacs[1], "--repeats", "1", "--algorithms", "wc-astar"])
     assert code == 0
     captured = capsys.readouterr()
-    # 2 lookups before the cells, then 1 per solve: 1 miss, 3 hits.
+    # 2 goal tree lookups before the cells, then per solve 1 of the goal tree
+    # and 1 of the goal's cost1 tree, both solves at the same seed f1_bar = 7:
+    # 2 misses, 4 hits. The mask of the cost1 search does not bind.
     g = load_dimacs(*example_dimacs)
-    tree, _ = goal_trees(g).prefix(g, (4, BACKWARD, ATTR2), 6)
+    trees = [goal_trees(g).prefix(g, (4, BACKWARD, attr), limit)[0]
+             for attr, limit in ((ATTR2, 6), (ATTR1, 7))]
     assert captured.err.splitlines() == [
-        f"info: init tree cache hits=3 misses=1 evictions=0 trees=1 bytes={tree.nbytes}"]
+        "info: init tree cache hits=4 misses=2 evictions=0 binds=0 trees=2 "
+        f"bytes={sum(tree.nbytes for tree in trees)}"]
     assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
     assert len(captured.out.splitlines()) == 4
 

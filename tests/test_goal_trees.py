@@ -7,8 +7,9 @@ import sys
 import threading
 from fractions import Fraction
 
-from wcspp.bounds import ATTR1, ATTR2, INFEASIBLE, SEARCH, SHORTCUT, BoundedSearch, \
-    _int_array, goal_trees, init_parallel_bidirectional, init_unidirectional
+from wcspp.bounds import ATTR1, ATTR2, INF, INFEASIBLE, SEARCH, SHORTCUT, BoundedSearch, \
+    BoundsTables, GlobalBounds, InitResult, _init_search, _int_array, _tree_search, goal_trees, \
+    init_parallel_bidirectional, init_unidirectional
 from wcspp.cli import gen_instances
 from wcspp.graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
@@ -28,6 +29,12 @@ def goal_key(goal: int) -> tuple:
 def start_key(start: int) -> tuple:
     """The cache key of `start`'s start tree."""
     return (start, FORWARD, ATTR1)
+
+
+def cost1_goal_key(goal: int) -> tuple:
+    """The cache key of `goal`'s cost1 tree, which serves wc-astar's masked
+    cost1 search."""
+    return (goal, BACKWARD, ATTR1)
 
 
 def h2(graph: Graph, start: int, goal: int):
@@ -158,6 +165,57 @@ def test_served_start_trees_match_a_fresh_graph(inits):
         assert [key[1:] for key in goal_trees(geo).trees] == [(BACKWARD, ATTR2)]
 
 
+def masked_cost1(graph: Graph, inst: ProblemInstance, serve: bool):
+    """wc-astar's init up to its masked cost1 search (forward tables on cost1,
+    from the goal, kept to the states that the cost2 search settled), with
+    that search served from the tree cache or run live: everything it
+    shows, or None when round one decides the init."""
+    result = InitResult(SEARCH, BoundsTables(), GlobalBounds(inst.weight_limit))
+    first = _init_search(graph, inst, result, FORWARD, ATTR2, None).run()
+    if result.status != SEARCH:
+        return None
+    search = _init_search(graph, inst, result, FORWARD, ATTR1, first.settled)
+    assert search.heuristic is None and not search.joins
+    if serve:
+        _tree_search(graph, search, result)
+    else:
+        search.run()
+    gb = result.gb
+    return (search.order, search.dist, search.comp, search.pred, search.settled,
+            result.status, gb.f1_bar, gb.f2_sol, gb.incumbents, gb.record)
+
+
+def test_served_masked_searches_match_live_ones():
+    # A masked cost1 search is served from the goal's cost1 tree: the tree's
+    # prefix filtered to the mask, up to the first state whose tree
+    # predecessor was not served, where the mask binds and the search goes
+    # on live from the rebuilt frontier. Zero-cost arcs make ties in both
+    # costs. Each query is served on a fresh graph (a cold cache) and on one
+    # graph shared by all of a graph's queries (a warm cache, with trees
+    # built at other bounds), and compared field by field with a live run.
+    # Limits just above the start's cost2 distance make masks that bind.
+    rng = random.Random(29)
+    ways = {False: 0, True: 0}  # served searches whose mask bound, or did not
+    for _ in range(120):
+        n = rng.randint(3, 60)
+        g = random_graph(rng.randrange(2**30), n, rng.randint(n, 4 * n),
+                         cost_max=rng.choice([2, 3, 10]), cost_min=rng.choice([0, 0, 1]))
+        warm = fresh(g)
+        for _ in range(3):
+            start, goal = rng.randrange(n), rng.randrange(n)
+            low = h2(g, start, goal)
+            low = 0 if low == INF else low
+            for w in rng.sample(range(low, low + 20), 3):
+                inst = ProblemInstance(start, goal, w)
+                live = masked_cost1(fresh(g), inst, serve=False)
+                for graph in (fresh(g), warm):
+                    binds = goal_trees(graph).binds
+                    assert masked_cost1(graph, inst, serve=True) == live, (inst, n)
+                    if live is not None:
+                        ways[goal_trees(graph).binds > binds] += 1
+    assert min(ways.values()) > 100, ways
+
+
 def test_htf_tuning_does_not_leak_into_the_cache(inits):
     # wc-ba's backward search tunes the forward cost2 table, which the replay
     # filled from the tree; a later solve of the same goal must not see it.
@@ -175,41 +233,51 @@ def test_htf_tuning_does_not_leak_into_the_cache(inits):
 def test_eviction_keeps_the_bound_and_the_answers(inits):
     # n = 256, so the budget is 65,536 bytes: exactly 32 whole-graph trees of
     # 256 labels at 8 bytes each. A 33rd tree evicts the least recently used.
-    # wc-astar serves only goal trees: its cost1 search keeps to a mask.
     g = grid()
     cache = goal_trees(g)
     for goal in range(32):
-        check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
+        assert cache.prefix(g, goal_key(goal), 10**6)[1] == 256
     assert (cache.size, cache.capacity, cache.evictions) == (65536, 65536, 0)
-    check(g, ProblemInstance(START, 32, 10**6), inits, names=("wc-astar",))
+    assert cache.prefix(g, goal_key(32), 10**6)[1] == 256
     assert cache.evictions == 1 and goal_key(0) not in cache.trees
     for goal in range(1, 33):
         assert cache.prefix(g, goal_key(goal), 10**6)[1] == 256
     assert (cache.hits, cache.misses) == (32, 33)
     assert cache.size == sum(t.nbytes for t in cache.trees.values())
     assert cache.size <= cache.capacity
-    # Every solver: GOAL's tree and, for wc-ba and wc-ebba-par, START's
-    # start tree are built, each evicting the least recently used tree.
+    # Every solver: GOAL's goal tree, its cost1 tree (wc-astar's masked cost1
+    # search) and START's start tree (wc-ba and wc-ebba-par) are built, each
+    # evicting the least recently used trees; the answers are a fresh graph's.
     check(g, ProblemInstance(START, GOAL, W), inits)
-    assert (cache.misses, cache.evictions) == (35, 3)
-    assert list(cache.trees)[-2:] == [goal_key(GOAL), start_key(START)]
-    assert goal_key(1) not in cache.trees and goal_key(2) not in cache.trees
+    assert (cache.misses, cache.evictions) == (36, 4)
+    assert list(cache.trees)[-3:] == [cost1_goal_key(GOAL), goal_key(GOAL), start_key(START)]
+    assert all(goal_key(goal) not in cache.trees for goal in (1, 2, 3))
     assert cache.size == sum(t.nbytes for t in cache.trees.values()) <= cache.capacity
+    # An evicted goal is built again, and wc-astar still answers as on a
+    # fresh graph.
+    for goal in (0, 1):
+        check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
+        assert goal_key(goal) in cache.trees
+    assert cache.size <= cache.capacity
 
 
 def test_a_cycle_of_goals_that_fits_stops_missing(inits):
     # The benchmark solves the same queries pass after pass. Once every
-    # goal's tree fits the budget, the second round is all hits.
+    # tree of the goals fits the budget, the second round is all hits. Each
+    # wc-astar solve looks up its goal's goal tree and, unless round one
+    # decides the init, the goal's cost1 tree: here 16 goal trees and 15
+    # cost1 trees, some of whose masks bind.
     g = grid()
     queries = [ProblemInstance(START, goal, W if goal % 2 else 10**6)
-               for goal in range(0, 240, 10)]
+               for goal in range(0, 240, 15)]
     cache = goal_trees(g)
     for inst in queries:
         check(g, inst, inits, names=("wc-astar",))
-    assert (cache.misses, cache.evictions) == (len(queries), 0)
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 31, 0)
+    assert sum(key[2] == ATTR1 for key in cache.trees) == 15 and cache.binds > 0
     for inst in queries:
         check(g, inst, inits, names=("wc-astar",))
-    assert (cache.hits, cache.misses, cache.evictions) == (len(queries), len(queries), 0)
+    assert (cache.hits, cache.misses, cache.evictions) == (31, 31, 0)
 
 
 def test_threads_schedule(inits):
@@ -228,11 +296,18 @@ def test_threads_schedule(inits):
 
 def test_python_threads_share_one_graph(inits):
     # Four threads solve different limits for one goal at once, so they
-    # rebuild and replay the goal's tree concurrently.
+    # rebuild and replay the goal's tree concurrently. Whether a served
+    # mask binds depends on the query alone, so no count of binds is lost.
     g = grid()
     limits = [W - 100, W, W + 150, W + 500]
-    expected = {w: {name: digest(fresh(g), ProblemInstance(START, GOAL, w), name, inits)
-                    for name in SOLVERS} for w in limits}
+    expected: dict = {}
+    binds = 0
+    for w in limits:
+        for name in SOLVERS:
+            alone = fresh(g)
+            expected.setdefault(w, {})[name] = digest(alone, ProblemInstance(START, GOAL, w),
+                                                      name, inits)
+            binds += goal_trees(alone).binds
     got: dict = {}
 
     def work(w):
@@ -252,13 +327,15 @@ def test_python_threads_share_one_graph(inits):
         sys.setswitchinterval(interval)
     for w in limits:
         assert got[w] == [expected[w]] * 3, w
+    assert goal_trees(g).binds == 3 * binds > 0
 
 
 def test_second_solve_replays_every_state(inits):
-    # The first solve of a goal builds its tree (a miss) of exactly the
-    # states its cost2 search settles; wc-ba's first solve is served the goal
-    # tree (a hit) and builds the start tree. The second wc-ba solve is
-    # served both trees and settles the same states.
+    # The first solve of a goal builds its goal tree (a miss) of exactly the
+    # states its cost2 search settles, and its cost1 tree (a miss), whose
+    # prefix holds every state the masked cost1 search settles; wc-ba's
+    # first solve is served the goal tree (a hit) and builds the start tree.
+    # The second wc-ba solve is served both trees and settles the same states.
     g = grid()
     inst = ProblemInstance(START, GOAL, W)
     cache = goal_trees(g)
@@ -266,16 +343,19 @@ def test_second_solve_replays_every_state(inits):
     for name in ("wc-astar", "wc-ba", "wc-ba"):
         SOLVERS[name](g, inst, HEAP_CFG, DIGEST_OPTIONS)
         counts.append((cache.hits, cache.misses))
-    assert counts == [(0, 1), (1, 2), (3, 2)] and cache.evictions == 0
+    assert counts == [(0, 2), (1, 3), (3, 3)] and cache.evictions == 0
     first, second, third = inits[threading.get_ident()]
     settled = sum(first.settled_per_phase[0][2])
     assert second.status == third.status == SEARCH
     assert len(cache.trees[goal_key(GOAL)].order) == settled
+    masked = first.settled_per_phase[1][2]
+    assert set(cache.trees[cost1_goal_key(GOAL)].order) >= {u for u in range(256) if masked[u]}
     assert len(cache.trees[start_key(START)].order) == sum(second.settled_per_phase[1][2])
     assert third.settled_per_phase == second.settled_per_phase
-    # A wider W rebuilds the goal tree, which holds every state it settles.
+    # A wider W rebuilds the goal tree, which holds every state it settles;
+    # the seed f1_bar is the same, so the cost1 tree serves again.
     wider = init_unidirectional(g, ProblemInstance(START, GOAL, W + 300))
-    assert (cache.hits, cache.misses) == (3, 3) and cache.trees[goal_key(GOAL)].limit == W + 300
+    assert (cache.hits, cache.misses) == (4, 4) and cache.trees[goal_key(GOAL)].limit == W + 300
     assert len(cache.trees[goal_key(GOAL)].order) == sum(wider.settled_per_phase[0][2]) > settled
 
 
