@@ -2,12 +2,23 @@
 
 All three present the same push/pop/peek/stats surface so the solvers can swap
 them freely. Keys are the search's primary f-values; the monotone-insertion
-contract of A* (no push below the already-drained region) is what lets the
-bucket kinds scan strictly left-to-right, never rewinding.
+contract of A* (no push below the last popped key) is what lets the bucket
+kinds scan strictly left-to-right, never rewinding. Every kind refuses a push
+that breaks it with MonotonicityError; a bucket kind also refuses a push below
+the bucket of a key that `peek` returned, since its scan has moved there.
+
+The two bucket kinds share one high level (`_Buckets`): one push, and one scan
+that examines each high index at most once, left to right, and enters the
+first non-empty bucket. A push into the entered bucket goes to the kind's
+level below: a LIFO or FIFO bucket for `BucketQueue`, a binary heap for
+`HybridQueue`. A one-level bucket queue (delta_f 1) examines and counts
+bucket 0 on its first pop; a two-level or hybrid queue sends pushes into
+bucket 0 straight to its level below, and examines and counts index 0 only
+when that level first runs dry.
 
 queue_ops semantics per kind:
-  bucket      -- buckets checked/drained (both levels; each index at most once)
-  hybrid      -- buckets checked + nodes transferred high->low + heap swaps
+  bucket      -- bucket indices examined (both levels; each index at most once)
+  hybrid      -- high indices examined + nodes transferred high->low + heap swaps
   binary_heap -- heap swaps
 """
 
@@ -156,206 +167,169 @@ class _QueueBase:
             self._stats.peak_size = self.size
 
 
-class BucketQueue(_QueueBase):
-    """Two-level bucket queue over linked-list buckets (LIFO or FIFO extraction).
+def _take_first(buckets: list, i: int, stats: QueueStats):
+    """(index, bucket) of the first non-empty bucket at index i or later, taken
+    out of `buckets`; one queue op per index examined."""
+    j = i
+    while not buckets[j]:
+        j += 1
+    stats.queue_ops += j + 1 - i
+    bucket = buckets[j]
+    buckets[j] = None
+    return j, bucket
 
-    With delta_f == 1 it degenerates to a one-level queue: nodes live directly
-    in the high-level buckets and no transfer step exists. Each bucket index is
-    examined (counted) at most once over the queue's lifetime; an entered
-    bucket drains for free and the scan then moves past it. A bucket is None
-    until its first push, so building a queue costs one list of bucket_size
-    slots, whatever the range.
+
+class _Buckets(_QueueBase):
+    """High-level buckets of delta_f keys each, scanned once left to right.
+
+    `k` is the entered index: a push there goes to the level below through
+    `_push_low`, a push above it to its high bucket (made on its first push,
+    so a new queue costs one slot per bucket), a push below it is refused.
+    `k` starts at 0, so pushes into bucket 0 go straight to the level below
+    until `_enter` first runs. `_enter` examines indices from `next` (the
+    first unexamined one) on, one queue op and one high check each, takes the
+    first non-empty bucket out of the array and enters its index, so each
+    index is examined at most once over the queue's lifetime.
     """
 
     def __init__(self, cfg: QueueConfig):
         super().__init__(cfg)
         self.bucket_size = bucket_count(cfg.f_min, cfg.f_max, cfg.delta_f)
-        self.one_level = cfg.delta_f == 1
-        self.fifo = cfg.tie_policy == TIE_NONE_FIFO
-        self.make = deque if self.fifo else list
         self.high: list = [None] * self.bucket_size
-        if self.one_level:
-            self.low = None
-        else:
-            self.low = [None] * cfg.delta_f
-            self.low_count = 0
-            self.low_j = 0
-            self.low_entered = False
         self.k = 0
-        self.entered = False
+        self.next = 0
         self.high_checks = 0  # high-level scan examinations, bounded by bucket_size
-
-    def _head(self, container):
-        return container[0] if self.fifo else container[-1]
+        self.make = list  # container of a bucket
 
     def push(self, key_primary: int, key_secondary: int, payload) -> None:
         cfg = self.cfg
         if key_primary < cfg.f_min or key_primary > cfg.f_max:
             raise MonotonicityError(
                 f"key {key_primary} outside queue range [{cfg.f_min}, {cfg.f_max}]")
-        off = key_primary - cfg.f_min
+        hi = (key_primary - cfg.f_min) // cfg.delta_f
         item = (key_primary, key_secondary, payload)
-        if self.one_level:
-            if off < self.k:
-                raise MonotonicityError(
-                    f"key {key_primary} is behind the drained region (scan at bucket {self.k})")
-            bucket = self.high[off]
-            if bucket is None:
-                bucket = self.high[off] = self.make()
-            bucket.append(item)
-        else:
-            hi = off // cfg.delta_f
+        if hi <= self.k:
             if hi < self.k:
                 raise MonotonicityError(
                     f"key {key_primary} is behind the drained region (scan at bucket {self.k})")
-            if hi == self.k:
-                j = off % cfg.delta_f
-                if j < self.low_j:
-                    raise MonotonicityError(
-                        f"key {key_primary} is behind the drained low-level region")
-                bucket = self.low[j]
-                if bucket is None:
-                    bucket = self.low[j] = self.make()
-                bucket.append(item)
-                self.low_count += 1
-            else:
-                bucket = self.high[hi]
-                if bucket is None:
-                    bucket = self.high[hi] = []
-                bucket.append(item)
+            self._push_low(item)
+        else:
+            bucket = self.high[hi]
+            if bucket is None:
+                bucket = self.high[hi] = self.make()
+            bucket.append(item)
         stats = self._stats
         stats.pushes += 1
         size = self.size = self.size + 1
         if size > stats.peak_size:
             stats.peak_size = size
 
-    def _advance_one_level(self) -> None:
-        # Re-examining the entered bucket after it drained is free; fresh indices cost 1.
-        if self.entered and self.high[self.k]:
-            return
-        if self.entered:
-            self.k += 1
-            self.entered = False
-        while True:
-            self._stats.queue_ops += 1
-            self.high_checks += 1
-            if self.high[self.k]:
-                self.entered = True
-                return
-            self.k += 1
+    def _enter(self):
+        """Take the next non-empty high bucket out of the array and enter its index."""
+        self.k, bucket = _take_first(self.high, self.next, self._stats)
+        self.high_checks += self.k + 1 - self.next
+        self.next = self.k + 1
+        return bucket
 
-    def _advance_two_level(self) -> None:
-        while True:
-            if self.low_count:
-                if self.low_entered and self.low[self.low_j]:
-                    return
-                if self.low_entered:
-                    self.low_j += 1
-                    self.low_entered = False
-                while self.low_j < self.cfg.delta_f:
-                    self._stats.queue_ops += 1
-                    if self.low[self.low_j]:
-                        self.low_entered = True
-                        return
-                    self.low_j += 1
-                raise AssertionError("low-level node count desynced from buckets")
-            # Low level exhausted: pull the next non-empty high bucket into it.
-            if self.entered:
-                self.k += 1
-                self.entered = False
-            while True:
-                self._stats.queue_ops += 1
-                self.high_checks += 1
-                if self.high[self.k]:
-                    self.entered = True
-                    break
-                self.k += 1
-            moved = self.high[self.k]
-            self.high[self.k] = None
-            self.low_j = 0
-            self.low_entered = False
-            low = self.low
-            for item in moved:
-                j = (item[0] - self.cfg.f_min) % self.cfg.delta_f
-                bucket = low[j]
-                if bucket is None:
-                    bucket = low[j] = self.make()
-                bucket.append(item)
-            self.low_count += len(moved)
 
-    def _current(self):
+class BucketQueue(_Buckets):
+    """Two-level bucket queue over linked-list buckets (LIFO or FIFO extraction).
+
+    Nodes are popped from a `current` bucket. With delta_f == 1 that is the
+    entered high bucket itself, and bucket 0 is examined and counted on the
+    first pop. Otherwise it is the next non-empty one of delta_f low buckets,
+    filled from the entered high bucket and scanned the same way (one queue op
+    per low index examined); pushes into high bucket 0 go straight to the low
+    level, and index 0 is examined and counted only when that first runs dry.
+    """
+
+    def __init__(self, cfg: QueueConfig):
+        super().__init__(cfg)
+        self.fifo = cfg.tie_policy == TIE_NONE_FIFO
+        self.make = deque if self.fifo else list
+        self.current = self.make()
+        self.one_level = cfg.delta_f == 1
         if self.one_level:
-            self._advance_one_level()
-            return self.high[self.k]
-        self._advance_two_level()
-        return self.low[self.low_j]
+            self.k = -1  # so bucket 0 is examined on the first pop
+        else:
+            self.low: list = [None] * cfg.delta_f
+            self.low_count = 0  # nodes in the low buckets, the current one not included
+            self.low_j = -1  # the entered low index
+            self.low_next = 0
+
+    def _push_low(self, item) -> None:
+        if self.one_level:
+            self.current.append(item)
+            return
+        j = (item[0] - self.cfg.f_min) % self.cfg.delta_f
+        if j <= self.low_j:
+            if j < self.low_j:
+                raise MonotonicityError(
+                    f"key {item[0]} is behind the drained low-level region")
+            self.current.append(item)
+            return
+        bucket = self.low[j]
+        if bucket is None:
+            bucket = self.low[j] = self.make()
+        bucket.append(item)
+        self.low_count += 1
+
+    def _refill(self):
+        if self.one_level:
+            self.current = self._enter()
+            return self.current
+        if not self.low_count:
+            self.low_j = -1
+            self.low_next = 0
+            for item in self._enter():
+                self._push_low(item)
+        self.low_j, self.current = _take_first(self.low, self.low_next, self._stats)
+        self.low_next = self.low_j + 1
+        self.low_count -= len(self.current)
+        return self.current
 
     def peek(self):
         if self.size == 0:
             return None
-        return self._head(self._current())
+        bucket = self.current or self._refill()
+        return bucket[0] if self.fifo else bucket[-1]
 
     def pop(self):
         if self.size == 0:
             return None
-        bucket = self._current()
+        bucket = self.current or self._refill()
         item = bucket.popleft() if self.fifo else bucket.pop()
-        if not self.one_level:
-            self.low_count -= 1
         self.size -= 1
         self._stats.pops += 1
         return item
 
 
-class HybridQueue(_QueueBase):
+class HybridQueue(_Buckets):
     """High-level buckets with a binary heap as the low level.
 
-    The heap holds the current bucket's nodes; advancing the scan transfers the
-    next non-empty bucket wholesale into the heap (one op counted per node
-    moved, plus the sift swaps). A bucket is None until its first push.
+    The heap holds the entered bucket's nodes; when it runs dry, the next
+    non-empty bucket moves into it wholesale (one queue op per node moved,
+    plus the sift swaps). Pushes into bucket 0 go straight to the heap, and
+    index 0 is examined and counted only when the heap first runs dry. A push
+    below the last popped key is refused, as in the other kinds.
     """
 
     def __init__(self, cfg: QueueConfig):
         super().__init__(cfg)
-        self.bucket_size = bucket_count(cfg.f_min, cfg.f_max, cfg.delta_f)
-        self.high: list = [None] * self.bucket_size
         self.heap = _CountingHeap(cfg.tie_policy == TIE_SECONDARY, self._stats)
-        self.k = 0
-        self.entered = False
+        self.floor = cfg.f_min  # the last popped key
 
-    def push(self, key_primary: int, key_secondary: int, payload) -> None:
-        if key_primary < self.cfg.f_min or key_primary > self.cfg.f_max:
+    def _push_low(self, item) -> None:
+        if item[0] < self.floor:
             raise MonotonicityError(
-                f"key {key_primary} outside queue range [{self.cfg.f_min}, {self.cfg.f_max}]")
-        hi = (key_primary - self.cfg.f_min) // self.cfg.delta_f
-        if hi < self.k:
-            raise MonotonicityError(
-                f"key {key_primary} is behind the drained region (scan at bucket {self.k})")
-        item = (key_primary, key_secondary, payload)
-        if hi == self.k:
-            self.heap.push(item)
-        else:
-            bucket = self.high[hi]
-            if bucket is None:
-                bucket = self.high[hi] = []
-            bucket.append(item)
-        self._note_push()
+                f"key {item[0]} is behind the last popped key {self.floor}")
+        self.heap.push(item)
 
     def _fill_heap(self) -> None:
-        while not len(self.heap):
-            if self.entered:
-                self.k += 1
-                self.entered = False
-            while True:
-                self._stats.queue_ops += 1
-                if self.high[self.k]:
-                    self.entered = True
-                    break
-                self.k += 1
-            for item in self.high[self.k]:
+        while not self.heap:
+            for item in self._enter():
                 self._stats.queue_ops += 1  # node transferred high -> low
                 self.heap.push(item)
-            self.high[self.k] = None
 
     def peek(self):
         if self.size == 0:
@@ -368,6 +342,7 @@ class HybridQueue(_QueueBase):
             return None
         self._fill_heap()
         item = self.heap.pop()
+        self.floor = item[0]
         self.size -= 1
         self._stats.pops += 1
         return item

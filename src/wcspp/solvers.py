@@ -29,7 +29,7 @@ from .bounds import (ATTR1, ATTR2, INF, PATH, SEARCH, TREE_HALF, BoundsTables, C
                      run_sides)
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 from .nodepool import NodePool, ParentArrays, join_forward, walk_tree
-from .pqueue import QueueConfig, TIE_SECONDARY, new_queue
+from .pqueue import QueueConfig, QueueStats, TIE_SECONDARY, new_queue
 
 ORDER_12 = (ATTR1, ATTR2)
 ORDER_21 = (ATTR2, ATTR1)
@@ -74,15 +74,6 @@ class Metrics:
     pool_slots: int = 0
     pool_blocks: int = 0
     wall_time_s: float = 0.0
-
-    def absorb(self, other: "Metrics") -> None:
-        self.expansions += other.expansions
-        self.generations += other.generations
-        self.prunes_dominance += other.prunes_dominance
-        self.prunes_state_ub += other.prunes_state_ub
-        self.prunes_global_f1 += other.prunes_global_f1
-        self.prunes_global_f2 += other.prunes_global_f2
-        self.stale_reinserts += other.stale_reinserts
 
     @property
     def prunes_global(self) -> int:
@@ -419,8 +410,16 @@ class SearchContext:
         """(fill, list, written) for the list taken from the graph's pool."""
         return INF, self.g_min, (self.parents.pairs,)
 
-    def collect(self, metrics: Metrics) -> None:
-        metrics.absorb(self.metrics)
+    def collect(self, metrics: Metrics) -> QueueStats:
+        """Add this context's counters to `metrics`; return its queue's stats."""
+        m = self.metrics
+        metrics.expansions += m.expansions
+        metrics.generations += m.generations
+        metrics.prunes_dominance += m.prunes_dominance
+        metrics.prunes_state_ub += m.prunes_state_ub
+        metrics.prunes_global_f1 += m.prunes_global_f1
+        metrics.prunes_global_f2 += m.prunes_global_f2
+        metrics.stale_reinserts += m.stale_reinserts
         st = self.open.stats()
         metrics.pushes += st.pushes
         metrics.pops += st.pops
@@ -428,6 +427,7 @@ class SearchContext:
         metrics.queue_peak += st.peak_size
         metrics.pool_slots += self.pool.slots_created
         metrics.pool_blocks += self.pool.blocks_allocated
+        return st
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +480,7 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
     qstats = {}
     parents: dict[int, ParentArrays] = {}
     for ctx in contexts:
-        ctx.collect(metrics)
-        name = "forward" if ctx.direction == FORWARD else "backward"
-        qstats[name] = ctx.open.stats()
+        qstats["forward" if ctx.direction == FORWARD else "backward"] = ctx.collect(metrics)
         parents[ctx.direction] = ctx.parents
     metrics.wall_time_s = time.monotonic() - started
 

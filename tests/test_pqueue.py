@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -155,12 +156,15 @@ def test_stats_counters():
 
 
 def test_monotonicity_violation_raises():
+    # With delta_f 10 the late key shares the popped key's bucket, so only
+    # the level below the high buckets can refuse it.
     for kind in (BUCKET, HYBRID, BINARY_HEAP):
-        q = make(kind, TIE_NONE_LIFO, 0, 100, 1)
-        q.push(5, 0, "a")
-        q.pop()
-        with pytest.raises(MonotonicityError):
-            q.push(4, 0, "late")
+        for delta_f in (1, 10):
+            q = make(kind, TIE_NONE_LIFO, 0, 100, delta_f)
+            q.push(5, 0, "a")
+            q.pop()
+            with pytest.raises(MonotonicityError):
+                q.push(4, 0, "late")
 
 
 def test_equal_key_push_after_drain_is_legal():
@@ -254,3 +258,94 @@ def test_hybrid_and_heap_secondary_equivalence():
             out.append((kp, ks))
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# Recorded from the three separate bucket scans that preceded the shared one:
+# (items digest, counters digest, final (pushes, pops, queue_ops, peak_size),
+# final high_checks for a bucket queue).
+PINNED_COUNTERS = {
+    (BUCKET, TIE_NONE_LIFO, 1):
+        ("1dc5f0256e63", "ee578c09ac54", (284, 284, 61, 70), 61),
+    (BUCKET, TIE_NONE_LIFO, 3):
+        ("1dc5f0256e63", "28afc7d02ad0", (284, 284, 73, 70), 21),
+    (BUCKET, TIE_NONE_LIFO, 7):
+        ("1dc5f0256e63", "8b8bd5dd2d3e", (284, 284, 66, 70), 9),
+    (BUCKET, TIE_NONE_FIFO, 1):
+        ("d7b2ad3298fe", "ee578c09ac54", (284, 284, 61, 70), 61),
+    (BUCKET, TIE_NONE_FIFO, 3):
+        ("d7b2ad3298fe", "28afc7d02ad0", (284, 284, 73, 70), 21),
+    (BUCKET, TIE_NONE_FIFO, 7):
+        ("d7b2ad3298fe", "8b8bd5dd2d3e", (284, 284, 66, 70), 9),
+    (HYBRID, TIE_NONE_LIFO, 1):
+        ("8a8f3e6a8e6d", "a34914c12dc4", (284, 284, 261, 70), None),
+    (HYBRID, TIE_NONE_LIFO, 3):
+        ("b9c1fb9495d4", "21833bf1452f", (284, 284, 511, 70), None),
+    (HYBRID, TIE_NONE_LIFO, 7):
+        ("e1797bb6c1d9", "aac712562ab3", (284, 284, 874, 70), None),
+    (HYBRID, TIE_SECONDARY, 1):
+        ("f7a822374287", "c10808d688a3", (284, 284, 535, 70), None),
+    (HYBRID, TIE_SECONDARY, 3):
+        ("ecf0f2db9fe8", "a1d993d3dc5d", (284, 284, 791, 70), None),
+    (HYBRID, TIE_SECONDARY, 7):
+        ("71638282c554", "1742c2c89dd2", (284, 284, 1078, 70), None),
+    (BINARY_HEAP, TIE_NONE_LIFO, 1):
+        ("a9f65c8cf9b7", "0eaa32e53eff", (284, 284, 1296, 70), None),
+    (BINARY_HEAP, TIE_NONE_LIFO, 3):
+        ("a9f65c8cf9b7", "0eaa32e53eff", (284, 284, 1296, 70), None),
+    (BINARY_HEAP, TIE_NONE_LIFO, 7):
+        ("a9f65c8cf9b7", "0eaa32e53eff", (284, 284, 1296, 70), None),
+    (BINARY_HEAP, TIE_SECONDARY, 1):
+        ("74058e0c2748", "be23dce86881", (284, 284, 1471, 70), None),
+    (BINARY_HEAP, TIE_SECONDARY, 3):
+        ("74058e0c2748", "be23dce86881", (284, 284, 1471, 70), None),
+    (BINARY_HEAP, TIE_SECONDARY, 7):
+        ("74058e0c2748", "be23dce86881", (284, 284, 1471, 70), None),
+}
+
+
+@pytest.mark.parametrize("kind,tie,delta_f", sorted(PINNED_COUNTERS))
+def test_pinned_items_and_counters_per_kind(kind, tie, delta_f):
+    """Three pushes into bucket 0, one seeded monotone push/pop/peek
+    sequence, then a full drain.
+
+    The items digest covers every pop and peek result (key, secondary key and
+    payload, or None); the counters digest covers the QueueStats fields and a
+    bucket queue's high_checks after every call, so an extra or a missing
+    bucket examination anywhere changes it.
+    """
+    rng = random.Random(2024)
+    q = make(kind, tie, 0, 60, delta_f)
+    low = 0
+    items, counters = [], []
+
+    def note(item):
+        items.append(item)
+        st = q.stats()
+        counters.append((st.pushes, st.pops, st.queue_ops, st.peak_size,
+                         q.high_checks if kind == BUCKET else None))
+
+    for key in (0, 2, 0):  # into bucket 0 before the first pop
+        q.push(key, 0, -1)
+        note(None)
+    for n in range(600):
+        r = rng.random()
+        if r < 0.5:
+            key = min(60, low + rng.choice((0, 0, 1, 2, 3, 6, 10, 25)))
+            q.push(key, rng.randint(0, 3), n)
+            note(None)
+        else:
+            item = q.pop() if r < 0.85 else q.peek()
+            if item is not None:
+                low = item[0]
+            note(item)
+    while len(q):
+        note(q.pop())
+    note(q.pop())
+
+    def digest(log):
+        return hashlib.sha256(repr(log).encode()).hexdigest()[:12]
+
+    st = q.stats()
+    got = (digest(items), digest(counters), (st.pushes, st.pops, st.queue_ops, st.peak_size),
+           q.high_checks if kind == BUCKET else None)
+    assert got == PINNED_COUNTERS[kind, tie, delta_f]
