@@ -10,10 +10,11 @@ order. Plain searches are not rerun per solve. Each graph records one
 finished unmasked search per (source, traverse direction, attribute)
 (`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in
 bytes), reruns it only for a bound above the recorded one, and serves the
-prefix as data: the search writes the prefix into an ordinary
-`BoundedSearch`'s lists in one loop and applies the live loop's target rule
-to the target's entry. Every plan's first search, cost2 from the goal over
-the reversed graph bounded by the weight limit W, is plain (a goal tree):
+prefix as data: `BoundedSearch.serve` writes the prefix into the search's
+lists in one loop, masked or not, and applies the live loop's target rule
+(`BoundedSearch._reach_target`) to the target's entry. Every plan's first
+search, cost2 from the goal over the reversed graph bounded by the weight
+limit W, is plain (a goal tree):
 the start's entry seeds f1_bar, or, when the prefix lacks the start, the
 init is INFEASIBLE. So is the parallel plan's round-one cost1 search from
 the start, bounded by f1_bar, on a graph without coordinates (a start
@@ -30,10 +31,11 @@ same labels and predecessors: a lexicographic Dijkstra always settles the
 least (primary, secondary, id) label of its frontier and takes as
 predecessor the first settled neighbour that gives the final label, and
 both facts hold in the filtered prefix while each state's tree path stays
-inside the mask. At the first
-allowed state whose predecessor was not served, the mask binds (counted in
-`GoalTrees.binds`): the search rebuilds the live search's frontier from the
-served states (`BoundedSearch.rebuild_frontier`) and goes on live.
+inside the mask. An unmasked search is the case where every state is
+allowed, so no state binds. At the first allowed state whose predecessor
+was not served, the mask binds (counted in `GoalTrees.binds`): the search
+rebuilds the live search's frontier from the served states
+(`BoundedSearch.rebuild_frontier`) and goes on live.
 
 Every other init search is a live `BoundedSearch`, with the joins against
 the opposite tables and its target test done inside the settle loop. The
@@ -204,7 +206,8 @@ class BoundedSearch:
     """Label-setting search on one attribute with lexicographic tie-breaking on the other.
 
     `run()` settles states until the next one's f-value exceeds `bound`, a
-    number; `order` lists the settled states in settle order.
+    number, and a search without an init also stops once its `target` has
+    settled; `order` lists the settled states in settle order.
 
     An init search also gets `init`, its round's InitResult, with `target`,
     the state at the far end, and `joins`, (record half, cost1 table, cost2
@@ -214,9 +217,11 @@ class BoundedSearch:
     moves while it runs. Each settled label is joined with those tables,
     and the target's label seeds f1_bar (cost2) or decides the init as the
     optimum (cost1 within the weight limit: SHORTCUT, and the search ends
-    there); a cost2 search that ends without settling its target marks the
-    init INFEASIBLE. Such a search settles nothing when `init.status` is no
-    longer SEARCH as it starts.
+    there), by one rule, `_reach_target`; a cost2 search that ends without
+    settling its target marks the init INFEASIBLE. Such a search settles
+    nothing when `init.status` is no longer SEARCH as it starts. `serve()`
+    runs a plain init search (no heuristic, no joins) from the graph's tree
+    cache instead, to the same end.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
@@ -255,9 +260,10 @@ class BoundedSearch:
             index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
         return (index, to, c1, c2) if self.attr == ATTR1 else (index, to, c2, c1)
 
-    def run(self, stop: int = -1) -> "BoundedSearch":
-        """Settle states until the bound or the heap runs out, or until `stop`
-        has settled."""
+    def run(self) -> "BoundedSearch":
+        """Settle states until the bound or the heap runs out, or until the
+        target ends the search: as it settles, without an init, or by the
+        target rule (`_reach_target`)."""
         index, to, cp, cs = self._arcs()
         attr = self.attr
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -290,17 +296,10 @@ class BoundedSearch:
                     if o1 != INF and o2 != INF and cu2 + o2 <= gb.f2_bar:
                         gb.offer(cu1 + o1, cu2 + o2, join_halves(side, u, mine, half),
                                  "init-match")
-                if u == target:
-                    if attr == ATTR2:
-                        gb.seed(cu1, cu2, join_halves(side, u, mine, None))
-                    elif cu2 <= gb.f2_bar:
-                        gb.offer(cu1, cu2, join_halves(side, u, mine, None), "init-shortcut")
-                        init.status = SHORTCUT
-                        return self
+                if u == target and (init is None or self._reach_target(dp, ds)):
+                    return self
                 if attr == ATTR1:
                     bound = gb.f1_bar  # lowered by this block's offers
-            if u == stop:
-                return self
             for i in range(index[u], index[u + 1]):
                 v = to[i]
                 if allowed is not None and not allowed[v]:
@@ -318,6 +317,83 @@ class BoundedSearch:
         if init is not None and attr == ATTR2 and not settled[target]:
             init.status = INFEASIBLE
         return self
+
+    def _reach_target(self, dp, ds) -> bool:
+        """The target rule of an init search, applied as its target settles
+        with primary cost `dp` and secondary cost `ds`: on cost2 the label
+        seeds f1_bar; on cost1 within the weight limit it is offered as the
+        optimum and the init is a SHORTCUT. True when the search ends there."""
+        init, attr = self.init, self.attr
+        gb = init.gb
+        cu1, cu2 = (dp, ds) if attr == ATTR1 else (ds, dp)
+        data = join_halves(self.traverse_dir, self.target, TREE_HALF[attr], None)
+        if attr == ATTR2:
+            gb.seed(cu1, cu2, data)
+        elif cu2 <= gb.f2_bar:
+            gb.offer(cu1, cu2, data, "init-shortcut")
+            init.status = SHORTCUT
+            return True
+        return False
+
+    def serve(self) -> None:
+        """Run this plain init search, one with no heuristic and no joins,
+        from the graph's tree cache. The cached tree's prefix within the
+        bound that `run()` reads as it starts (the weight limit on cost2,
+        f1_bar on cost1) is what an unmasked live search settles. On cost1
+        the prefix is cut just after an allowed target whose companion is
+        within the weight limit, where the live search ends. The source is
+        written whatever the mask; one loop then writes each later allowed
+        state of the prefix in order, up to the first whose tree predecessor
+        was not written: there the mask binds (counted in `GoalTrees.binds`).
+        The target rule applies to the target's entry once written, and a
+        cost2 search that ends without it marks the init INFEASIBLE. A search
+        whose mask binds rebuilds the frontier from the written states and
+        runs on live (`rebuild_frontier`, then `run()`). Like `run()`, it
+        settles nothing once the init is decided."""
+        self.heap.clear()
+        init, target, attr, allowed = self.init, self.target, self.attr, self.allowed
+        if init.status != SEARCH:
+            return
+        gb, cache = init.gb, goal_trees(self.graph)
+        tree, count = cache.prefix(self.graph, (self.source, self.traverse_dir, attr),
+                                   gb.f1_bar if attr == ATTR1 else gb.f2_bar)
+        if attr == ATTR1 and (allowed is None or allowed[target]):
+            try:
+                i = tree.order.index(target, 0, count)
+            except ValueError:
+                pass
+            else:
+                if tree.comp[i] <= gb.f2_bar:
+                    count = i + 1
+        dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
+                                             self.order.append)
+        entries = islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count)
+        for u, dp, ds, _ in islice(entries, 1):  # the source, whatever the mask
+            settle(u)
+            settled[u] = True
+            dist[u] = dp
+            comp[u] = ds
+        binds = False
+        for u, dp, ds, pu in entries:
+            if allowed is not None and not allowed[u]:
+                continue
+            if not settled[pu]:  # the mask cuts u's tree path
+                binds = True
+                break
+            settle(u)
+            settled[u] = True
+            dist[u] = dp
+            comp[u] = ds
+            pred[u] = pu
+        if settled[target] and self._reach_target(dist[target], comp[target]):
+            return
+        if binds:
+            with cache._lock:
+                cache.binds += 1
+            self.rebuild_frontier()
+            self.run()
+        elif attr == ATTR2 and not settled[target]:
+            init.status = INFEASIBLE
 
     def rebuild_frontier(self) -> None:
         """Make the heap the one a run would hold after settling exactly
@@ -693,9 +769,9 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     table. When the search's own target settles, a cost2 label seeds f1_bar and
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
     search that ends without settling its target proves INFEASIBLE. It
-    settles nothing when `result.status` is no longer SEARCH as it starts;
-    `_tree_search` does the same from the graph's tree cache when the search
-    has no heuristic and no joins.
+    settles nothing when `result.status` is no longer SEARCH as it starts.
+    A search with no heuristic and no joins is plain: `serve()` runs it from
+    the graph's tree cache, with the same outcome as `run()`.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -714,96 +790,16 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
                          init=result, target=target, joins=joins)
 
 
-def _tree_search(graph: Graph, search: BoundedSearch, result: InitResult) -> None:
-    """Run a plain init search, one with no heuristic and no joins, from the
-    graph's tree cache. The cached tree's prefix within the bound that the
-    live search reads as it starts (the weight limit on cost2, f1_bar on
-    cost1) is what an unmasked live search settles: it is written into the
-    search's lists in one loop, and the heap is emptied. A masked search is
-    written the prefix's allowed states (and the source) in order, up to the
-    first allowed state whose tree predecessor was not written: there the
-    mask binds, the frontier is rebuilt from the written states and the
-    search runs on live (`BoundedSearch.rebuild_frontier`, then `run()`).
-    The live loop's target rule applies to the target's entry: on cost2 it
-    seeds f1_bar, or the init is INFEASIBLE when the search ends without
-    the target; on cost1 within the weight limit it is the optimum, offered
-    as the live search offers it, so the prefix is cut just after the
-    target and the init is a SHORTCUT. Only that offer moves f1_bar while
-    the search runs, since the search has no joins. Like a live init
-    search, it settles nothing once the init is decided."""
-    search.heap.clear()
-    if result.status != SEARCH:
-        return
-    gb, source, target, attr, allowed = (result.gb, search.source, search.target, search.attr,
-                                         search.allowed)
-    cache = goal_trees(graph)
-    tree, count = cache.prefix(graph, (source, search.traverse_dir, attr),
-                               gb.f1_bar if attr == ATTR1 else gb.f2_bar)
-    data = join_halves(search.traverse_dir, target, TREE_HALF[attr], None)
-    shortcut = False
-    if attr == ATTR1 and (allowed is None or allowed[target]):
-        try:
-            i = tree.order.index(target, 0, count)
-        except ValueError:
-            pass
-        else:
-            if tree.comp[i] <= gb.f2_bar:
-                shortcut = True
-                count = i + 1
-    dist, comp, pred, settled = search.dist, search.comp, search.pred, search.settled
-    entries = islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count)
-    binds = False
-    if allowed is None:
-        search.order.extend(islice(tree.order, count))
-        for u, dp, ds, pu in entries:
-            settled[u] = True
-            dist[u] = dp
-            comp[u] = ds
-            pred[u] = pu
-        if count:
-            pred[source] = None  # the tree's root, stored with predecessor -1
-    else:
-        settle = search.order.append
-        for u, dp, ds, pu in islice(entries, 1):  # the source, whatever the mask
-            settle(u)
-            settled[u] = True
-            dist[u] = dp
-            comp[u] = ds
-        for u, dp, ds, pu in entries:
-            if allowed[u]:
-                if not settled[pu]:  # the mask cuts u's tree path: it binds
-                    binds = True
-                    break
-                settle(u)
-                settled[u] = True
-                dist[u] = dp
-                comp[u] = ds
-                pred[u] = pu
-    if shortcut and settled[target]:
-        gb.offer(dist[target], comp[target], data, "init-shortcut")
-        result.status = SHORTCUT
-        return
-    if attr == ATTR2:
-        if settled[target]:
-            gb.seed(comp[target], dist[target], data)
-        elif not binds:
-            result.status = INFEASIBLE
-    if binds:
-        with cache._lock:
-            cache.binds += 1
-        search.rebuild_frontier()
-        search.run()
-
-
 def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
     """Run an init plan round by round, and each round's searches one after
     another in plan order, each to its end.
 
     A plain search (no heuristic and no joins, masked or not) is served from
-    the graph's tree cache (`_tree_search`), every other one runs live. A round's
-    searches are all made before the first of them runs, so none joins
-    against a table of its own round; they share only the global bounds,
-    and a search that starts once the init is decided settles nothing.
+    the graph's tree cache (`BoundedSearch.serve`), every other one runs
+    live (`BoundedSearch.run`). A round's searches are all made before the
+    first of them runs, so none joins against a table of its own round; they
+    share only the global bounds, and a search that starts once the init is
+    decided settles nothing.
     Every search after the first round is restricted to the states that all
     searches of the previous round settled. The init ends early on
     INFEASIBLE or SHORTCUT; only a SEARCH init gets S', the union of the
@@ -838,7 +834,7 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
                     for table_dir, attr in rnd]
         for (table_dir, attr), search in zip(rnd, searches):
             if search.heuristic is None and not search.joins:
-                _tree_search(graph, search, result)
+                search.serve()
             else:
                 search.run()
             tables.install(table_dir, attr, search.dist, search.comp, search.pred)
@@ -895,14 +891,6 @@ def budget_factors(members: Iterable[int], h_f1: Sequence, h_b1: Sequence) -> Bu
     if sum_f == 0 and sum_b == 0:
         half = Fraction(1, 2)
         return BudgetFactors(half, half)
-    if sum_f <= sum_b:
-        if sum_f == 0:
-            bf = Fraction(1)
-        else:
-            bf = min(Fraction(1), Fraction(sum_b, 2 * sum_f))
-        return BudgetFactors(bf, 1 - bf)
-    if sum_b == 0:
-        bb = Fraction(1)
-    else:
-        bb = min(Fraction(1), Fraction(sum_f, 2 * sum_b))
-    return BudgetFactors(1 - bb, bb)
+    own, other = min(sum_f, sum_b), max(sum_f, sum_b)
+    beta = Fraction(1) if own == 0 else min(Fraction(1), Fraction(other, 2 * own))
+    return BudgetFactors(beta, 1 - beta) if sum_f <= sum_b else BudgetFactors(1 - beta, beta)

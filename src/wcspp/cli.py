@@ -59,7 +59,7 @@ def _settle(graph: Graph, start: int, goal: int, attr: int) -> Optional[tuple[in
     """(dist, companion) of `goal` in a search from `start` on `attr`, which
     stops once `goal` settles; None if it is unreachable. The search's lists
     go back to the graph's pool."""
-    search = BoundedSearch(graph, start, FORWARD, attr).run(stop=goal)
+    search = BoundedSearch(graph, start, FORWARD, attr, target=goal).run()
     found = (search.dist[goal], search.comp[goal]) if search.settled[goal] else None
     list_pool(graph).give(search.taken())
     return found
@@ -373,7 +373,7 @@ def cmd_bench(args) -> int:
         if args.cost1:
             graph = load_dimacs(args.cost1, args.cost2, args.coords)
         elif header:
-            graph = load_dimacs(header[0], header[1])
+            graph = load_dimacs(header[0], header[1], args.coords)
         else:
             return _usage_error("no graph files given and instance file has no header")
         for row in rows:

@@ -2,10 +2,9 @@
 
 All three present the same push/pop/peek/stats surface so the solvers can swap
 them freely. Keys are the search's primary f-values; the monotone-insertion
-contract of A* (no push below the last popped key) is what lets the bucket
-kinds scan strictly left-to-right, never rewinding. Every kind refuses a push
-that breaks it with MonotonicityError; a bucket kind also refuses a push below
-the bucket of a key that `peek` returned, since its scan has moved there.
+contract of A* (no push below the last key `pop` or `peek` returned) is what
+lets the bucket kinds scan strictly left-to-right, never rewinding. Every
+kind refuses a push that breaks it with MonotonicityError.
 
 The two bucket kinds share one high level (`_Buckets`): one push, and one scan
 that examines each high index at most once, left to right, and enters the
@@ -311,18 +310,19 @@ class HybridQueue(_Buckets):
     non-empty bucket moves into it wholesale (one queue op per node moved,
     plus the sift swaps). Pushes into bucket 0 go straight to the heap, and
     index 0 is examined and counted only when the heap first runs dry. A push
-    below the last popped key is refused, as in the other kinds.
+    below the last key `pop` or `peek` returned is refused, as in the other
+    kinds.
     """
 
     def __init__(self, cfg: QueueConfig):
         super().__init__(cfg)
         self.heap = _CountingHeap(cfg.tie_policy == TIE_SECONDARY, self._stats)
-        self.floor = cfg.f_min  # the last popped key
+        self.floor = cfg.f_min  # the last key pop or peek returned
 
     def _push_low(self, item) -> None:
         if item[0] < self.floor:
             raise MonotonicityError(
-                f"key {item[0]} is behind the last popped key {self.floor}")
+                f"key {item[0]} is behind the last returned key {self.floor}")
         self.heap.push(item)
 
     def _fill_heap(self) -> None:
@@ -335,7 +335,9 @@ class HybridQueue(_Buckets):
         if self.size == 0:
             return None
         self._fill_heap()
-        return self.heap.peek()
+        item = self.heap.peek()
+        self.floor = item[0]
+        return item
 
     def pop(self):
         if self.size == 0:
@@ -354,19 +356,21 @@ class BinaryHeapQueue(_QueueBase):
     def __init__(self, cfg: QueueConfig):
         super().__init__(cfg)
         self.heap = _CountingHeap(cfg.tie_policy == TIE_SECONDARY, self._stats)
-        self._last_popped = None
+        self.floor = None  # the last key pop or peek returned
 
     def push(self, key_primary: int, key_secondary: int, payload) -> None:
-        if self._last_popped is not None and key_primary < self._last_popped:
+        if self.floor is not None and key_primary < self.floor:
             raise MonotonicityError(
-                f"key {key_primary} is behind the last popped key {self._last_popped}")
+                f"key {key_primary} is behind the last returned key {self.floor}")
         self.heap.push((key_primary, key_secondary, payload))
         self._note_push()
 
     def peek(self):
         if self.size == 0:
             return None
-        return self.heap.peek()
+        item = self.heap.peek()
+        self.floor = item[0]
+        return item
 
     def pop(self):
         if self.size == 0:
@@ -374,5 +378,5 @@ class BinaryHeapQueue(_QueueBase):
         item = self.heap.pop()
         self.size -= 1
         self._stats.pops += 1
-        self._last_popped = item[0]
+        self.floor = item[0]
         return item

@@ -71,13 +71,18 @@ def geo_random_graph(seed: int, n: int, extra_edges: int) -> Graph:
     return Graph(n, edges, coords)
 
 
-def road_grid_graph(seed: int, rows: int, cols: int) -> Graph:
-    """A rows x cols grid from `wcbench/roadgrid.py`, without coordinates."""
+def roadgrid_module():
+    """`wcbench/roadgrid.py`, loaded from its path."""
     path = Path(__file__).resolve().parents[1] / "wcbench" / "roadgrid.py"
     spec = importlib.util.spec_from_file_location("roadgrid", path)
     roadgrid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(roadgrid)
-    _, arcs = roadgrid.road_grid(seed, rows, cols)
+    return roadgrid
+
+
+def road_grid_graph(seed: int, rows: int, cols: int) -> Graph:
+    """A rows x cols grid from `wcbench/roadgrid.py`, without coordinates."""
+    _, arcs = roadgrid_module().road_grid(seed, rows, cols)
     return Graph(rows * cols, arcs)
 
 

@@ -91,8 +91,8 @@ def test_bounded_search_matches_textbook_search(seed):
     # Both traverse directions and attributes, with and without a mask, a table
     # or geometric heuristic, and a finite or infinite bound: the settle
     # sequence and every dist/comp/pred entry agree with the plain version.
-    # A run with a stop state settles the plain version's order cut just
-    # after that state, with the same labels there.
+    # A run with a target and no init settles the plain version's order cut
+    # just after the target, with the same labels there.
     rng = random.Random(seed)
     n = rng.randint(6, 30)
     # costs of 1-3 make equal labels common, so the tie rules are exercised
@@ -124,7 +124,7 @@ def test_bounded_search_matches_textbook_search(seed):
             stop = rng.choice(order)
             cut = order[:order.index(stop) + 1]
             part = BoundedSearch(g, source, tdir, attr, heuristic=heuristic, bound=bound,
-                                 allowed=allowed).run(stop=stop)
+                                 allowed=allowed, target=stop).run()
             assert part.order == cut
             assert [(part.dist[u], part.comp[u], part.pred[u]) for u in range(n)] == \
                 [(dist[u], comp[u], pred[u]) if u in cut else (INF, INF, None)
@@ -599,7 +599,7 @@ def _assert_late_searches_settle_nothing(g: Graph, inst: ProblemInstance, init) 
         late = bounds_mod._init_search(g, inst, init, table_dir, attr, None).run()
         assert late.order == [] and not any(late.settled) and init.status == status
     plain = BoundedSearch(g, inst.start, FORWARD, ATTR1, init=init, target=inst.goal)
-    bounds_mod._tree_search(g, plain, init)
+    plain.serve()
     assert plain.order == [] and not any(plain.settled) and init.status == status
 
 

@@ -10,12 +10,12 @@ from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, goal_trees, list_pool
 from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTIMAL,
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
-                       weight_from_tightness)
+                       weight_from_tightness, write_instances)
 from wcspp.graph import BACKWARD, FORWARD, load_dimacs, random_graph
 from wcspp.pqueue import MonotonicityError
 from wcspp.solvers import SOLVERS, SolveOutcome
 
-from conftest import G, S
+from conftest import G, S, roadgrid_module
 
 
 def test_weight_from_tightness_formula():
@@ -322,6 +322,33 @@ def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, 
         f"bytes={sum(tree.nbytes for tree in trees)}"]
     assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
     assert len(captured.out.splitlines()) == 4
+
+
+def test_bench_coords_apply_to_a_header_graph(tmp_path, capsys):
+    # --coords gives the round-one cost1 searches the geometric heuristic, so
+    # they run live instead of from the tree cache. It must do so whether
+    # the graph files come from --cost1/--cost2 or from the instance file's
+    # `graph` header: both print the same info line and the same CSV, apart
+    # from the measured runtimes.
+    paths = roadgrid_module().write_dimacs(str(tmp_path), 5, 12, 12)
+    inst = tmp_path / "i.txt"
+    with open(inst, "w", encoding="utf-8") as fh:
+        write_instances(fh, paths["cost1"], paths["cost2"],
+                        [(0, 143, "delta", "0.5"), (11, 132, "delta", "0.3"),
+                         (143, 5, "delta", "0.8")])
+    runtime = CSV_COLUMNS.index("runtime_us")
+    seen = []
+    for flags in (["--coords", paths["coords"]],
+                  ["--cost1", paths["cost1"], "--cost2", paths["cost2"],
+                   "--coords", paths["coords"]],
+                  []):
+        assert main(["bench", "--instances", str(inst), "--repeats", "1", *flags]) == 0
+        captured = capsys.readouterr()
+        cells = [row[:runtime] + row[runtime + 1:]
+                 for row in csv.reader(io.StringIO(captured.out))]
+        seen.append((captured.err, cells))
+    assert seen[0] == seen[1]
+    assert seen[0][0] != seen[2][0]  # without coordinates the tree cache serves more
 
 
 def test_bench_failure_becomes_status_row(example_dimacs, tmp_path):

@@ -8,7 +8,7 @@ import threading
 from fractions import Fraction
 
 from wcspp.bounds import ATTR1, ATTR2, INF, INFEASIBLE, SEARCH, SHORTCUT, BoundedSearch, \
-    BoundsTables, GlobalBounds, InitResult, _init_search, _int_array, _tree_search, goal_trees, \
+    BoundsTables, GlobalBounds, InitResult, _init_search, _int_array, goal_trees, \
     init_parallel_bidirectional, init_unidirectional
 from wcspp.cli import gen_instances
 from wcspp.graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, random_graph
@@ -165,19 +165,28 @@ def test_served_start_trees_match_a_fresh_graph(inits):
         assert [key[1:] for key in goal_trees(geo).trees] == [(BACKWARD, ATTR2)]
 
 
-def masked_cost1(graph: Graph, inst: ProblemInstance, serve: bool):
-    """wc-astar's init up to its masked cost1 search (forward tables on cost1,
-    from the goal, kept to the states that the cost2 search settled), with
-    that search served from the tree cache or run live: everything it
-    shows, or None when round one decides the init."""
+def served_search(graph: Graph, inst: ProblemInstance, kind: str, serve: bool):
+    """One plain init search, served from the tree cache or run live, after
+    the searches of its plan that precede it: everything it shows, or None
+    when an earlier search decides the init. `kind` is "cost2" (round one's
+    cost2 search from the goal, a goal tree), "start" (the parallel plan's
+    round-one cost1 search from the start, run after the cost2 search, a
+    start tree) or "masked" (wc-astar's cost1 search from the goal, kept to
+    the states that the cost2 search settled, a cost1 goal tree)."""
     result = InitResult(SEARCH, BoundsTables(), GlobalBounds(inst.weight_limit))
-    first = _init_search(graph, inst, result, FORWARD, ATTR2, None).run()
-    if result.status != SEARCH:
-        return None
-    search = _init_search(graph, inst, result, FORWARD, ATTR1, first.settled)
+    if kind == "cost2":
+        search = _init_search(graph, inst, result, FORWARD, ATTR2, None)
+    else:
+        first = _init_search(graph, inst, result, FORWARD, ATTR2, None).run()
+        if result.status != SEARCH:
+            return None
+        if kind == "start":
+            search = _init_search(graph, inst, result, BACKWARD, ATTR1, None)
+        else:
+            search = _init_search(graph, inst, result, FORWARD, ATTR1, first.settled)
     assert search.heuristic is None and not search.joins
     if serve:
-        _tree_search(graph, search, result)
+        search.serve()
     else:
         search.run()
     gb = result.gb
@@ -185,18 +194,23 @@ def masked_cost1(graph: Graph, inst: ProblemInstance, serve: bool):
             result.status, gb.f1_bar, gb.f2_sol, gb.incumbents, gb.record)
 
 
-def test_served_masked_searches_match_live_ones():
-    # A masked cost1 search is served from the goal's cost1 tree: the tree's
+def test_served_searches_match_live_ones():
+    # Every plain init search is served from the tree cache: round one's
+    # cost2 search and the parallel plan's round-one cost1 search unmasked,
+    # wc-astar's cost1 search masked. A masked search is served the tree's
     # prefix filtered to the mask, up to the first state whose tree
     # predecessor was not served, where the mask binds and the search goes
     # on live from the rebuilt frontier. Zero-cost arcs make ties in both
     # costs. Each query is served on a fresh graph (a cold cache) and on one
     # graph shared by all of a graph's queries (a warm cache, with trees
     # built at other bounds), and compared field by field with a live run.
-    # Limits just above the start's cost2 distance make masks that bind.
+    # Limits around the start's cost2 distance make INFEASIBLE inits and
+    # masks that bind.
     rng = random.Random(29)
-    ways = {False: 0, True: 0}  # served searches whose mask bound, or did not
-    for _ in range(120):
+    kinds = ("cost2", "start", "masked")
+    ways = {False: 0, True: 0}  # served masked searches whose mask bound, or did not
+    statuses = {kind: set() for kind in kinds}
+    for _ in range(150):
         n = rng.randint(3, 60)
         g = random_graph(rng.randrange(2**30), n, rng.randint(n, 4 * n),
                          cost_max=rng.choice([2, 3, 10]), cost_min=rng.choice([0, 0, 1]))
@@ -205,15 +219,23 @@ def test_served_masked_searches_match_live_ones():
             start, goal = rng.randrange(n), rng.randrange(n)
             low = h2(g, start, goal)
             low = 0 if low == INF else low
-            for w in rng.sample(range(low, low + 20), 3):
+            for w in rng.sample(range(max(low - 3, 0), low + 20), 4):
                 inst = ProblemInstance(start, goal, w)
-                live = masked_cost1(fresh(g), inst, serve=False)
-                for graph in (fresh(g), warm):
-                    binds = goal_trees(graph).binds
-                    assert masked_cost1(graph, inst, serve=True) == live, (inst, n)
-                    if live is not None:
-                        ways[goal_trees(graph).binds > binds] += 1
+                for kind in kinds:
+                    live = served_search(fresh(g), inst, kind, serve=False)
+                    for graph in (fresh(g), warm):
+                        binds = goal_trees(graph).binds
+                        assert served_search(graph, inst, kind, serve=True) == live, \
+                            (kind, inst, n)
+                        if live is not None:
+                            statuses[kind].add(live[5])
+                            if kind == "masked":
+                                ways[goal_trees(graph).binds > binds] += 1
+                        else:
+                            assert goal_trees(graph).binds == binds
     assert min(ways.values()) > 100, ways
+    assert statuses == {"cost2": {SEARCH, INFEASIBLE}, "start": {SEARCH, SHORTCUT},
+                        "masked": {SEARCH, SHORTCUT}}, statuses
 
 
 def test_htf_tuning_does_not_leak_into_the_cache(inits):

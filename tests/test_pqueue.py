@@ -157,7 +157,8 @@ def test_stats_counters():
 
 def test_monotonicity_violation_raises():
     # With delta_f 10 the late key shares the popped key's bucket, so only
-    # the level below the high buckets can refuse it.
+    # the level below the high buckets can refuse it. A key that `peek`
+    # returned bounds later pushes as a popped key does.
     for kind in (BUCKET, HYBRID, BINARY_HEAP):
         for delta_f in (1, 10):
             q = make(kind, TIE_NONE_LIFO, 0, 100, delta_f)
@@ -165,6 +166,13 @@ def test_monotonicity_violation_raises():
             q.pop()
             with pytest.raises(MonotonicityError):
                 q.push(4, 0, "late")
+            q = make(kind, TIE_NONE_LIFO, 0, 100, delta_f)
+            q.push(5, 0, "a")
+            q.push(8, 0, "b")
+            q.pop()
+            assert q.peek()[0] == 8
+            with pytest.raises(MonotonicityError):
+                q.push(6, 0, "late")
 
 
 def test_equal_key_push_after_drain_is_legal():
