@@ -35,7 +35,12 @@ inside the mask. An unmasked search is the case where every state is
 allowed, so no state binds. At the first allowed state whose predecessor
 was not served, the mask binds (counted in `GoalTrees.binds`): the search
 rebuilds the live search's frontier from the served states
-(`BoundedSearch.rebuild_frontier`) and goes on live.
+(`BoundedSearch.rebuild_frontier`) and goes on live. When it binds at tree
+distance D, every unsettled allowed state lies at tree distance D or
+beyond, and no arc costs more than c_max, the graph's largest arc cost on
+the search's attribute (`GoalTrees.max_cost`): so only the served states
+at tree distance D - c_max or more can border the frontier, and the
+rebuild scans that shell of the settle order alone.
 
 Every other init search is a live `BoundedSearch`, with the joins against
 the opposite tables and its target test done inside the settle loop. The
@@ -46,7 +51,9 @@ nothing. A search reads its bound as it starts, not when it is made: the
 weight limit W on cost2, f1_bar on cost1, which an earlier search of its
 own round may have lowered. No other search runs beside it, so f1_bar then
 moves only through its own join and target offers: a cost1 search re-reads
-it after those, and nowhere else.
+it after those, and nowhere else. A join is offered only when its cost1 is
+at most f1_bar and its cost2 at most W: `GlobalBounds.offer` would refuse
+any other, and a refused offer changes nothing.
 
 The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
 `settled`, the round-two and S' masks, each search context's `g_min`) come
@@ -70,11 +77,12 @@ import sys
 import threading
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import asin, sin, sqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
@@ -125,8 +133,10 @@ def join_halves(side: int, state: int, mine: Optional[tuple], theirs: Optional[t
 class GlobalBounds:
     """Shared (f1_bar, f2_bar, f2_sol) plus the current solution record.
 
-    All updates happen under one lock and only ever tighten; readers outside
-    the lock may see stale (larger) values, which can only delay pruning.
+    `f2_bar` is the weight limit and never moves. All updates of `f1_bar`,
+    `f2_sol` and the record happen under one lock and only ever tighten;
+    readers outside the lock may see stale (larger) values, which can only
+    delay pruning.
     """
 
     def __init__(self, weight_limit: int):
@@ -263,7 +273,9 @@ class BoundedSearch:
     def run(self) -> "BoundedSearch":
         """Settle states until the bound or the heap runs out, or until the
         target ends the search: as it settles, without an init, or by the
-        target rule (`_reach_target`)."""
+        target rule (`_reach_target`). A join whose cost1 lies above f1_bar,
+        or whose cost2 lies above the weight limit, is not offered: `offer`
+        would refuse it, and no other search moves the bars meanwhile."""
         index, to, cp, cs = self._arcs()
         attr = self.attr
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -276,7 +288,8 @@ class BoundedSearch:
             if init.status != SEARCH:
                 return self
             gb = init.gb
-            bound = gb.f1_bar if attr == ATTR1 else gb.f2_bar
+            f2_bar = gb.f2_bar  # the weight limit, which never moves
+            bound = gb.f1_bar if attr == ATTR1 else f2_bar
             side, mine = self.traverse_dir, TREE_HALF[attr]
         while heap:
             f, ds, dp, u, pu = heappop(heap)
@@ -293,7 +306,8 @@ class BoundedSearch:
                 cu1, cu2 = (dp, ds) if attr == ATTR1 else (ds, dp)
                 for half, tc1, tc2 in joins:
                     o1, o2 = tc1[u], tc2[u]
-                    if o1 != INF and o2 != INF and cu2 + o2 <= gb.f2_bar:
+                    if (o1 != INF and o2 != INF and cu1 + o1 <= gb.f1_bar
+                            and cu2 + o2 <= f2_bar):
                         gb.offer(cu1 + o1, cu2 + o2, join_halves(side, u, mine, half),
                                  "init-match")
                 if u == target and (init is None or self._reach_target(dp, ds)):
@@ -347,9 +361,11 @@ class BoundedSearch:
         was not written: there the mask binds (counted in `GoalTrees.binds`).
         The target rule applies to the target's entry once written, and a
         cost2 search that ends without it marks the init INFEASIBLE. A search
-        whose mask binds rebuilds the frontier from the written states and
-        runs on live (`rebuild_frontier`, then `run()`). Like `run()`, it
-        settles nothing once the init is decided."""
+        whose mask binds at tree distance D rebuilds the frontier from the
+        written states at tree distance D - c_max or more, the shell that
+        can border an unsettled allowed state (`rebuild_frontier`, with
+        c_max from `GoalTrees.max_cost`), and runs on live (`run()`). Like
+        `run()`, it settles nothing once the init is decided."""
         self.heap.clear()
         init, target, attr, allowed = self.init, self.target, self.attr, self.allowed
         if init.status != SEARCH:
@@ -373,12 +389,12 @@ class BoundedSearch:
             settled[u] = True
             dist[u] = dp
             comp[u] = ds
-        binds = False
+        bind = None  # the tree distance of the state where the mask binds
         for u, dp, ds, pu in entries:
             if allowed is not None and not allowed[u]:
                 continue
             if not settled[pu]:  # the mask cuts u's tree path
-                binds = True
+                bind = dp
                 break
             settle(u)
             settled[u] = True
@@ -387,26 +403,32 @@ class BoundedSearch:
             pred[u] = pu
         if settled[target] and self._reach_target(dist[target], comp[target]):
             return
-        if binds:
+        if bind is not None:
             with cache._lock:
                 cache.binds += 1
-            self.rebuild_frontier()
+            self.rebuild_frontier(bind - cache.max_cost[attr])
             self.run()
         elif attr == ATTR2 and not settled[target]:
             init.status = INFEASIBLE
 
-    def rebuild_frontier(self) -> None:
+    def rebuild_frontier(self, floor) -> None:
         """Make the heap the one a run would hold after settling exactly
         `order`, in that order, with the labels and predecessors written in
         the lists: for each unsettled allowed neighbour of a settled state,
         its best label from `run()`'s relaxation rule, with the first
         settled state in `order` that gives it as predecessor. A later
-        `run()` then continues that run."""
+        `run()` then continues that run.
+
+        `order` must be non-decreasing in primary cost, as a served prefix
+        is, and no settled state with primary cost below `floor` may have
+        an unsettled allowed neighbour: only the shell of `order` at or
+        above `floor`, found by bisection, is scanned. A floor of 0 scans
+        every settled state."""
         index, to, cp, cs = self._arcs()
         best_p, best_s, heuristic, allowed = self.best_p, self.best_s, self.heuristic, self.allowed
-        dist, comp, settled = self.dist, self.comp, self.settled
+        dist, comp, settled, order = self.dist, self.comp, self.settled, self.order
         frontier = {}
-        for u in self.order:
+        for u in islice(order, bisect_left(order, floor, key=dist.__getitem__), None):
             dp, ds = dist[u], comp[u]
             for i in range(index[u], index[u + 1]):
                 v = to[i]
@@ -482,12 +504,15 @@ class GoalTrees:
     tree outside the lock: a rebuild swaps in a new tree and leaves the old
     one to the inits that hold it. `hits`, `misses` and `evictions` count
     lookups and trees; `binds` counts served masked searches whose mask
-    bound, so that they went on live.
+    bound, so that they went on live. `max_cost[attr]`, the graph's largest
+    arc cost on `attr`, sets how far below its bind such a search rebuilds
+    its frontier (`BoundedSearch.serve`).
     """
 
-    def __init__(self, state_count: int):
-        self.state_count = state_count
+    def __init__(self, graph: Graph):
+        self.state_count = state_count = graph.state_count
         self.capacity = 256 * state_count
+        self.max_cost = (max(graph.fwd_c1, default=0), max(graph.fwd_c2, default=0))
         self.trees: OrderedDict[tuple[int, int, int], GoalTree] = OrderedDict()
         self.size = 0
         self.hits = self.misses = self.evictions = self.binds = 0
@@ -591,7 +616,7 @@ def goal_trees(graph: Graph) -> GoalTrees:
     if cache is None:
         with _GRAPH_SLOT_LOCK:
             if graph.goal_trees is None:
-                graph.goal_trees = GoalTrees(graph.state_count)
+                graph.goal_trees = GoalTrees(graph)
             cache = graph.goal_trees
     return cache
 
@@ -705,18 +730,23 @@ def haversine_m(lat: Sequence[float], lon: Sequence[float], cos_lat: Sequence[fl
 
 class GeoHeuristic(dict):
     """Great-circle cost1 lower bounds toward one target, computed for a state
-    on its first lookup and memoised."""
+    on its first lookup and memoised. A lookup evaluates `haversine_m(lat,
+    lon, cos_lat, u, target)` inline, in the same operand order, from the
+    target's latitude, longitude and cos(latitude) kept on the object: the
+    same float, without the call."""
 
-    __slots__ = ("lat", "lon", "cos_lat", "scale", "target")
+    __slots__ = ("lat", "lon", "cos_lat", "scale", "target_lat", "target_lon", "target_cos")
 
     def __init__(self, geo: tuple, target: int):
         super().__init__()
         self.lat, self.lon, self.cos_lat, self.scale = geo
-        self.target = target
+        self.target_lat, self.target_lon = self.lat[target], self.lon[target]
+        self.target_cos = self.cos_lat[target]
 
     def __missing__(self, u: int) -> int:
-        h = self[u] = int(haversine_m(self.lat, self.lon, self.cos_lat, u, self.target)
-                          * self.scale)
+        s = (sin((self.target_lat - self.lat[u]) / 2) ** 2
+             + self.cos_lat[u] * self.target_cos * sin((self.target_lon - self.lon[u]) / 2) ** 2)
+        h = self[u] = int(2 * 6371000.0 * asin(min(1.0, sqrt(s))) * self.scale)
         return h
 
 

@@ -7,17 +7,18 @@ import pytest
 import wcspp.bounds as bounds_mod
 import wcspp.solvers as solvers_mod
 from wcspp.bounds import (ATTR1, ATTR2, PLAN_PARALLEL, PLAN_SEQUENTIAL, PLAN_UNIDIRECTIONAL,
-                          BoundedSearch, Clock, INF, INFEASIBLE, SEARCH, SHORTCUT,
-                          budget_factors, geo_heuristic, goal_trees, init_parallel_bidirectional,
-                          init_sequential_bidirectional, init_unidirectional, run_init,
-                          run_sides)
-from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
+                          BoundedSearch, Clock, GlobalBounds, INF, INFEASIBLE, SEARCH, SHORTCUT,
+                          budget_factors, geo_heuristic, goal_trees, haversine_m,
+                          init_parallel_bidirectional, init_sequential_bidirectional,
+                          init_unidirectional, run_init, run_sides)
+from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, load_dimacs, random_graph
 from wcspp.oracle import constrained_optimum
 from wcspp.pqueue import BUCKET, QueueConfig, TIE_NONE_LIFO
 from wcspp.solvers import SOLVERS, SolveOptions, solve_wc_ba_star
 
 from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, INIT_NAMES, S, U1, U2, U3,
-                      check_tables_against_paths, fresh, geo_random_graph, haversine_deg)
+                      check_tables_against_paths, fresh, geo_random_graph, haversine_deg,
+                      roadgrid_module)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 
@@ -243,6 +244,30 @@ def test_init_sequential_infeasible(example_graph):
     assert init.status == INFEASIBLE
 
 
+def test_joins_at_the_bar_are_offered_and_joins_above_it_are_not(monkeypatch):
+    # Round one's cost2 search seeds f1_bar = 2 from the path 0-1-3, (2, 2),
+    # and leaves f2_sol open. Round two's cost2 search from the start joins
+    # each settled state with the goal's cost2 tree: the start's join is that
+    # path again, at the bar with a smaller cost2 than f2_sol, so it is
+    # offered and accepted; state 1's and the goal's joins equal it and are
+    # refused. State 2's join, (9 + 9, 1 + 2), lies above the bar: it is not
+    # offered at all, and the incumbents do not change.
+    offers = []
+    offer = GlobalBounds.offer
+
+    def spy(gb, c1, c2, data, tag):
+        offers.append((c1, c2, gb.f1_bar))
+        return offer(gb, c1, c2, data, tag)
+
+    monkeypatch.setattr(GlobalBounds, "offer", spy)
+    g = Graph(4, [(0, 1, 1, 1), (1, 3, 1, 1), (0, 2, 9, 1), (2, 3, 9, 2)])
+    init = run_init(g, ProblemInstance(0, 3, 10), PLAN_SEQUENTIAL[:2])
+    assert init.status == SEARCH and init.settled_per_phase[1][2][2]
+    assert offers == [(2, 2, 2)] * 3
+    assert init.gb.incumbents == [(2, 2, "init-match")]
+    assert (init.gb.f1_bar, init.gb.f2_sol, init.gb.record.state) == (2, 2, 0)
+
+
 def test_init_parallel_example_deterministic(example_graph):
     runs = []
     for _ in range(2):
@@ -333,6 +358,22 @@ def test_geo_heuristic_matches_brute_force(seed):
         assert [h[u] for u in range(n)] == expected
         # lookups are memoised and in any order
         assert [h[u] for u in reversed(range(n))] == expected[::-1]
+
+
+def test_geo_heuristic_lookups_equal_the_haversine_call(tmp_path):
+    # A lookup evaluates haversine_m's expression inline: every h[u] is the
+    # int of the same float, on a road grid's coordinates loaded from its
+    # .co file and on random ones.
+    paths = roadgrid_module().write_dimacs(str(tmp_path), 5, 12, 12)
+    graphs = [load_dimacs(paths["cost1"], paths["cost2"], paths["coords"])]
+    graphs += [geo_random_graph(seed, 25, 60) for seed in range(4)]
+    for g in graphs:
+        n = g.state_count
+        for t in range(n):
+            h = geo_heuristic(g, t, ATTR1)
+            lat, lon, cos_lat, scale = g.geo_cache
+            assert [h[u] for u in range(n)] == \
+                [int(haversine_m(lat, lon, cos_lat, u, t) * scale) for u in range(n)]
 
 
 @pytest.mark.parametrize("seed", range(6))

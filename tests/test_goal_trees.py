@@ -194,48 +194,110 @@ def served_search(graph: Graph, inst: ProblemInstance, kind: str, serve: bool):
             result.status, gb.f1_bar, gb.f2_sol, gb.incumbents, gb.record)
 
 
+def zero_cost_queries(seed: int, cost_maxes: tuple):
+    """150 seeded random graphs, each with costs from 0 or 1 up to one of
+    `cost_maxes`, so zero-cost arcs make ties in both costs, and each with its
+    queries: three start-goal pairs, each at four limits around the start's
+    cost2 distance, which make INFEASIBLE inits and masks that bind."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        n = rng.randint(3, 60)
+        g = random_graph(rng.randrange(2**30), n, rng.randint(n, 4 * n),
+                         cost_max=rng.choice(cost_maxes), cost_min=rng.choice([0, 0, 1]))
+        queries = []
+        for _ in range(3):
+            start, goal = rng.randrange(n), rng.randrange(n)
+            low = h2(g, start, goal)
+            low = 0 if low == INF else low
+            queries += [ProblemInstance(start, goal, w)
+                        for w in rng.sample(range(max(low - 3, 0), low + 20), 4)]
+        yield g, queries
+
+
 def test_served_searches_match_live_ones():
     # Every plain init search is served from the tree cache: round one's
     # cost2 search and the parallel plan's round-one cost1 search unmasked,
     # wc-astar's cost1 search masked. A masked search is served the tree's
     # prefix filtered to the mask, up to the first state whose tree
     # predecessor was not served, where the mask binds and the search goes
-    # on live from the rebuilt frontier. Zero-cost arcs make ties in both
-    # costs. Each query is served on a fresh graph (a cold cache) and on one
-    # graph shared by all of a graph's queries (a warm cache, with trees
-    # built at other bounds), and compared field by field with a live run.
-    # Limits around the start's cost2 distance make INFEASIBLE inits and
-    # masks that bind.
-    rng = random.Random(29)
+    # on live from the rebuilt frontier. Each query is served on a fresh
+    # graph (a cold cache) and on one graph shared by all of a graph's
+    # queries (a warm cache, with trees built at other bounds), and compared
+    # field by field with a live run.
     kinds = ("cost2", "start", "masked")
     ways = {False: 0, True: 0}  # served masked searches whose mask bound, or did not
     statuses = {kind: set() for kind in kinds}
-    for _ in range(150):
-        n = rng.randint(3, 60)
-        g = random_graph(rng.randrange(2**30), n, rng.randint(n, 4 * n),
-                         cost_max=rng.choice([2, 3, 10]), cost_min=rng.choice([0, 0, 1]))
+    for g, queries in zero_cost_queries(29, (2, 3, 10)):
         warm = fresh(g)
-        for _ in range(3):
-            start, goal = rng.randrange(n), rng.randrange(n)
-            low = h2(g, start, goal)
-            low = 0 if low == INF else low
-            for w in rng.sample(range(max(low - 3, 0), low + 20), 4):
-                inst = ProblemInstance(start, goal, w)
-                for kind in kinds:
-                    live = served_search(fresh(g), inst, kind, serve=False)
-                    for graph in (fresh(g), warm):
-                        binds = goal_trees(graph).binds
-                        assert served_search(graph, inst, kind, serve=True) == live, \
-                            (kind, inst, n)
-                        if live is not None:
-                            statuses[kind].add(live[5])
-                            if kind == "masked":
-                                ways[goal_trees(graph).binds > binds] += 1
-                        else:
-                            assert goal_trees(graph).binds == binds
+        for inst in queries:
+            for kind in kinds:
+                live = served_search(fresh(g), inst, kind, serve=False)
+                for graph in (fresh(g), warm):
+                    binds = goal_trees(graph).binds
+                    assert served_search(graph, inst, kind, serve=True) == live, \
+                        (kind, inst, g.state_count)
+                    if live is not None:
+                        statuses[kind].add(live[5])
+                        if kind == "masked":
+                            ways[goal_trees(graph).binds > binds] += 1
+                    else:
+                        assert goal_trees(graph).binds == binds
     assert min(ways.values()) > 100, ways
     assert statuses == {"cost2": {SEARCH, INFEASIBLE}, "start": {SEARCH, SHORTCUT},
                         "masked": {SEARCH, SHORTCUT}}, statuses
+
+
+def test_shell_rebuild_matches_a_full_rebuild(monkeypatch):
+    # A served search whose mask binds at tree distance D rebuilds its
+    # frontier from the shell of served states at tree distance D - c_max
+    # and above, c_max being the graph's largest arc cost on the search's
+    # attribute: every unsettled allowed state lies at D or beyond, and an
+    # arc costs at most c_max. Each binding search's shell rebuild must
+    # leave the sorted heap of a rebuild from every served state, and the
+    # same labels at the unsettled states. Shells that skip served states,
+    # and frontier entries whose predecessor lies on the floor itself, both
+    # occur.
+    rebuild = BoundedSearch.rebuild_frontier
+    counts = {"binds": 0, "skipped": 0, "on the floor": 0}
+
+    def labels(search) -> tuple:
+        settled = search.settled
+        return tuple({v: x for v, x in best.items() if not settled[v]}
+                     for best in (search.best_p, search.best_s))
+
+    def both(search, floor):
+        before = dict(search.best_p), dict(search.best_s)
+        rebuild(search, 0)
+        full = sorted(search.heap), labels(search)
+        search.best_p, search.best_s = before
+        rebuild(search, floor)
+        assert (sorted(search.heap), labels(search)) == full
+        counts["binds"] += 1
+        counts["skipped"] += floor > 0
+        counts["on the floor"] += any(search.dist[pu] == floor for *_, pu in search.heap)
+
+    monkeypatch.setattr(BoundedSearch, "rebuild_frontier", both)
+    # wc-astar's masked cost1 searches, on test_served_searches_match_live_ones'
+    # graphs and queries.
+    for g, queries in zero_cost_queries(29, (2, 3, 10)):
+        for inst in queries:
+            served_search(fresh(g), inst, "masked", serve=True)
+    assert counts["binds"] > 50, counts
+    # Whole-tree searches on either attribute under random masks, on graphs
+    # whose costs go up to 1 or 2, where an arc of the largest cost often
+    # lies on a shortest path: there a state on the floor is often a
+    # frontier state's predecessor. Cost2 is tripled, so that each attribute
+    # has its own c_max.
+    rng = random.Random(5)
+    for g, queries in zero_cost_queries(31, (1, 2)):
+        g = Graph(g.state_count, [(u, v, c1, 3 * c2) for u, v, c1, c2 in g.edges()])
+        for inst in queries[::4]:  # one query per start-goal pair
+            for attr in (ATTR1, ATTR2):
+                mask = [rng.random() < 0.8 for _ in range(g.state_count)]
+                init = InitResult(SEARCH, BoundsTables(), GlobalBounds(COST_MAX))
+                BoundedSearch(g, inst.goal, BACKWARD, attr, allowed=mask, init=init,
+                              target=inst.start).serve()
+    assert min(counts.values()) > 100, counts
 
 
 def test_htf_tuning_does_not_leak_into_the_cache(inits):
