@@ -450,7 +450,7 @@ class BoundedSearch:
     def taken(self) -> list[tuple]:
         """(fill, list, written) for the four lists taken from the graph's pool;
         they are written only at the settled states."""
-        written = (self.order,)
+        written = self.order
         return [(INF, self.dist, written), (INF, self.comp, written),
                 (None, self.pred, written), (False, self.settled, written)]
 
@@ -553,17 +553,17 @@ class ListPool:
     None, False).
 
     `take(fill)` hands out an n-entry list holding `fill` everywhere. `give`
-    takes lists back, each with `written`, sequences that together name every
-    state written since it was taken (repeats allowed). A list is kept only if
-    at most n/16 states were written (or 64 on a graph of under 1,024 states):
-    past that, a fresh `[fill] * n` is cheaper than resetting the states one
-    by one in Python. The pool holds at most `CAPACITY` lists; a solve takes
-    at most 20. `take` reuses a kept list only when the pool holds its last
-    reference, so a list that a caller still reaches through an `InitResult`
-    is never overwritten; such a list is dropped instead. One lock guards
-    the free lists, so threads may share a graph; the reset runs outside it.
-    `reused`, `fresh` and `dropped` count lists served from the pool, lists
-    allocated, and lists given back but not reused.
+    takes lists back, each with `written`, one sequence that names every
+    state written since it was taken (repeats allowed). A list is kept only
+    if `written` holds at most n/16 states (or 64 on a graph of under 1,024
+    states): past that, a fresh `[fill] * n` is cheaper than resetting the
+    states one by one in Python. The pool holds at most `CAPACITY` lists; a
+    solve takes at most 20. `take` reuses a kept list only when the pool
+    holds its last reference, so a list that a caller still reaches through
+    an `InitResult` is never overwritten; such a list is dropped instead. One
+    lock guards the free lists, so threads may share a graph; the reset runs
+    outside it. `reused`, `fresh` and `dropped` count lists served from the
+    pool, lists allocated, and lists given back but not reused.
     """
 
     CAPACITY = 32
@@ -590,17 +590,15 @@ class ListPool:
             else:
                 self.fresh += 1
                 return [fill] * self.state_count
-        for states in written:
-            for u in states:
-                lst[u] = fill
+        for u in written:
+            lst[u] = fill
         return lst
 
     def give(self, taken: Iterable[tuple]) -> None:
         """Keep (fill, list, written) lists for reuse, as the bounds allow."""
         with self._lock:
             for fill, lst, written in taken:
-                if (self.size < self.CAPACITY
-                        and sum(map(len, written)) <= self.keep_limit):
+                if self.size < self.CAPACITY and len(written) <= self.keep_limit:
                     self.free[fill].append((lst, written))
                     self.size += 1
                 else:
@@ -610,26 +608,27 @@ class ListPool:
 _GRAPH_SLOT_LOCK = threading.Lock()
 
 
+def _graph_slot(graph: Graph, name: str, make):
+    """The graph's `name` slot, set to `make(graph)` on first use; one lock
+    makes sure threads sharing the graph make it once."""
+    value = getattr(graph, name)
+    if value is None:
+        with _GRAPH_SLOT_LOCK:
+            value = getattr(graph, name)
+            if value is None:
+                value = make(graph)
+                setattr(graph, name, value)
+    return value
+
+
 def goal_trees(graph: Graph) -> GoalTrees:
     """The graph's cache of plain-search trees, made on first use."""
-    cache = graph.goal_trees
-    if cache is None:
-        with _GRAPH_SLOT_LOCK:
-            if graph.goal_trees is None:
-                graph.goal_trees = GoalTrees(graph)
-            cache = graph.goal_trees
-    return cache
+    return _graph_slot(graph, "goal_trees", GoalTrees)
 
 
 def list_pool(graph: Graph) -> ListPool:
     """The graph's pool of spare per-state lists, made on first use."""
-    pool = graph.list_pool
-    if pool is None:
-        with _GRAPH_SLOT_LOCK:
-            if graph.list_pool is None:
-                graph.list_pool = ListPool(graph.state_count)
-            pool = graph.list_pool
-    return pool
+    return _graph_slot(graph, "list_pool", lambda g: ListPool(g.state_count))
 
 
 class Clock:
@@ -859,7 +858,7 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
             for u in first.order:
                 if in_second[u]:
                     allowed[u] = True
-            result.taken.append((False, allowed, (first.order,)))
+            result.taken.append((False, allowed, first.order))
         searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
                     for table_dir, attr in rnd]
         for (table_dir, attr), search in zip(rnd, searches):
@@ -883,7 +882,7 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
         valid = result.valid_states = pool.take(False)
         for u in members:
             valid[u] = True
-        result.taken.append((False, valid, (members,)))
+        result.taken.append((False, valid, members))
     return result
 
 

@@ -262,13 +262,20 @@ def _print_outcome(outcome: SolveOutcome, print_path: bool) -> int:
     return EXIT_TIMEOUT
 
 
+def _pair(token: str) -> tuple[int, int]:
+    """A 1-based 'start,goal' token as a 0-based pair; raises ValueError
+    naming the token otherwise."""
+    try:
+        start, goal = map(int, token.split(","))
+    except ValueError:
+        raise ValueError(f"--pairs token {token!r} is not 'start,goal'") from None
+    return start - 1, goal - 1
+
+
 def cmd_gen_instances(args) -> int:
     try:
         graph = load_dimacs(args.cost1, args.cost2, args.coords)
-        pairs = []
-        for token in args.pairs.split():
-            s, g = token.split(",")
-            pairs.append((int(s) - 1, int(g) - 1))
+        pairs = [_pair(token) for token in args.pairs.split()]
         if not all(0 <= u < graph.state_count for pair in pairs for u in pair):
             raise ValueError(f"--pairs states must be 1..{graph.state_count}")
         deltas = [tightness(d) for d in args.deltas.split(",")]

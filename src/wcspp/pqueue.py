@@ -1,10 +1,11 @@
 """Monotone-key priority queues: two-level bucket, bucket/heap hybrid, binary heap.
 
 All three present the same push/pop/peek/stats surface so the solvers can swap
-them freely. Keys are the search's primary f-values; the monotone-insertion
-contract of A* (no push below the last key `pop` or `peek` returned) is what
-lets the bucket kinds scan strictly left-to-right, never rewinding. Every
-kind refuses a push that breaks it with MonotonicityError.
+them freely. Keys are the search's primary f-values. One rule holds for every
+kind: a push below `floor`, the last key `pop` or `peek` returned, is refused
+with MonotonicityError. It is A*'s monotone-insertion contract, and what lets
+the bucket kinds scan strictly left to right, never rewinding. All kinds share
+one `peek` and one `pop`, which record `floor`; each kind only finds its head.
 
 The two bucket kinds share one high level (`_Buckets`): one push, and one scan
 that examines each high index at most once, left to right, and enters the
@@ -23,6 +24,7 @@ queue_ops semantics per kind:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -36,11 +38,14 @@ TIE_SECONDARY = "secondary"
 
 
 class MonotonicityError(ValueError):
-    """Key pushed below the already-drained region or outside [f_min, f_max]."""
+    """Key pushed below the queue's floor or outside [f_min, f_max]."""
 
 
 @dataclass(frozen=True)
 class QueueConfig:
+    """none_lifo is LIFO only on a bucket queue (a, b, c, d pushed at one key pop
+    d, c, b, a); on the hybrid and binary-heap kinds it means no tie-breaking
+    (they pop a, d, c, b). none_fifo is for bucket queues, secondary for heaps."""
     kind: str
     f_min: int = 0
     f_max: int = 0
@@ -98,9 +103,6 @@ class _CountingHeap:
         self.tie_break = tie_break
         self.stats = stats
 
-    def __len__(self):
-        return len(self.items)
-
     def _less(self, a, b) -> bool:
         if a[0] != b[0]:
             return a[0] < b[0]
@@ -148,10 +150,15 @@ class _CountingHeap:
 
 
 class _QueueBase:
+    """One `peek` and one `pop` for every kind (None when empty); a kind reads
+    its head with `_head()` and removes it with `_take()`. A push below `floor`
+    raises `_behind`."""
+
     def __init__(self, cfg: QueueConfig):
         self.cfg = cfg
         self._stats = QueueStats()
         self.size = 0
+        self.floor = -math.inf  # the last key pop or peek returned
 
     def __len__(self):
         return self.size
@@ -159,11 +166,24 @@ class _QueueBase:
     def stats(self) -> QueueStats:
         return self._stats.snapshot()
 
-    def _note_push(self):
-        self._stats.pushes += 1
-        self.size += 1
-        if self.size > self._stats.peak_size:
-            self._stats.peak_size = self.size
+    def _behind(self, key: int) -> MonotonicityError:
+        return MonotonicityError(f"key {key} is behind the last returned key {self.floor}")
+
+    def peek(self):
+        if self.size == 0:
+            return None
+        item = self._head()
+        self.floor = item[0]
+        return item
+
+    def pop(self):
+        if self.size == 0:
+            return None
+        item = self._take()
+        self.floor = item[0]
+        self.size -= 1
+        self._stats.pops += 1
+        return item
 
 
 def _take_first(buckets: list, i: int, stats: QueueStats):
@@ -183,12 +203,13 @@ class _Buckets(_QueueBase):
 
     `k` is the entered index: a push there goes to the level below through
     `_push_low`, a push above it to its high bucket (made on its first push,
-    so a new queue costs one slot per bucket), a push below it is refused.
-    `k` starts at 0, so pushes into bucket 0 go straight to the level below
-    until `_enter` first runs. `_enter` examines indices from `next` (the
-    first unexamined one) on, one queue op and one high check each, takes the
-    first non-empty bucket out of the array and enters its index, so each
-    index is examined at most once over the queue's lifetime.
+    so a new queue costs one slot per bucket). No push lands below it, as
+    every key there is below `floor`. `k` starts at 0, so pushes into bucket
+    0 go straight to the level below until `_enter` first runs. `_enter`
+    examines indices from `next` (the first unexamined one) on, one queue op
+    and one high check each, takes the first non-empty bucket out of the
+    array and enters its index, so each index is examined at most once over
+    the queue's lifetime.
     """
 
     def __init__(self, cfg: QueueConfig):
@@ -207,10 +228,9 @@ class _Buckets(_QueueBase):
                 f"key {key_primary} outside queue range [{cfg.f_min}, {cfg.f_max}]")
         hi = (key_primary - cfg.f_min) // cfg.delta_f
         item = (key_primary, key_secondary, payload)
-        if hi <= self.k:
-            if hi < self.k:
-                raise MonotonicityError(
-                    f"key {key_primary} is behind the drained region (scan at bucket {self.k})")
+        if hi <= self.k:  # a key above bucket k is above floor
+            if key_primary < self.floor:
+                raise self._behind(key_primary)
             self._push_low(item)
         else:
             bucket = self.high[hi]
@@ -262,9 +282,6 @@ class BucketQueue(_Buckets):
             return
         j = (item[0] - self.cfg.f_min) % self.cfg.delta_f
         if j <= self.low_j:
-            if j < self.low_j:
-                raise MonotonicityError(
-                    f"key {item[0]} is behind the drained low-level region")
             self.current.append(item)
             return
         bucket = self.low[j]
@@ -287,20 +304,13 @@ class BucketQueue(_Buckets):
         self.low_count -= len(self.current)
         return self.current
 
-    def peek(self):
-        if self.size == 0:
-            return None
+    def _head(self):
         bucket = self.current or self._refill()
         return bucket[0] if self.fifo else bucket[-1]
 
-    def pop(self):
-        if self.size == 0:
-            return None
+    def _take(self):
         bucket = self.current or self._refill()
-        item = bucket.popleft() if self.fifo else bucket.pop()
-        self.size -= 1
-        self._stats.pops += 1
-        return item
+        return bucket.popleft() if self.fifo else bucket.pop()
 
 
 class HybridQueue(_Buckets):
@@ -309,45 +319,26 @@ class HybridQueue(_Buckets):
     The heap holds the entered bucket's nodes; when it runs dry, the next
     non-empty bucket moves into it wholesale (one queue op per node moved,
     plus the sift swaps). Pushes into bucket 0 go straight to the heap, and
-    index 0 is examined and counted only when the heap first runs dry. A push
-    below the last key `pop` or `peek` returned is refused, as in the other
-    kinds.
+    index 0 is examined and counted only when the heap first runs dry.
     """
 
     def __init__(self, cfg: QueueConfig):
         super().__init__(cfg)
         self.heap = _CountingHeap(cfg.tie_policy == TIE_SECONDARY, self._stats)
-        self.floor = cfg.f_min  # the last key pop or peek returned
+        self._push_low = self.heap.push
 
-    def _push_low(self, item) -> None:
-        if item[0] < self.floor:
-            raise MonotonicityError(
-                f"key {item[0]} is behind the last returned key {self.floor}")
-        self.heap.push(item)
-
-    def _fill_heap(self) -> None:
-        while not self.heap:
+    def _fill(self) -> _CountingHeap:
+        if not self.heap.items:
             for item in self._enter():
                 self._stats.queue_ops += 1  # node transferred high -> low
                 self.heap.push(item)
+        return self.heap
 
-    def peek(self):
-        if self.size == 0:
-            return None
-        self._fill_heap()
-        item = self.heap.peek()
-        self.floor = item[0]
-        return item
+    def _head(self):
+        return self._fill().peek()
 
-    def pop(self):
-        if self.size == 0:
-            return None
-        self._fill_heap()
-        item = self.heap.pop()
-        self.floor = item[0]
-        self.size -= 1
-        self._stats.pops += 1
-        return item
+    def _take(self):
+        return self._fill().pop()
 
 
 class BinaryHeapQueue(_QueueBase):
@@ -356,27 +347,14 @@ class BinaryHeapQueue(_QueueBase):
     def __init__(self, cfg: QueueConfig):
         super().__init__(cfg)
         self.heap = _CountingHeap(cfg.tie_policy == TIE_SECONDARY, self._stats)
-        self.floor = None  # the last key pop or peek returned
+        self._head, self._take = self.heap.peek, self.heap.pop
 
     def push(self, key_primary: int, key_secondary: int, payload) -> None:
-        if self.floor is not None and key_primary < self.floor:
-            raise MonotonicityError(
-                f"key {key_primary} is behind the last returned key {self.floor}")
+        if key_primary < self.floor:
+            raise self._behind(key_primary)
         self.heap.push((key_primary, key_secondary, payload))
-        self._note_push()
-
-    def peek(self):
-        if self.size == 0:
-            return None
-        item = self.heap.peek()
-        self.floor = item[0]
-        return item
-
-    def pop(self):
-        if self.size == 0:
-            return None
-        item = self.heap.pop()
-        self.size -= 1
-        self._stats.pops += 1
-        self.floor = item[0]
-        return item
+        stats = self._stats
+        stats.pushes += 1
+        size = self.size = self.size + 1
+        if size > stats.peak_size:
+            stats.peak_size = size

@@ -408,7 +408,7 @@ class SearchContext:
 
     def taken(self) -> tuple:
         """(fill, list, written) for the list taken from the graph's pool."""
-        return INF, self.g_min, (self.parents.pairs,)
+        return INF, self.g_min, self.parents.pairs
 
     def collect(self, metrics: Metrics) -> QueueStats:
         """Add this context's counters to `metrics`; return its queue's stats."""

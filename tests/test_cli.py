@@ -198,6 +198,16 @@ def test_gen_instances_bad_pairs_or_deltas_exit_64(example_dimacs, capsys, pairs
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("token", ["1", "1,2,3", "a,b"])
+def test_gen_instances_malformed_pair_names_the_token(example_dimacs, capsys, token):
+    code = main(["gen-instances", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
+                 "--pairs", f"1,5 {token}", "--deltas", "0.5"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --pairs token '{token}' is not 'start,goal'"]
+
+
 def test_solve_command_lockstep_k(example_dimacs, capsys):
     code = main(["solve", "--cost1", example_dimacs[0], "--cost2", example_dimacs[1],
                  "--start", "1", "--goal", "5", "-W", "6", "--lockstep", "3",

@@ -164,25 +164,25 @@ def test_pool_keeps_resets_and_drops_by_its_rules():
     assert lst == [INF] * 2000 and (pool.reused, pool.fresh) == (0, 1)
     lst[5] = lst[1999] = 7
     kept = id(lst)
-    pool.give([(INF, lst, ([5], [1999, 5]))])
+    pool.give([(INF, lst, [5, 1999, 5])])
     del lst
     lst = pool.take(INF)
     assert id(lst) == kept and lst == [INF] * 2000
     assert (pool.reused, pool.fresh, pool.dropped) == (1, 1, 0)
     # Each fill has its own free list.
-    pool.give([(INF, lst, ([5],))])
+    pool.give([(INF, lst, [5])])
     mask = pool.take(False)
     assert mask == [False] * 2000 and pool.fresh == 2
     # A list written at more than n/16 states is dropped.
     mask[:200] = [True] * 200
-    pool.give([(False, mask, (range(200),))])
+    pool.give([(False, mask, range(200))])
     assert (pool.size, pool.dropped) == (1, 1)
     # A list that a caller still holds, here `lst`, is dropped when taken.
     other = pool.take(INF)
     assert other is not lst and (pool.reused, pool.dropped, pool.size) == (1, 2, 0)
     # At most CAPACITY lists are kept.
     spare = [pool.take(None) for _ in range(ListPool.CAPACITY + 3)]
-    pool.give([(None, x, ()) for x in spare])
+    pool.give([(None, x, []) for x in spare])
     assert pool.size == ListPool.CAPACITY and pool.dropped == 5
     del spare
     assert all(pool.take(None) == [None] * 2000 for _ in range(ListPool.CAPACITY))

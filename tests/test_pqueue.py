@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from wcspp.pqueue import (BINARY_HEAP, BUCKET, HYBRID, MonotonicityError, QueueConfig,
-                          TIE_NONE_FIFO, TIE_NONE_LIFO, TIE_SECONDARY, bucket_count,
-                          new_queue)
+from wcspp.pqueue import (BINARY_HEAP, BUCKET, HYBRID, BinaryHeapQueue, BucketQueue,
+                          HybridQueue, MonotonicityError, QueueConfig, TIE_NONE_FIFO,
+                          TIE_NONE_LIFO, TIE_SECONDARY, bucket_count, new_queue)
 
 ALL_CONFIGS = [
     (BUCKET, TIE_NONE_LIFO),
@@ -156,23 +156,35 @@ def test_stats_counters():
 
 
 def test_monotonicity_violation_raises():
-    # With delta_f 10 the late key shares the popped key's bucket, so only
-    # the level below the high buckets can refuse it. A key that `peek`
-    # returned bounds later pushes as a popped key does.
+    # With delta_f 10 the late key shares the popped key's bucket. A key that
+    # `peek` returned bounds later pushes as a popped key does. Every kind
+    # refuses by the one rule, with the same message.
+    behind = "behind the last returned key"
     for kind in (BUCKET, HYBRID, BINARY_HEAP):
         for delta_f in (1, 10):
             q = make(kind, TIE_NONE_LIFO, 0, 100, delta_f)
             q.push(5, 0, "a")
             q.pop()
-            with pytest.raises(MonotonicityError):
+            with pytest.raises(MonotonicityError, match=behind):
                 q.push(4, 0, "late")
             q = make(kind, TIE_NONE_LIFO, 0, 100, delta_f)
             q.push(5, 0, "a")
             q.push(8, 0, "b")
             q.pop()
             assert q.peek()[0] == 8
-            with pytest.raises(MonotonicityError):
+            with pytest.raises(MonotonicityError, match=behind):
                 q.push(6, 0, "late")
+
+
+def test_no_queue_kind_inherits_its_hot_methods_from_another():
+    # The benchmark's tracer wraps push, pop and peek on each of the three
+    # classes in turn; a method one of them inherits from another would be
+    # wrapped twice and its calls counted twice.
+    kinds = (BucketQueue, HybridQueue, BinaryHeapQueue)
+    for cls in kinds:
+        for attr in ("push", "pop", "peek"):
+            owner = next(base for base in cls.__mro__ if attr in vars(base))
+            assert owner is cls or owner not in kinds, (cls.__name__, attr, owner.__name__)
 
 
 def test_equal_key_push_after_drain_is_legal():
