@@ -55,13 +55,31 @@ it after those, and nowhere else. A join is offered only when its cost1 is
 at most f1_bar and its cost2 at most W: `GlobalBounds.offer` would refuse
 any other, and a refused offer changes nothing.
 
-The per-state lists a solve writes (each search's `dist`, `comp`, `pred` and
-`settled`, the round-two and S' masks, each search context's `g_min`) come
-from the graph's `ListPool` (`graph.list_pool`). Each list travels with the
-states written to it, and `solvers._finish` gives them back once the outcome
-is built, so the next solve on the graph resets only those states instead of
-allocating n-entry lists. A direct caller of `run_init` or `BoundedSearch`
-keeps the lists it gets.
+Three per-graph caches carry work from one solve to the next. Each is made
+on first use (`_graph_slot`), has its own lock and depends only on the graph
+and its keys, so a warm solve gives what a cold one gives, counter for
+counter:
+
+- goal trees (`GoalTrees`, `graph.goal_trees`): the finished plain searches
+  above, keyed by (source, traverse direction, attribute), in at most 256
+  bytes per state of 16- to 64-bit arrays. A cold solve runs each plain
+  search once and records it; a warm one copies the tree's prefix within
+  its bound, and reruns the search only for a larger bound.
+- the list pool (`ListPool`, `graph.list_pool`): at most 32 spare n-entry
+  lists for the per-state lists a solve writes (each search's `dist`,
+  `comp`, `pred` and `settled`, the round-two and S' masks, each search
+  context's `g_min`). Each list travels with the states written to it, and
+  `solvers._finish` gives them back once the outcome is built. A cold solve
+  allocates its lists; a warm one resets only the states the last solve
+  wrote. A direct caller of `run_init` or `BoundedSearch` keeps the lists it
+  gets.
+- geo tables (`GeoTables`, `graph.geo_tables`): on a graph with
+  coordinates, the great-circle cost1 bounds toward each target that a
+  geometric init search has looked up, one dense table per target (16-bit
+  entries where they fit), in at most 256 bytes per state. A cold solve
+  computes the bound of each state it pushes, as many as without the cache;
+  a warm one reads them, and computes only states that no earlier search
+  toward that target pushed.
 
 Direction convention: tables for direction d bound costs from a state to that
 search's target (forward target = goal, backward target = start). The forward
@@ -284,6 +302,13 @@ class BoundedSearch:
         dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
                                              self.order.append)
         init, target, joins = self.init, self.target, self.joins
+        # A geometric table is read as its array, filled where it holds -1;
+        # a list heuristic holds no negative bound, so it is never filled.
+        hvals = fill = None
+        if type(heuristic) is GeoTable:
+            hvals, fill = heuristic.values, heuristic.fill
+        elif heuristic is not None:
+            hvals, fill = heuristic, heuristic.__getitem__
         if init is not None:
             if init.status != SEARCH:
                 return self
@@ -326,7 +351,9 @@ class BoundedSearch:
                 if cur is None or ndp < cur or (ndp == cur and nds < best_s[v]):
                     best_p[v] = ndp
                     best_s[v] = nds
-                    hv = heuristic[v] if heuristic is not None else 0
+                    hv = hvals[v] if hvals is not None else 0
+                    if hv < 0:
+                        hv = fill(v)
                     heappush(heap, (ndp + hv, nds, ndp, v, u))
         if init is not None and attr == ATTR2 and not settled[target]:
             init.status = INFEASIBLE
@@ -631,6 +658,11 @@ def list_pool(graph: Graph) -> ListPool:
     return _graph_slot(graph, "list_pool", lambda g: ListPool(g.state_count))
 
 
+def geo_tables(graph: Graph) -> "GeoTables":
+    """The graph's cache of geometric bound tables, made on first use."""
+    return _graph_slot(graph, "geo_tables", GeoTables)
+
+
 class Clock:
     """Timeout bookkeeping: wall clock consulted every 4096 calls to `expired`."""
 
@@ -727,43 +759,135 @@ def haversine_m(lat: Sequence[float], lon: Sequence[float], cos_lat: Sequence[fl
     return 2 * 6371000.0 * math.asin(min(1.0, math.sqrt(s)))
 
 
-class GeoHeuristic(dict):
-    """Great-circle cost1 lower bounds toward one target, computed for a state
-    on its first lookup and memoised. A lookup evaluates `haversine_m(lat,
-    lon, cos_lat, u, target)` inline, in the same operand order, from the
-    target's latitude, longitude and cos(latitude) kept on the object: the
-    same float, without the call."""
+class GeoTable:
+    """Great-circle cost1 lower bounds toward one target: `values[u]` holds
+    h[u] once computed and -1 before, in a typed array that starts at 16-bit
+    ints. `fill(u)` computes h[u], evaluating `haversine_m(lat, lon,
+    cos_lat, u, target)` inline, in the same operand order, from the
+    target's latitude, longitude and cos(latitude) kept on the table: the
+    same float, without the call. It stores h[u], first widening the array
+    to 32-bit, then 64-bit ints, then a list (`GeoTables.widen`) when the
+    value does not fit. `h[u]` reads an entry and fills it when it is -1. A
+    reader that still holds an array from before a widening sees -1 where
+    later values were stored, and recomputes them: the same ints."""
 
-    __slots__ = ("lat", "lon", "cos_lat", "scale", "target_lat", "target_lon", "target_cos")
+    __slots__ = ("values", "target", "cache", "lat", "lon", "cos_lat", "scale",
+                 "target_lat", "target_lon", "target_cos")
 
-    def __init__(self, geo: tuple, target: int):
-        super().__init__()
+    def __init__(self, cache: "GeoTables", geo: tuple, target: int):
         self.lat, self.lon, self.cos_lat, self.scale = geo
         self.target_lat, self.target_lon = self.lat[target], self.lon[target]
         self.target_cos = self.cos_lat[target]
+        self.target = target
+        self.cache = cache
+        self.values = array("h", [-1]) * len(self.lat)
 
-    def __missing__(self, u: int) -> int:
+    def __getitem__(self, u: int) -> int:
+        h = self.values[u]
+        return h if h >= 0 else self.fill(u)
+
+    def fill(self, u: int) -> int:
         s = (sin((self.target_lat - self.lat[u]) / 2) ** 2
              + self.cos_lat[u] * self.target_cos * sin((self.target_lon - self.lon[u]) / 2) ** 2)
-        h = self[u] = int(2 * 6371000.0 * asin(min(1.0, sqrt(s))) * self.scale)
+        h = int(2 * 6371000.0 * asin(min(1.0, sqrt(s))) * self.scale)
+        try:
+            self.values[u] = h
+        except OverflowError:
+            self.cache.widen(self, u, h)
         return h
 
+    @property
+    def nbytes(self) -> int:
+        return _table_bytes(self.values)
 
-def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[GeoHeuristic]:
-    """Admissible cost1 lower bounds from great-circle distances, when coordinates exist.
+
+def _table_bytes(values) -> int:
+    """The bytes of a table's entries: the array's item size, or a list's
+    8-byte slot, per state."""
+    return len(values) * getattr(values, "itemsize", 8)
+
+
+_WIDER = {"h": "i", "i": "q"}  # a table array's next typecode; past "q", a list
+
+
+class GeoTables:
+    """A graph's geometric bound tables (`GeoTable`), one per target, least
+    recently used first out, holding at most `256 * n` bytes of entries in
+    all (`size` and `capacity` count `GeoTable.nbytes`): 128 tables at 16
+    bits per state. A table depends only on the graph and its target, so
+    every search toward that target shares it, whatever its weight limit,
+    its other end or its solver, and each bound is computed once while the
+    table is cached. One lock serialises lookups and widenings; searches
+    read and fill a table outside it. `hits`, `misses` and `evictions` count
+    lookups and tables.
+    """
+
+    def __init__(self, graph: Graph):
+        self.capacity = 256 * graph.state_count
+        self.tables: OrderedDict[int, GeoTable] = OrderedDict()
+        self.size = 0
+        self.hits = self.misses = self.evictions = 0
+        self._lock = threading.Lock()
+
+    def table(self, geo: tuple, target: int) -> GeoTable:
+        """The table toward `target`, made empty from `geo`, the graph's
+        `geo_cache`, on a miss."""
+        with self._lock:
+            table = self.tables.get(target)
+            if table is not None:
+                self.hits += 1
+                self.tables.move_to_end(target)
+                return table
+            table = GeoTable(self, geo, target)
+            self.misses += 1
+            self.tables[target] = table
+            self.size += table.nbytes
+            self._evict()
+            return table
+
+    def widen(self, table: GeoTable, u: int, h: int) -> None:
+        """Store h[u] in `table`, whose array overflowed on it: copy the
+        array into the next wider one, as often as it takes."""
+        with self._lock:
+            while True:
+                values = table.values
+                try:
+                    values[u] = h
+                    return
+                except OverflowError:
+                    code = _WIDER.get(values.typecode)
+                    table.values = array(code, values) if code else list(values)
+                    if self.tables.get(table.target) is table:
+                        self.size += table.nbytes - _table_bytes(values)
+                        self._evict()
+
+    def _evict(self) -> None:
+        while self.size > self.capacity and len(self.tables) > 1:
+            _, old = self.tables.popitem(last=False)
+            self.size -= old.nbytes
+            self.evictions += 1
+
+
+def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[GeoTable]:
+    """Admissible cost1 lower bounds toward `target` from great-circle
+    distances, when coordinates exist.
 
     Scaled by the tightest cost1-per-metre ratio over all edges so that
     h[u] <= cost1 of every u-target path; cost2 has no geometric meaning here.
     The per-graph data (radian coordinates, cos(lat) and the scale) is
-    computed on the first call and kept in `graph.geo_cache`; each later call
-    costs O(1), and h[u] is evaluated only for the states a search looks up.
+    computed on the first call and kept in `graph.geo_cache`. The bounds
+    toward a target are kept in the graph's `GeoTables` (`graph.geo_tables`),
+    so every call for that target returns the same `GeoTable` while the
+    cache holds it: h[u] is computed only for the states a search looks up,
+    and once per graph and target, not once per search.
     """
     if attr != ATTR1 or graph.coords is None or graph.state_count == 0:
         return None
     if graph.geo_cache is None:
-        lat = [math.radians(c[0]) for c in graph.coords]
-        lon = [math.radians(c[1]) for c in graph.coords]
-        cos_lat = [math.cos(x) for x in lat]
+        # Typed arrays hold the same doubles as float lists in a quarter of the memory.
+        lat = array("d", [math.radians(c[0]) for c in graph.coords])
+        lon = array("d", [math.radians(c[1]) for c in graph.coords])
+        cos_lat = array("d", [math.cos(x) for x in lat])
         scale = INF
         for u, v, c1, _ in graph.edges():
             d = haversine_m(lat, lon, cos_lat, u, v)
@@ -773,7 +897,7 @@ def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[GeoHeuristic
     scale = graph.geo_cache[3]
     if scale is INF or scale <= 0:
         return None
-    return GeoHeuristic(graph.geo_cache, target)
+    return geo_tables(graph).table(graph.geo_cache, target)
 
 
 # Init plans: a tuple of rounds, each one or two (table direction, attribute)

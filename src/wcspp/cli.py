@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .bounds import ATTR1, ATTR2, BoundedSearch, goal_trees, list_pool
+from .bounds import ATTR1, ATTR2, BoundedSearch, geo_tables, goal_trees, list_pool
 from .graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
     randomize_cost2, write_gr
 from .oracle import constrained_optimum
@@ -416,6 +416,10 @@ def cmd_bench(args) -> int:
     print(f"info: init tree cache hits={cache.hits} misses={cache.misses} "
           f"evictions={cache.evictions} binds={cache.binds} trees={len(cache.trees)} "
           f"bytes={cache.size}",
+          file=sys.stderr)
+    tables = geo_tables(graph)
+    print(f"info: geo tables hits={tables.hits} misses={tables.misses} "
+          f"evictions={tables.evictions} tables={len(tables.tables)} bytes={tables.size}",
           file=sys.stderr)
     return 0
 

@@ -3,8 +3,9 @@
 A graph's arcs and costs are fixed at construction: both adjacency directions
 are materialized once as compressed arrays (offset array + parallel edge
 arrays) so bidirectional searches can scan either side without rebuilding
-anything. Three per-graph structures are filled lazily by `bounds`: two
-caches derived from the arcs and a pool of spare per-state lists.
+anything. Four per-graph structures are filled lazily by `bounds`: two
+caches derived from the arcs (geometric data and init trees), the geometric
+bound tables and a pool of spare per-state lists.
 State ids are 0-based internally; DIMACS 1-based ids are shifted on load and
 restored on output.
 """
@@ -65,6 +66,7 @@ class Graph:
         "geo_cache",
         "goal_trees",
         "list_pool",
+        "geo_tables",
     )
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int, int, int]],
@@ -96,6 +98,8 @@ class Graph:
         self.goal_trees = None
         # bounds.ListPool: spare per-state lists for the next solve, made on first use.
         self.list_pool = None
+        # bounds.GeoTables: great-circle bounds per target, made on first use.
+        self.geo_tables = None
 
     def _build_csr(self, best: dict[int, int]) -> None:
         """Fill the forward arrays from `best` in key order, (u, v), and the

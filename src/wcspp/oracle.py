@@ -1,13 +1,17 @@
-"""Brute-force reference for small graphs: full Pareto enumeration and the
-constrained lexicographic optimum.
+"""References for the solvers: brute force for small graphs (full Pareto
+enumeration and the constrained lexicographic optimum) and an exact
+constrained optimum for graphs of any size (`reference_optimum`).
 
-Deliberately independent of the solver machinery: a plain label-correcting
-search with FIFO ordering, complete per-state label sets and no heuristics, so
-it shares no code path with anything it is used to validate.
+Deliberately independent of the solver machinery. The brute force is a plain
+label-correcting search with FIFO ordering, complete per-state label sets and
+no heuristics; the reference is a textbook bi-objective A* over the graph's
+compressed arrays. Neither shares a code path with anything it is used to
+validate.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -138,3 +142,59 @@ def all_simple_paths(graph: Graph, start: int, goal: int,
         return [((0, 0), (start,))]
     dfs(start, 0, 0)
     return out
+
+
+def _reverse_dijkstra(graph: Graph, goal: int, costs: list) -> list:
+    """Least cost on `costs` (the reversed arcs' cost1 or cost2 array) from
+    every state to `goal`; inf where the goal is unreachable."""
+    index, to = graph.rev_index, graph.rev_to
+    dist = [float("inf")] * graph.state_count
+    dist[goal] = 0
+    heap = [(0, goal)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for i in range(index[u], index[u + 1]):
+            v, nd = to[i], d + costs[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def reference_optimum(graph: Graph, start: int, goal: int,
+                      weight_limit: int) -> Optional[tuple[int, int]]:
+    """Lexicographically smallest (cost1, cost2) among paths with cost2 <=
+    weight_limit, or None when no path is that light, on a graph of any size.
+
+    It reads only the compressed arc arrays. Two reverse Dijkstras give the
+    exact cost1 and cost2 distances h1, h2 to the goal. An A* then pops
+    labels (g1, g2) in (g1 + h1, g2 + h2) order, which never decreases along
+    a path since both bounds are consistent: the first goal label popped is
+    the optimum. A label whose g2 + h2 exceeds the weight limit is dropped,
+    and so is one whose g2 is no less than the least g2 popped at its state
+    (`g2_min`): a label popped earlier there has no larger g1 either.
+    """
+    inf = float("inf")
+    h1 = _reverse_dijkstra(graph, goal, graph.rev_c1)
+    h2 = _reverse_dijkstra(graph, goal, graph.rev_c2)
+    if h2[start] > weight_limit:
+        return None
+    index, to, c1, c2 = graph.fwd_index, graph.fwd_to, graph.fwd_c1, graph.fwd_c2
+    g2_min = [inf] * graph.state_count
+    heap = [(h1[start], h2[start], 0, 0, start)]
+    while heap:
+        _, _, g1, g2, u = heapq.heappop(heap)
+        if g2 >= g2_min[u]:
+            continue
+        g2_min[u] = g2
+        if u == goal:
+            return (g1, g2)
+        for i in range(index[u], index[u + 1]):
+            v = to[i]
+            n1, n2 = g1 + c1[i], g2 + c2[i]
+            if n2 >= g2_min[v] or n2 + h2[v] > weight_limit:
+                continue
+            heapq.heappush(heap, (n1 + h1[v], n2 + h2[v], n1, n2, v))
+    return None

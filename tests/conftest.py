@@ -80,10 +80,14 @@ def roadgrid_module():
     return roadgrid
 
 
-def road_grid_graph(seed: int, rows: int, cols: int) -> Graph:
-    """A rows x cols grid from `wcbench/roadgrid.py`, without coordinates."""
-    _, arcs = roadgrid_module().road_grid(seed, rows, cols)
-    return Graph(rows * cols, arcs)
+def road_grid_graph(seed: int, rows: int, cols: int, coords: bool = False) -> Graph:
+    """A rows x cols grid from `wcbench/roadgrid.py`, with its coordinates
+    in degrees (as `load_dimacs` reads them from its .co file) when `coords`
+    is set, else without."""
+    points, arcs = roadgrid_module().road_grid(seed, rows, cols)
+    if not coords:
+        return Graph(rows * cols, arcs)
+    return Graph(rows * cols, arcs, [(lat / 1e6, lon / 1e6) for lat, lon in points])
 
 
 def write_dimacs_pair(tmp_path, edges, n, prefix="g"):

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -327,9 +328,11 @@ def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, 
     g = load_dimacs(*example_dimacs)
     trees = [goal_trees(g).prefix(g, (4, BACKWARD, attr), limit)[0]
              for attr, limit in ((ATTR2, 6), (ATTR1, 7))]
+    # The example graph has no coordinates, so its geo tables stay empty.
     assert captured.err.splitlines() == [
         "info: init tree cache hits=4 misses=2 evictions=0 binds=0 trees=2 "
-        f"bytes={sum(tree.nbytes for tree in trees)}"]
+        f"bytes={sum(tree.nbytes for tree in trees)}",
+        "info: geo tables hits=0 misses=0 evictions=0 tables=0 bytes=0"]
     assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
     assert len(captured.out.splitlines()) == 4
 
@@ -359,6 +362,11 @@ def test_bench_coords_apply_to_a_header_graph(tmp_path, capsys):
         seen.append((captured.err, cells))
     assert seen[0] == seen[1]
     assert seen[0][0] != seen[2][0]  # without coordinates the tree cache serves more
+    # With coordinates the later searches toward a state reuse its geo table.
+    geo = [err.splitlines()[1] for err, _ in seen]
+    assert re.fullmatch(r"info: geo tables hits=[1-9]\d* misses=[1-9]\d* evictions=0 "
+                        r"tables=[1-9]\d* bytes=[1-9]\d*", geo[0]), geo[0]
+    assert geo[2] == "info: geo tables hits=0 misses=0 evictions=0 tables=0 bytes=0"
 
 
 def test_bench_failure_becomes_status_row(example_dimacs, tmp_path):

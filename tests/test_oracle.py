@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from wcspp.graph import Graph, random_graph
+from wcspp.bounds import ATTR2, BoundedSearch
+from wcspp.cli import gen_instances
+from wcspp.graph import FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import (OracleSizeError, all_simple_paths, constrained_optimum,
-                          enumerate_pareto)
+                          enumerate_pareto, reference_optimum)
+from wcspp.solvers import SOLVERS, SolveOptions
 
-from conftest import EXAMPLE_PARETO, G, S
+from conftest import BUCKET_CFG, EXAMPLE_PARETO, HEAP_CFG, G, S, road_grid_graph
 
 
 def test_example_frontier(example_graph):
@@ -81,3 +85,47 @@ def test_size_guard():
     g = Graph(10_001, [])
     with pytest.raises(OracleSizeError):
         enumerate_pareto(g, 0, 1)
+
+
+def test_reference_optimum_examples(example_graph):
+    assert reference_optimum(example_graph, S, G, 6) == (5, 5)
+    assert reference_optimum(example_graph, S, G, 2) is None
+    assert reference_optimum(example_graph, S, G, 8) == (3, 8)
+    assert reference_optimum(example_graph, S, S, 0) == (0, 0)
+    assert reference_optimum(Graph(3, [(0, 1, 1, 1)]), 0, 2, 100) is None
+
+
+@pytest.mark.parametrize("cost_min, cost_max", [(1, 10), (0, 2)])
+def test_reference_optimum_matches_brute_force(cost_min, cost_max):
+    # Costs 0-2 make zero-cost arcs, zero-cost cycles and ties in both costs.
+    rng = random.Random(f"reference/{cost_min}")
+    for _ in range(80):
+        n = rng.randint(2, 14)
+        g = random_graph(rng.randrange(2**30), n, 2 * n, cost_max=cost_max, cost_min=cost_min)
+        start, goal = rng.randrange(n), rng.randrange(n)
+        for w in range(0, 8 * cost_max, max(1, cost_max // 2)):
+            assert reference_optimum(g, start, goal, w) == \
+                constrained_optimum(g, start, goal, w), (start, goal, w)
+
+
+def test_solvers_match_the_reference_on_a_road_grid():
+    # A grid with coordinates, so the init's cost1 searches run live with
+    # the geometric heuristic; every solver and both queue kinds must give
+    # the reference's answer on every delta row of four pairs, and the
+    # infeasible answer on a row one below a pair's cost2 distance.
+    g = road_grid_graph(11, 16, 16, coords=True)
+    pairs = [(0, 255), (17, 200), (250, 3), (100, 140)]
+    rows = [(s, t, int(w)) for s, t, _, w in
+            gen_instances(g, pairs, [Fraction(k, 10) for k in range(11)])]
+    start, goal = pairs[0]
+    rows.append((start, goal, BoundedSearch(g, start, FORWARD, ATTR2).run().dist[goal] - 1))
+    optimal = 0
+    for start, goal, w in rows:
+        expected = reference_optimum(g, start, goal, w)
+        optimal += expected is not None
+        for name, solver in SOLVERS.items():
+            for cfg in (BUCKET_CFG, HEAP_CFG):
+                out = solver(g, ProblemInstance(start, goal, w), cfg, SolveOptions())
+                assert out.costs == expected, (name, cfg.kind, start, goal, w)
+                assert out.status == ("optimal" if expected else "infeasible")
+    assert optimal == len(rows) - 1
