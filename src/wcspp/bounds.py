@@ -9,8 +9,9 @@ prefix with primary cost <= L of any run with a larger bound, in the same
 order. Plain searches are not rerun per solve. Each graph records one
 finished unmasked search per (source, traverse direction, attribute)
 (`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in
-bytes), reruns it only for a bound above the recorded one, and serves the
-prefix as data: `BoundedSearch.serve` writes the prefix into the search's
+bytes), grows it by resuming its search from its last shell when asked for
+a larger bound or for a state it does not hold, and serves the prefix as
+data: `BoundedSearch.serve` writes the prefix into the search's
 lists in one loop, masked or not, and applies the live loop's target rule
 (`BoundedSearch._reach_target`) to the target's entry. Every plan's first
 search, cost2 from the goal over the reversed graph bounded by the weight
@@ -64,7 +65,9 @@ counter:
   above, keyed by (source, traverse direction, attribute), in at most 256
   bytes per state of 16- to 64-bit arrays. A cold solve runs each plain
   search once and records it; a warm one copies the tree's prefix within
-  its bound, and reruns the search only for a larger bound.
+  its bound, and grows the tree only for a larger bound. A pair's cost2
+  bounds h2 and ub2 (`cli.pair_cost2_bounds`) are read from its goal's
+  cost2 and cost1 trees, grown until they reach its start.
 - the list pool (`ListPool`, `graph.list_pool`): at most 32 spare n-entry
   lists for the per-state lists a solve writes (each search's `dist`,
   `comp`, `pred` and `settled`, the round-two and S' masks, each search
@@ -99,8 +102,11 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import asin, sin, sqrt
+from operator import itemgetter
+from struct import error as StructError, pack
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
@@ -486,93 +492,188 @@ class GoalTree:
     """A finished unmasked plain search, the record of `BoundedSearch(graph,
     source, traverse_dir, attr, bound=limit).run()`: a goal tree (cost2 from
     a goal over the reversed graph), a cost1 goal tree (cost1 from a goal
-    over the reversed graph, which serves wc-astar's masked cost1 search) or
-    a start tree (cost1 from a start over the graph). It holds the settled states in settle order, with their primary
-    cost (non-decreasing), secondary companion and predecessor (-1 for the
+    over the reversed graph, which serves wc-astar's masked cost1 search and
+    gives a pair's ub2) or a start tree (cost1 from a start over the graph).
+    It holds the settled states in settle order, with their primary cost
+    (non-decreasing), secondary companion and predecessor (-1 for the
     source), in four typed arrays, each of the narrowest int width that
     holds its values (`_int_array`): 8 bytes per state where every value
     fits in 16 bits. `nbytes` is the arrays' size. With no heuristic an
     entry's f is its primary cost, so for every bound L <= limit the states
     with primary cost <= L are the prefix of the settle order that a search
-    bounded by L settles, in the same order. A tree is never changed once
-    made.
+    bounded by L settles, in the same order.
+
+    A tree is never changed once made; it grows into a new one
+    (`GoalTrees._grow`): `base`'s arrays followed by those of the states
+    that `search`, which resumed `base`'s search, settled from position
+    `skip` of its order on. A tree grown until it reached a state at
+    primary cost d (`GoalTrees.reach`) has limit d - 1, and also holds the
+    part of the cost-d shell settled up to that state; no bound above the
+    limit is served from it, so that part is only ever grown from.
     """
 
     __slots__ = ("order", "dist", "comp", "pred", "limit", "nbytes")
 
-    def __init__(self, search: BoundedSearch, limit: int):
-        order, dist, comp, pred = search.order, search.dist, search.comp, search.pred
-        self.order = _int_array(order)
-        self.dist = _int_array([dist[u] for u in order])
-        self.comp = _int_array([comp[u] for u in order])
-        self.pred = _int_array([-1 if pred[u] is None else pred[u] for u in order])
+    def __init__(self, search: BoundedSearch, limit, base: Optional["GoalTree"] = None,
+                 skip: int = 0):
+        new = search.order[skip:]
+        gather = itemgetter(*new) if len(new) > 1 else lambda values: tuple(values[u] for u in new)
+        dist, comp, pred = map(gather, (search.dist, search.comp, search.pred))
+        if pred and pred[0] is None:  # the source, first of a search from scratch
+            pred = (-1,) + pred[1:]
+        heads = (None,) * 4 if base is None else (base.order, base.dist, base.comp, base.pred)
+        columns = (new, dist, comp, pred)
+        self.order, self.dist, self.comp, self.pred = map(_extended, heads, columns)
         self.limit = limit
         self.nbytes = sum(a.itemsize * len(a)
                           for a in (self.order, self.dist, self.comp, self.pred))
 
 
-def _int_array(values: list) -> array:
+def _int_array(values: Sequence[int]) -> array:
     """`values` as 16-bit ints, else 32-bit, else 64-bit: the narrowest width
-    that holds every one of them."""
+    that holds every one of them. `struct.pack` converts a list about twice
+    as fast as `array` does."""
     for code in "hi":
         try:
-            return array(code, values)
-        except OverflowError:
+            return array(code, pack(f"{len(values)}{code}", *values))
+        except StructError:
             pass
     return array("q", values)
+
+
+def _extended(head: Optional[array], values: Sequence[int]) -> array:
+    """`head` followed by `values`, in the narrowest width that holds both;
+    `values` alone when `head` is None."""
+    tail = _int_array(values)
+    if head is None:
+        return tail
+    if head.itemsize < tail.itemsize:
+        head = array(tail.typecode, head)
+    elif head.itemsize > tail.itemsize:
+        tail = array(head.typecode, tail)
+    return head + tail
 
 
 class GoalTrees:
     """A graph's finished plain searches, goal trees, cost1 goal trees and
     start trees alike, keyed by (source, traverse direction, attribute) and
-    least recently used first out, holding at most `256 * n` bytes of tree arrays in all (`size`
-    and `capacity` count `GoalTree.nbytes`): 32 whole-graph trees at 8 bytes
-    per state. One lock serialises lookups and rebuilds. An init reads its
-    tree outside the lock: a rebuild swaps in a new tree and leaves the old
-    one to the inits that hold it. `hits`, `misses` and `evictions` count
-    lookups and trees; `binds` counts served masked searches whose mask
-    bound, so that they went on live. `max_cost[attr]`, the graph's largest
-    arc cost on `attr`, sets how far below its bind such a search rebuilds
-    its frontier (`BoundedSearch.serve`).
+    least recently used first out, holding at most `256 * n` bytes of tree
+    arrays in all (`size` and `capacity` count `GoalTree.nbytes`): 32
+    whole-graph trees at 8 bytes per state. One lock serialises lookups and
+    growth. An init reads its tree outside the lock: growth swaps in a new
+    tree and leaves the old one to the inits that hold it. A lookup that
+    the cached tree cannot answer, a larger bound (`prefix`) or a state it
+    does not hold (`reach`), grows the tree instead of searching afresh
+    (`_grow`). `hits`, `misses` and `evictions` count lookups and trees;
+    `grows` counts the misses that grew a cached tree; `binds` counts served
+    masked searches whose mask bound, so that they went on live.
+    `max_cost[attr]`, the graph's largest arc cost on `attr`, found on
+    first use, sets how far below a bind such a search rebuilds its
+    frontier (`BoundedSearch.serve`), and how far below its limit a tree's
+    search resumes.
     """
 
     def __init__(self, graph: Graph):
         self.state_count = state_count = graph.state_count
         self.capacity = 256 * state_count
-        self.max_cost = (max(graph.fwd_c1, default=0), max(graph.fwd_c2, default=0))
+        self._costs = (graph.fwd_c1, graph.fwd_c2)
         self.trees: OrderedDict[tuple[int, int, int], GoalTree] = OrderedDict()
         self.size = 0
-        self.hits = self.misses = self.evictions = self.binds = 0
+        self.hits = self.misses = self.evictions = self.grows = self.binds = 0
         self._lock = threading.Lock()
+
+    @cached_property
+    def max_cost(self) -> tuple[int, int]:
+        return tuple(max(costs, default=0) for costs in self._costs)
+
+    def _check(self, what: str, state: int) -> None:
+        if not 0 <= state < self.state_count:
+            raise IndexError(f"{what} {state} is not one of the graph's "
+                             f"{self.state_count} states")
 
     def prefix(self, graph: Graph, key: tuple[int, int, int],
                limit) -> tuple[GoalTree, int]:
         """The tree of `key`, (source, traverse direction, attribute), for
         bound `limit`, and the length of its settle-order prefix with primary
         cost <= limit. The cached tree serves when its limit is at least
-        `limit`; else the tree is searched afresh up to `limit`."""
-        source, traverse_dir, attr = key
-        if not 0 <= source < self.state_count:
-            raise IndexError(f"source {source} is not one of the graph's "
-                             f"{self.state_count} states")
+        `limit`; else it grows up to `limit`."""
+        self._check("source", key[0])
         with self._lock:
-            tree = self.trees.pop(key, None)
+            tree = self.trees.get(key)
             if tree is not None and tree.limit >= limit:
                 self.hits += 1
-                self.trees[key] = tree
+                self.trees.move_to_end(key)
                 return tree, bisect_right(tree.dist, limit)
-            self.misses += 1
-            if tree is not None:
-                self.size -= tree.nbytes
-            search = BoundedSearch(graph, source, traverse_dir, attr, bound=limit).run()
-            tree = self.trees[key] = GoalTree(search, limit)
-            list_pool(graph).give(search.taken())
-            self.size += tree.nbytes
-            while self.size > self.capacity and len(self.trees) > 1:
-                _, old = self.trees.popitem(last=False)
-                self.size -= old.nbytes
-                self.evictions += 1
+            tree = self._grow(graph, key, limit)
             return tree, len(tree.order)
+
+    def reach(self, graph: Graph, key: tuple[int, int, int],
+              state: int) -> tuple[GoalTree, int]:
+        """The tree of `key`, grown until it holds `state` if it does not
+        yet, and the index of `state` in its settle order: -1 when the
+        search runs out without settling it. A tree that ran out (limit
+        INF) answers every state."""
+        self._check("source", key[0])
+        self._check("state", state)
+        with self._lock:
+            tree = self.trees.get(key)
+            if tree is not None:
+                try:
+                    i = tree.order.index(state)
+                except ValueError:
+                    i = -1
+                if i >= 0 or tree.limit == INF:
+                    self.hits += 1
+                    self.trees.move_to_end(key)
+                    return tree, i
+            tree = self._grow(graph, key, INF, state)
+            return tree, -1 if tree.limit == INF else len(tree.order) - 1
+
+    def _grow(self, graph: Graph, key: tuple[int, int, int], bound,
+              target: int = -1) -> GoalTree:
+        """Search `key` up to `bound`, stopping early once `target` settles,
+        and cache the result in place of the key's tree: a miss. A cached
+        tree's search is resumed, not rerun. Every state of the tree is
+        marked settled, and the states at primary cost limit + 1 - c_max and
+        above, the shell that can border an unsettled state, get their
+        labels back; `rebuild_frontier` rebuilds the heap from that shell
+        alone, and `run()` goes on. The new tree is the old one's arrays
+        followed by the states settled since. A search stopped by `target`
+        records limit d - 1, d being the target's primary cost, and one that
+        runs out records INF."""
+        source, traverse_dir, attr = key
+        self.misses += 1
+        search = BoundedSearch(graph, source, traverse_dir, attr, bound=bound, target=target)
+        tree = self.trees.get(key)
+        skip = 0
+        if tree is not None:
+            self.grows += 1
+            self.size -= tree.nbytes
+            if len(tree.order):
+                settled, dist, comp = search.settled, search.dist, search.comp
+                for u in tree.order:
+                    settled[u] = True
+                floor = tree.limit + 1 - self.max_cost[attr]
+                first = bisect_left(tree.dist, floor)
+                search.order = shell = tree.order[first:].tolist()
+                for u, dp, ds in zip(shell, tree.dist[first:], tree.comp[first:]):
+                    dist[u] = dp
+                    comp[u] = ds
+                search.rebuild_frontier(floor)
+                skip = len(shell)
+        search.run()
+        limit = bound
+        if target >= 0:
+            limit = search.dist[target] - 1 if search.settled[target] else INF
+        new = self.trees[key] = GoalTree(search, limit, tree, skip)
+        self.trees.move_to_end(key)
+        list_pool(graph).give([(fill, lst, new.order) for fill, lst, _ in search.taken()])
+        self.size += new.nbytes
+        while self.size > self.capacity and len(self.trees) > 1:
+            _, old = self.trees.popitem(last=False)
+            self.size -= old.nbytes
+            self.evictions += 1
+        return new
 
 
 class ListPool:

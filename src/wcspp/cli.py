@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .bounds import ATTR1, ATTR2, BoundedSearch, geo_tables, goal_trees, list_pool
-from .graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, load_dimacs, random_graph, \
+from .bounds import ATTR1, ATTR2, geo_tables, goal_trees
+from .graph import BACKWARD, COST_MAX, Graph, ProblemInstance, load_dimacs, random_graph, \
     randomize_cost2, write_gr
 from .oracle import constrained_optimum
 from .pqueue import (BINARY_HEAP, BUCKET, HYBRID, QueueConfig, TIE_NONE_FIFO,
@@ -55,22 +55,21 @@ def _usage_error(message) -> int:
     return EXIT_USAGE
 
 
-def _settle(graph: Graph, start: int, goal: int, attr: int) -> Optional[tuple[int, int]]:
-    """(dist, companion) of `goal` in a search from `start` on `attr`, which
-    stops once `goal` settles; None if it is unreachable. The search's lists
-    go back to the graph's pool."""
-    search = BoundedSearch(graph, start, FORWARD, attr, target=goal).run()
-    found = (search.dist[goal], search.comp[goal]) if search.settled[goal] else None
-    list_pool(graph).give(search.taken())
-    return found
-
-
 def pair_cost2_bounds(graph: Graph, start: int, goal: int) -> Optional[tuple[int, int]]:
-    """(h2, ub2) for a pair: cost2 of its cost2-shortest and cost1-shortest paths."""
-    on2 = _settle(graph, start, goal, ATTR2)
-    if on2 is None:
+    """(h2, ub2) for a pair: cost2 of its cost2-shortest and cost1-shortest
+    paths (each lexicographically least, ties broken on the other cost), or
+    None when no path joins them. Both are `start`'s labels in the goal's
+    cost2 and cost1 trees over the reversed graph (`GoalTrees.reach`, which
+    grows a cached tree until it holds `start`): a lexicographic label is
+    the least (primary, secondary) over the same paths from either end. So
+    the pairs of one goal share one search per cost."""
+    cache = goal_trees(graph)
+    tree, i = cache.reach(graph, (goal, BACKWARD, ATTR2), start)
+    if i < 0:
         return None
-    return on2[0], _settle(graph, start, goal, ATTR1)[1]
+    h2 = tree.dist[i]
+    tree, i = cache.reach(graph, (goal, BACKWARD, ATTR1), start)
+    return h2, tree.comp[i]
 
 
 def weight_from_tightness(h2: int, ub2: int, delta: Fraction) -> int:
@@ -414,8 +413,8 @@ def cmd_bench(args) -> int:
                       fh, args.timeout)
     cache = goal_trees(graph)
     print(f"info: init tree cache hits={cache.hits} misses={cache.misses} "
-          f"evictions={cache.evictions} binds={cache.binds} trees={len(cache.trees)} "
-          f"bytes={cache.size}",
+          f"evictions={cache.evictions} binds={cache.binds} grows={cache.grows} "
+          f"trees={len(cache.trees)} bytes={cache.size}",
           file=sys.stderr)
     tables = geo_tables(graph)
     print(f"info: geo tables hits={tables.hits} misses={tables.misses} "
@@ -472,7 +471,7 @@ def _weight_sweep(g: Graph, start: int, goal: int, rng: random.Random) -> list[i
     front = constrained_optimum(g, start, goal, 1 << 62)
     if front is None:
         return [rng.randint(1, 20)]  # unreachable: any limit is infeasible
-    h2 = _settle(g, start, goal, ATTR2)[0]
+    h2 = pair_cost2_bounds(g, start, goal)[0]
     ub2 = front[1]  # cost2 of the lexicographically best unconstrained path
     sweep = {h2 - 1, h2, (h2 + ub2) // 2, ub2}
     return sorted(w for w in sweep if w >= 0)

@@ -12,7 +12,8 @@ from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTI
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
                        weight_from_tightness, write_instances)
-from wcspp.graph import BACKWARD, FORWARD, load_dimacs, random_graph
+from wcspp.graph import BACKWARD, FORWARD, Graph, load_dimacs, random_graph
+from wcspp.oracle import _reverse_dijkstra, constrained_optimum
 from wcspp.pqueue import MonotonicityError
 from wcspp.solvers import SOLVERS, SolveOutcome
 
@@ -33,7 +34,8 @@ def test_pair_bounds_on_example(example_dimacs):
 
 
 def test_pair_bounds_match_full_searches():
-    # The searches stop once the goal settles; full runs must agree.
+    # The goal's trees grow only until they hold the start; full forward
+    # searches from the start must agree.
     rng = random.Random(61)
     for seed in range(40):
         n = rng.randint(3, 30)
@@ -44,6 +46,35 @@ def test_pair_bounds_match_full_searches():
             on1 = BoundedSearch(g, s, FORWARD, ATTR1).run()
             expected = (on2.dist[t], on1.comp[t]) if on2.settled[t] else None
             assert pair_cost2_bounds(g, s, t) == expected, (seed, s, t)
+
+
+def test_pair_bounds_match_the_oracle():
+    # h2 and ub2 are the start's labels in the goal's cost2 and cost1 trees,
+    # which grow as farther starts of the goal arrive. A reference built
+    # from wcspp.oracle alone must agree: h2 from a plain reverse Dijkstra
+    # on cost2, ub2 the cost2 of the lexicographic optimum under no weight
+    # limit. Each graph's pairs share three goals and come in shuffled
+    # order; costs start at 0 on some graphs, and an extra state without
+    # arcs makes unreachable pairs.
+    rng = random.Random(67)
+    grows = unreachable = 0
+    for seed in range(40):
+        n = rng.randint(2, 12)
+        base = random_graph(seed, n, rng.randint(0, 2 * n), cost_min=rng.choice((0, 1)),
+                            cost_max=rng.choice((2, 5)))
+        g = Graph(n + 1, list(base.edges()))
+        goals = rng.sample(range(n + 1), 3)
+        pairs = [(s, t) for t in goals for s in range(n + 1)]
+        rng.shuffle(pairs)
+        h2 = {t: _reverse_dijkstra(g, t, g.rev_c2) for t in goals}
+        for s, t in pairs:
+            front = constrained_optimum(g, s, t, 1 << 62)
+            assert (front is None) == (h2[t][s] == float("inf"))
+            expected = None if front is None else (h2[t][s], front[1])
+            assert pair_cost2_bounds(g, s, t) == expected, (seed, s, t)
+            unreachable += front is None
+        grows += goal_trees(g).grows
+    assert grows > 100 and unreachable > 100, (grows, unreachable)
 
 
 def test_gen_instances_delta_one_is_loose(example_dimacs):
@@ -330,7 +361,7 @@ def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, 
              for attr, limit in ((ATTR2, 6), (ATTR1, 7))]
     # The example graph has no coordinates, so its geo tables stay empty.
     assert captured.err.splitlines() == [
-        "info: init tree cache hits=4 misses=2 evictions=0 binds=0 trees=2 "
+        "info: init tree cache hits=4 misses=2 evictions=0 binds=0 grows=0 trees=2 "
         f"bytes={sum(tree.nbytes for tree in trees)}",
         "info: geo tables hits=0 misses=0 evictions=0 tables=0 bytes=0"]
     assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
@@ -492,15 +523,22 @@ def test_solve_negative_weight_limit_exits_64(example_dimacs, capsys):
 
 
 def test_pair_bounds_give_their_lists_back(example_dimacs):
-    # Each of the two searches takes four lists from the graph's pool; once
-    # they are given back, later pairs allocate none.
+    # The first call builds the goal's cost2 and cost1 trees until each
+    # holds the start: two searches (two misses), each taking four lists
+    # from the graph's pool and giving them back. Repeat calls find the
+    # start in both trees: they search nothing, take no list and count
+    # only hits.
     g = load_dimacs(*example_dimacs)
-    pool = list_pool(g)
+    pool, cache = list_pool(g), goal_trees(g)
     assert pair_cost2_bounds(g, S, G) == (3, 8)
+    assert (cache.hits, cache.misses, cache.grows) == (0, 2, 0)
     assert (pool.fresh, pool.reused, pool.size) == (4, 4, 4)
+    trees = list(cache.trees.items())
     for _ in range(3):
         assert pair_cost2_bounds(g, S, G) == (3, 8)
-    assert (pool.fresh, pool.reused, pool.size) == (4, 28, 4)
+    assert (cache.hits, cache.misses, cache.grows) == (6, 2, 0)
+    assert (pool.fresh, pool.reused, pool.size) == (4, 4, 4)
+    assert all(cache.trees[key] is tree for key, tree in trees)
 
 
 def test_oracle_check_passes():

@@ -300,6 +300,76 @@ def test_shell_rebuild_matches_a_full_rebuild(monkeypatch):
     assert min(counts.values()) > 100, counts
 
 
+def record(search: BoundedSearch) -> tuple:
+    """A finished search's settled states in settle order, with their labels
+    and predecessors (-1 for the source): a tree's four arrays, as lists."""
+    order, pred = search.order, search.pred
+    return (list(order), [search.dist[u] for u in order], [search.comp[u] for u in order],
+            [-1 if pred[u] is None else pred[u] for u in order])
+
+
+def tree_arrays(tree) -> tuple:
+    return tuple(list(a) for a in (tree.order, tree.dist, tree.comp, tree.pred))
+
+
+def test_grown_trees_equal_fresh_ones():
+    # A cached tree asked for a larger bound (`prefix`) or for a state it
+    # does not hold (`reach`) grows: its search resumes from its last shell
+    # and the states it settles are appended to the tree's arrays. A tree
+    # made by a miss, grown or built afresh, must equal array for array the
+    # record of a fresh search bounded by the same limit, or stopped once it
+    # settles the same state (limit: that state's cost - 1; INF when the
+    # search runs out without it). Every tree looked up must serve each
+    # bound up to its limit exactly what a search bounded by that much
+    # settles. Random graphs with zero-cost arcs, both attributes and both
+    # directions; an extra state without arcs is unreachable, a source asked
+    # for itself is start == goal, and a small budget on some graphs evicts
+    # trees between growths.
+    rng = random.Random(47)
+    seen = dict.fromkeys(("bound", "state", "unreachable", "itself", "evicted"), 0)
+    for g, queries in zero_cost_queries(53, (1, 2, 10)):
+        n = g.state_count + 1
+        g = Graph(n, list(g.edges()))
+        cache = goal_trees(g)
+        if rng.random() < 0.3:
+            cache.capacity = 8 * rng.randint(2, n)
+        asked = set()
+        for inst in queries[::4]:  # one query per start-goal pair
+            keys = [(inst.goal, d, a) for d in (FORWARD, BACKWARD) for a in (ATTR1, ATTR2)]
+            for key in rng.sample(keys * 3, 12):
+                grows, misses, evicted = cache.grows, cache.misses, key in asked - set(cache.trees)
+                asked.add(key)
+                if rng.random() < 0.5:
+                    tree, count = cache.prefix(g, key, rng.randint(0, 40))
+                    grew = "bound"
+                    expected = BoundedSearch(g, *key, bound=tree.limit).run()
+                else:
+                    state = rng.choice((inst.start, key[0], n - 1, rng.randrange(n)))
+                    tree, i = cache.reach(g, key, state)
+                    grew = "state"
+                    expected = BoundedSearch(g, *key, target=state).run()
+                    if i < 0:
+                        seen["unreachable"] += 1
+                        assert not expected.settled[state] and tree.limit == INF
+                    else:
+                        seen["itself"] += state == key[0]
+                        assert tree.order[i] == state
+                        assert tree.limit >= expected.dist[state] - 1
+                        assert tree.limit == expected.dist[state] - 1 or cache.misses == misses
+                if cache.misses > misses:
+                    assert tree_arrays(tree) == record(expected), (key, grew)
+                    seen[grew] += cache.grows > grows
+                    seen["evicted"] += evicted
+                top = max(tree.dist) if tree.limit == INF else tree.limit
+                for limit in {0, top, rng.randint(0, max(top, 0))}:
+                    if 0 <= limit <= top:
+                        same, count = cache.prefix(g, key, limit)
+                        assert same is tree
+                        assert tuple(a[:count] for a in tree_arrays(tree)) == \
+                            record(BoundedSearch(g, *key, bound=limit).run()), (key, limit)
+    assert min(seen.values()) > 100, seen
+
+
 def test_htf_tuning_does_not_leak_into_the_cache(inits):
     # wc-ba's backward search tunes the forward cost2 table, which the replay
     # filled from the tree; a later solve of the same goal must not see it.
@@ -462,3 +532,11 @@ def test_trees_take_the_narrowest_width_per_array():
         assert tree.nbytes == 3 * sum(widths) == goal_trees(big).size
         assert count == 3 and list(tree.order) == [2, 1, 0] and list(tree.pred) == [-1, 2, 1]
         assert list(tree.dist) == [0, 1, c2 + 1] and list(tree.comp) == [0, 1, c1 + 1]
+    # A grown tree keeps its arrays' widths unless a new value needs more.
+    big = Graph(3, [(0, 1, 1, 1), (1, 2, 1, 40000)])
+    cache = goal_trees(big)
+    narrow, _ = cache.prefix(big, goal_key(2), 1)
+    wide, count = cache.prefix(big, goal_key(2), 2**32)
+    assert cache.grows == 1 and count == 3 and list(wide.dist) == [0, 40000, 40001]
+    assert [a.typecode for a in (narrow.dist, wide.dist, wide.comp)] == ["h", "i", "h"]
+    assert wide.nbytes == 3 * (2 + 4 + 2 + 2) == cache.size
