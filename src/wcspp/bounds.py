@@ -8,8 +8,8 @@ direction and its attribute, and a run bounded by L settles exactly the
 prefix with primary cost <= L of any run with a larger bound, in the same
 order. Plain searches are not rerun per solve. Each graph records one
 finished unmasked search per (source, traverse direction, attribute)
-(`GoalTree`, in the LRU `GoalTrees` cache on `graph.goal_trees`, bounded in
-bytes), grows it by resuming its search from its last shell when asked for
+(`GoalTree`, in the `GoalTrees` cache on `graph.goal_trees`, a byte-bounded
+LRU), grows it by resuming its search from its last shell when asked for
 a larger bound or for a state it does not hold, and serves the prefix as
 data: `BoundedSearch.serve` writes the prefix into the search's
 lists in one loop, masked or not, and applies the live loop's target rule
@@ -47,7 +47,7 @@ Every other init search is a live `BoundedSearch`, with the joins against
 the opposite tables and its target test done inside the settle loop. The
 searches of a round run one after another in plan order, each to its end,
 under every schedule: the schedule drives only the solvers' main searches
-(`run_sides`). A search that starts once the init is decided settles
+(`solvers.run_sides`). A search that starts once the init is decided settles
 nothing. A search reads its bound as it starts, not when it is made: the
 weight limit W on cost2, f1_bar on cost1, which an earlier search of its
 own round may have lowered. No other search runs beside it, so f1_bar then
@@ -56,33 +56,10 @@ it after those, and nowhere else. A join is offered only when its cost1 is
 at most f1_bar and its cost2 at most W: `GlobalBounds.offer` would refuse
 any other, and a refused offer changes nothing.
 
-Three per-graph caches carry work from one solve to the next. Each is made
-on first use (`_graph_slot`), has its own lock and depends only on the graph
-and its keys, so a warm solve gives what a cold one gives, counter for
-counter:
-
-- goal trees (`GoalTrees`, `graph.goal_trees`): the finished plain searches
-  above, keyed by (source, traverse direction, attribute), in at most 256
-  bytes per state of 16- to 64-bit arrays. A cold solve runs each plain
-  search once and records it; a warm one copies the tree's prefix within
-  its bound, and grows the tree only for a larger bound. A pair's cost2
-  bounds h2 and ub2 (`cli.pair_cost2_bounds`) are read from its goal's
-  cost2 and cost1 trees, grown until they reach its start.
-- the list pool (`ListPool`, `graph.list_pool`): at most 32 spare n-entry
-  lists for the per-state lists a solve writes (each search's `dist`,
-  `comp`, `pred` and `settled`, the round-two and S' masks, each search
-  context's `g_min`). Each list travels with the states written to it, and
-  `solvers._finish` gives them back once the outcome is built. A cold solve
-  allocates its lists; a warm one resets only the states the last solve
-  wrote. A direct caller of `run_init` or `BoundedSearch` keeps the lists it
-  gets.
-- geo tables (`GeoTables`, `graph.geo_tables`): on a graph with
-  coordinates, the great-circle cost1 bounds toward each target that a
-  geometric init search has looked up, one dense table per target (16-bit
-  entries where they fit), in at most 256 bytes per state. A cold solve
-  computes the bound of each state it pushes, as many as without the cache;
-  a warm one reads them, and computes only states that no earlier search
-  toward that target pushed.
+The tree cache, `GoalTrees`, lives here beside `BoundedSearch`, which makes
+and grows its trees; the list pool and the geo tables are in `caches`. A
+pair's cost2 bounds (`cli.pair_cost2_bounds`) are read from its goal's
+cost2 tree and, on a graph without coordinates, its cost1 goal tree.
 
 Direction convention: tables for direction d bound costs from a state to that
 search's target (forward target = goal, backward target = start). The forward
@@ -93,27 +70,19 @@ and vice versa. Attribute indices are 0 for cost1 and 1 for cost2.
 from __future__ import annotations
 
 import heapq
-import math
-import sys
 import threading
-import time
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import asin, sin, sqrt
 from operator import itemgetter
 from struct import error as StructError, pack
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
-
-INF = float("inf")
-
-_TIMEOUT_CHECK_MASK = 4095  # wall clock consulted every 4096 Clock.expired calls
+from .caches import ByteLRU, GeoTable, _graph_slot, geo_tables, list_pool
+from .graph import BACKWARD, FORWARD, INF, Graph, ProblemInstance
 
 ATTR1 = 0
 ATTR2 = 1
@@ -492,16 +461,17 @@ class GoalTree:
     """A finished unmasked plain search, the record of `BoundedSearch(graph,
     source, traverse_dir, attr, bound=limit).run()`: a goal tree (cost2 from
     a goal over the reversed graph), a cost1 goal tree (cost1 from a goal
-    over the reversed graph, which serves wc-astar's masked cost1 search and
-    gives a pair's ub2) or a start tree (cost1 from a start over the graph).
-    It holds the settled states in settle order, with their primary cost
-    (non-decreasing), secondary companion and predecessor (-1 for the
-    source), in four typed arrays, each of the narrowest int width that
-    holds its values (`_int_array`): 8 bytes per state where every value
-    fits in 16 bits. `nbytes` is the arrays' size. With no heuristic an
-    entry's f is its primary cost, so for every bound L <= limit the states
-    with primary cost <= L are the prefix of the settle order that a search
-    bounded by L settles, in the same order.
+    over the reversed graph, which, on a graph without coordinates, serves
+    wc-astar's masked cost1 search and gives a pair's ub2) or a start tree
+    (cost1 from a start over the graph). It holds the settled states in
+    settle order, with their primary cost (non-decreasing), secondary
+    companion and predecessor (-1 for the source), in four typed arrays,
+    each of the narrowest int width that holds its values (`_int_array`): 8
+    bytes per state where every value fits in 16 bits. `nbytes` is the
+    arrays' size. With no heuristic an entry's f is its primary cost, so for
+    every bound L <= limit the states with primary cost <= L are the prefix
+    of the settle order that a search bounded by L settles, in the same
+    order.
 
     A tree is never changed once made; it grows into a new one
     (`GoalTrees._grow`): `base`'s arrays followed by those of the states
@@ -554,33 +524,24 @@ def _extended(head: Optional[array], values: Sequence[int]) -> array:
     return head + tail
 
 
-class GoalTrees:
-    """A graph's finished plain searches, goal trees, cost1 goal trees and
-    start trees alike, keyed by (source, traverse direction, attribute) and
-    least recently used first out, holding at most `256 * n` bytes of tree
-    arrays in all (`size` and `capacity` count `GoalTree.nbytes`): 32
-    whole-graph trees at 8 bytes per state. One lock serialises lookups and
-    growth. An init reads its tree outside the lock: growth swaps in a new
-    tree and leaves the old one to the inits that hold it. A lookup that
-    the cached tree cannot answer, a larger bound (`prefix`) or a state it
-    does not hold (`reach`), grows the tree instead of searching afresh
-    (`_grow`). `hits`, `misses` and `evictions` count lookups and trees;
-    `grows` counts the misses that grew a cached tree; `binds` counts served
-    masked searches whose mask bound, so that they went on live.
-    `max_cost[attr]`, the graph's largest arc cost on `attr`, found on
-    first use, sets how far below a bind such a search rebuilds its
-    frontier (`BoundedSearch.serve`), and how far below its limit a tree's
-    search resumes.
+class GoalTrees(ByteLRU):
+    """A graph's finished plain searches, keyed by (source, traverse
+    direction, attribute), in a `ByteLRU` of `GoalTree.nbytes`: 32
+    whole-graph trees at 8 bytes per state. The lock serialises lookups and
+    growth; an init reads its tree outside it, as growth swaps in a new
+    tree. A lookup that the cached tree cannot answer, a larger bound
+    (`prefix`) or a state it does not hold (`reach`), grows the tree
+    (`_grow`). `grows` counts the misses that grew a cached tree; `binds`
+    counts served masked searches whose mask bound. `max_cost[attr]`, the
+    graph's largest arc cost on `attr`, sets how far below a bind a served
+    search rebuilds its frontier, and below its limit a tree resumes.
     """
 
     def __init__(self, graph: Graph):
-        self.state_count = state_count = graph.state_count
-        self.capacity = 256 * state_count
+        super().__init__(graph.state_count)
+        self.state_count = graph.state_count
         self._costs = (graph.fwd_c1, graph.fwd_c2)
-        self.trees: OrderedDict[tuple[int, int, int], GoalTree] = OrderedDict()
-        self.size = 0
-        self.hits = self.misses = self.evictions = self.grows = self.binds = 0
-        self._lock = threading.Lock()
+        self.grows = self.binds = 0
 
     @cached_property
     def max_cost(self) -> tuple[int, int]:
@@ -599,10 +560,9 @@ class GoalTrees:
         `limit`; else it grows up to `limit`."""
         self._check("source", key[0])
         with self._lock:
-            tree = self.trees.get(key)
+            tree = self.entries.get(key)
             if tree is not None and tree.limit >= limit:
-                self.hits += 1
-                self.trees.move_to_end(key)
+                self.hit(key)
                 return tree, bisect_right(tree.dist, limit)
             tree = self._grow(graph, key, limit)
             return tree, len(tree.order)
@@ -616,15 +576,14 @@ class GoalTrees:
         self._check("source", key[0])
         self._check("state", state)
         with self._lock:
-            tree = self.trees.get(key)
+            tree = self.entries.get(key)
             if tree is not None:
                 try:
                     i = tree.order.index(state)
                 except ValueError:
                     i = -1
                 if i >= 0 or tree.limit == INF:
-                    self.hits += 1
-                    self.trees.move_to_end(key)
+                    self.hit(key)
                     return tree, i
             tree = self._grow(graph, key, INF, state)
             return tree, -1 if tree.limit == INF else len(tree.order) - 1
@@ -640,15 +599,14 @@ class GoalTrees:
         alone, and `run()` goes on. The new tree is the old one's arrays
         followed by the states settled since. A search stopped by `target`
         records limit d - 1, d being the target's primary cost, and one that
-        runs out records INF."""
+        runs out records INF. The search's lists go back to the pool, each
+        with the states written to it."""
         source, traverse_dir, attr = key
-        self.misses += 1
         search = BoundedSearch(graph, source, traverse_dir, attr, bound=bound, target=target)
-        tree = self.trees.get(key)
+        tree = self.entries.get(key)
         skip = 0
         if tree is not None:
             self.grows += 1
-            self.size -= tree.nbytes
             if len(tree.order):
                 settled, dist, comp = search.settled, search.dist, search.comp
                 for u in tree.order:
@@ -665,88 +623,13 @@ class GoalTrees:
         limit = bound
         if target >= 0:
             limit = search.dist[target] - 1 if search.settled[target] else INF
-        new = self.trees[key] = GoalTree(search, limit, tree, skip)
-        self.trees.move_to_end(key)
-        list_pool(graph).give([(fill, lst, new.order) for fill, lst, _ in search.taken()])
-        self.size += new.nbytes
-        while self.size > self.capacity and len(self.trees) > 1:
-            _, old = self.trees.popitem(last=False)
-            self.size -= old.nbytes
-            self.evictions += 1
+        new = GoalTree(search, limit, tree, skip)
+        self.put(key, new)
+        taken = search.taken()
+        if tree is not None:  # `settled`, the last list, holds the old tree's states too
+            taken[3] = (False, search.settled, new.order)
+        list_pool(graph).give(taken)
         return new
-
-
-class ListPool:
-    """A graph's spare per-state lists, one free list per fill value (INF,
-    None, False).
-
-    `take(fill)` hands out an n-entry list holding `fill` everywhere. `give`
-    takes lists back, each with `written`, one sequence that names every
-    state written since it was taken (repeats allowed). A list is kept only
-    if `written` holds at most n/16 states (or 64 on a graph of under 1,024
-    states): past that, a fresh `[fill] * n` is cheaper than resetting the
-    states one by one in Python. The pool holds at most `CAPACITY` lists; a
-    solve takes at most 20. `take` reuses a kept list only when the pool
-    holds its last reference, so a list that a caller still reaches through
-    an `InitResult` is never overwritten; such a list is dropped instead. One
-    lock guards the free lists, so threads may share a graph; the reset runs
-    outside it. `reused`, `fresh` and `dropped` count lists served from the
-    pool, lists allocated, and lists given back but not reused.
-    """
-
-    CAPACITY = 32
-
-    def __init__(self, state_count: int):
-        self.state_count = state_count
-        self.keep_limit = max(state_count // 16, 64)
-        self.free: dict = {INF: [], None: [], False: []}
-        self.size = 0
-        self.reused = self.fresh = self.dropped = 0
-        self._lock = threading.Lock()
-
-    def take(self, fill) -> list:
-        free = self.free[fill]
-        with self._lock:
-            while free:
-                lst, written = free.pop()
-                self.size -= 1
-                # Two references: `lst` and getrefcount's own argument.
-                if sys.getrefcount(lst) == 2:
-                    self.reused += 1
-                    break
-                self.dropped += 1
-            else:
-                self.fresh += 1
-                return [fill] * self.state_count
-        for u in written:
-            lst[u] = fill
-        return lst
-
-    def give(self, taken: Iterable[tuple]) -> None:
-        """Keep (fill, list, written) lists for reuse, as the bounds allow."""
-        with self._lock:
-            for fill, lst, written in taken:
-                if self.size < self.CAPACITY and len(written) <= self.keep_limit:
-                    self.free[fill].append((lst, written))
-                    self.size += 1
-                else:
-                    self.dropped += 1
-
-
-_GRAPH_SLOT_LOCK = threading.Lock()
-
-
-def _graph_slot(graph: Graph, name: str, make):
-    """The graph's `name` slot, set to `make(graph)` on first use; one lock
-    makes sure threads sharing the graph make it once."""
-    value = getattr(graph, name)
-    if value is None:
-        with _GRAPH_SLOT_LOCK:
-            value = getattr(graph, name)
-            if value is None:
-                value = make(graph)
-                setattr(graph, name, value)
-    return value
 
 
 def goal_trees(graph: Graph) -> GoalTrees:
@@ -754,251 +637,21 @@ def goal_trees(graph: Graph) -> GoalTrees:
     return _graph_slot(graph, "goal_trees", GoalTrees)
 
 
-def list_pool(graph: Graph) -> ListPool:
-    """The graph's pool of spare per-state lists, made on first use."""
-    return _graph_slot(graph, "list_pool", lambda g: ListPool(g.state_count))
-
-
-def geo_tables(graph: Graph) -> "GeoTables":
-    """The graph's cache of geometric bound tables, made on first use."""
-    return _graph_slot(graph, "geo_tables", GeoTables)
-
-
-class Clock:
-    """Timeout bookkeeping: wall clock consulted every 4096 calls to `expired`."""
-
-    def __init__(self, timeout: Optional[float]):
-        self.deadline = None if timeout is None else time.monotonic() + timeout
-        self.counter = 0
-        self.timed_out = False
-
-    def expired(self) -> bool:
-        if self.deadline is None:
-            return False
-        if self.counter & _TIMEOUT_CHECK_MASK == 0:
-            if time.monotonic() >= self.deadline:
-                self.timed_out = True
-        self.counter += 1
-        return self.timed_out
-
-
-def parse_schedule(schedule: tuple) -> tuple[str, int]:
-    """(mode, steps per turn) of ('lockstep', k), with an int k >= 1 (1 if left
-    out), or of ('threads', 2); any other value raises ValueError."""
-    if isinstance(schedule, tuple) and 1 <= len(schedule) <= 2:
-        mode, n = schedule if len(schedule) == 2 else (schedule[0], 1)
-        if type(n) is int:  # not a bool, a float or a string
-            if mode == "lockstep" and n >= 1:
-                return mode, n
-            if mode == "threads" and n == 2:
-                return mode, 1
-    raise ValueError("a schedule is ('lockstep', k) with an int k >= 1 or ('threads', 2), "
-                     f"got {schedule!r}")
-
-
-_DONE = object()
-
-
-def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool = True,
-              clock: Optional[Clock] = None) -> bool:
-    """Drive the two sides of a solver's bidirectional main search under one
-    schedule; the init searches do not run here.
-
-    Each side is an iterator: one `next` does one unit of work, and the side
-    is done once its iterator is exhausted. ('lockstep', k) gives
-    each side k steps per turn, in the order given, so runs repeat exactly;
-    ('threads', 2) runs each side on its own thread. The clock is consulted
-    before every step. With `require_both=False` the run ends as soon as one
-    side is done. Returns True when the clock expired. An exception raised by
-    a side ends the run: under threads the failing side halts the other, and
-    the first exception is raised again once both threads have ended.
-    """
-    mode, k = parse_schedule(schedule)
-    if mode == "threads":
-        halt = threading.Event()
-        errors: list[BaseException] = []
-
-        def work(side: Iterator) -> None:
-            try:
-                while not halt.is_set() and not (clock is not None and clock.expired()):
-                    if next(side, _DONE) is _DONE:
-                        if not require_both:
-                            halt.set()
-                        return
-            except BaseException as exc:
-                errors.append(exc)
-                halt.set()
-
-        threads = [threading.Thread(target=work, args=(side,)) for side in sides]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        return clock is not None and clock.timed_out
-    live = list(sides)
-    while live:
-        for side in tuple(live):
-            for _ in range(k):
-                if clock is not None and clock.expired():
-                    return True
-                if next(side, _DONE) is _DONE:
-                    if not require_both:
-                        return False
-                    live.remove(side)
-                    break
-    return False
-
-
-def haversine_m(lat: Sequence[float], lon: Sequence[float], cos_lat: Sequence[float],
-                a: int, b: int) -> float:
-    """Great-circle distance in metres between states a and b, from per-state
-    latitudes and longitudes in radians and the cosines of the latitudes."""
-    s = (math.sin((lat[b] - lat[a]) / 2) ** 2
-         + cos_lat[a] * cos_lat[b] * math.sin((lon[b] - lon[a]) / 2) ** 2)
-    return 2 * 6371000.0 * math.asin(min(1.0, math.sqrt(s)))
-
-
-class GeoTable:
-    """Great-circle cost1 lower bounds toward one target: `values[u]` holds
-    h[u] once computed and -1 before, in a typed array that starts at 16-bit
-    ints. `fill(u)` computes h[u], evaluating `haversine_m(lat, lon,
-    cos_lat, u, target)` inline, in the same operand order, from the
-    target's latitude, longitude and cos(latitude) kept on the table: the
-    same float, without the call. It stores h[u], first widening the array
-    to 32-bit, then 64-bit ints, then a list (`GeoTables.widen`) when the
-    value does not fit. `h[u]` reads an entry and fills it when it is -1. A
-    reader that still holds an array from before a widening sees -1 where
-    later values were stored, and recomputes them: the same ints."""
-
-    __slots__ = ("values", "target", "cache", "lat", "lon", "cos_lat", "scale",
-                 "target_lat", "target_lon", "target_cos")
-
-    def __init__(self, cache: "GeoTables", geo: tuple, target: int):
-        self.lat, self.lon, self.cos_lat, self.scale = geo
-        self.target_lat, self.target_lon = self.lat[target], self.lon[target]
-        self.target_cos = self.cos_lat[target]
-        self.target = target
-        self.cache = cache
-        self.values = array("h", [-1]) * len(self.lat)
-
-    def __getitem__(self, u: int) -> int:
-        h = self.values[u]
-        return h if h >= 0 else self.fill(u)
-
-    def fill(self, u: int) -> int:
-        s = (sin((self.target_lat - self.lat[u]) / 2) ** 2
-             + self.cos_lat[u] * self.target_cos * sin((self.target_lon - self.lon[u]) / 2) ** 2)
-        h = int(2 * 6371000.0 * asin(min(1.0, sqrt(s))) * self.scale)
-        try:
-            self.values[u] = h
-        except OverflowError:
-            self.cache.widen(self, u, h)
-        return h
-
-    @property
-    def nbytes(self) -> int:
-        return _table_bytes(self.values)
-
-
-def _table_bytes(values) -> int:
-    """The bytes of a table's entries: the array's item size, or a list's
-    8-byte slot, per state."""
-    return len(values) * getattr(values, "itemsize", 8)
-
-
-_WIDER = {"h": "i", "i": "q"}  # a table array's next typecode; past "q", a list
-
-
-class GeoTables:
-    """A graph's geometric bound tables (`GeoTable`), one per target, least
-    recently used first out, holding at most `256 * n` bytes of entries in
-    all (`size` and `capacity` count `GeoTable.nbytes`): 128 tables at 16
-    bits per state. A table depends only on the graph and its target, so
-    every search toward that target shares it, whatever its weight limit,
-    its other end or its solver, and each bound is computed once while the
-    table is cached. One lock serialises lookups and widenings; searches
-    read and fill a table outside it. `hits`, `misses` and `evictions` count
-    lookups and tables.
-    """
-
-    def __init__(self, graph: Graph):
-        self.capacity = 256 * graph.state_count
-        self.tables: OrderedDict[int, GeoTable] = OrderedDict()
-        self.size = 0
-        self.hits = self.misses = self.evictions = 0
-        self._lock = threading.Lock()
-
-    def table(self, geo: tuple, target: int) -> GeoTable:
-        """The table toward `target`, made empty from `geo`, the graph's
-        `geo_cache`, on a miss."""
-        with self._lock:
-            table = self.tables.get(target)
-            if table is not None:
-                self.hits += 1
-                self.tables.move_to_end(target)
-                return table
-            table = GeoTable(self, geo, target)
-            self.misses += 1
-            self.tables[target] = table
-            self.size += table.nbytes
-            self._evict()
-            return table
-
-    def widen(self, table: GeoTable, u: int, h: int) -> None:
-        """Store h[u] in `table`, whose array overflowed on it: copy the
-        array into the next wider one, as often as it takes."""
-        with self._lock:
-            while True:
-                values = table.values
-                try:
-                    values[u] = h
-                    return
-                except OverflowError:
-                    code = _WIDER.get(values.typecode)
-                    table.values = array(code, values) if code else list(values)
-                    if self.tables.get(table.target) is table:
-                        self.size += table.nbytes - _table_bytes(values)
-                        self._evict()
-
-    def _evict(self) -> None:
-        while self.size > self.capacity and len(self.tables) > 1:
-            _, old = self.tables.popitem(last=False)
-            self.size -= old.nbytes
-            self.evictions += 1
-
-
 def geo_heuristic(graph: Graph, target: int, attr: int) -> Optional[GeoTable]:
     """Admissible cost1 lower bounds toward `target` from great-circle
     distances, when coordinates exist.
 
     Scaled by the tightest cost1-per-metre ratio over all edges so that
-    h[u] <= cost1 of every u-target path; cost2 has no geometric meaning here.
-    The per-graph data (radian coordinates, cos(lat) and the scale) is
-    computed on the first call and kept in `graph.geo_cache`. The bounds
-    toward a target are kept in the graph's `GeoTables` (`graph.geo_tables`),
-    so every call for that target returns the same `GeoTable` while the
-    cache holds it: h[u] is computed only for the states a search looks up,
-    and once per graph and target, not once per search.
+    h[u] <= cost1 of every u-target path (None unless that scale is positive
+    and finite); cost2 has no geometric meaning here. Every call for a
+    target returns the same `GeoTable` while the graph's `GeoTables` holds
+    it: h[u] is computed only for the states a search looks up, and once per
+    graph and target, not once per search.
     """
     if attr != ATTR1 or graph.coords is None or graph.state_count == 0:
         return None
-    if graph.geo_cache is None:
-        # Typed arrays hold the same doubles as float lists in a quarter of the memory.
-        lat = array("d", [math.radians(c[0]) for c in graph.coords])
-        lon = array("d", [math.radians(c[1]) for c in graph.coords])
-        cos_lat = array("d", [math.cos(x) for x in lat])
-        scale = INF
-        for u, v, c1, _ in graph.edges():
-            d = haversine_m(lat, lon, cos_lat, u, v)
-            if d > 1e-9:
-                scale = min(scale, c1 / d)
-        graph.geo_cache = (lat, lon, cos_lat, scale)
-    scale = graph.geo_cache[3]
-    if scale is INF or scale <= 0:
-        return None
-    return geo_tables(graph).table(graph.geo_cache, target)
+    tables = geo_tables(graph)
+    return tables.table(target) if 0 < tables.scale < INF else None
 
 
 # Init plans: a tuple of rounds, each one or two (table direction, attribute)

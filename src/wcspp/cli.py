@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .bounds import ATTR1, ATTR2, geo_tables, goal_trees
+from .bounds import ATTR1, ATTR2, BoundedSearch, goal_trees
+from .caches import geo_tables, list_pool
 from .graph import BACKWARD, COST_MAX, Graph, ProblemInstance, load_dimacs, random_graph, \
     randomize_cost2, write_gr
 from .oracle import constrained_optimum
@@ -58,18 +59,25 @@ def _usage_error(message) -> int:
 def pair_cost2_bounds(graph: Graph, start: int, goal: int) -> Optional[tuple[int, int]]:
     """(h2, ub2) for a pair: cost2 of its cost2-shortest and cost1-shortest
     paths (each lexicographically least, ties broken on the other cost), or
-    None when no path joins them. Both are `start`'s labels in the goal's
-    cost2 and cost1 trees over the reversed graph (`GoalTrees.reach`, which
-    grows a cached tree until it holds `start`): a lexicographic label is
-    the least (primary, secondary) over the same paths from either end. So
-    the pairs of one goal share one search per cost."""
+    None when no path joins them. Both are `start`'s labels in searches
+    from the goal over the reversed graph: a lexicographic label is the
+    least (primary, secondary) over the same paths from either end. They are
+    read from the goal's cost2 and cost1 trees (`GoalTrees.reach`, which
+    grows a tree until it holds `start`), shared by the pairs of one goal;
+    with coordinates no solve reads a cost1 goal tree, so ub2 comes from a
+    search stopped at `start` instead, and not recorded."""
     cache = goal_trees(graph)
     tree, i = cache.reach(graph, (goal, BACKWARD, ATTR2), start)
     if i < 0:
         return None
     h2 = tree.dist[i]
-    tree, i = cache.reach(graph, (goal, BACKWARD, ATTR1), start)
-    return h2, tree.comp[i]
+    if graph.coords is None:
+        tree, i = cache.reach(graph, (goal, BACKWARD, ATTR1), start)
+        return h2, tree.comp[i]
+    search = BoundedSearch(graph, goal, BACKWARD, ATTR1, target=start).run()
+    ub2 = search.comp[start]
+    list_pool(graph).give(search.taken())
+    return h2, ub2
 
 
 def weight_from_tightness(h2: int, ub2: int, delta: Fraction) -> int:
@@ -414,11 +422,11 @@ def cmd_bench(args) -> int:
     cache = goal_trees(graph)
     print(f"info: init tree cache hits={cache.hits} misses={cache.misses} "
           f"evictions={cache.evictions} binds={cache.binds} grows={cache.grows} "
-          f"trees={len(cache.trees)} bytes={cache.size}",
+          f"trees={len(cache.entries)} bytes={cache.size}",
           file=sys.stderr)
     tables = geo_tables(graph)
     print(f"info: geo tables hits={tables.hits} misses={tables.misses} "
-          f"evictions={tables.evictions} tables={len(tables.tables)} bytes={tables.size}",
+          f"evictions={tables.evictions} tables={len(tables.entries)} bytes={tables.size}",
           file=sys.stderr)
     return 0
 

@@ -3,9 +3,9 @@
 A graph's arcs and costs are fixed at construction: both adjacency directions
 are materialized once as compressed arrays (offset array + parallel edge
 arrays) so bidirectional searches can scan either side without rebuilding
-anything. Four per-graph structures are filled lazily by `bounds`: two
-caches derived from the arcs (geometric data and init trees), the geometric
-bound tables and a pool of spare per-state lists.
+anything. Three per-graph caches fill slots of the graph lazily, made by
+`caches` and `bounds`: the init's trees, the geometric data with its bound
+tables, and a pool of spare per-state lists.
 State ids are 0-based internally; DIMACS 1-based ids are shifted on load and
 restored on output.
 """
@@ -63,7 +63,6 @@ class Graph:
         "rev_c1",
         "rev_c2",
         "coords",
-        "geo_cache",
         "goal_trees",
         "list_pool",
         "geo_tables",
@@ -92,13 +91,11 @@ class Graph:
         self.coords = list(coords) if coords is not None else None
         if self.coords is not None and len(self.coords) != state_count:
             raise GraphFormatError(f"{len(self.coords)} coordinates for {state_count} states")
-        # Per-graph geometric data for bounds.geo_heuristic, filled on first use.
-        self.geo_cache = None
         # bounds.GoalTrees: the init's plain searches (goal and start trees), made on first use.
         self.goal_trees = None
-        # bounds.ListPool: spare per-state lists for the next solve, made on first use.
+        # caches.ListPool: spare per-state lists for the next solve, made on first use.
         self.list_pool = None
-        # bounds.GeoTables: great-circle bounds per target, made on first use.
+        # caches.GeoTables: geometric data and great-circle bounds per target, made on first use.
         self.geo_tables = None
 
     def _build_csr(self, best: dict[int, int]) -> None:

@@ -20,13 +20,12 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
-from .bounds import (ATTR1, ATTR2, INF, PATH, SEARCH, TREE_HALF, BoundsTables, Clock,
-                     GlobalBounds, InitResult, SolutionRecord, budget_factors,
-                     init_parallel_bidirectional, init_sequential_bidirectional,
-                     init_unidirectional, join_halves, list_pool, parse_schedule,
-                     run_sides)
+from .bounds import (ATTR1, ATTR2, INF, PATH, SEARCH, TREE_HALF, BoundsTables, GlobalBounds,
+                     InitResult, SolutionRecord, budget_factors, init_parallel_bidirectional,
+                     init_sequential_bidirectional, init_unidirectional, join_halves)
+from .caches import list_pool
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
 from .nodepool import NodePool, ParentArrays, join_forward, walk_tree
 from .pqueue import QueueConfig, QueueStats, TIE_SECONDARY, new_queue
@@ -42,6 +41,92 @@ STATUS_TIMEOUT = "timeout"
 # guards one match-and-store and nothing takes one while holding a
 # GlobalBounds lock, so solves that share a stripe contend but never deadlock.
 _CHI_LOCKS = tuple(threading.Lock() for _ in range(64))
+
+class Clock:
+    """Timeout bookkeeping: wall clock consulted every 4096 calls to `expired`."""
+
+    def __init__(self, timeout: Optional[float]):
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.counter = 0
+        self.timed_out = False
+
+    def expired(self) -> bool:
+        if self.deadline is None:
+            return False
+        if self.counter & 4095 == 0:
+            if time.monotonic() >= self.deadline:
+                self.timed_out = True
+        self.counter += 1
+        return self.timed_out
+
+
+def parse_schedule(schedule: tuple) -> tuple[str, int]:
+    """(mode, steps per turn) of ('lockstep', k), with an int k >= 1 (1 if left
+    out), or of ('threads', 2); any other value raises ValueError."""
+    if isinstance(schedule, tuple) and 1 <= len(schedule) <= 2:
+        mode, n = schedule if len(schedule) == 2 else (schedule[0], 1)
+        if type(n) is int:  # not a bool, a float or a string
+            if mode == "lockstep" and n >= 1:
+                return mode, n
+            if mode == "threads" and n == 2:
+                return mode, 1
+    raise ValueError("a schedule is ('lockstep', k) with an int k >= 1 or ('threads', 2), "
+                     f"got {schedule!r}")
+
+
+_DONE = object()
+
+
+def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool = True,
+              clock: Optional[Clock] = None) -> bool:
+    """Drive the two sides of a solver's bidirectional main search under one
+    schedule; the init searches do not run here.
+
+    Each side is an iterator: one `next` does one unit of work, and the side
+    is done once its iterator is exhausted. ('lockstep', k) gives
+    each side k steps per turn, in the order given, so runs repeat exactly;
+    ('threads', 2) runs each side on its own thread. The clock is consulted
+    before every step. With `require_both=False` the run ends as soon as one
+    side is done. Returns True when the clock expired. An exception raised by
+    a side ends the run: under threads the failing side halts the other, and
+    the first exception is raised again once both threads have ended.
+    """
+    mode, k = parse_schedule(schedule)
+    if mode == "threads":
+        halt = threading.Event()
+        errors: list[BaseException] = []
+
+        def work(side: Iterator) -> None:
+            try:
+                while not halt.is_set() and not (clock is not None and clock.expired()):
+                    if next(side, _DONE) is _DONE:
+                        if not require_both:
+                            halt.set()
+                        return
+            except BaseException as exc:
+                errors.append(exc)
+                halt.set()
+
+        threads = [threading.Thread(target=work, args=(side,)) for side in sides]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        return clock is not None and clock.timed_out
+    live = list(sides)
+    while live:
+        for side in tuple(live):
+            for _ in range(k):
+                if clock is not None and clock.expired():
+                    return True
+                if next(side, _DONE) is _DONE:
+                    if not require_both:
+                        return False
+                    live.remove(side)
+                    break
+    return False
 
 
 @dataclass

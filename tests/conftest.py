@@ -71,6 +71,26 @@ def geo_random_graph(seed: int, n: int, extra_edges: int) -> Graph:
     return Graph(n, edges, coords)
 
 
+def ladder(rungs: int) -> Graph:
+    """Two meridians of `rungs` states each, 1e-7 * 3**i degrees north of
+    the equator, joined by rungs 1e-6 degrees wide: cost1 is about 20,000
+    per metre of arc, so the bounds toward state 0 range from 0 to past
+    2**31 and a table widens from 16 to 64 bits."""
+    coords = [(1e-7 * 3 ** i, 1e-6 * side) for side in (0, 1) for i in range(rungs)]
+    edges = []
+
+    def link(u, v):
+        c1 = math.ceil(haversine_deg(coords[u], coords[v]) * 20000) + 1
+        edges.extend([(u, v, c1, 1 + (u + v) % 3), (v, u, c1, 1 + (u * v) % 3)])
+
+    for i in range(rungs):
+        link(i, rungs + i)
+        if i + 1 < rungs:
+            link(i, i + 1)
+            link(rungs + i, rungs + i + 1)
+    return Graph(2 * rungs, edges, coords)
+
+
 def roadgrid_module():
     """`wcbench/roadgrid.py`, loaded from its path."""
     path = Path(__file__).resolve().parents[1] / "wcbench" / "roadgrid.py"

@@ -7,14 +7,14 @@ import pytest
 import wcspp.bounds as bounds_mod
 import wcspp.solvers as solvers_mod
 from wcspp.bounds import (ATTR1, ATTR2, PLAN_PARALLEL, PLAN_SEQUENTIAL, PLAN_UNIDIRECTIONAL,
-                          BoundedSearch, Clock, GlobalBounds, INF, INFEASIBLE, SEARCH, SHORTCUT,
-                          budget_factors, geo_heuristic, goal_trees, haversine_m,
-                          init_parallel_bidirectional, init_sequential_bidirectional,
-                          init_unidirectional, run_init, run_sides)
+                          BoundedSearch, GlobalBounds, INF, INFEASIBLE, SEARCH, SHORTCUT,
+                          budget_factors, geo_heuristic, goal_trees, init_parallel_bidirectional,
+                          init_sequential_bidirectional, init_unidirectional, run_init)
+from wcspp.caches import geo_tables, haversine_m
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, load_dimacs, random_graph
 from wcspp.oracle import constrained_optimum
 from wcspp.pqueue import BUCKET, QueueConfig, TIE_NONE_LIFO
-from wcspp.solvers import SOLVERS, SolveOptions, solve_wc_ba_star
+from wcspp.solvers import SOLVERS, Clock, SolveOptions, run_sides, solve_wc_ba_star
 
 from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, INIT_NAMES, S, U1, U2, U3,
                       check_tables_against_paths, fresh, geo_random_graph, haversine_deg,
@@ -371,7 +371,8 @@ def test_geo_heuristic_lookups_equal_the_haversine_call(tmp_path):
         n = g.state_count
         for t in range(n):
             h = geo_heuristic(g, t, ATTR1)
-            lat, lon, cos_lat, scale = g.geo_cache
+            geo = geo_tables(g)
+            lat, lon, cos_lat, scale = geo.lat, geo.lon, geo.cos_lat, geo.scale
             assert [h[u] for u in range(n)] == \
                 [int(haversine_m(lat, lon, cos_lat, u, t) * scale) for u in range(n)]
 
@@ -741,7 +742,7 @@ def test_round_one_cost1_search_runs_live_on_a_graph_with_coordinates(monkeypatc
         assert [u for u in range(g.state_count) if mask[u]] == sorted(prefix)
         seen.append(digest)
     assert seen[0] == seen[1]
-    assert list(goal_trees(g).trees) == [(goal, BACKWARD, ATTR2)]
+    assert list(goal_trees(g).entries) == [(goal, BACKWARD, ATTR2)]
     _assert_late_searches_settle_nothing(g, inst, init)
 
 

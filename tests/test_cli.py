@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import wcspp.cli as cli_mod
-from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, goal_trees, list_pool
+from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, goal_trees
+from wcspp.caches import list_pool
 from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTIMAL,
                        EXIT_TIMEOUT, EXIT_USAGE, gen_instances, main, oracle_check,
                        pair_cost2_bounds, read_instances, run_bench,
@@ -17,7 +18,7 @@ from wcspp.oracle import _reverse_dijkstra, constrained_optimum
 from wcspp.pqueue import MonotonicityError
 from wcspp.solvers import SOLVERS, SolveOutcome
 
-from conftest import G, S, roadgrid_module
+from conftest import EXAMPLE_EDGES, G, S, road_grid_graph, roadgrid_module
 
 
 def test_weight_from_tightness_formula():
@@ -338,10 +339,10 @@ def test_bench_extends_the_goal_tree_before_the_cells(example_dimacs, tmp_path):
         assert run_bench(g, rows, sorted(SOLVERS), ["bucket"], ["none-lifo"], 2, 1, buf) == 12
         cache = g.goal_trees
         assert (cache.misses, cache.evictions, cache.binds) == (3, 0, 0), text
-        assert list(cache.trees) == [(4, BACKWARD, ATTR1), (4, BACKWARD, ATTR2),
+        assert list(cache.entries) == [(4, BACKWARD, ATTR1), (4, BACKWARD, ATTR2),
                                      (0, FORWARD, ATTR1)]
-        assert cache.trees[4, BACKWARD, ATTR2].limit == 6
-        assert cache.trees[4, BACKWARD, ATTR1].limit == cache.trees[0, FORWARD, ATTR1].limit == 7
+        assert cache.entries[4, BACKWARD, ATTR2].limit == 6
+        assert cache.entries[4, BACKWARD, ATTR1].limit == cache.entries[0, FORWARD, ATTR1].limit == 7
         cells = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
         assert [row[4] for row in cells].count("error") == 4
 
@@ -533,12 +534,37 @@ def test_pair_bounds_give_their_lists_back(example_dimacs):
     assert pair_cost2_bounds(g, S, G) == (3, 8)
     assert (cache.hits, cache.misses, cache.grows) == (0, 2, 0)
     assert (pool.fresh, pool.reused, pool.size) == (4, 4, 4)
-    trees = list(cache.trees.items())
+    trees = list(cache.entries.items())
     for _ in range(3):
         assert pair_cost2_bounds(g, S, G) == (3, 8)
     assert (cache.hits, cache.misses, cache.grows) == (6, 2, 0)
     assert (pool.fresh, pool.reused, pool.size) == (4, 4, 4)
-    assert all(cache.trees[key] is tree for key, tree in trees)
+    assert all(cache.entries[key] is tree for key, tree in trees)
+
+
+def test_coordinates_give_the_same_rows_without_a_cost1_goal_tree():
+    # With coordinates no solve is served from a cost1 goal tree, so
+    # gen_instances reads each pair's ub2 from a search it does not record,
+    # and writes the rows it writes for the same grid without coordinates,
+    # whose pairs share their goal's cost1 tree. Each such search gives its
+    # lists back: repeat calls on a small graph reuse them.
+    rng = random.Random(41)
+    plain, geo = (road_grid_graph(4, 12, 12, coords=coords) for coords in (False, True))
+    goals = rng.sample(range(144), 3)
+    pairs = [(s, t) for t in goals for s in rng.sample(range(144), 8) if s != t]
+    deltas = [Fraction(k, 4) for k in range(5)]
+    rows = gen_instances(plain, pairs, deltas, include_reversed=True)
+    assert gen_instances(geo, pairs, deltas, include_reversed=True) == rows
+    assert len(rows) == 2 * len(pairs) * len(deltas)
+    assert {key[1:] for key in goal_trees(plain).entries} == {(BACKWARD, ATTR1),
+                                                             (BACKWARD, ATTR2)}
+    assert {key[1:] for key in goal_trees(geo).entries} == {(BACKWARD, ATTR2)}
+    g = Graph(5, EXAMPLE_EDGES, [(40.0, -73.0 + 0.01 * u) for u in range(5)])
+    pool = list_pool(g)
+    for calls in (1, 2, 3):
+        assert pair_cost2_bounds(g, S, G) == (3, 8)
+        assert (pool.fresh, pool.reused, pool.size) == (4, 4 * calls, 4)
+    assert list(goal_trees(g).entries) == [(G, BACKWARD, ATTR2)]
 
 
 def test_oracle_check_passes():

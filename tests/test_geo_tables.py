@@ -2,18 +2,18 @@
 be the solve a fresh graph gives, counter for counter and table for table,
 and every entry must be the int of `haversine_m` scaled, at every width."""
 
-import math
 import random
 import sys
 import threading
 from fractions import Fraction
 
-from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, geo_heuristic, geo_tables, haversine_m
+from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, geo_heuristic
+from wcspp.caches import geo_tables, haversine_m
 from wcspp.cli import gen_instances
 from wcspp.graph import FORWARD, Graph, ProblemInstance
 from wcspp.solvers import SOLVERS
 
-from conftest import digest, fresh, haversine_deg, road_grid_graph
+from conftest import digest, fresh, ladder, road_grid_graph
 
 
 def query_rows(graph: Graph) -> list[ProblemInstance]:
@@ -32,8 +32,8 @@ def solve_all(graph: Graph, rows: list, inits) -> list:
 
 
 def expected_bounds(graph: Graph, target: int) -> list[int]:
-    lat, lon, cos_lat, scale = graph.geo_cache
-    return [int(haversine_m(lat, lon, cos_lat, u, target) * scale)
+    geo = geo_tables(graph)
+    return [int(haversine_m(geo.lat, geo.lon, geo.cos_lat, u, target) * geo.scale)
             for u in range(graph.state_count)]
 
 
@@ -54,8 +54,8 @@ def test_warm_tables_solve_as_a_fresh_graph(inits):
     cache.capacity = 3 * 2 * small.state_count
     for _ in range(2):
         assert solve_all(small, rows, inits) == cold
-    assert cache.evictions > 0 and len(cache.tables) <= 3
-    assert cache.size == sum(t.nbytes for t in cache.tables.values()) <= cache.capacity
+    assert cache.evictions > 0 and len(cache.entries) <= 3
+    assert cache.size == sum(t.nbytes for t in cache.entries.values()) <= cache.capacity
 
 
 def test_lookups_share_one_table_per_target():
@@ -75,37 +75,17 @@ def test_lookups_share_one_table_per_target():
     assert geo_heuristic(g, 0, ATTR1) is a and counts() == (1, 1, 0)
     assert geo_heuristic(g, 0, ATTR2) is None and counts() == (1, 1, 0)
     b = geo_heuristic(g, 7, ATTR1)
-    assert counts() == (1, 2, 0) and list(cache.tables) == [0, 7]
+    assert counts() == (1, 2, 0) and list(cache.entries) == [0, 7]
     assert geo_heuristic(g, 0, ATTR1) is a  # 0 becomes the most recent
     c = geo_heuristic(g, 9, ATTR1)
-    assert counts() == (2, 3, 1) and list(cache.tables) == [0, 9]
+    assert counts() == (2, 3, 1) and list(cache.entries) == [0, 9]
     # An evicted table still serves the search that holds it; a later
     # lookup makes a new one.
     assert [b[u] for u in range(n)] == expected_bounds(g, 7)
     assert geo_heuristic(g, 7, ATTR1) is not b
-    assert counts() == (2, 4, 2) and list(cache.tables) == [9, 7]
+    assert counts() == (2, 4, 2) and list(cache.entries) == [9, 7]
     assert geo_heuristic(g, 9, ATTR1) is c
     assert cache.size == 2 * 2 * n <= cache.capacity
-
-
-def ladder(rungs: int) -> Graph:
-    """Two meridians of `rungs` states each, 1e-7 * 3**i degrees north of
-    the equator, joined by rungs 1e-6 degrees wide: cost1 is about 20,000
-    per metre of arc, so the bounds toward state 0 range from 0 to past
-    2**31 and a table widens from 16 to 64 bits."""
-    coords = [(1e-7 * 3 ** i, 1e-6 * side) for side in (0, 1) for i in range(rungs)]
-    edges = []
-
-    def link(u, v):
-        c1 = math.ceil(haversine_deg(coords[u], coords[v]) * 20000) + 1
-        edges.extend([(u, v, c1, 1 + (u + v) % 3), (v, u, c1, 1 + (u * v) % 3)])
-
-    for i in range(rungs):
-        link(i, rungs + i)
-        if i + 1 < rungs:
-            link(i, i + 1)
-            link(rungs + i, rungs + i + 1)
-    return Graph(2 * rungs, edges, coords)
 
 
 def test_tables_widen_and_keep_every_value():
@@ -193,4 +173,4 @@ def test_threads_share_the_tables():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert cache.evictions > 0
-    assert cache.size == sum(t.nbytes for t in cache.tables.values()) <= cache.capacity
+    assert cache.size == sum(t.nbytes for t in cache.entries.values()) <= cache.capacity

@@ -74,7 +74,7 @@ def test_pieces_make_one_unbounded_search():
         wider, count = cache.prefix(g, goal_key(goal), top + rng.randint(1, 12))
         assert wider is not tree and count == len(wider.order)
         assert wider.order[:len(tree.order)] == tree.order
-        assert (cache.hits, cache.misses, cache.trees[goal_key(goal)]) == (5, 2, wider)
+        assert (cache.hits, cache.misses, cache.entries[goal_key(goal)]) == (5, 2, wider)
 
 
 def test_limits_below_at_and_above_the_cached_one(inits):
@@ -84,7 +84,7 @@ def test_limits_below_at_and_above_the_cached_one(inits):
     for w in (low, W, W + 400):
         for cfg in (HEAP_CFG, BUCKET_CFG):
             check(g, ProblemInstance(START, GOAL, w), inits, cfg=cfg)
-    assert goal_trees(g).trees[goal_key(GOAL)].limit == W + 400
+    assert goal_trees(g).entries[goal_key(GOAL)].limit == W + 400
 
 
 def test_limit_under_the_cost2_distance_is_infeasible(inits):
@@ -108,7 +108,7 @@ def test_unreachable_start(inits):
     g = Graph(257, list(grid().edges()))
     for w in (W, 10**9, W):
         check(g, ProblemInstance(256, GOAL, w), inits)
-    tree = goal_trees(g).trees[goal_key(GOAL)]
+    tree = goal_trees(g).entries[goal_key(GOAL)]
     assert tree.limit == 10**9 and sorted(tree.order) == list(range(256))
 
 
@@ -131,7 +131,7 @@ def test_served_start_trees_match_a_fresh_graph(inits):
 
     solve_rows()
     seed = BoundedSearch(g, GOAL, BACKWARD, ATTR2).run().comp[START]
-    tree = cache.trees[start_key(START)]
+    tree = cache.entries[start_key(START)]
     assert tree.limit == seed
     at = list(tree.order).index(GOAL)
     assert rows[2] < tree.comp[at] <= rows[3] and at + 1 < len(tree.order)
@@ -145,16 +145,16 @@ def test_served_start_trees_match_a_fresh_graph(inits):
     # seed; the rows of GOAL are then served from a tree that reaches past
     # their seed.
     check(g, ProblemInstance(START, 0, 10**6), inits, names=names)
-    assert cache.trees[start_key(START)].limit > seed
+    assert cache.entries[start_key(START)].limit > seed
     solve_rows()
     # Whole-graph goal trees evict the start tree; it is built again.
     goal = 0
-    while start_key(START) in cache.trees:
+    while start_key(START) in cache.entries:
         init_unidirectional(g, ProblemInstance(START, goal, 10**6))
         goal += 1
     misses = cache.misses
     solve_rows()
-    assert cache.trees[start_key(START)].limit == seed and cache.misses > misses
+    assert cache.entries[start_key(START)].limit == seed and cache.misses > misses
     # With coordinates the cost1 search has the geometric heuristic and
     # runs live: only goal trees are cached.
     rng = random.Random(11)
@@ -162,7 +162,7 @@ def test_served_start_trees_match_a_fresh_graph(inits):
         geo = geo_random_graph(rng.randrange(2**30), 20, 40)
         for w in (10, 40, 10**6):
             check(geo, ProblemInstance(0, 19, w), inits, names=names)
-        assert [key[1:] for key in goal_trees(geo).trees] == [(BACKWARD, ATTR2)]
+        assert [key[1:] for key in goal_trees(geo).entries] == [(BACKWARD, ATTR2)]
 
 
 def served_search(graph: Graph, inst: ProblemInstance, kind: str, serve: bool):
@@ -337,7 +337,7 @@ def test_grown_trees_equal_fresh_ones():
         for inst in queries[::4]:  # one query per start-goal pair
             keys = [(inst.goal, d, a) for d in (FORWARD, BACKWARD) for a in (ATTR1, ATTR2)]
             for key in rng.sample(keys * 3, 12):
-                grows, misses, evicted = cache.grows, cache.misses, key in asked - set(cache.trees)
+                grows, misses, evicted = cache.grows, cache.misses, key in asked - set(cache.entries)
                 asked.add(key)
                 if rng.random() < 0.5:
                     tree, count = cache.prefix(g, key, rng.randint(0, 40))
@@ -393,25 +393,25 @@ def test_eviction_keeps_the_bound_and_the_answers(inits):
         assert cache.prefix(g, goal_key(goal), 10**6)[1] == 256
     assert (cache.size, cache.capacity, cache.evictions) == (65536, 65536, 0)
     assert cache.prefix(g, goal_key(32), 10**6)[1] == 256
-    assert cache.evictions == 1 and goal_key(0) not in cache.trees
+    assert cache.evictions == 1 and goal_key(0) not in cache.entries
     for goal in range(1, 33):
         assert cache.prefix(g, goal_key(goal), 10**6)[1] == 256
     assert (cache.hits, cache.misses) == (32, 33)
-    assert cache.size == sum(t.nbytes for t in cache.trees.values())
+    assert cache.size == sum(t.nbytes for t in cache.entries.values())
     assert cache.size <= cache.capacity
     # Every solver: GOAL's goal tree, its cost1 tree (wc-astar's masked cost1
     # search) and START's start tree (wc-ba and wc-ebba-par) are built, each
     # evicting the least recently used trees; the answers are a fresh graph's.
     check(g, ProblemInstance(START, GOAL, W), inits)
     assert (cache.misses, cache.evictions) == (36, 4)
-    assert list(cache.trees)[-3:] == [cost1_goal_key(GOAL), goal_key(GOAL), start_key(START)]
-    assert all(goal_key(goal) not in cache.trees for goal in (1, 2, 3))
-    assert cache.size == sum(t.nbytes for t in cache.trees.values()) <= cache.capacity
+    assert list(cache.entries)[-3:] == [cost1_goal_key(GOAL), goal_key(GOAL), start_key(START)]
+    assert all(goal_key(goal) not in cache.entries for goal in (1, 2, 3))
+    assert cache.size == sum(t.nbytes for t in cache.entries.values()) <= cache.capacity
     # An evicted goal is built again, and wc-astar still answers as on a
     # fresh graph.
     for goal in (0, 1):
         check(g, ProblemInstance(START, goal, 10**6), inits, names=("wc-astar",))
-        assert goal_key(goal) in cache.trees
+        assert goal_key(goal) in cache.entries
     assert cache.size <= cache.capacity
 
 
@@ -428,7 +428,7 @@ def test_a_cycle_of_goals_that_fits_stops_missing(inits):
     for inst in queries:
         check(g, inst, inits, names=("wc-astar",))
     assert (cache.hits, cache.misses, cache.evictions) == (0, 31, 0)
-    assert sum(key[2] == ATTR1 for key in cache.trees) == 15 and cache.binds > 0
+    assert sum(key[2] == ATTR1 for key in cache.entries) == 15 and cache.binds > 0
     for inst in queries:
         check(g, inst, inits, names=("wc-astar",))
     assert (cache.hits, cache.misses, cache.evictions) == (31, 31, 0)
@@ -501,16 +501,16 @@ def test_second_solve_replays_every_state(inits):
     first, second, third = inits[threading.get_ident()]
     settled = sum(first.settled_per_phase[0][2])
     assert second.status == third.status == SEARCH
-    assert len(cache.trees[goal_key(GOAL)].order) == settled
+    assert len(cache.entries[goal_key(GOAL)].order) == settled
     masked = first.settled_per_phase[1][2]
-    assert set(cache.trees[cost1_goal_key(GOAL)].order) >= {u for u in range(256) if masked[u]}
-    assert len(cache.trees[start_key(START)].order) == sum(second.settled_per_phase[1][2])
+    assert set(cache.entries[cost1_goal_key(GOAL)].order) >= {u for u in range(256) if masked[u]}
+    assert len(cache.entries[start_key(START)].order) == sum(second.settled_per_phase[1][2])
     assert third.settled_per_phase == second.settled_per_phase
     # A wider W rebuilds the goal tree, which holds every state it settles;
     # the seed f1_bar is the same, so the cost1 tree serves again.
     wider = init_unidirectional(g, ProblemInstance(START, GOAL, W + 300))
-    assert (cache.hits, cache.misses) == (4, 4) and cache.trees[goal_key(GOAL)].limit == W + 300
-    assert len(cache.trees[goal_key(GOAL)].order) == sum(wider.settled_per_phase[0][2]) > settled
+    assert (cache.hits, cache.misses) == (4, 4) and cache.entries[goal_key(GOAL)].limit == W + 300
+    assert len(cache.entries[goal_key(GOAL)].order) == sum(wider.settled_per_phase[0][2]) > settled
 
 
 def test_trees_take_the_narrowest_width_per_array():

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import wcspp.solvers as solvers
-from wcspp.bounds import INF, PLAN_PARALLEL, ListPool, list_pool, run_init
+from wcspp.bounds import INF, PLAN_PARALLEL, run_init
+from wcspp.caches import ListPool, list_pool
 from wcspp.cli import pair_cost2_bounds, weight_from_tightness
 from wcspp.graph import Graph, ProblemInstance
 from wcspp.solvers import SOLVERS, SolveOptions, path_cost
