@@ -46,15 +46,15 @@ rebuild scans that shell of the settle order alone.
 Every other init search is a live `BoundedSearch`, with the joins against
 the opposite tables and its target test done inside the settle loop. The
 searches of a round run one after another in plan order, each to its end,
-under every schedule: the schedule drives only the solvers' main searches
-(`solvers.run_sides`). A search that starts once the init is decided settles
-nothing. A search reads its bound as it starts, not when it is made: the
-weight limit W on cost2, f1_bar on cost1, which an earlier search of its
-own round may have lowered. No other search runs beside it, so f1_bar then
-moves only through its own join and target offers: a cost1 search re-reads
-it after those, and nowhere else. A join is offered only when its cost1 is
-at most f1_bar and its cost2 at most W: `GlobalBounds.offer` would refuse
-any other, and a refused offer changes nothing.
+outside `solvers.run_sides`, which drives every solver's main search. A
+search that starts once the init is decided settles nothing. A search reads
+its bound as it starts, not when it is made: the weight limit W on cost2,
+f1_bar on cost1, which an earlier search of its own round may have lowered.
+No other search runs beside it, so f1_bar then moves only through its own
+join and target offers: a cost1 search re-reads it after those, and nowhere
+else. A join is offered only when its cost1 is at most f1_bar and its cost2
+at most W: `GlobalBounds.offer` would refuse any other, and a refused offer
+changes nothing.
 
 The tree cache, `GoalTrees`, lives here beside `BoundedSearch`, which makes
 and grows its trees; the list pool and the geo tables are in `caches`. A

@@ -11,6 +11,11 @@ partial-path matching:
   wc-ba       -- forward (f1, f2) + backward (f2, f1), shared bounds, HTF tuning
   wc-ebba     -- interleaved bidirectional (f1, f2), budget factors, Match/Store
   wc-ebba-par -- the same two searches as wc-ebba, run concurrently
+
+One function, `_solve`, runs each: its init plan, its orderings, and one
+`run_sides` call for the main search. wc-astar is one side; so is wc-ebba,
+whose side expands the smaller (f1, f2) head of its two queues. wc-ba and
+wc-ebba-par are two sides, the only ones that read `SolveOptions.schedule`.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import count
 from typing import Iterator, Optional, Sequence
 
 from .bounds import (ATTR1, ATTR2, INF, PATH, SEARCH, TREE_HALF, BoundsTables, GlobalBounds,
-                     InitResult, SolutionRecord, budget_factors, init_parallel_bidirectional,
+                     SolutionRecord, budget_factors, init_parallel_bidirectional,
                      init_sequential_bidirectional, init_unidirectional, join_halves)
 from .caches import list_pool
 from .graph import BACKWARD, FORWARD, Graph, ProblemInstance
@@ -79,17 +85,18 @@ _DONE = object()
 
 def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool = True,
               clock: Optional[Clock] = None) -> bool:
-    """Drive the two sides of a solver's bidirectional main search under one
-    schedule; the init searches do not run here.
+    """Drive every solver's main search, one side or two, under one schedule;
+    the init searches do not run here.
 
     Each side is an iterator: one `next` does one unit of work, and the side
     is done once its iterator is exhausted. ('lockstep', k) gives
     each side k steps per turn, in the order given, so runs repeat exactly;
-    ('threads', 2) runs each side on its own thread. The clock is consulted
-    before every step. With `require_both=False` the run ends as soon as one
-    side is done. Returns True when the clock expired. An exception raised by
-    a side ends the run: under threads the failing side halts the other, and
-    the first exception is raised again once both threads have ended.
+    a side left alone gets one unbounded turn. ('threads', 2) runs each side
+    on its own thread. The clock is consulted before every step. With
+    `require_both=False` the run ends as soon as one side is done. Returns
+    True when the clock expired. An exception raised by a side ends the run:
+    under threads the failing side halts the other, and the first exception
+    is raised again once both threads have ended.
     """
     mode, k = parse_schedule(schedule)
     if mode == "threads":
@@ -118,7 +125,7 @@ def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool 
     live = list(sides)
     while live:
         for side in tuple(live):
-            for _ in range(k):
+            for _ in range(k) if len(live) > 1 else count():
                 if clock is not None and clock.expired():
                     return True
                 if next(side, _DONE) is _DONE:
@@ -131,7 +138,8 @@ def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool 
 
 @dataclass
 class SolveOptions:
-    schedule: tuple = ("lockstep", 1)  # ("lockstep", k >= 1) or ("threads", 2)
+    # ("lockstep", k >= 1) or ("threads", 2); read by wc-ba and wc-ebba-par only
+    schedule: tuple = ("lockstep", 1)
     timeout: Optional[float] = None  # seconds, >= 0
     htf: bool = True  # wc-ba heuristic tuning switch
     check_invariants: bool = False
@@ -554,12 +562,63 @@ def path_cost(graph: Graph, path: list[int]) -> tuple[int, int]:
 # Drivers
 
 
-def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
-            options: SolveOptions, started: float, timed_out: bool) -> SolveOutcome:
-    """Build the outcome; a solve decided during initialisation has no contexts.
+def _smaller_head_first(fwd: SearchContext, bwd: SearchContext) -> Iterator:
+    """wc-ebba's one side: each step expands the head of whichever queue holds
+    the smaller (f1, f2) key, the forward one on an exact tie."""
+    f_open, b_open, tie = fwd.open, bwd.open, fwd.tie_break
+    while True:
+        hf = f_open.peek() if len(f_open) else None
+        hb = b_open.peek() if len(b_open) else None
+        if hf is None and hb is None:
+            return
+        if hf is None or (hb is not None and (
+                hb[0] < hf[0] or (tie and hb[0] == hf[0] and hb[1] < hf[1]))):
+            side = bwd
+        else:
+            side = fwd
+        if not side.step():
+            return
+        yield
 
-    Once the path is rebuilt, the init's and the contexts' per-state lists go
-    back to the graph's pool; nothing in the outcome refers to them."""
+
+def _solve(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
+           options: Optional[SolveOptions], init_name: str, orderings: tuple, *,
+           htf: bool = False, biased: bool = False, smaller_first: bool = False,
+           require_both: bool = True) -> SolveOutcome:
+    """Every solver: its init, one search context per entry of `orderings`
+    -- the forward search from the start, then the backward one from the
+    goal -- and one `run_sides` call. The init and `budget_factors` are read
+    as module globals at call time, so wcbench's tracer can wrap them.
+
+    There are no contexts when the init decided the solve. `htf` lets the
+    contexts tune each other's tables while `options.htf` is on. A biased
+    pair splits the weight budget by `budget_factors` over S' and shares the
+    Match/Store lists. `smaller_first` runs the pair as one side that expands
+    the smaller head; otherwise each context is a side, and two sides run
+    under `options.schedule`. `require_both=False` ends the main search with
+    its first side to end. Then the outcome is built."""
+    options = options or SolveOptions()
+    started = time.monotonic()
+    init = globals()[init_name](graph, inst)
+    contexts = []
+    if init.status == SEARCH:
+        budgets = chis = (None, None)  # indexed by direction
+        if biased:
+            beta = budget_factors(init.valid_members, init.tables.h[FORWARD][ATTR1],
+                                  init.tables.h[BACKWARD][ATTR1])
+            budgets = (beta.forward, beta.backward)
+            chis = ({}, {})
+        contexts = [SearchContext(graph, init.tables, init.gb, d, ordering, queue, end,
+                                  budget=budgets[d], budget_opp=budgets[1 - d],
+                                  chi_mine=chis[d], chi_opp=chis[1 - d],
+                                  htf=htf and options.htf, options=options)
+                    for d, ordering, end in zip((FORWARD, BACKWARD), orderings,
+                                                (inst.start, inst.goal))]
+    sides = ([_smaller_head_first(*contexts)] if smaller_first and contexts
+             else [iter(c.step, False) for c in contexts])
+    timed_out = run_sides(options.schedule if len(sides) == 2 else ("lockstep", 1), sides,
+                          require_both=require_both, clock=Clock(options.timeout))
+
     gb = init.gb
     metrics = Metrics()
     qstats = {}
@@ -584,100 +643,40 @@ def _finish(graph: Graph, init: InitResult, contexts: list[SearchContext],
         outcome.trace = {("forward" if c.direction == FORWARD else "backward"): c.trace
                          for c in contexts}
         outcome.parents = parents
+    # The path is rebuilt, so the init's and the contexts' per-state lists go
+    # back to the graph's pool; nothing in the outcome refers to them.
     list_pool(graph).give(init.taken + [ctx.taken() for ctx in contexts])
     return outcome
-
-
-def _contexts(graph: Graph, inst: ProblemInstance, init: InitResult, queue: QueueConfig,
-              options: SolveOptions, orderings: tuple, *, htf: bool = False,
-              biased: bool = False) -> list[SearchContext]:
-    """The solve's search contexts, one per entry of `orderings`: the forward
-    search from the start, then the backward one from the goal. There are
-    none when the init decided the solve. A biased pair (wc-ebba,
-    wc-ebba-par) splits the weight budget by `budget_factors` over S' and
-    shares the Match/Store lists."""
-    if init.status != SEARCH:
-        return []
-    budgets = chis = (None, None)  # indexed by direction
-    if biased:
-        beta = budget_factors(init.valid_members, init.tables.h[FORWARD][ATTR1],
-                              init.tables.h[BACKWARD][ATTR1])
-        budgets = (beta.forward, beta.backward)
-        chis = ({}, {})
-    return [SearchContext(graph, init.tables, init.gb, d, ordering, queue, end,
-                          budget=budgets[d], budget_opp=budgets[1 - d], chi_mine=chis[d],
-                          chi_opp=chis[1 - d], htf=htf, options=options)
-            for d, ordering, end in zip((FORWARD, BACKWARD), orderings, (inst.start, inst.goal))]
 
 
 def solve_wc_astar(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
                    options: Optional[SolveOptions] = None) -> SolveOutcome:
     """Unidirectional forward search in (f1, f2) order."""
-    options = options or SolveOptions()
-    started = time.monotonic()
-    init = init_unidirectional(graph, inst)
-    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12,))
-    clock = Clock(options.timeout)
-    for ctx in contexts:
-        while not clock.expired() and ctx.step():
-            pass
-    return _finish(graph, init, contexts, options, started, clock.timed_out)
+    return _solve(graph, inst, queue, options, "init_unidirectional", (ORDER_12,))
 
 
 def solve_wc_ebba(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
                   options: Optional[SolveOptions] = None) -> SolveOutcome:
     """Sequential biased bidirectional search: one expansion at a time, taken
     from whichever queue holds the globally smallest (f1, f2) node."""
-    options = options or SolveOptions()
-    started = time.monotonic()
-    init = init_sequential_bidirectional(graph, inst)
-    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12, ORDER_12), biased=True)
-    clock = Clock(options.timeout)
-    if contexts:
-        fwd, bwd = contexts
-        f_open, b_open = fwd.open, bwd.open
-        tie = fwd.tie_break
-        while not clock.expired():
-            hf = f_open.peek() if len(f_open) else None
-            hb = b_open.peek() if len(b_open) else None
-            if hf is None and hb is None:
-                break
-            # Smallest key wins; on an exact tie the forward side goes first.
-            if hf is None or (hb is not None and (
-                    hb[0] < hf[0] or (tie and hb[0] == hf[0] and hb[1] < hf[1]))):
-                side = bwd
-            else:
-                side = fwd
-            if not side.step():
-                break
-    return _finish(graph, init, contexts, options, started, clock.timed_out)
+    return _solve(graph, inst, queue, options, "init_sequential_bidirectional",
+                  (ORDER_12, ORDER_12), biased=True, smaller_first=True)
 
 
 def solve_wc_ba_star(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
                      options: Optional[SolveOptions] = None) -> SolveOutcome:
     """Two concurrent searches in opposite directions and objective orderings,
     sharing global bounds; terminates as soon as either search terminates."""
-    options = options or SolveOptions()
-    started = time.monotonic()
-    init = init_parallel_bidirectional(graph, inst)
-    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12, ORDER_21),
-                         htf=options.htf)
-    timed_out = run_sides(options.schedule, [iter(c.step, False) for c in contexts],
-                          require_both=False, clock=Clock(options.timeout))
-    return _finish(graph, init, contexts, options, started, timed_out)
+    return _solve(graph, inst, queue, options, "init_parallel_bidirectional",
+                  (ORDER_12, ORDER_21), htf=True, require_both=False)
 
 
 def solve_wc_ebba_par(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
                       options: Optional[SolveOptions] = None) -> SolveOutcome:
     """The biased bidirectional search with both directions running concurrently;
     terminates only when both searches have terminated."""
-    options = options or SolveOptions()
-    started = time.monotonic()
-    init = init_parallel_bidirectional(graph, inst)
-    contexts = _contexts(graph, inst, init, queue, options, (ORDER_12, ORDER_12), biased=True)
-    timed_out = run_sides(options.schedule, [iter(c.step, False) for c in contexts],
-                          clock=Clock(options.timeout))
-    return _finish(graph, init, contexts, options, started, timed_out)
+    return _solve(graph, inst, queue, options, "init_parallel_bidirectional",
+                  (ORDER_12, ORDER_12), biased=True)
 
 
 SOLVERS = {

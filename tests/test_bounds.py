@@ -795,6 +795,41 @@ def test_run_sides_expired_clock():
     assert "".join(log) == "abababbb"
 
 
+class _CountdownClock(Clock):
+    """A clock that expires at its n-th consultation."""
+
+    def __init__(self, n: int):
+        super().__init__(None)
+        self.left = n
+
+    def expired(self) -> bool:
+        self.left -= 1
+        self.timed_out = self.left <= 0
+        return self.timed_out
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_run_sides_gives_a_lone_side_one_unbounded_turn(k):
+    # A side alone steps as under k = 1, and its unbounded turn still
+    # consults the clock before every step. The long side outlasts every
+    # clock here; it has an end only so that a turn that skips the clock
+    # fails the test instead of hanging it.
+    log = []
+    assert run_sides(("lockstep", k), _toy_sides(log)[1:]) is False
+    assert "".join(log) == "bbbbb"
+
+    def long_side():
+        for _ in range(10_000):
+            log.append("e")
+            yield
+
+    log.clear()
+    assert run_sides(("lockstep", k), [long_side()], clock=Clock(0.0)) is True
+    assert log == []
+    assert run_sides(("lockstep", k), [long_side()], clock=_CountdownClock(7)) is True
+    assert log == ["e"] * 6
+
+
 def test_run_sides_threads_run_each_side_to_completion():
     log = []
     assert run_sides(("threads", 2), _toy_sides(log)) is False

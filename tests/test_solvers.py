@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from wcspp.bounds import (ATTR1, ATTR2, INF, PATH, TREE, BoundsTables, GlobalBounds,
+import wcspp.solvers as solvers_mod
+from wcspp.bounds import (ATTR1, ATTR2, INF, PATH, SEARCH, TREE, BoundsTables, GlobalBounds,
                           SolutionRecord)
 from wcspp.cli import gen_instances
 from wcspp.graph import BACKWARD, FORWARD, Graph, ProblemInstance, random_graph
@@ -20,8 +21,8 @@ from wcspp.solvers import (ORDER_12, ORDER_21, SOLVERS, Metrics, SearchContext,
                            solve_wc_astar, solve_wc_ba_star, solve_wc_ebba,
                            solve_wc_ebba_par, store_partial)
 
-from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, HEAP_CFG, S, U1, U2, U3, geo_random_graph,
-                      road_grid_graph)
+from conftest import (EXAMPLE_H_F, EXAMPLE_UB_F, G, HEAP_CFG, INIT_NAMES, S, U1, U2, U3,
+                      geo_random_graph, road_grid_graph)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 ALL_QUEUE_CFGS = [
@@ -530,17 +531,19 @@ def test_negative_or_nan_timeout_raises(timeout):
 
 
 def test_lockstep_bitwise_reproducible(example_graph):
-    # Only repeatability is checked: known defects still answer wrongly at some K.
+    # Every K repeats its run exactly and answers with the brute-force optimum.
     rng = random.Random(17)
     for _ in range(20):
         n = rng.randint(5, 25)
         g = random_graph(rng.randrange(2**30), n, 2 * n)
         inst = ProblemInstance(0, n - 1, rng.randint(1, 50))
+        expected = constrained_optimum(g, inst.start, inst.goal, inst.weight_limit)
         for solver, k in itertools.product((solve_wc_ba_star, solve_wc_ebba_par),
                                            (1, 2, 3, 5, 8)):
             runs = [solver(g, inst, BUCKET_CFG,
                            SolveOptions(schedule=("lockstep", k), record=True))
                     for _ in range(2)]
+            assert runs[0].costs == expected, (solver.__name__, k, inst)
             assert runs[0].status == runs[1].status
             assert runs[0].costs == runs[1].costs
             assert runs[0].trace == runs[1].trace
@@ -588,6 +591,32 @@ def test_a_failing_side_fails_the_solve(monkeypatch, schedule):
     with pytest.raises(RuntimeError, match="backward side failed"):
         solve_wc_ebba_par(g, ProblemInstance(11, 132, 1513), BUCKET_CFG,
                           SolveOptions(schedule=schedule))
+
+
+@pytest.mark.parametrize("name, init_name, biased", [
+    ("wc-astar", "init_unidirectional", False),
+    ("wc-ba", "init_parallel_bidirectional", False),
+    ("wc-ebba", "init_sequential_bidirectional", True),
+    ("wc-ebba-par", "init_parallel_bidirectional", True),
+])
+def test_solvers_call_the_entry_points_the_benchmark_tracer_wraps(monkeypatch, name, init_name,
+                                                                  biased):
+    # wcbench's tracer replaces these module globals of wcspp.solvers, so a
+    # solve must look them up at call time: each solver calls its own init
+    # once, a biased pair calls budget_factors once on a SEARCH init, and a
+    # solve that answers rebuilds its path once.
+    calls = []
+    for entry in INIT_NAMES + ("budget_factors", "reconstruct_solution"):
+        def counting(*args, _entry=entry, _original=getattr(solvers_mod, entry), **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append((_entry, result.status) if _entry in INIT_NAMES else _entry)
+            return result
+        monkeypatch.setattr(solvers_mod, entry, counting)
+    g = road_grid_graph(7, 12, 12)
+    out = SOLVERS[name](g, ProblemInstance(11, 132, 1513), BUCKET_CFG)
+    assert out.status == "optimal"
+    assert calls == ([(init_name, SEARCH)] + ["budget_factors"] * biased
+                     + ["reconstruct_solution"])
 
 
 @pytest.mark.parametrize("start, goal, bad", [(-1, G, "start -1"), (-5, G, "start -5"),
