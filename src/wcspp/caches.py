@@ -15,7 +15,6 @@ import sys
 import threading
 from array import array
 from collections import OrderedDict
-from math import asin, sin, sqrt
 from typing import Iterable, Sequence
 
 from .graph import INF, Graph
@@ -134,39 +133,31 @@ def haversine_m(lat: Sequence[float], lon: Sequence[float], cos_lat: Sequence[fl
 class GeoTable:
     """Great-circle cost1 lower bounds toward one target: `values[u]` holds
     h[u] once computed and -1 before, in a typed array that starts at 16-bit
-    ints. `fill(u)` computes h[u], evaluating `haversine_m(lat, lon,
-    cos_lat, u, target)` inline, in the same operand order, from the
-    target's latitude, longitude and cos(latitude) kept on the table: the
-    same float, without the call. It stores h[u], first widening the array
-    to 32-bit, then 64-bit ints, then a list (`GeoTables.widen`) when the
-    value does not fit. `h[u]` reads an entry and fills it when it is -1. A
-    reader that still holds an array from before a widening sees -1 where
-    later values were stored, and recomputes them: the same ints."""
+    ints. `fill(u)` computes h[u] as `haversine_m(...) * scale` from its
+    cache's coordinates and stores it, first widening the array to 32-bit,
+    then 64-bit ints, then a list (`GeoTables.widen`) when the value does
+    not fit. `h[u]` reads an entry and fills it when it is -1. A reader that
+    still holds an array from before a widening sees -1 where later values
+    were stored, and recomputes them: the same ints."""
 
-    __slots__ = ("values", "target", "cache", "lat", "lon", "cos_lat", "scale",
-                 "target_lat", "target_lon", "target_cos")
+    __slots__ = ("values", "target", "cache")
 
     def __init__(self, cache: "GeoTables", target: int):
-        self.lat, self.lon, self.cos_lat, self.scale = (cache.lat, cache.lon, cache.cos_lat,
-                                                        cache.scale)
-        self.target_lat, self.target_lon = self.lat[target], self.lon[target]
-        self.target_cos = self.cos_lat[target]
         self.target = target
         self.cache = cache
-        self.values = array("h", [-1]) * len(self.lat)
+        self.values = array("h", [-1]) * len(cache.lat)
 
     def __getitem__(self, u: int) -> int:
         h = self.values[u]
         return h if h >= 0 else self.fill(u)
 
     def fill(self, u: int) -> int:
-        s = (sin((self.target_lat - self.lat[u]) / 2) ** 2
-             + self.cos_lat[u] * self.target_cos * sin((self.target_lon - self.lon[u]) / 2) ** 2)
-        h = int(2 * 6371000.0 * asin(min(1.0, sqrt(s))) * self.scale)
+        c = self.cache
+        h = int(haversine_m(c.lat, c.lon, c.cos_lat, u, self.target) * c.scale)
         try:
             self.values[u] = h
         except OverflowError:
-            self.cache.widen(self, u, h)
+            c.widen(self, u, h)
         return h
 
     @property

@@ -187,7 +187,7 @@ def gen_instances(graph: Graph, pairs: list[tuple[int, int]], deltas: list[Fract
             _warn(f"pair {start + 1} -> {goal + 1} has a degenerate corridor "
                   f"(ub2 == h2 == {h2}); emitting W = {h2}")
         for delta in deltas:
-            w = h2 if ub2 == h2 else weight_from_tightness(h2, ub2, delta)
+            w = weight_from_tightness(h2, ub2, delta)
             rows.append((start, goal, "w", str(w)))
     return rows
 

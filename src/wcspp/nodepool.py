@@ -1,11 +1,12 @@
 """Recycling allocator for search nodes plus sparse per-state parent entries.
 
-A search node is one tuple (state, g1, g2, f1, f2, parent_state,
-parent_path_id) that lives in the pool only while it sits in a priority queue
-or is being processed; once processed, its parent pair moves into the
-per-state parent entries and its slot is set to None and returns to the free
-list. Freed slots are reissued oldest-first; fresh slots are appended one at
-a time and counted in blocks of BLOCK_NODES.
+A search node is one tuple (state, g1, g2, parent_state, parent_path_id) that
+lives in the pool only while it sits in a priority queue or is being
+processed; its f-values live only in its queue key. Once processed, its
+parent pair moves into the per-state parent entries and its slot is set to
+None and returns to the free list. Only `allocate` and `recycle` write a
+slot, so a live node never changes. Freed slots are reissued oldest-first;
+fresh slots are appended one at a time and counted in blocks of BLOCK_NODES.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ class NodePool:
         self.nodes: list[Optional[tuple]] = []  # None marks a recycled slot
         self._free: deque[int] = deque()
 
-    def allocate(self, state: int, g1: int, g2: int, f1: int, f2: int,
+    def allocate(self, state: int, g1: int, g2: int,
                  parent_state: Optional[int], parent_path_id: int) -> int:
-        """Return a slot holding the given node fields; recycled slots are reused first."""
-        node = (state, g1, g2, f1, f2, parent_state, parent_path_id)
+        """Return a slot holding the node's five fields (its f-values are its
+        queue key); recycled slots are reused first."""
+        node = (state, g1, g2, parent_state, parent_path_id)
         if self._free:
             h = self._free.popleft()
             self.nodes[h] = node

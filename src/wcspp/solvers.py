@@ -89,12 +89,12 @@ def run_sides(schedule: tuple, sides: Sequence[Iterator], *, require_both: bool 
     the init searches do not run here.
 
     Each side is an iterator: one `next` does one unit of work, and the side
-    is done once its iterator is exhausted. ('lockstep', k) gives
-    each side k steps per turn, in the order given, so runs repeat exactly;
-    a side left alone gets one unbounded turn. ('threads', 2) runs each side
-    on its own thread. The clock is consulted before every step. With
-    `require_both=False` the run ends as soon as one side is done. Returns
-    True when the clock expired. An exception raised by a side ends the run:
+    is done once its iterator is exhausted. ('lockstep', k) gives each side
+    k steps per turn, in the order given, so runs repeat exactly; a side
+    left alone gets one unbounded turn. ('threads', 2) runs each side on its
+    own thread. A clock, which a solve passes only under a timeout, is
+    consulted before every step. With `require_both=False` the run ends as
+    soon as one side is done. Returns True when the clock expired. An exception raised by a side ends the run:
     under threads the failing side halts the other, and the first exception
     is raised again once both threads have ended.
     """
@@ -308,13 +308,11 @@ class SearchContext:
         self.g_min = list_pool(graph).take(INF)
         self.pool = NodePool()
         self.parents = ParentArrays()
-        f1 = self.h_1[initial_state]
-        f2 = self.h_2[initial_state]
-        fp, fs = (f1, f2) if p == ATTR1 else (f2, f1)
+        fp = self.h_p[initial_state]
         fmax = gb.f1_bar if p == ATTR1 else gb.f2_bar
-        self.open = new_queue(replace(queue, f_min=int(fp), f_max=int(fmax)))
-        handle = self.pool.allocate(initial_state, 0, 0, f1, f2, None, 0)
-        self.open.push(int(fp), int(fs), handle)
+        self.open = new_queue(replace(queue, f_min=fp, f_max=fmax))
+        self.open.push(fp, tables.h[direction][s][initial_state],
+                       self.pool.allocate(initial_state, 0, 0, None, 0))
 
     def step(self) -> bool:
         """Pop and process one node; False once the queue is empty or the search ends."""
@@ -322,44 +320,36 @@ class SearchContext:
         return item is not None and self.process(item)
 
     def process(self, item) -> bool:
-        """One Alg-8-style iteration body for an already-popped queue item;
-        False when the item ends the search."""
+        """One Alg-8-style iteration body for an already-popped queue item
+        (f_p, f_s, handle); False when the item ends the search."""
         kp, ks, handle = item
         pool = self.pool
         gb = self.gb
-        u, g1, g2, f1, f2, parent_state, parent_path_id = pool.nodes[handle]
+        u, g1, g2, parent_state, parent_path_id = pool.nodes[handle]
         p = self.p
-        fp = f1 if p == ATTR1 else f2
 
         if self.options.check_invariants:
-            assert fp >= self._last_popped_fp, "popped primary keys must be non-decreasing"
-            self._last_popped_fp = fp
+            assert kp >= self._last_popped_fp, "popped primary keys must be non-decreasing"
+            self._last_popped_fp = kp
 
-        fp_bar = gb.f1_bar if p == ATTR1 else gb.f2_bar
-        if fp > fp_bar:
+        if kp > (gb.f1_bar if p == ATTR1 else gb.f2_bar):
             pool.recycle(handle)
             return False
 
         if self.htf:
             # A concurrent tuning of this direction's secondary heuristic can
-            # leave the stored f_s stale; refresh it, re-ordering if ties matter.
-            h_s = self.h_2[u] if p == ATTR1 else self.h_1[u]
-            g_s_val = g2 if p == ATTR1 else g1
-            fresh_fs = g_s_val + h_s
-            stored_fs = f2 if p == ATTR1 else f1
-            if fresh_fs > stored_fs:
-                if p == ATTR1:
-                    f2 = fresh_fs
-                else:
-                    f1 = fresh_fs
+            # leave the queued f_s stale; refresh it, re-ordering if ties matter.
+            fresh_fs = g2 + self.h_2[u] if p == ATTR1 else g1 + self.h_1[u]
+            if fresh_fs > ks:
                 if self.tie_break:
-                    pool.nodes[handle] = (u, g1, g2, f1, f2, parent_state, parent_path_id)
                     self.metrics.stale_reinserts += 1
                     self.open.push(kp, fresh_fs, handle)
                     return True
+                ks = fresh_fs
 
         # Secondary-cost invalidation: nodes are not ordered by their secondary
         # f-value, and in (f1, f2) order a refreshed f2 can exceed f2_bar.
+        f1, f2 = (kp, ks) if p == ATTR1 else (ks, kp)
         if p == ATTR2:
             if f1 > gb.f1_bar:
                 self.metrics.prunes_global_f1 += 1
@@ -493,11 +483,11 @@ class SearchContext:
             if nf2 > gb.f2_bar:
                 m.prunes_global_f2 += 1
                 continue
-            handle = pool.allocate(v, ng1, ng2, nf1, nf2, u, idx)
+            handle = pool.allocate(v, ng1, ng2, u, idx)
             if p == ATTR1:
-                open_q.push(int(nf1), int(nf2), handle)
+                open_q.push(nf1, nf2, handle)
             else:
-                open_q.push(int(nf2), int(nf1), handle)
+                open_q.push(nf2, nf1, handle)
 
     def taken(self) -> tuple:
         """(fill, list, written) for the list taken from the graph's pool."""
@@ -617,7 +607,8 @@ def _solve(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     sides = ([_smaller_head_first(*contexts)] if smaller_first and contexts
              else [iter(c.step, False) for c in contexts])
     timed_out = run_sides(options.schedule if len(sides) == 2 else ("lockstep", 1), sides,
-                          require_both=require_both, clock=Clock(options.timeout))
+                          require_both=require_both,
+                          clock=None if options.timeout is None else Clock(options.timeout))
 
     gb = init.gb
     metrics = Metrics()

@@ -137,12 +137,12 @@ def test_criterion_3_memory_recycling():
     parents = ParentArrays()
 
     def expand(handle, state, parent_ref, child_states):
-        children = [pool.allocate(v, 0, 0, 0, 0, state, 0) for v in child_states]
+        children = [pool.allocate(v, 0, 0, state, 0) for v in child_states]
         parents.record_expansion(state, *parent_ref)
         pool.recycle(handle)
         return children
 
-    x1 = pool.allocate(s, 0, 0, 0, 0, None, 0)
+    x1 = pool.allocate(s, 0, 0, None, 0)
     x2, x3 = expand(x1, s, (None, 0), [u1, u2])
     x4, x5 = expand(x2, u1, (s, 1), [g, u2])
     (x6,) = expand(x3, u2, (s, 1), [g])

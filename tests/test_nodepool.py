@@ -12,23 +12,23 @@ from conftest import G, S, U1, U2
 
 def test_allocate_recycle_reuses_slot():
     pool = NodePool()
-    a = pool.allocate(0, 0, 0, 0, 0, None, 0)
+    a = pool.allocate(0, 0, 0, None, 0)
     pool.recycle(a)
-    b = pool.allocate(1, 1, 1, 1, 1, None, 0)
+    b = pool.allocate(1, 1, 1, None, 0)
     assert b == a
     assert pool.slots_created == 1
 
 
 def test_allocate_without_recycling_creates_distinct_slots():
     pool = NodePool()
-    handles = [pool.allocate(i, 0, 0, 0, 0, None, 0) for i in range(10)]
+    handles = [pool.allocate(i, 0, 0, None, 0) for i in range(10)]
     assert len(set(handles)) == 10
     assert pool.slots_created == 10
 
 
 def test_live_count_returns_to_zero():
     pool = NodePool()
-    handles = [pool.allocate(i, 0, 0, 0, 0, None, 0) for i in range(5)]
+    handles = [pool.allocate(i, 0, 0, None, 0) for i in range(5)]
     assert pool.slots_created == 5
     assert sum(node is not None for node in pool.nodes) == 5
     for h in handles:
@@ -40,19 +40,19 @@ def test_blocks_count_fresh_slots_in_whole_blocks():
     pool = NodePool()
     assert pool.blocks_allocated == 0
     for i in range(BLOCK_NODES + 1):
-        h = pool.allocate(i, 0, 0, 0, 0, None, 0)
+        h = pool.allocate(i, 0, 0, None, 0)
         if i in (0, BLOCK_NODES - 1):
             assert pool.blocks_allocated == 1
     assert pool.blocks_allocated == 2
     # recycled slots are reissued before any fresh one
     pool.recycle(h)
-    assert pool.allocate(0, 0, 0, 0, 0, None, 0) == h
+    assert pool.allocate(0, 0, 0, None, 0) == h
     assert pool.slots_created == BLOCK_NODES + 1
 
 
 def test_double_recycle_asserts():
     pool = NodePool()
-    h = pool.allocate(0, 0, 0, 0, 0, None, 0)
+    h = pool.allocate(0, 0, 0, None, 0)
     pool.recycle(h)
     with pytest.raises(AssertionError):
         pool.recycle(h)
@@ -70,13 +70,13 @@ def test_seven_node_replay_uses_four_slots():
     def expand(name, handle, state, parent_ref, children):
         out = {}
         for child_name, child_state in children:
-            out[child_name] = pool.allocate(child_state, 0, 0, 0, 0, state, 0)
+            out[child_name] = pool.allocate(child_state, 0, 0, state, 0)
             slot_of[child_name] = out[child_name]
         parents.record_expansion(state, *parent_ref)
         pool.recycle(handle)
         return out
 
-    slot_of["x1"] = pool.allocate(s, 0, 0, 0, 0, None, 0)
+    slot_of["x1"] = pool.allocate(s, 0, 0, None, 0)
     n = expand("x1", slot_of["x1"], s, (None, 0), [("x2", u1), ("x3", u2)])
     n2 = expand("x2", n["x2"], u1, (s, 1), [("x4", g), ("x5", u2)])
     n3 = expand("x3", n["x3"], u2, (s, 1), [("x6", g)])

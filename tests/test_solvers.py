@@ -123,7 +123,7 @@ def test_terminal_skip_examples(example_graph):
         ctx.parents.record_expansion(S, None, 0)
         f1 = g[0] + EXAMPLE_H_F[state][0]
         f2 = g[1] + EXAMPLE_H_F[state][1]
-        handle = ctx.pool.allocate(state, g[0], g[1], f1, f2, S, 1)
+        handle = ctx.pool.allocate(state, g[0], g[1], S, 1)
         assert ctx.process((f1, f2, handle))
         assert ctx.metrics.expansions == int(expanded), state
         # Every live node is queued: the processed one went back to the pool.
@@ -467,6 +467,61 @@ def test_golden_counters_on_road_grids(seed, size, start, goal, w, cfg, optimum,
         assert (out.status, out.costs, out.path) == ("optimal", optimum, path), name
         got = tuple(getattr(out.metrics, c) for c in GOLDEN_COUNTERS)
         assert got == counters[name], name
+
+
+class _WriteOnceSlots(list):
+    """A node list that refuses a write to a live slot: a node is set once by
+    `allocate` and cleared by `recycle`, never changed in between."""
+
+    def __setitem__(self, i, node):
+        assert node is None or self[i] is None, f"live slot {i} rewritten"
+        super().__setitem__(i, node)
+
+
+class _ImmutableNodePool(solvers_mod.NodePool):
+    def __init__(self):
+        super().__init__()
+        self.nodes = _WriteOnceSlots()
+
+
+def test_live_nodes_are_never_rewritten(monkeypatch):
+    # The binary-heap golden run, where wc-ba's secondary tie-breaking makes
+    # one stale reinsert: the reinsert pushes the same handle with the fresh
+    # key and leaves its node as it is.
+    seed, size, start, goal, w, cfg, optimum, path, counters = GOLDEN_RUNS[1]
+    assert counters["wc-ba"][GOLDEN_COUNTERS.index("stale_reinserts")] == 1
+    monkeypatch.setattr(solvers_mod, "NodePool", _ImmutableNodePool)
+    g = road_grid_graph(seed, size, size)
+    for name, solver in SOLVERS.items():
+        out = solver(g, ProblemInstance(start, goal, w), cfg, SolveOptions())
+        assert (out.status, out.costs, out.path) == ("optimal", optimum, path), name
+        assert tuple(getattr(out.metrics, c) for c in GOLDEN_COUNTERS) == counters[name], name
+
+
+def test_only_a_timeout_makes_a_clock(monkeypatch):
+    # Without a timeout no clock is consulted; with one, every solver consults
+    # it and gives the same answer and counters.
+    consulted = []
+
+    class CountingClock(solvers_mod.Clock):
+        def expired(self):
+            consulted.append(1)
+            return super().expired()
+
+    monkeypatch.setattr(solvers_mod, "Clock", CountingClock)
+    seed, size, start, goal, w, cfg, optimum, path, _ = GOLDEN_RUNS[0]
+    g = road_grid_graph(seed, size, size)
+    inst = ProblemInstance(start, goal, w)
+    for name, solver in SOLVERS.items():
+        plain = solver(g, inst, cfg, SolveOptions())
+        assert not consulted, name
+        timed = solver(g, inst, cfg, SolveOptions(timeout=60))
+        assert consulted, name
+        consulted.clear()
+        for out in (plain, timed):
+            assert (out.status, out.costs, out.path) == ("optimal", optimum, path), name
+        assert ([getattr(plain.metrics, c) for c in GOLDEN_COUNTERS]
+                == [getattr(timed.metrics, c) for c in GOLDEN_COUNTERS]), name
 
 
 @pytest.mark.parametrize("seed, start, goal, w, optimum, counters", [
