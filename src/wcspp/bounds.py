@@ -92,8 +92,8 @@ INFEASIBLE = "infeasible"
 SHORTCUT = "shortcut"  # optimum proven during initialisation
 SEARCH = "search"  # constrained search required
 
-# How a SolutionRecord half is rebuilt: (PATH, path_id) backtracks that side's
-# recorded search path, (TREE, attr) walks that side's init tree on attr.
+# How a SolutionRecord half is rebuilt: (PATH, entry) backtracks that entry of
+# that side's expansion log, (TREE, attr) walks that side's init tree on attr.
 PATH = "path"
 TREE = "tree"
 TREE_HALF = ((TREE, ATTR1), (TREE, ATTR2))  # indexed by attr, so offers share them
@@ -104,11 +104,11 @@ class SolutionRecord:
     """Best known feasible solution and how to rebuild its path.
 
     A start-side half and a goal-side half meet at the join `state`.
-    `to_start` is the start side's half: (PATH, path_id) for a path the
-    forward search recorded, (TREE, attr) for the backward init tree on attr
-    (it leads to the start), or None when `state` is the start. `to_goal`
-    mirrors it: the backward search's path, the forward init tree, or None
-    at the goal. `costs` is None while there is no solution.
+    `to_start` is the start side's half: (PATH, entry) for the path of that
+    entry of the forward search's log, (TREE, attr) for the backward init
+    tree on attr (it leads to the start), or None when `state` is the start.
+    `to_goal` mirrors it: the backward search's path, the forward init tree,
+    or None at the goal. `costs` is None while there is no solution.
     """
 
     costs: Optional[tuple[int, int]] = None

@@ -27,7 +27,7 @@ from .oracle import constrained_optimum
 from .pqueue import (BINARY_HEAP, BUCKET, HYBRID, QueueConfig, TIE_NONE_FIFO,
                      TIE_NONE_LIFO, TIE_SECONDARY)
 from .solvers import SOLVERS, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveOptions, \
-    SolveOutcome
+    SolveOutcome, path_cost
 
 EXIT_OPTIMAL = 0
 EXIT_INFEASIBLE = 2
@@ -434,8 +434,8 @@ def cmd_bench(args) -> int:
 def oracle_check(seed: int, graph_count: int, max_states: int, cost_lo: int,
                  cost_hi: int, solvers_map: Optional[dict] = None,
                  report=print) -> tuple[bool, int]:
-    """Cross-check every solver x queue kind against the brute-force optimum on
-    seeded random graphs; reports the first counterexample verbosely.
+    """Cross-check every solver x queue kind against brute force on seeded random
+    graphs, each optimal path included; reports the first counterexample verbosely.
 
     Returns (all_matched, solves_checked).
     """
@@ -463,15 +463,32 @@ def oracle_check(seed: int, graph_count: int, max_states: int, cost_lo: int,
                     outcome = solver(g, inst, cfg, SolveOptions())
                     got = outcome.costs if outcome.status == STATUS_OPTIMAL else None
                     checked += 1
-                    if got != expected:
+                    fault = (f"got {got}, oracle {expected}" if got != expected
+                             else _path_fault(g, inst, outcome))
+                    if fault:
                         report(f"MISMATCH: graph seed idx {gi} (n={n}) "
                                f"{start + 1}->{goal + 1} W={w} {name}/{cfg.kind}/"
-                               f"{cfg.tie_policy}: got {got}, oracle {expected}")
+                               f"{cfg.tie_policy}: {fault}")
                         report("graph edges:")
                         for u, v, c1, c2 in g.edges():
                             report(f"  a {u + 1} {v + 1} ({c1},{c2})")
                         return False, checked
     return True, checked
+
+
+def _path_fault(graph: Graph, inst: ProblemInstance, outcome: SolveOutcome) -> Optional[str]:
+    """None unless the outcome is optimal and its path is not a start-goal
+    path of its reported costs; then what is wrong."""
+    path = outcome.path or [None]
+    try:
+        if (outcome.status != STATUS_OPTIMAL or (path[0], path[-1]) == (inst.start, inst.goal)
+                and path_cost(graph, path) == outcome.costs):
+            return None
+    except ValueError:  # an arc the graph does not have
+        pass
+    shown = " ".join(str(u + 1) for u in outcome.path or ())
+    return (f"path [{shown}] is not a {inst.start + 1}->{inst.goal + 1} path "
+            f"of costs {outcome.costs}")
 
 
 def _weight_sweep(g: Graph, start: int, goal: int, rng: random.Random) -> list[int]:

@@ -1,16 +1,16 @@
-"""Recycling allocator for search nodes plus sparse per-state parent entries.
+"""Recycling allocator for search nodes plus one expansion log per direction.
 
-A search node is one tuple (state, g1, g2, parent_state, parent_path_id) that
-lives in the pool only while it sits in a priority queue or is being
-processed; its f-values live only in its queue key. Once processed, its
-parent pair moves into the per-state parent entries and its slot is set to
-None and returns to the free list. Only `allocate` and `recycle` write a
+A search node is one tuple (state, g1, g2, parent_entry); its f-values live
+only in its queue key. It lives in the pool while queued or being processed.
+Its expansion appends (state, parent_entry) to the log; then its slot is set
+to None and returns to the free list. Only `allocate` and `recycle` write a
 slot, so a live node never changes. Freed slots are reissued oldest-first;
-fresh slots are appended one at a time and counted in blocks of BLOCK_NODES.
+fresh ones are appended and counted in blocks of BLOCK_NODES.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Optional
 
@@ -26,11 +26,10 @@ class NodePool:
         self.nodes: list[Optional[tuple]] = []  # None marks a recycled slot
         self._free: deque[int] = deque()
 
-    def allocate(self, state: int, g1: int, g2: int,
-                 parent_state: Optional[int], parent_path_id: int) -> int:
-        """Return a slot holding the node's five fields (its f-values are its
+    def allocate(self, state: int, g1: int, g2: int, parent_entry: int) -> int:
+        """Return a slot holding the node's four fields (its f-values are its
         queue key); recycled slots are reused first."""
-        node = (state, g1, g2, parent_state, parent_path_id)
+        node = (state, g1, g2, parent_entry)
         if self._free:
             h = self._free.popleft()
             self.nodes[h] = node
@@ -56,46 +55,39 @@ class NodePool:
 
 
 class ParentArrays:
-    """Per-state append-only lists of (parent_state, parent_path_id) pairs.
+    """One direction's append-only expansion log: entry i is its i-th expansion,
+    of state `states[i]` generated by entry `parents[i]` (-1 for the initial
+    node), so an entry names a path. `parents` is an `array('i')`; `states`
+    holds the graph's own state ints, so a rebuilt path boxes none anew."""
 
-    Entry i (1-based) of state u records the i-th successful expansion of u in
-    one search direction; id 0 with parent state None marks the initial node.
-    Only expanded states hold entries, so the lists grow with the search,
-    not with the graph.
-    """
+    __slots__ = ("states", "parents")
 
     def __init__(self):
-        self.pairs: dict[int, list[tuple[Optional[int], int]]] = {}
+        self.states: list[int] = []
+        self.parents = array("i")
 
-    def record_expansion(self, state: int, parent_state: Optional[int],
-                         parent_path_id: int) -> int:
-        """Append one entry for `state` and return its 1-based index."""
-        if parent_state is not None:
-            assert 1 <= parent_path_id <= len(self.pairs.get(parent_state, ()))
-        pairs = self.pairs.get(state)
-        if pairs is None:
-            pairs = self.pairs[state] = []
-        pairs.append((parent_state, parent_path_id))
-        return len(pairs)
+    def record_expansion(self, state: int, parent_entry: int) -> int:
+        """Append one entry and return its index."""
+        assert parent_entry < len(self.states)
+        self.states.append(state)
+        self.parents.append(parent_entry)
+        return len(self.states) - 1
 
-    def backtrack(self, state: int, path_id: int) -> list[int]:
-        """States from the search's initial state to `state`, following a recorded path."""
+    def backtrack(self, entry: int) -> list[int]:
+        """States from the search's initial state to entry's state, along its path."""
         seq = []
-        u, i = state, path_id
-        while u is not None:
-            seq.append(u)
-            u, i = self.pairs[u][i - 1]
-        seq.reverse()
-        return seq
+        states, parents = self.states, self.parents
+        while entry >= 0:
+            seq.append(states[entry])
+            entry = parents[entry]
+        return seq[::-1]
 
 
 def walk_tree(pred: list, state: int) -> list[int]:
     """Follow a shortest-path-tree predecessor array from `state` to its root."""
     seq = [state]
-    u = state
-    while pred[u] is not None:
-        u = pred[u]
-        seq.append(u)
+    while pred[seq[-1]] is not None:
+        seq.append(pred[seq[-1]])
     return seq
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import count
 from typing import Iterator, Optional, Sequence
@@ -184,7 +184,7 @@ class SolveOutcome:
     incumbents: list = field(default_factory=list)  # (cost1, cost2, source tag) per update
     tuned: Optional[list] = None
     trace: Optional[dict] = None
-    parents: Optional[dict] = None  # direction -> ParentArrays, with record
+    parents: Optional[dict] = None  # direction -> its expansion log, with record
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +192,13 @@ class SolveOutcome:
 
 
 def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
-        state: int, g1, g2, f1, f2, path_id: int, tag: str = "esu") -> None:
+        state: int, g1, g2, f1, f2, entry: int, tag: str = "esu") -> None:
     """Early solution update: join the node with a complementary shortest path.
 
     In (f1, f2) order the cost1-optimal complement can nominate a solution and
     the cost2-optimal one may still tighten f1_bar; in (f2, f1) order the roles
     mirror, and only the cost2-optimal complement nominates. A nominee joins
-    the node's recorded path with the init tree on that attribute that leads
+    log entry `entry`'s path with the init tree on that attribute that leads
     to the other end.
     """
     ub1 = tables.ub[direction][ATTR1][state]
@@ -206,7 +206,7 @@ def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
     if ordering == ORDER_12:
         f2p = g2 + ub2
         if f2p <= gb.f2_bar:
-            gb.offer(f1, f2p, join_halves(direction, state, (PATH, path_id), TREE_HALF[ATTR1]),
+            gb.offer(f1, f2p, join_halves(direction, state, (PATH, entry), TREE_HALF[ATTR1]),
                      tag)
         else:
             f1p = g1 + ub1
@@ -215,7 +215,7 @@ def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
     else:
         f1p = g1 + ub1
         if f1p <= gb.f1_bar:
-            gb.offer(f1p, f2, join_halves(direction, state, (PATH, path_id), TREE_HALF[ATTR2]),
+            gb.offer(f1p, f2, join_halves(direction, state, (PATH, entry), TREE_HALF[ATTR2]),
                      tag)
         else:
             f2p = g2 + ub2
@@ -224,24 +224,25 @@ def esu(gb: GlobalBounds, tables: BoundsTables, direction: int, ordering: tuple,
 
 
 def match_partial(gb: GlobalBounds, chi_opp: Optional[list], direction: int,
-                  state: int, g1, g2, path_id: int, tag: str = "match") -> None:
+                  state: int, g1, g2, entry: int, tag: str = "match") -> None:
     """Join the node with stored opposite-direction expansions of the same state.
 
-    The list is ordered by non-decreasing g1, so the scan stops at the first
-    joined path whose cost1 exceeds f1_bar.
+    Each stored expansion is (g1, g2, entry), its entry in the opposite
+    direction's log. The list is ordered by non-decreasing g1, so the scan
+    stops at the first joined path whose cost1 exceeds f1_bar.
     """
     if not chi_opp:
         return
-    for y1, y2, yidx in chi_opp:
+    for y1, y2, y_entry in chi_opp:
         c1 = g1 + y1
         if c1 > gb.f1_bar:
             break
         c2 = g2 + y2
         if c2 <= gb.f2_bar:
-            gb.offer(c1, c2, join_halves(direction, state, (PATH, path_id), (PATH, yidx)), tag)
+            gb.offer(c1, c2, join_halves(direction, state, (PATH, entry), (PATH, y_entry)), tag)
 
 
-def store_partial(chi: dict, state: int, g1, g2, path_id: int, refine: bool) -> None:
+def store_partial(chi: dict, state: int, g1, g2, entry: int, refine: bool) -> None:
     """Append the expansion snapshot to the state's list for future matching.
 
     Without tie-breaking the previous entry may be a dominated duplicate of
@@ -250,19 +251,18 @@ def store_partial(chi: dict, state: int, g1, g2, path_id: int, refine: bool) -> 
     """
     lst = chi.get(state)
     if lst is None:
-        lst = []
-        chi[state] = lst
+        lst = chi[state] = []
     if refine and lst and lst[-1][0] == g1:
         lst.pop()
     assert not lst or lst[-1][0] <= g1, "stored expansions must be g1-ordered"
-    lst.append((g1, g2, path_id))
+    lst.append((g1, g2, entry))
 
 
 class SearchContext:
-    """One search direction: its queue, node pool, parent arrays and g_min, and
-    the node processor every solver runs on them. `g_min` comes from the
-    graph's list pool and is written only at expanded states, the keys of
-    the parent arrays."""
+    """One search direction: its queue, node pool, expansion log and g_min,
+    and the node processor every solver runs on them. `g_min` comes from the
+    graph's list pool and is written only at expanded states, the log's
+    state column."""
 
     def __init__(self, graph: Graph, tables: BoundsTables, gb: GlobalBounds,
                  direction: int, ordering: tuple, queue: QueueConfig,
@@ -312,7 +312,7 @@ class SearchContext:
         fmax = gb.f1_bar if p == ATTR1 else gb.f2_bar
         self.open = new_queue(replace(queue, f_min=fp, f_max=fmax))
         self.open.push(fp, tables.h[direction][s][initial_state],
-                       self.pool.allocate(initial_state, 0, 0, None, 0))
+                       self.pool.allocate(initial_state, 0, 0, -1))
 
     def step(self) -> bool:
         """Pop and process one node; False once the queue is empty or the search ends."""
@@ -325,7 +325,7 @@ class SearchContext:
         kp, ks, handle = item
         pool = self.pool
         gb = self.gb
-        u, g1, g2, parent_state, parent_path_id = pool.nodes[handle]
+        u, g1, g2, parent = pool.nodes[handle]
         p = self.p
 
         if self.options.check_invariants:
@@ -381,9 +381,9 @@ class SearchContext:
                 self.tuned.append((self.opp, p, u, gp, self.s, gs))
 
         self.g_min[u] = gs
-        idx = self.parents.record_expansion(u, parent_state, parent_path_id)
+        idx = self.parents.record_expansion(u, parent)
         if self.options.check_invariants:
-            seq = self.parents.backtrack(u, idx)
+            seq = self.parents.backtrack(idx)
             assert len(set(seq)) == len(seq), "expanded path revisits a state"
         if self.options.record:
             self.trace.append((u, g1, g2))
@@ -483,7 +483,7 @@ class SearchContext:
             if nf2 > gb.f2_bar:
                 m.prunes_global_f2 += 1
                 continue
-            handle = pool.allocate(v, ng1, ng2, u, idx)
+            handle = pool.allocate(v, ng1, ng2, idx)
             if p == ATTR1:
                 open_q.push(nf1, nf2, handle)
             else:
@@ -491,26 +491,17 @@ class SearchContext:
 
     def taken(self) -> tuple:
         """(fill, list, written) for the list taken from the graph's pool."""
-        return INF, self.g_min, self.parents.pairs
+        return INF, self.g_min, self.parents.states
 
     def collect(self, metrics: Metrics) -> QueueStats:
-        """Add this context's counters to `metrics`; return its queue's stats."""
-        m = self.metrics
-        metrics.expansions += m.expansions
-        metrics.generations += m.generations
-        metrics.prunes_dominance += m.prunes_dominance
-        metrics.prunes_state_ub += m.prunes_state_ub
-        metrics.prunes_global_f1 += m.prunes_global_f1
-        metrics.prunes_global_f2 += m.prunes_global_f2
-        metrics.stale_reinserts += m.stale_reinserts
-        st = self.open.stats()
-        metrics.pushes += st.pushes
-        metrics.pops += st.pops
-        metrics.queue_ops += st.queue_ops
-        metrics.queue_peak += st.peak_size
-        metrics.pool_slots += self.pool.slots_created
-        metrics.pool_blocks += self.pool.blocks_allocated
-        return st
+        """Complete this context's counters with its queue's and pool's, add
+        them to `metrics`, and return its queue's stats."""
+        m, q = self.metrics, self.open.stats()
+        m.pushes, m.pops, m.queue_ops, m.queue_peak = q.pushes, q.pops, q.queue_ops, q.peak_size
+        m.pool_slots, m.pool_blocks = self.pool.slots_created, self.pool.blocks_allocated
+        for f in fields(Metrics):  # a context's wall_time_s stays 0
+            setattr(metrics, f.name, getattr(metrics, f.name) + getattr(m, f.name))
+        return q
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +519,7 @@ def reconstruct_solution(record: SolutionRecord, tables: BoundsTables,
         if how is None:
             halves.append([state])
         elif how[0] == PATH:
-            halves.append(parents[side].backtrack(state, how[1])[::-1])
+            halves.append(parents[side].backtrack(how[1])[::-1])
         else:
             halves.append(walk_tree(tables.tree[1 - side][how[1]], state))
     return join_forward(halves[0][::-1], halves[1])
@@ -612,11 +603,9 @@ def _solve(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
 
     gb = init.gb
     metrics = Metrics()
-    qstats = {}
-    parents: dict[int, ParentArrays] = {}
-    for ctx in contexts:
-        qstats["forward" if ctx.direction == FORWARD else "backward"] = ctx.collect(metrics)
-        parents[ctx.direction] = ctx.parents
+    qstats = {("forward" if c.direction == FORWARD else "backward"): c.collect(metrics)
+              for c in contexts}
+    parents = {c.direction: c.parents for c in contexts}
     metrics.wall_time_s = time.monotonic() - started
 
     record = gb.record

@@ -95,11 +95,11 @@ def test_criterion_1_golden_trace(example_graph):
     assert m.prunes_global_f2 == 1  # u1's successor dies on f2 = 7 > 6
     assert m.pops == 3  # third pop (f1 = 6 > f1_bar = 5) terminates
     assert out.trace["forward"] == [(S, 0, 0), (U2, 3, 4)]
-    arrays = out.parents[FORWARD]
-    assert arrays.pairs[S] == [(None, 0)]
-    assert arrays.pairs[U2] == [(S, 1)]
+    log = out.parents[FORWARD]  # entry 0 is the start, entry 1 u2 reached from it
+    assert log.states == [S, U2]
+    assert log.parents.tolist() == [-1, 0]
     for u in (U1, U3, G):
-        assert u not in arrays.pairs
+        assert u not in log.states
     # sub-millisecond at desk scale; take the best of five runs
     best = min(_timed_solve(example_graph, inst) for _ in range(5))
     assert best < 1e-3, f"golden instance took {best * 1e3:.3f} ms"
@@ -136,27 +136,28 @@ def test_criterion_3_memory_recycling():
     pool = NodePool()
     parents = ParentArrays()
 
-    def expand(handle, state, parent_ref, child_states):
-        children = [pool.allocate(v, 0, 0, state, 0) for v in child_states]
-        parents.record_expansion(state, *parent_ref)
+    def expand(handle, child_states):
+        state, _, _, parent = pool.nodes[handle]
+        entry = parents.record_expansion(state, parent)
+        children = [pool.allocate(v, 0, 0, entry) for v in child_states]
         pool.recycle(handle)
         return children
 
-    x1 = pool.allocate(s, 0, 0, None, 0)
-    x2, x3 = expand(x1, s, (None, 0), [u1, u2])
-    x4, x5 = expand(x2, u1, (s, 1), [g, u2])
-    (x6,) = expand(x3, u2, (s, 1), [g])
-    expand(x4, g, (u1, 1), [])
-    (x7,) = expand(x5, u2, (u1, 1), [g])
-    expand(x6, g, (u2, 1), [])
-    expand(x7, g, (u2, 2), [])
+    x1 = pool.allocate(s, 0, 0, -1)
+    x2, x3 = expand(x1, [u1, u2])
+    x4, x5 = expand(x2, [g, u2])
+    (x6,) = expand(x3, [g])
+    expand(x4, [])
+    (x7,) = expand(x5, [g])
+    expand(x6, [])
+    expand(x7, [])
 
     assert pool.slots_created == 4
     assert sum(node is not None for node in pool.nodes) == 0
-    assert parents.pairs[s] == [(None, 0)]
-    assert parents.pairs[u1] == [(s, 1)]
-    assert parents.pairs[u2] == [(s, 1), (u1, 1)]
-    assert parents.pairs[g] == [(u1, 1), (u2, 1), (u2, 2)]
+    assert parents.states == [s, u1, u2, g, u2, g, g]
+    assert parents.parents.tolist() == [-1, 0, 0, 1, 1, 2, 4]
+    assert [parents.backtrack(e) for e in range(7)] == [
+        [s], [s, u1], [s, u2], [s, u1, g], [s, u1, u2], [s, u2, g], [s, u1, u2, g]]
 
 
 @criterion(4, "queue properties at one million operations")

@@ -16,7 +16,7 @@ from wcspp.cli import (CSV_COLUMNS, CSV_VERSION_LINE, EXIT_INFEASIBLE, EXIT_OPTI
 from wcspp.graph import BACKWARD, FORWARD, Graph, load_dimacs, random_graph
 from wcspp.oracle import _reverse_dijkstra, constrained_optimum
 from wcspp.pqueue import MonotonicityError
-from wcspp.solvers import SOLVERS, SolveOutcome
+from wcspp.solvers import SOLVERS, SolveOutcome, solve_wc_astar
 
 from conftest import EXAMPLE_EDGES, G, S, road_grid_graph, roadgrid_module
 
@@ -591,6 +591,29 @@ def test_oracle_check_detects_injected_fault():
     assert not ok
     assert any("MISMATCH" in line for line in lines)
     assert any("a 1" in line or "edges" in line for line in lines)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda path: path[::-1],  # runs from the goal to the start
+    lambda path: path[:-1],  # stops short of the goal
+    lambda path: path[:1] + path[:1] + path[1:],  # repeats the start: no such arc
+    lambda path: path[:1] + path[2:],  # skips a state
+], ids=["reversed", "short", "missing-arc", "skipped-state"])
+def test_oracle_check_detects_a_mangled_path(mangle):
+    # Right costs with a wrong path: the costs alone would pass every check.
+    def mangling_solver(graph, inst, cfg, options=None):
+        out = solve_wc_astar(graph, inst, cfg, options)
+        if out.status == "optimal" and len(out.path) > 2:
+            out.path = mangle(out.path)
+        return out
+
+    lines = []
+    ok, checked = oracle_check(seed=3, graph_count=5, max_states=8, cost_lo=1, cost_hi=5,
+                               solvers_map={"mangled": mangling_solver}, report=lines.append)
+    assert not ok
+    assert any(line.startswith("MISMATCH") and "path [" in line for line in lines), lines
+    # the costs agree with the oracle; only the path is wrong
+    assert not any("oracle" in line for line in lines)
 
 
 def test_randomize_command(example_dimacs, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,23 +13,23 @@ from conftest import G, S, U1, U2
 
 def test_allocate_recycle_reuses_slot():
     pool = NodePool()
-    a = pool.allocate(0, 0, 0, None, 0)
+    a = pool.allocate(0, 0, 0, -1)
     pool.recycle(a)
-    b = pool.allocate(1, 1, 1, None, 0)
+    b = pool.allocate(1, 1, 1, -1)
     assert b == a
     assert pool.slots_created == 1
 
 
 def test_allocate_without_recycling_creates_distinct_slots():
     pool = NodePool()
-    handles = [pool.allocate(i, 0, 0, None, 0) for i in range(10)]
+    handles = [pool.allocate(i, 0, 0, -1) for i in range(10)]
     assert len(set(handles)) == 10
     assert pool.slots_created == 10
 
 
 def test_live_count_returns_to_zero():
     pool = NodePool()
-    handles = [pool.allocate(i, 0, 0, None, 0) for i in range(5)]
+    handles = [pool.allocate(i, 0, 0, -1) for i in range(5)]
     assert pool.slots_created == 5
     assert sum(node is not None for node in pool.nodes) == 5
     for h in handles:
@@ -40,19 +41,19 @@ def test_blocks_count_fresh_slots_in_whole_blocks():
     pool = NodePool()
     assert pool.blocks_allocated == 0
     for i in range(BLOCK_NODES + 1):
-        h = pool.allocate(i, 0, 0, None, 0)
+        h = pool.allocate(i, 0, 0, -1)
         if i in (0, BLOCK_NODES - 1):
             assert pool.blocks_allocated == 1
     assert pool.blocks_allocated == 2
     # recycled slots are reissued before any fresh one
     pool.recycle(h)
-    assert pool.allocate(0, 0, 0, None, 0) == h
+    assert pool.allocate(0, 0, 0, -1) == h
     assert pool.slots_created == BLOCK_NODES + 1
 
 
 def test_double_recycle_asserts():
     pool = NodePool()
-    h = pool.allocate(0, 0, 0, None, 0)
+    h = pool.allocate(0, 0, 0, -1)
     pool.recycle(h)
     with pytest.raises(AssertionError):
         pool.recycle(h)
@@ -67,23 +68,24 @@ def test_seven_node_replay_uses_four_slots():
     parents = ParentArrays()
     slot_of = {}
 
-    def expand(name, handle, state, parent_ref, children):
+    def expand(handle, children):
+        state, _, _, parent = pool.nodes[handle]
+        entry = parents.record_expansion(state, parent)
         out = {}
         for child_name, child_state in children:
-            out[child_name] = pool.allocate(child_state, 0, 0, state, 0)
+            out[child_name] = pool.allocate(child_state, 0, 0, entry)
             slot_of[child_name] = out[child_name]
-        parents.record_expansion(state, *parent_ref)
         pool.recycle(handle)
         return out
 
-    slot_of["x1"] = pool.allocate(s, 0, 0, None, 0)
-    n = expand("x1", slot_of["x1"], s, (None, 0), [("x2", u1), ("x3", u2)])
-    n2 = expand("x2", n["x2"], u1, (s, 1), [("x4", g), ("x5", u2)])
-    n3 = expand("x3", n["x3"], u2, (s, 1), [("x6", g)])
-    expand("x4", n2["x4"], g, (u1, 1), [])
-    n5 = expand("x5", n2["x5"], u2, (u1, 1), [("x7", g)])
-    expand("x6", n3["x6"], g, (u2, 1), [])
-    expand("x7", n5["x7"], g, (u2, 2), [])
+    slot_of["x1"] = pool.allocate(s, 0, 0, -1)
+    n = expand(slot_of["x1"], [("x2", u1), ("x3", u2)])
+    n2 = expand(n["x2"], [("x4", g), ("x5", u2)])
+    n3 = expand(n["x3"], [("x6", g)])
+    expand(n2["x4"], [])
+    n5 = expand(n2["x5"], [("x7", g)])
+    expand(n3["x6"], [])
+    expand(n5["x7"], [])
 
     assert pool.slots_created == 4
     assert sum(node is not None for node in pool.nodes) == 0
@@ -93,36 +95,65 @@ def test_seven_node_replay_uses_four_slots():
         groups.setdefault(slot, []).append(name)
     assert sorted(sorted(v) for v in groups.values()) == [
         ["x1", "x4"], ["x2", "x6"], ["x3", "x7"], ["x5"]]
-    assert parents.pairs[s] == [(None, 0)]
-    assert parents.pairs[u1] == [(s, 1)]
-    assert parents.pairs[u2] == [(s, 1), (u1, 1)]
-    assert parents.pairs[g] == [(u1, 1), (u2, 1), (u2, 2)]
+    # x1..x7 are expanded in order, so x(i+1) is entry i of the log
+    assert parents.states == [s, u1, u2, g, u2, g, g]
+    assert parents.parents.tolist() == [-1, 0, 0, 1, 1, 2, 4]
+    assert [parents.backtrack(e) for e in range(7)] == [
+        [s], [s, u1], [s, u2], [s, u1, g], [s, u1, u2], [s, u2, g], [s, u1, u2, g]]
 
 
 def test_record_expansion_initial_node():
     parents = ParentArrays()
-    idx = parents.record_expansion(0, None, 0)
-    assert idx == 1
-    assert parents.pairs[0] == [(None, 0)]
+    idx = parents.record_expansion(0, -1)
+    assert idx == 0
+    assert (parents.states, parents.parents.tolist()) == ([0], [-1])
+    assert parents.backtrack(idx) == [0]
+
+
+def test_record_expansion_refuses_an_unrecorded_parent():
+    parents = ParentArrays()
+    parents.record_expansion(0, -1)
+    with pytest.raises(AssertionError):
+        parents.record_expansion(1, 1)
+
+
+def test_expansion_log_costs_at_most_16_bytes_an_entry():
+    # A list slot and a 4-byte int. tracemalloc counts bytes, not time, so
+    # host load cannot move the figure; the per-state pair lists the log
+    # replaced took about 70 bytes an entry. A search logs the state objects
+    # its graph already holds, so the states exist before the log does.
+    entries = 100_000
+    states = list(range(7919))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parents = ParentArrays()
+        for i in range(entries):
+            parents.record_expansion(states[i % 7919], i // 2 - 1)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(parents.states) == entries
+    assert used / entries <= 16, f"{used / entries:.1f} bytes an entry"
 
 
 def test_backtrack_and_join(example_graph):
     # Hand-built state: start expanded (initial), then u2 from start.
     parents = ParentArrays()
-    parents.record_expansion(S, None, 0)
-    idx = parents.record_expansion(U2, S, 1)
-    assert parents.backtrack(U2, idx) == [S, U2]
+    start = parents.record_expansion(S, -1)
+    idx = parents.record_expansion(U2, start)
+    assert parents.backtrack(idx) == [S, U2]
     # cost1-shortest-path tree toward the goal: next hop per state
     tree = [U1, U2, G, G, None]
     assert walk_tree(tree, U2) == [U2, G]
-    assert join_forward(parents.backtrack(U2, idx), walk_tree(tree, U2)) == [S, U2, G]
+    assert join_forward(parents.backtrack(idx), walk_tree(tree, U2)) == [S, U2, G]
 
 
 def test_join_at_initial_state_is_whole_tree_path():
     parents = ParentArrays()
-    parents.record_expansion(S, None, 0)
+    start = parents.record_expansion(S, -1)
     tree = [U1, U2, G, G, None]
-    path = join_forward(parents.backtrack(S, 1), walk_tree(tree, S))
+    path = join_forward(parents.backtrack(start), walk_tree(tree, S))
     assert path == [S, U1, U2, G]
 
 

@@ -54,7 +54,7 @@ def example_tables():
 def test_esu_records_tentative_solution_at_u2():
     gb = GlobalBounds(6)
     gb.f1_bar = 7
-    esu(gb, example_tables(), FORWARD, ORDER_12, U2, 3, 4, 5, 5, path_id=1)
+    esu(gb, example_tables(), FORWARD, ORDER_12, U2, 3, 4, 5, 5, entry=1)
     assert (gb.f1_bar, gb.f2_sol) == (5, 5)
     # the forward path to u2, then the forward cost1 tree to the goal
     assert gb.record == SolutionRecord((5, 5), U2, (PATH, 1), (TREE, ATTR1))
@@ -63,7 +63,7 @@ def test_esu_records_tentative_solution_at_u2():
 def test_esu_no_improvement_at_start():
     gb = GlobalBounds(6)
     gb.f1_bar = 7
-    esu(gb, example_tables(), FORWARD, ORDER_12, S, 0, 0, 3, 3, path_id=1)
+    esu(gb, example_tables(), FORWARD, ORDER_12, S, 0, 0, 3, 3, entry=1)
     # joined cost2 is 8 > 6; fallback join gives exactly 7, not strictly smaller
     assert (gb.f1_bar, gb.f2_sol) == (7, INF)
     assert gb.record == SolutionRecord()
@@ -72,7 +72,7 @@ def test_esu_no_improvement_at_start():
 def test_esu_fallback_tightens_f1_only():
     gb = GlobalBounds(6)
     gb.f1_bar = 9
-    esu(gb, example_tables(), FORWARD, ORDER_12, S, 0, 0, 3, 3, path_id=1)
+    esu(gb, example_tables(), FORWARD, ORDER_12, S, 0, 0, 3, 3, entry=1)
     assert (gb.f1_bar, gb.f2_sol) == (7, INF)
     assert gb.record == SolutionRecord()
 
@@ -80,7 +80,7 @@ def test_esu_fallback_tightens_f1_only():
 def test_esu_at_target_state_always_passes_case_one():
     gb = GlobalBounds(6)
     gb.f1_bar = 9
-    esu(gb, example_tables(), FORWARD, ORDER_12, G, 4, 5, 4, 5, path_id=1)
+    esu(gb, example_tables(), FORWARD, ORDER_12, G, 4, 5, 4, 5, entry=1)
     assert (gb.f1_bar, gb.f2_sol) == (4, 5)
     assert gb.record == SolutionRecord((4, 5), G, (PATH, 1), (TREE, ATTR1))
 
@@ -95,14 +95,14 @@ def test_esu_secondary_ordering_mirrors():
     gb = GlobalBounds(20)
     gb.f1_bar = 10
     # joined pair on the cost2 complement: (1 + 6, 3 + 2) = (7, 5)
-    esu(gb, t, BACKWARD, ORDER_21, 1, 1, 3, 5, 5, path_id=1)
+    esu(gb, t, BACKWARD, ORDER_21, 1, 1, 3, 5, 5, entry=1)
     assert (gb.f1_bar, gb.f2_sol) == (7, 5)
     # the backward cost2 tree from the start, then the backward path
     assert gb.record == SolutionRecord((7, 5), 1, (TREE, ATTR2), (PATH, 1))
     # fallback branch: joined cost1 too big, cost1-complement feasible and smaller
     gb2 = GlobalBounds(20)
     gb2.f1_bar = 6
-    esu(gb2, t, BACKWARD, ORDER_21, 1, 1, 3, 5, 5, path_id=1)
+    esu(gb2, t, BACKWARD, ORDER_21, 1, 1, 3, 5, 5, entry=1)
     assert (gb2.f1_bar, gb2.f2_sol) == (5, INF)
     assert gb2.record == SolutionRecord()
 
@@ -120,10 +120,10 @@ def test_terminal_skip_examples(example_graph):
         gb.f1_bar = 100
         ctx = SearchContext(example_graph, example_tables(), gb, FORWARD, ORDER_12,
                             BUCKET_CFG, S)
-        ctx.parents.record_expansion(S, None, 0)
+        start = ctx.parents.record_expansion(S, -1)
         f1 = g[0] + EXAMPLE_H_F[state][0]
         f2 = g[1] + EXAMPLE_H_F[state][1]
-        handle = ctx.pool.allocate(state, g[0], g[1], S, 1)
+        handle = ctx.pool.allocate(state, g[0], g[1], start)
         assert ctx.process((f1, f2, handle))
         assert ctx.metrics.expansions == int(expanded), state
         # Every live node is queued: the processed one went back to the pool.
@@ -136,7 +136,7 @@ def test_terminal_skip_examples(example_graph):
 
 def test_match_single_join():
     gb = GlobalBounds(6)
-    match_partial(gb, [(1, 1, 1)], FORWARD, 3, 2, 3, path_id=2)
+    match_partial(gb, [(1, 1, 1)], FORWARD, 3, 2, 3, entry=2)
     assert (gb.f1_bar, gb.f2_sol) == (3, 4)
     # forward path 2 to state 3, then the stored backward path 1
     assert gb.record == SolutionRecord((3, 4), 3, (PATH, 2), (PATH, 1))
@@ -146,15 +146,15 @@ def test_match_early_break():
     gb = GlobalBounds(6)
     gb.f1_bar = 4
     # y1 infeasible on cost2, y2 breaks the scan at 2 + 5 = 7 > 4
-    match_partial(gb, [(1, 9, 1), (5, 1, 2)], FORWARD, 3, 2, 3, path_id=2)
+    match_partial(gb, [(1, 9, 1), (5, 1, 2)], FORWARD, 3, 2, 3, entry=2)
     assert (gb.f1_bar, gb.f2_sol) == (4, INF)
     assert gb.record == SolutionRecord()
 
 
 def test_match_empty_is_noop():
     gb = GlobalBounds(6)
-    match_partial(gb, None, FORWARD, 3, 2, 3, path_id=2)
-    match_partial(gb, [], FORWARD, 3, 2, 3, path_id=2)
+    match_partial(gb, None, FORWARD, 3, 2, 3, entry=2)
+    match_partial(gb, [], FORWARD, 3, 2, 3, entry=2)
     assert gb.record == SolutionRecord()
 
 
@@ -170,33 +170,33 @@ def example_halves() -> tuple:
     t.tree[FORWARD][ATTR2] = [U3, G, G, G, None]
     t.tree[BACKWARD][ATTR1] = [None, S, S, S, U2]  # next state toward the start
     t.tree[BACKWARD][ATTR2] = [None, S, U3, S, U2]
-    fwd = ParentArrays()  # from the start: u2 by path 1 direct, by path 2 via u1
-    fwd.record_expansion(S, None, 0)
-    fwd.record_expansion(U1, S, 1)
-    fwd.record_expansion(U2, S, 1)
-    fwd.record_expansion(U2, U1, 1)
-    fwd.record_expansion(G, U2, 2)
-    bwd = ParentArrays()  # from the goal: u1 by path 1 direct, by path 2 via u2
-    bwd.record_expansion(G, None, 0)
-    bwd.record_expansion(U2, G, 1)
-    bwd.record_expansion(U1, G, 1)
-    bwd.record_expansion(U1, U2, 1)
-    bwd.record_expansion(S, U1, 2)
+    fwd = ParentArrays()  # from the start: u2 by entry 2 direct, by entry 3 via u1
+    fwd.record_expansion(S, -1)  # entry 0
+    fwd.record_expansion(U1, 0)  # 1
+    fwd.record_expansion(U2, 0)  # 2
+    fwd.record_expansion(U2, 1)  # 3
+    fwd.record_expansion(G, 3)  # 4
+    bwd = ParentArrays()  # from the goal: u1 by entry 2 direct, by entry 3 via u2
+    bwd.record_expansion(G, -1)  # entry 0
+    bwd.record_expansion(U2, 0)  # 1
+    bwd.record_expansion(U1, 0)  # 2
+    bwd.record_expansion(U1, 1)  # 3
+    bwd.record_expansion(S, 3)  # 4
     return t, {FORWARD: fwd, BACKWARD: bwd}
 
 
 @pytest.mark.parametrize("state, to_start, to_goal, path", [
     (U2, (TREE, ATTR2), (TREE, ATTR1), [S, U3, U2, G]),
-    (U2, (PATH, 2), (TREE, ATTR1), [S, U1, U2, G]),
-    (U2, (PATH, 1), (TREE, ATTR2), [S, U2, G]),
-    (U1, (TREE, ATTR1), (PATH, 2), [S, U1, U2, G]),
+    (U2, (PATH, 3), (TREE, ATTR1), [S, U1, U2, G]),
+    (U2, (PATH, 2), (TREE, ATTR2), [S, U2, G]),
+    (U1, (TREE, ATTR1), (PATH, 3), [S, U1, U2, G]),
     (U2, (TREE, ATTR2), (PATH, 1), [S, U3, U2, G]),
-    (U1, (PATH, 1), (PATH, 2), [S, U1, U2, G]),
-    (U2, (PATH, 2), (PATH, 1), [S, U1, U2, G]),
+    (U1, (PATH, 1), (PATH, 3), [S, U1, U2, G]),
+    (U2, (PATH, 3), (PATH, 1), [S, U1, U2, G]),
     (S, None, (TREE, ATTR2), [S, U3, G]),
-    (S, None, (PATH, 1), [S, U1, U2, G]),
+    (S, None, (PATH, 4), [S, U1, U2, G]),
     (G, (TREE, ATTR1), None, [S, U2, G]),
-    (G, (PATH, 1), None, [S, U1, U2, G]),
+    (G, (PATH, 4), None, [S, U1, U2, G]),
 ], ids=["tree+tree", "path+tree", "path+tree-2", "tree+path", "tree+path-2", "path+path",
         "path+path-2", "start+tree", "start+path", "tree+goal", "path+goal"])
 def test_reconstruct_solution_every_half_shape(example_graph, state, to_start, to_goal, path):
@@ -236,7 +236,7 @@ def test_store_without_refinement_appends():
 def _context_for(graph, tables, gb):
     ctx = SearchContext(graph, tables, gb, FORWARD, ORDER_12, BUCKET_CFG, 0,
                         options=SolveOptions())
-    ctx.parents.record_expansion(0, None, 0)
+    ctx.parents.record_expansion(0, -1)
     return ctx
 
 
@@ -251,7 +251,7 @@ def test_expand_prunes_dominated_successor():
     gb.f1_bar = 100
     ctx = _context_for(g, t, gb)
     ctx.g_min[1] = 1  # a previous expansion of state 1 had g2 = 1
-    ctx.expand_prune(0, 0, 0, idx=1)
+    ctx.expand_prune(0, 0, 0, idx=0)
     assert ctx.metrics.prunes_dominance == 1
     assert len(ctx.open) == 1  # only the setup node remains
 
@@ -270,13 +270,13 @@ def test_expand_prunes_by_opposite_upper_bounds():
     gb = GlobalBounds(100)
     gb.f1_bar = 100
     ctx = _context_for(g, t, gb)
-    ctx.expand_prune(0, 0, 0, idx=1)
+    ctx.expand_prune(0, 0, 0, idx=0)
     assert ctx.metrics.prunes_state_ub == 1
     # without the opposite tables the same successor survives
     t.h[BACKWARD] = [None, None]
     t.ub[BACKWARD] = [None, None]
     ctx2 = _context_for(g, t, gb)
-    ctx2.expand_prune(0, 0, 0, idx=1)
+    ctx2.expand_prune(0, 0, 0, idx=0)
     assert ctx2.metrics.prunes_state_ub == 0
     assert len(ctx2.open) == 2
 
