@@ -8,22 +8,21 @@ direction and its attribute, and a run bounded by L settles exactly the
 prefix with primary cost <= L of any run with a larger bound, in the same
 order. Plain searches are not rerun per solve. Each graph records one
 finished unmasked search per (source, traverse direction, attribute)
-(`GoalTree`, in the `GoalTrees` cache on `graph.goal_trees`, a byte-bounded
-LRU), grows it by resuming its search from its last shell when asked for
-a larger bound or for a state it does not hold, and serves the prefix as
-data: `BoundedSearch.serve` writes the prefix into the search's
-lists in one loop, masked or not, and applies the live loop's target rule
-(`BoundedSearch._reach_target`) to the target's entry. Every plan's first
-search, cost2 from the goal over the reversed graph bounded by the weight
-limit W, is plain (a goal tree):
-the start's entry seeds f1_bar, or, when the prefix lacks the start, the
-init is INFEASIBLE. So is the parallel plan's round-one cost1 search from
-the start, bounded by f1_bar, on a graph without coordinates (a start
-tree): when the goal lies in its prefix within W, the prefix is cut just
-after the goal and the init is a SHORTCUT. And so is the unidirectional
-plan's round-two cost1 search from the goal, bounded by f1_bar and kept to
-the states that the cost2 search settled, on a graph without coordinates (a
-cost1 goal tree).
+(`GoalTree`, in the `GoalTrees` cache on `graph.goal_trees`, a
+byte-bounded LRU), grows it by resuming its search from its last shell
+when asked for a larger bound or for a state it does not hold, and serves
+the prefix as data: `BoundedSearch.serve` writes the prefix into the
+search's lists, filtered to the mask when it has one, and applies the live
+loop's target rule (`BoundedSearch._reach_target`) to the target's entry.
+Every plan's first search, cost2 from the goal over the reversed graph
+bounded by the weight limit W, is plain (a goal tree): the start's entry
+seeds f1_bar, or, when the prefix lacks the start, the init is INFEASIBLE.
+So is the parallel plan's round-one cost1 search from the start, bounded
+by f1_bar, on a graph without coordinates (a start tree): when the goal
+lies in its prefix within W, the prefix is cut just after the goal and the
+init is a SHORTCUT. And so is the unidirectional plan's round-two cost1
+search from the goal, bounded by f1_bar and kept to the states that the
+cost2 search settled, on a graph without coordinates (a cost1 goal tree).
 
 A masked search is served the tree's prefix filtered to the mask, for as
 long as each served state's tree predecessor was itself served. That much
@@ -212,6 +211,18 @@ class BoundedSearch:
     number, and a search without an init also stops once its `target` has
     settled; `order` lists the settled states in settle order.
 
+    The pooled lists `dist`, `comp` and `pred` hold each labelled state's
+    primary cost, secondary cost and predecessor (None for the source):
+    final at a settled state, tentative at an unsettled one, which then has
+    its entry in the heap, `(f, secondary, primary, state)`. A state is
+    labelled and pushed only on a strict improvement, so no two entries
+    tie and its best entry pops first; the settled mask skips the older
+    ones. Nor is a state labelled past the bound: the bound never rises (W
+    and `bound` are fixed, f1_bar only falls), so such an entry could never
+    settle. Every exit of `run()` and `serve()` gives the unsettled states
+    in the heap their fill back, so only the states in `order` hold labels
+    and the pool resets each list from `order` alone.
+
     An init search also gets `init`, its round's InitResult, with `target`,
     the state at the far end, and `joins`, (record half, cost1 table, cost2
     table) per opposite table. Its `bound` is unused: `run()` reads the
@@ -247,11 +258,9 @@ class BoundedSearch:
         self.pred: list[Optional[int]] = pool.take(None)
         self.settled = pool.take(False)
         self.order: list[int] = []
-        # Tentative labels of the states in the heap: primary and secondary cost.
-        self.best_p: dict[int, int] = {source: 0}
-        self.best_s: dict[int, int] = {source: 0}
+        self.dist[source] = self.comp[source] = 0
         h0 = heuristic[source] if heuristic is not None else 0
-        self.heap: list[tuple] = [(h0, 0, 0, source, -1)]
+        self.heap: list[tuple] = [(h0, 0, 0, source)]
 
     def _arcs(self) -> tuple:
         """(index, to, primary cost, secondary cost): the compressed arc
@@ -263,6 +272,15 @@ class BoundedSearch:
             index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
         return (index, to, c1, c2) if self.attr == ATTR1 else (index, to, c2, c1)
 
+    def _unlabel(self) -> None:
+        """Give every unsettled state in the heap its fill back."""
+        dist, comp, pred, settled = self.dist, self.comp, self.pred, self.settled
+        for entry in self.heap:
+            u = entry[3]
+            if not settled[u]:
+                dist[u] = comp[u] = INF
+                pred[u] = None
+
     def run(self) -> "BoundedSearch":
         """Settle states until the bound or the heap runs out, or until the
         target ends the search: as it settles, without an init, or by the
@@ -272,8 +290,7 @@ class BoundedSearch:
         index, to, cp, cs = self._arcs()
         attr = self.attr
         heappop, heappush = heapq.heappop, heapq.heappush
-        heap, best_p, best_s, heuristic, allowed, bound = (
-            self.heap, self.best_p, self.best_s, self.heuristic, self.allowed, self.bound)
+        heap, heuristic, allowed, bound = self.heap, self.heuristic, self.allowed, self.bound
         dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
                                              self.order.append)
         init, target, joins = self.init, self.target, self.joins
@@ -286,22 +303,22 @@ class BoundedSearch:
             hvals, fill = heuristic, heuristic.__getitem__
         if init is not None:
             if init.status != SEARCH:
+                self._unlabel()
                 return self
             gb = init.gb
             f2_bar = gb.f2_bar  # the weight limit, which never moves
             bound = gb.f1_bar if attr == ATTR1 else f2_bar
             side, mine = self.traverse_dir, TREE_HALF[attr]
         while heap:
-            f, ds, dp, u, pu = heappop(heap)
+            entry = heappop(heap)
+            f, ds, dp, u = entry
             if settled[u]:
                 continue
             if f > bound:
+                heappush(heap, entry)
                 break
             settled[u] = True
             settle(u)
-            dist[u] = dp
-            comp[u] = ds
-            pred[u] = pu if pu >= 0 else None
             if joins or u == target:
                 cu1, cu2 = (dp, ds) if attr == ATTR1 else (ds, dp)
                 for half, tc1, tc2 in joins:
@@ -311,7 +328,7 @@ class BoundedSearch:
                         gb.offer(cu1 + o1, cu2 + o2, join_halves(side, u, mine, half),
                                  "init-match")
                 if u == target and (init is None or self._reach_target(dp, ds)):
-                    return self
+                    break
                 if attr == ATTR1:
                     bound = gb.f1_bar  # lowered by this block's offers
             for i in range(index[u], index[u + 1]):
@@ -321,15 +338,21 @@ class BoundedSearch:
                 if settled[v]:
                     continue
                 ndp = dp + cp[i]
+                cur = dist[v]
+                if ndp > cur:
+                    continue
                 nds = ds + cs[i]
-                cur = best_p.get(v)
-                if cur is None or ndp < cur or (ndp == cur and nds < best_s[v]):
-                    best_p[v] = ndp
-                    best_s[v] = nds
-                    hv = hvals[v] if hvals is not None else 0
-                    if hv < 0:
-                        hv = fill(v)
-                    heappush(heap, (ndp + hv, nds, ndp, v, u))
+                if ndp == cur and nds >= comp[v]:
+                    continue
+                hv = hvals[v] if hvals is not None else 0
+                if hv < 0:
+                    hv = fill(v)
+                if ndp + hv <= bound:
+                    dist[v] = ndp
+                    comp[v] = nds
+                    pred[v] = u
+                    heappush(heap, (ndp + hv, nds, ndp, v))
+        self._unlabel()
         if init is not None and attr == ATTR2 and not settled[target]:
             init.status = INFEASIBLE
         return self
@@ -357,17 +380,19 @@ class BoundedSearch:
         bound that `run()` reads as it starts (the weight limit on cost2,
         f1_bar on cost1) is what an unmasked live search settles. On cost1
         the prefix is cut just after an allowed target whose companion is
-        within the weight limit, where the live search ends. The source is
-        written whatever the mask; one loop then writes each later allowed
-        state of the prefix in order, up to the first whose tree predecessor
-        was not written: there the mask binds (counted in `GoalTrees.binds`).
-        The target rule applies to the target's entry once written, and a
+        within the weight limit, where the live search ends. An unmasked
+        search writes the whole prefix in one loop. A masked one writes the
+        source whatever the mask, then each later allowed state of the
+        prefix in order, up to the first whose tree predecessor was not
+        written: there the mask binds (counted in `GoalTrees.binds`). The
+        target rule applies to the target's entry once written, and a
         cost2 search that ends without it marks the init INFEASIBLE. A search
         whose mask binds at tree distance D rebuilds the frontier from the
         written states at tree distance D - c_max or more, the shell that
         can border an unsettled allowed state (`rebuild_frontier`, with
         c_max from `GoalTrees.max_cost`), and runs on live (`run()`). Like
         `run()`, it settles nothing once the init is decided."""
+        self._unlabel()
         self.heap.clear()
         init, target, attr, allowed = self.init, self.target, self.attr, self.allowed
         if init.status != SEARCH:
@@ -383,26 +408,35 @@ class BoundedSearch:
             else:
                 if tree.comp[i] <= gb.f2_bar:
                     count = i + 1
-        dist, comp, pred, settled, settle = (self.dist, self.comp, self.pred, self.settled,
-                                             self.order.append)
-        entries = islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count)
-        for u, dp, ds, _ in islice(entries, 1):  # the source, whatever the mask
-            settle(u)
-            settled[u] = True
-            dist[u] = dp
-            comp[u] = ds
+        dist, comp, pred, settled = self.dist, self.comp, self.pred, self.settled
         bind = None  # the tree distance of the state where the mask binds
-        for u, dp, ds, pu in entries:
-            if allowed is not None and not allowed[u]:
-                continue
-            if not settled[pu]:  # the mask cuts u's tree path
-                bind = dp
-                break
-            settle(u)
-            settled[u] = True
-            dist[u] = dp
-            comp[u] = ds
-            pred[u] = pu
+        if allowed is None:
+            self.order = order = tree.order[:count].tolist()
+            for u, dp, ds, pu in zip(order, tree.dist, tree.comp, tree.pred):
+                settled[u] = True
+                dist[u] = dp
+                comp[u] = ds
+                pred[u] = pu
+            pred[self.source] = None
+        else:
+            settle = self.order.append
+            entries = islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count)
+            for u, dp, ds, _ in islice(entries, 1):  # the source, whatever the mask
+                settle(u)
+                settled[u] = True
+                dist[u] = dp
+                comp[u] = ds
+            for u, dp, ds, pu in entries:
+                if not allowed[u]:
+                    continue
+                if not settled[pu]:  # the mask cuts u's tree path
+                    bind = dp
+                    break
+                settle(u)
+                settled[u] = True
+                dist[u] = dp
+                comp[u] = ds
+                pred[u] = pu
         if settled[target] and self._reach_target(dist[target], comp[target]):
             return
         if bind is not None:
@@ -414,12 +448,14 @@ class BoundedSearch:
             init.status = INFEASIBLE
 
     def rebuild_frontier(self, floor) -> None:
-        """Make the heap the one a run would hold after settling exactly
-        `order`, in that order, with the labels and predecessors written in
-        the lists: for each unsettled allowed neighbour of a settled state,
-        its best label from `run()`'s relaxation rule, with the first
-        settled state in `order` that gives it as predecessor. A later
-        `run()` then continues that run.
+        """Make the heap the frontier of a run that settled exactly
+        `order`, in that order, with the labels written in the lists: each
+        unsettled allowed neighbour of a settled state gets its best label
+        by `run()`'s relaxation rule, with the first settled state in
+        `order` that gives it as predecessor, as a tentative label in the
+        lists and an entry in the heap. Every unsettled state must hold its
+        fill. No bound applies here: the later `run()` that continues the
+        run breaks at the first entry past its own.
 
         `order` must be non-decreasing in primary cost, as a served prefix
         is, and no settled state with primary cost below `floor` may have
@@ -427,8 +463,8 @@ class BoundedSearch:
         above `floor`, found by bisection, is scanned. A floor of 0 scans
         every settled state."""
         index, to, cp, cs = self._arcs()
-        best_p, best_s, heuristic, allowed = self.best_p, self.best_s, self.heuristic, self.allowed
-        dist, comp, settled, order = self.dist, self.comp, self.settled, self.order
+        heuristic, allowed, settled, order = self.heuristic, self.allowed, self.settled, self.order
+        dist, comp, pred = self.dist, self.comp, self.pred
         frontier = {}
         for u in islice(order, bisect_left(order, floor, key=dist.__getitem__), None):
             dp, ds = dist[u], comp[u]
@@ -440,12 +476,13 @@ class BoundedSearch:
                     continue
                 ndp = dp + cp[i]
                 nds = ds + cs[i]
-                cur = best_p.get(v)
-                if cur is None or ndp < cur or (ndp == cur and nds < best_s[v]):
-                    best_p[v] = ndp
-                    best_s[v] = nds
+                cur = dist[v]
+                if ndp < cur or (ndp == cur and nds < comp[v]):
+                    dist[v] = ndp
+                    comp[v] = nds
+                    pred[v] = u
                     hv = heuristic[v] if heuristic is not None else 0
-                    frontier[v] = (ndp + hv, nds, ndp, v, u)
+                    frontier[v] = (ndp + hv, nds, ndp, v)
         self.heap = list(frontier.values())
         heapq.heapify(self.heap)
 
@@ -608,6 +645,7 @@ class GoalTrees(ByteLRU):
         if tree is not None:
             self.grows += 1
             if len(tree.order):
+                search._unlabel()  # the source's label: the shell makes the frontier
                 settled, dist, comp = search.settled, search.dist, search.comp
                 for u in tree.order:
                     settled[u] = True
@@ -711,10 +749,10 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
     searches of the previous round settled. The init ends early on
     INFEASIBLE or SHORTCUT; only a SEARCH init gets S', the union of the
     last round's settled states. Both masks are taken from the graph's pool
-    and scattered from the searches' settle orders, so building them costs
-    O(settled), not O(n), in Python. Every list taken is listed in
-    `result.taken`. A start or goal that is not a state of the graph raises
-    ValueError.
+    and scattered from settle orders, a round's mask from the shorter of its
+    two, so building them costs O(settled), not O(n), in Python. Every list
+    taken is listed in `result.taken`. A start or goal that is not a state
+    of the graph raises ValueError.
     """
     n = graph.state_count
     for end, state in (("start", inst.start), ("goal", inst.goal)):
@@ -730,13 +768,13 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
         if len(searches) == 1:
             allowed = searches[0].settled
         elif searches:
-            first, second = searches
-            in_second = second.settled
+            shorter, longer = sorted(searches, key=lambda search: len(search.order))
+            in_longer = longer.settled
             allowed = pool.take(False)
-            for u in first.order:
-                if in_second[u]:
+            for u in shorter.order:
+                if in_longer[u]:
                     allowed[u] = True
-            result.taken.append((False, allowed, first.order))
+            result.taken.append((False, allowed, shorter.order))
         searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
                     for table_dir, attr in rnd]
         for (table_dir, attr), search in zip(rnd, searches):

@@ -18,8 +18,8 @@ when that level first runs dry.
 
 queue_ops semantics per kind:
   bucket      -- bucket indices examined (both levels; each index at most once)
-  hybrid      -- high indices examined + nodes transferred high->low + heap swaps
-  binary_heap -- heap swaps
+  hybrid      -- high indices examined + nodes transferred high->low + heap levels moved
+  binary_heap -- heap levels moved, one per swap of a swapping sift
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ def new_queue(cfg: QueueConfig):
 
 
 class _CountingHeap:
-    """Array binary heap that counts element swaps; compares (kp,) or (kp, ks)."""
+    """Array binary heap on (kp,) or, with `tie_break`, (kp, ks) of each
+    entry. A sift moves each entry it passes one level and writes the
+    sifting entry once, into the hole where it stops; `queue_ops` counts one
+    op per level moved, as many as the swaps of a swapping sift."""
 
     __slots__ = ("items", "tie_break", "stats")
 
@@ -103,23 +106,24 @@ class _CountingHeap:
         self.tie_break = tie_break
         self.stats = stats
 
-    def _less(self, a, b) -> bool:
-        if a[0] != b[0]:
-            return a[0] < b[0]
-        return self.tie_break and a[1] < b[1]
-
     def push(self, entry) -> None:
         items = self.items
+        i = len(items)
         items.append(entry)
-        i = len(items) - 1
-        while i > 0:
+        kp, ks, tie = entry[0], entry[1], self.tie_break
+        moved = 0
+        while i:
             parent = (i - 1) >> 1
-            if self._less(items[i], items[parent]):
-                items[i], items[parent] = items[parent], items[i]
-                self.stats.queue_ops += 1
+            up = items[parent]
+            if kp < up[0] or (tie and kp == up[0] and ks < up[1]):
+                items[i] = up
                 i = parent
+                moved += 1
             else:
                 break
+        if moved:
+            items[i] = entry
+            self.stats.queue_ops += moved
 
     def peek(self):
         return self.items[0]
@@ -130,22 +134,24 @@ class _CountingHeap:
         last = items.pop()
         n = len(items)
         if n:
-            items[0] = last
+            kp, ks, tie = last[0], last[1], self.tie_break
             i = 0
-            while True:
-                left = 2 * i + 1
-                if left >= n:
-                    break
-                child = left
-                right = left + 1
-                if right < n and self._less(items[right], items[left]):
-                    child = right
-                if self._less(items[child], items[i]):
-                    items[i], items[child] = items[child], items[i]
-                    self.stats.queue_ops += 1
+            child = 1
+            while child < n:
+                down = items[child]
+                right = child + 1
+                if right < n:
+                    other = items[right]
+                    if other[0] < down[0] or (tie and other[0] == down[0] and other[1] < down[1]):
+                        child, down = right, other
+                if down[0] < kp or (tie and down[0] == kp and down[1] < ks):
+                    items[i] = down
                     i = child
+                    child = 2 * i + 1
                 else:
                     break
+            items[i] = last
+            self.stats.queue_ops += (i + 1).bit_length() - 1
         return top
 
 
@@ -318,8 +324,9 @@ class HybridQueue(_Buckets):
 
     The heap holds the entered bucket's nodes; when it runs dry, the next
     non-empty bucket moves into it wholesale (one queue op per node moved,
-    plus the sift swaps). Pushes into bucket 0 go straight to the heap, and
-    index 0 is examined and counted only when the heap first runs dry.
+    plus the levels its sifts move). Pushes into bucket 0 go straight to the
+    heap, and index 0 is examined and counted only when the heap first runs
+    dry.
     """
 
     def __init__(self, cfg: QueueConfig):

@@ -261,8 +261,8 @@ def store_partial(chi: dict, state: int, g1, g2, entry: int, refine: bool) -> No
 class SearchContext:
     """One search direction: its queue, node pool, expansion log and g_min,
     and the node processor every solver runs on them. `g_min` comes from the
-    graph's list pool and is written only at expanded states, the log's
-    state column."""
+    graph's list pool and is written only at expanded states, which
+    `expanded` lists once each, in the order of their first expansions."""
 
     def __init__(self, graph: Graph, tables: BoundsTables, gb: GlobalBounds,
                  direction: int, ordering: tuple, queue: QueueConfig,
@@ -306,6 +306,7 @@ class SearchContext:
         self.tag = f"esu:{'f' if direction == FORWARD else 'b'}:{p + 1}{s + 1}"
 
         self.g_min = list_pool(graph).take(INF)
+        self.expanded: list[int] = []
         self.pool = NodePool()
         self.parents = ParentArrays()
         fp = self.h_p[initial_state]
@@ -366,19 +367,21 @@ class SearchContext:
             pool.recycle(handle)
             return True
 
-        if self.htf and self.g_min[u] == INF:
-            # First expansion of u in this ordering: its costs bound every later
-            # valid path to u, so the opposite direction may adopt them.
-            gp = g1 if p == ATTR1 else g2
-            if self.options.check_invariants:
-                # The pooled tables are reset only at the states their init
-                # search settled, so tuning must write nowhere else.
-                assert self.tables.h[self.opp][p][u] != INF, \
-                    "tuning writes a state its table's init search did not settle"
-            self.tables.h[self.opp][p][u] = gp
-            self.tables.ub[self.opp][self.s][u] = gs
-            if self.options.record:
-                self.tuned.append((self.opp, p, u, gp, self.s, gs))
+        if self.g_min[u] == INF:
+            self.expanded.append(u)
+            if self.htf:
+                # First expansion of u in this ordering: its costs bound every
+                # later valid path to u, so the opposite direction may adopt them.
+                gp = g1 if p == ATTR1 else g2
+                if self.options.check_invariants:
+                    # The pooled tables are reset only at the states their init
+                    # search settled, so tuning must write nowhere else.
+                    assert self.tables.h[self.opp][p][u] != INF, \
+                        "tuning writes a state its table's init search did not settle"
+                self.tables.h[self.opp][p][u] = gp
+                self.tables.ub[self.opp][self.s][u] = gs
+                if self.options.record:
+                    self.tuned.append((self.opp, p, u, gp, self.s, gs))
 
         self.g_min[u] = gs
         idx = self.parents.record_expansion(u, parent)
@@ -491,7 +494,7 @@ class SearchContext:
 
     def taken(self) -> tuple:
         """(fill, list, written) for the list taken from the graph's pool."""
-        return INF, self.g_min, self.parents.states
+        return INF, self.g_min, self.expanded
 
     def collect(self, metrics: Metrics) -> QueueStats:
         """Complete this context's counters with its queue's and pool's, add

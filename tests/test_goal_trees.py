@@ -5,11 +5,13 @@ gives, counter for counter and table for table."""
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 from wcspp.bounds import ATTR1, ATTR2, INF, INFEASIBLE, SEARCH, SHORTCUT, BoundedSearch, \
-    BoundsTables, GlobalBounds, InitResult, _init_search, _int_array, goal_trees, \
-    init_parallel_bidirectional, init_unidirectional
+    BoundsTables, GlobalBounds, GoalTrees, InitResult, _init_search, _int_array, goal_trees, \
+    init_parallel_bidirectional, init_sequential_bidirectional, init_unidirectional
+from wcspp.caches import ListPool
 from wcspp.cli import gen_instances
 from wcspp.graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
@@ -158,7 +160,7 @@ def test_served_start_trees_match_a_fresh_graph(inits):
     # With coordinates the cost1 search has the geometric heuristic and
     # runs live: only goal trees are cached.
     rng = random.Random(11)
-    for _ in range(10):
+    for _ in range(30):
         geo = geo_random_graph(rng.randrange(2**30), 20, 40)
         for w in (10, 40, 10**6):
             check(geo, ProblemInstance(0, 19, w), inits, names=names)
@@ -254,27 +256,31 @@ def test_shell_rebuild_matches_a_full_rebuild(monkeypatch):
     # attribute: every unsettled allowed state lies at D or beyond, and an
     # arc costs at most c_max. Each binding search's shell rebuild must
     # leave the sorted heap of a rebuild from every served state, and the
-    # same labels at the unsettled states. Shells that skip served states,
-    # and frontier entries whose predecessor lies on the floor itself, both
-    # occur.
+    # same tentative labels (primary, secondary, predecessor) in the lists
+    # at every unsettled state. Shells that skip served states, and frontier
+    # entries whose predecessor lies on the floor itself, both occur.
     rebuild = BoundedSearch.rebuild_frontier
     counts = {"binds": 0, "skipped": 0, "on the floor": 0}
 
     def labels(search) -> tuple:
         settled = search.settled
-        return tuple({v: x for v, x in best.items() if not settled[v]}
-                     for best in (search.best_p, search.best_s))
+        return tuple((search.dist[v], search.comp[v], search.pred[v])
+                     for v in range(len(settled)) if not settled[v])
 
     def both(search, floor):
-        before = dict(search.best_p), dict(search.best_s)
+        before = labels(search)
         rebuild(search, 0)
         full = sorted(search.heap), labels(search)
-        search.best_p, search.best_s = before
+        for *_, v in search.heap:
+            search.dist[v] = search.comp[v] = INF
+            search.pred[v] = None
+        assert labels(search) == before
         rebuild(search, floor)
         assert (sorted(search.heap), labels(search)) == full
         counts["binds"] += 1
         counts["skipped"] += floor > 0
-        counts["on the floor"] += any(search.dist[pu] == floor for *_, pu in search.heap)
+        counts["on the floor"] += any(search.dist[search.pred[v]] == floor
+                                      for *_, v in search.heap)
 
     monkeypatch.setattr(BoundedSearch, "rebuild_frontier", both)
     # wc-astar's masked cost1 searches, on test_served_searches_match_live_ones'
@@ -298,6 +304,93 @@ def test_shell_rebuild_matches_a_full_rebuild(monkeypatch):
                 BoundedSearch(g, inst.goal, BACKWARD, attr, allowed=mask, init=init,
                               target=inst.start).serve()
     assert min(counts.values()) > 100, counts
+
+
+def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
+    # A search keeps its tentative labels in its pooled lists, and the pool
+    # resets a list given back only at the states in `order`. So after every
+    # exit of `run()` and `serve()` each state outside `order` must hold its
+    # fill (INF, INF, None, False), and a pool given the search's lists must
+    # hand them back all fill. The exits: the bound break, a target return
+    # without an init and with one (SHORTCUT), an exhausted heap, an init
+    # decided before the search starts, a served search to its end, and a
+    # served masked search whose mask binds before it runs on live. Searches
+    # without an init, bounded and stopped at a target, and every search of
+    # the three init plans, on graphs with zero-cost arcs and on graphs with
+    # coordinates, where cost1 searches run live with the geometric bound.
+    # A tree growth's search is left out: it holds the old tree's states
+    # settled outside its order, and gives its lists back accordingly.
+    exits = Counter()
+    growing = []
+    run, serve, grow = BoundedSearch.run, BoundedSearch.serve, GoalTrees._grow
+
+    def check(search, how, exit):
+        exits[how, exit] += 1
+        n = len(search.settled)
+        outside = set(range(n)).difference(search.order)
+        labels = [(search.dist[u], search.comp[u], search.pred[u], search.settled[u])
+                  for u in sorted(outside)]
+        assert labels == [(INF, INF, None, False)] * len(outside), (how, exit)
+        pool = ListPool(n)
+        pool.give([(fill, lst[:], written) for fill, lst, written in search.taken()])
+        fills = (INF, INF, None, False)
+        assert [pool.take(fill) for fill in fills] == [[fill] * n for fill in fills]
+        assert pool.reused == 4
+
+    def decided(search) -> bool:
+        return search.init is not None and search.init.status != SEARCH
+
+    def checked_run(search):
+        was_decided = decided(search)
+        run(search)
+        if growing:
+            exit = None
+        elif was_decided:
+            exit = "decided"
+        elif search.target >= 0 and search.settled[search.target] and (
+                search.init is None or search.init.status == SHORTCUT):
+            exit = "target" if search.init is None else "target, init"
+        else:
+            exit = "break" if search.heap else "exhausted"
+        if exit:
+            check(search, "run", exit)
+        return search
+
+    def checked_serve(search):
+        was_decided, binds = decided(search), goal_trees(search.graph).binds
+        serve(search)
+        bound = goal_trees(search.graph).binds > binds
+        check(search, "serve", "decided" if was_decided else "bind" if bound else "end")
+
+    def checked_grow(*args):
+        growing.append(True)
+        try:
+            return grow(*args)
+        finally:
+            growing.pop()
+
+    monkeypatch.setattr(BoundedSearch, "run", checked_run)
+    monkeypatch.setattr(BoundedSearch, "serve", checked_serve)
+    monkeypatch.setattr(GoalTrees, "_grow", checked_grow)
+    rng = random.Random(13)
+    graphs = list(zero_cost_queries(29, (2, 3, 10)))
+    for _ in range(30):
+        geo = geo_random_graph(rng.randrange(2**30), 20, 40)
+        graphs.append((geo, [ProblemInstance(rng.randrange(20), rng.randrange(20), w)
+                             for w in (5, 10, 30, 60)]))
+    for g, queries in graphs:
+        for inst in queries:
+            for attr in (ATTR1, ATTR2):
+                BoundedSearch(g, inst.goal, BACKWARD, attr, bound=inst.weight_limit).run()
+                BoundedSearch(g, inst.goal, BACKWARD, attr, target=inst.start).run()
+            for init in (init_unidirectional, init_sequential_bidirectional,
+                         init_parallel_bidirectional):
+                init(g, inst)
+    expected = [("run", exit) for exit in ("break", "target", "target, init", "exhausted",
+                                           "decided")]
+    expected += [("serve", exit) for exit in ("end", "bind", "decided")]
+    assert set(exits) == set(expected), exits
+    assert min(exits.values()) > 20, exits
 
 
 def record(search: BoundedSearch) -> tuple:

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from wcspp.pqueue import (BINARY_HEAP, BUCKET, HYBRID, BinaryHeapQueue, BucketQueue,
-                          HybridQueue, MonotonicityError, QueueConfig, TIE_NONE_FIFO,
-                          TIE_NONE_LIFO, TIE_SECONDARY, bucket_count, new_queue)
+                          HybridQueue, MonotonicityError, QueueConfig, QueueStats,
+                          TIE_NONE_FIFO, TIE_NONE_LIFO, TIE_SECONDARY, _CountingHeap,
+                          bucket_count, new_queue)
 
 ALL_CONFIGS = [
     (BUCKET, TIE_NONE_LIFO),
@@ -369,3 +370,70 @@ def test_pinned_items_and_counters_per_kind(kind, tie, delta_f):
     got = (digest(items), digest(counters), (st.pushes, st.pops, st.queue_ops, st.peak_size),
            q.high_checks if kind == BUCKET else None)
     assert got == PINNED_COUNTERS[kind, tie, delta_f]
+
+
+class SwapHeap:
+    """A binary heap that sifts by swapping neighbours and counts each swap:
+    the reference for `_CountingHeap`'s hole sifts."""
+
+    def __init__(self, tie_break: bool):
+        self.items, self.tie_break, self.swaps = [], tie_break, 0
+
+    def less(self, a, b) -> bool:
+        if a[0] != b[0]:
+            return a[0] < b[0]
+        return self.tie_break and a[1] < b[1]
+
+    def swap(self, i, j) -> None:
+        items = self.items
+        items[i], items[j] = items[j], items[i]
+        self.swaps += 1
+
+    def push(self, entry) -> None:
+        items = self.items
+        items.append(entry)
+        i = len(items) - 1
+        while i > 0 and self.less(items[i], items[(i - 1) // 2]):
+            self.swap(i, (i - 1) // 2)
+            i = (i - 1) // 2
+
+    def pop(self):
+        items = self.items
+        top, last = items[0], items.pop()
+        if items:
+            items[0] = last
+            i = 0
+            while 2 * i + 1 < len(items):
+                child = 2 * i + 1
+                if child + 1 < len(items) and self.less(items[child + 1], items[child]):
+                    child += 1
+                if not self.less(items[child], items[i]):
+                    break
+                self.swap(i, child)
+                i = child
+        return top
+
+
+@pytest.mark.parametrize("tie_break", [False, True])
+def test_hole_sifts_match_a_swapping_heap(tie_break):
+    # Random pushes and pops over a few keys, so that most entries tie on
+    # both keys and only the payload tells them apart: after every
+    # operation the popped entry, the array and the count of levels moved
+    # must equal those of a heap that sifts by swaps and counts each swap.
+    rng = random.Random(35)
+    for trial in range(200):
+        stats = QueueStats()
+        heap, ref = _CountingHeap(tie_break, stats), SwapHeap(tie_break)
+        keys = rng.randint(1, 6)
+        for n in range(rng.randint(1, 300)):
+            if heap.items and rng.random() < rng.choice((0.3, 0.5, 0.7)):
+                assert heap.pop() == ref.pop()
+            else:
+                entry = (rng.randrange(keys), rng.randrange(keys), n)
+                heap.push(entry)
+                ref.push(entry)
+            assert heap.items == ref.items and stats.queue_ops == ref.swaps, (trial, n)
+        while heap.items:
+            assert heap.pop() == ref.pop()
+            assert heap.items == ref.items and stats.queue_ops == ref.swaps
+        assert not ref.items
