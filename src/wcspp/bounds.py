@@ -176,20 +176,36 @@ class BudgetFactors:
 
 
 class BoundsTables:
-    """Per-direction lower/upper bound arrays and shortest-path trees."""
+    """Per-direction lower/upper bound arrays and shortest-path trees.
+
+    The tables of a search served in place (`BoundedSearch.serve`) are a
+    tree cache's lists, shared with every other search served from that
+    tree: `shared` names those searches, and nothing may write into their
+    tables until `unshare` has given the solve copies of its own."""
 
     def __init__(self):
         # [direction][attr] -> per-state array (None until that search ran)
         self.h: list[list[Optional[list]]] = [[None, None], [None, None]]
         self.ub: list[list[Optional[list]]] = [[None, None], [None, None]]
         self.tree: list[list[Optional[list]]] = [[None, None], [None, None]]
+        self.shared: list[tuple[int, int]] = []  # (direction, attr) per search served in place
 
     def install(self, direction: int, attr: int, dist: list, comp: list,
-                pred: list) -> None:
+                pred: list, shared: bool = False) -> None:
         other = 1 - attr
         self.h[direction][attr] = dist
         self.ub[direction][other] = comp
         self.tree[direction][attr] = pred
+        if shared:
+            self.shared.append((direction, attr))
+
+    def unshare(self) -> None:
+        """Give each search served in place private copies of its h and ub
+        tables, the ones HTF tuning writes; its tree stays shared."""
+        for direction, attr in self.shared:
+            self.h[direction][attr] = self.h[direction][attr].copy()
+            self.ub[direction][1 - attr] = self.ub[direction][1 - attr].copy()
+        self.shared = []
 
 
 @dataclass
@@ -221,7 +237,10 @@ class BoundedSearch:
     and `bound` are fixed, f1_bar only falls), so such an entry could never
     settle. Every exit of `run()` and `serve()` gives the unsettled states
     in the heap their fill back, so only the states in `order` hold labels
-    and the pool resets each list from `order` alone.
+    and the pool resets each list from `order` alone. A plain init search
+    (no heuristic, no joins) takes its lists only as it runs or is served:
+    an unmasked one served a prefix longer than the pool's keep limit takes
+    none of them, and reads its tree's tables in place instead (`serve`).
 
     An init search also gets `init`, its round's InitResult, with `target`,
     the state at the far end, and `joins`, (record half, cost1 table, cost2
@@ -252,15 +271,27 @@ class BoundedSearch:
         self.init = init
         self.target = target
         self.joins = joins
-        pool = list_pool(graph)
+        self.settled = list_pool(graph).take(False)
+        self.order: list[int] = []
+        self.heap: list[tuple] = []
+        self.dist = self.comp = self.pred = None  # the label lists, once taken or lent
+        self.shared = False  # whether they are a tree cache's tables, lent by `serve`
+        if init is None or heuristic is not None or joins:
+            self._start()
+
+    def _take(self) -> None:
+        """Take the label lists from the graph's pool."""
+        pool = list_pool(self.graph)
         self.dist = pool.take(INF)
         self.comp = pool.take(INF)
-        self.pred: list[Optional[int]] = pool.take(None)
-        self.settled = pool.take(False)
-        self.order: list[int] = []
+        self.pred = pool.take(None)
+
+    def _start(self) -> None:
+        """Take the label lists and label the source, the heap's one entry."""
+        self._take()
+        source, heuristic = self.source, self.heuristic
         self.dist[source] = self.comp[source] = 0
-        h0 = heuristic[source] if heuristic is not None else 0
-        self.heap: list[tuple] = [(h0, 0, 0, source)]
+        self.heap = [(heuristic[source] if heuristic is not None else 0, 0, 0, source)]
 
     def _arcs(self) -> tuple:
         """(index, to, primary cost, secondary cost): the compressed arc
@@ -287,6 +318,8 @@ class BoundedSearch:
         target rule (`_reach_target`). A join whose cost1 lies above f1_bar,
         or whose cost2 lies above the weight limit, is not offered: `offer`
         would refuse it, and no other search moves the bars meanwhile."""
+        if self.dist is None:  # a plain init search, run live
+            self._start()
         index, to, cp, cs = self._arcs()
         attr = self.attr
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -381,25 +414,30 @@ class BoundedSearch:
         f1_bar on cost1) is what an unmasked live search settles. On cost1
         the prefix is cut just after an allowed target whose companion is
         within the weight limit, where the live search ends. An unmasked
-        search writes the whole prefix in one loop. A masked one writes the
-        source whatever the mask, then each later allowed state of the
-        prefix in order, up to the first whose tree predecessor was not
-        written: there the mask binds (counted in `GoalTrees.binds`). The
-        target rule applies to the target's entry once written, and a
-        cost2 search that ends without it marks the init INFEASIBLE. A search
-        whose mask binds at tree distance D rebuilds the frontier from the
-        written states at tree distance D - c_max or more, the shell that
-        can border an unsettled allowed state (`rebuild_frontier`, with
-        c_max from `GoalTrees.max_cost`), and runs on live (`run()`). Like
-        `run()`, it settles nothing once the init is decided."""
-        self._unlabel()
-        self.heap.clear()
+        search whose prefix is longer than the pool's keep limit (a copy the
+        pool would drop) is served in place: its label lists are the tree's
+        state-indexed tables (`GoalTrees.table`), shared and read-only, and
+        it writes only its settled mask and order. Those tables also hold
+        the tree's labels past the prefix, each above the bound, where a
+        copy holds the fill. A shorter unmasked prefix is copied into pooled
+        lists in one loop. A masked search writes the source whatever the
+        mask, then each later allowed state of the prefix in order, up to
+        the first whose tree predecessor was not written: there the mask
+        binds (counted in `GoalTrees.binds`). The target rule applies to the
+        target's entry once written, and a cost2 search that ends without it
+        marks the init INFEASIBLE. A search whose mask binds at tree
+        distance D rebuilds the frontier from the written states at tree
+        distance D - c_max or more, the shell that can border an unsettled
+        allowed state (`rebuild_frontier`, with c_max from
+        `GoalTrees.max_cost`), and runs on live (`run()`). Like `run()`, it
+        settles nothing once the init is decided."""
         init, target, attr, allowed = self.init, self.target, self.attr, self.allowed
         if init.status != SEARCH:
+            self._take()
             return
-        gb, cache = init.gb, goal_trees(self.graph)
-        tree, count = cache.prefix(self.graph, (self.source, self.traverse_dir, attr),
-                                   gb.f1_bar if attr == ATTR1 else gb.f2_bar)
+        gb, cache, graph = init.gb, goal_trees(self.graph), self.graph
+        key = (self.source, self.traverse_dir, attr)
+        tree, count = cache.prefix(graph, key, gb.f1_bar if attr == ATTR1 else gb.f2_bar)
         if attr == ATTR1 and (allowed is None or allowed[target]):
             try:
                 i = tree.order.index(target, 0, count)
@@ -408,17 +446,28 @@ class BoundedSearch:
             else:
                 if tree.comp[i] <= gb.f2_bar:
                     count = i + 1
-        dist, comp, pred, settled = self.dist, self.comp, self.pred, self.settled
+        settled = self.settled
         bind = None  # the tree distance of the state where the mask binds
         if allowed is None:
             self.order = order = tree.order[:count].tolist()
-            for u, dp, ds, pu in zip(order, tree.dist, tree.comp, tree.pred):
-                settled[u] = True
-                dist[u] = dp
-                comp[u] = ds
-                pred[u] = pu
-            pred[self.source] = None
+            if count > list_pool(graph).keep_limit:
+                table = cache.table(key, tree)
+                self.dist, self.comp, self.pred = table.dist, table.comp, table.pred
+                self.shared = True
+                for u in order:
+                    settled[u] = True
+            else:
+                self._take()
+                dist, comp, pred = self.dist, self.comp, self.pred
+                for u, dp, ds, pu in zip(order, tree.dist, tree.comp, tree.pred):
+                    settled[u] = True
+                    dist[u] = dp
+                    comp[u] = ds
+                    pred[u] = pu
+                pred[self.source] = None
         else:
+            self._take()
+            dist, comp, pred = self.dist, self.comp, self.pred
             settle = self.order.append
             entries = islice(zip(tree.order, tree.dist, tree.comp, tree.pred), count)
             for u, dp, ds, _ in islice(entries, 1):  # the source, whatever the mask
@@ -437,7 +486,7 @@ class BoundedSearch:
                 dist[u] = dp
                 comp[u] = ds
                 pred[u] = pu
-        if settled[target] and self._reach_target(dist[target], comp[target]):
+        if settled[target] and self._reach_target(self.dist[target], self.comp[target]):
             return
         if bind is not None:
             with cache._lock:
@@ -487,11 +536,15 @@ class BoundedSearch:
         heapq.heapify(self.heap)
 
     def taken(self) -> list[tuple]:
-        """(fill, list, written) for the four lists taken from the graph's pool;
-        they are written only at the settled states."""
+        """(fill, list, written) for the lists taken from the graph's pool,
+        the settled mask last; they are written only at the settled states.
+        A search served in place took its settled mask alone."""
         written = self.order
+        settled = (False, self.settled, written)
+        if self.shared:
+            return [settled]
         return [(INF, self.dist, written), (INF, self.comp, written),
-                (None, self.pred, written), (False, self.settled, written)]
+                (None, self.pred, written), settled]
 
 
 class GoalTree:
@@ -561,6 +614,29 @@ def _extended(head: Optional[array], values: Sequence[int]) -> array:
     return head + tail
 
 
+class TreeTable:
+    """A `GoalTree` as state-indexed lists, what an unmasked search served
+    in place reads as its h, ub and tree tables: `dist`, `comp` and `pred`
+    hold each tree state's primary cost, secondary companion and
+    predecessor (None for the source), and INF, INF and None at every other
+    state. Built once per tree and never written. `nbytes` counts the three
+    lists' 8-byte slots and a 32-byte int object per tree state in each."""
+
+    __slots__ = ("tree", "dist", "comp", "pred", "nbytes")
+
+    def __init__(self, tree: GoalTree, state_count: int):
+        self.tree = tree
+        self.dist = dist = [INF] * state_count
+        self.comp = comp = [INF] * state_count
+        self.pred = pred = [None] * state_count
+        for u, dp, ds, pu in zip(tree.order, tree.dist, tree.comp, tree.pred):
+            dist[u] = dp
+            comp[u] = ds
+            pred[u] = pu
+        pred[tree.order[0]] = None  # the source
+        self.nbytes = 3 * (8 * state_count + 32 * len(tree.order))
+
+
 class GoalTrees(ByteLRU):
     """A graph's finished plain searches, keyed by (source, traverse
     direction, attribute), in a `ByteLRU` of `GoalTree.nbytes`: 32
@@ -572,6 +648,10 @@ class GoalTrees(ByteLRU):
     counts served masked searches whose mask bound. `max_cost[attr]`, the
     graph's largest arc cost on `attr`, sets how far below a bind a served
     search rebuilds its frontier, and below its limit a tree resumes.
+
+    `tables`, a second `ByteLRU` under the same 256 bytes per state, holds
+    the `TreeTable`s of the trees that searches are served in place from
+    (`table`), by the same keys: about two whole-graph tables.
     """
 
     def __init__(self, graph: Graph):
@@ -579,6 +659,7 @@ class GoalTrees(ByteLRU):
         self.state_count = graph.state_count
         self._costs = (graph.fwd_c1, graph.fwd_c2)
         self.grows = self.binds = 0
+        self.tables = ByteLRU(graph.state_count)
 
     @cached_property
     def max_cost(self) -> tuple[int, int]:
@@ -603,6 +684,20 @@ class GoalTrees(ByteLRU):
                 return tree, bisect_right(tree.dist, limit)
             tree = self._grow(graph, key, limit)
             return tree, len(tree.order)
+
+    def table(self, key: tuple[int, int, int], tree: GoalTree) -> TreeTable:
+        """The state-indexed tables of `tree`, the tree of `key`: the cached
+        ones while they belong to `tree`, else built from it (a miss), so a
+        grown tree gets new ones. Built under the table cache's lock."""
+        tables = self.tables
+        with tables._lock:
+            table = tables.entries.get(key)
+            if table is not None and table.tree is tree:
+                tables.hit(key)
+            else:
+                table = TreeTable(tree, self.state_count)
+                tables.put(key, table)
+            return table
 
     def reach(self, graph: Graph, key: tuple[int, int, int],
               state: int) -> tuple[GoalTree, int]:
@@ -782,7 +877,8 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
                 search.serve()
             else:
                 search.run()
-            tables.install(table_dir, attr, search.dist, search.comp, search.pred)
+            tables.install(table_dir, attr, search.dist, search.comp, search.pred,
+                           search.shared)
             result.settled_per_phase.append((table_dir, attr, search.settled))
             result.taken += search.taken()
         if result.status != SEARCH:

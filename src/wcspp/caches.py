@@ -1,11 +1,14 @@
 """The per-graph caches that carry work from one solve to the next: the
 list pool (`ListPool`), the geometric data and bound tables (`GeoTables`),
-and the one byte-bounded LRU policy (`ByteLRU`) that the geo tables and
-`bounds.GoalTrees`, the init's tree cache, share; each holds at most 256
-bytes per state of its own entries. Each cache is made on first use in its
-slot of the graph (`_graph_slot`), has its own lock and depends only on the
-graph and its keys, so a warm solve gives what a cold one gives, counter
-for counter. This module imports nothing from `bounds`.
+and the one byte-bounded LRU policy (`ByteLRU`) that three caches share:
+the geo tables, `bounds.GoalTrees`, the init's tree cache, and its
+`tables`, the state-indexed lists of the trees that unmasked searches read
+in place (`bounds.TreeTable`, 24 bytes per state of the graph and 96 per
+tree state). Each holds at most 256 bytes per state of its own entries.
+Each cache is made on first use in its slot of the graph (`_graph_slot`),
+has its own lock and depends only on the graph and its keys, so a warm
+solve gives what a cold one gives: answers, counters, masks and every
+table entry at a settled state. This module imports nothing from `bounds`.
 """
 
 from __future__ import annotations

@@ -424,9 +424,12 @@ def cmd_bench(args) -> int:
           f"evictions={cache.evictions} binds={cache.binds} grows={cache.grows} "
           f"trees={len(cache.entries)} bytes={cache.size}",
           file=sys.stderr)
-    tables = geo_tables(graph)
-    print(f"info: geo tables hits={tables.hits} misses={tables.misses} "
-          f"evictions={tables.evictions} tables={len(tables.entries)} bytes={tables.size}",
+    for what, tables in (("served tables", cache.tables), ("geo tables", geo_tables(graph))):
+        print(f"info: {what} hits={tables.hits} misses={tables.misses} "
+              f"evictions={tables.evictions} tables={len(tables.entries)} bytes={tables.size}",
+              file=sys.stderr)
+    pool = list_pool(graph)
+    print(f"info: list pool reused={pool.reused} fresh={pool.fresh} dropped={pool.dropped}",
           file=sys.stderr)
     return 0
 

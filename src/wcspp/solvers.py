@@ -575,7 +575,9 @@ def _solve(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     as module globals at call time, so wcbench's tracer can wrap them.
 
     There are no contexts when the init decided the solve. `htf` lets the
-    contexts tune each other's tables while `options.htf` is on. A biased
+    contexts tune each other's tables while `options.htf` is on; the
+    tables an init search read in place from a tree cache are copied
+    first (`BoundsTables.unshare`), as tuning writes them. A biased
     pair splits the weight budget by `budget_factors` over S' and shares the
     Match/Store lists. `smaller_first` runs the pair as one side that expands
     the smaller head; otherwise each context is a side, and two sides run
@@ -587,6 +589,9 @@ def _solve(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
     contexts = []
     if init.status == SEARCH:
         budgets = chis = (None, None)  # indexed by direction
+        htf = htf and options.htf
+        if htf:
+            init.tables.unshare()
         if biased:
             beta = budget_factors(init.valid_members, init.tables.h[FORWARD][ATTR1],
                                   init.tables.h[BACKWARD][ATTR1])
@@ -595,7 +600,7 @@ def _solve(graph: Graph, inst: ProblemInstance, queue: QueueConfig,
         contexts = [SearchContext(graph, init.tables, init.gb, d, ordering, queue, end,
                                   budget=budgets[d], budget_opp=budgets[1 - d],
                                   chi_mine=chis[d], chi_opp=chis[1 - d],
-                                  htf=htf and options.htf, options=options)
+                                  htf=htf, options=options)
                     for d, ordering, end in zip((FORWARD, BACKWARD), orderings,
                                                 (inst.start, inst.goal))]
     sides = ([_smaller_head_first(*contexts)] if smaller_first and contexts

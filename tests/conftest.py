@@ -216,15 +216,30 @@ def inits(monkeypatch):
     return capture_inits(monkeypatch)
 
 
+def settled_tables(init) -> tuple:
+    """The init's tables at the states their own searches settled: per
+    search, in plan order, its (direction, attr), those states, and its h,
+    ub and tree entries there. Elsewhere a pooled table holds its fill, and
+    a table that a search read in place from the tree cache holds the
+    tree's labels past the search's bound."""
+    t = init.tables
+    out = []
+    for d, a, mask in init.settled_per_phase:
+        at = [u for u, settled in enumerate(mask) if settled]
+        out.append((d, a, at, [t.h[d][a][u] for u in at], [t.ub[d][1 - a][u] for u in at],
+                    [t.tree[d][a][u] for u in at]))
+    return tuple(out)
+
+
 def digest(graph, inst, name, inits, cfg=HEAP_CFG, options=DIGEST_OPTIONS) -> tuple:
     """Everything a solve shows: status, costs, path, counters, incumbents with
-    their tags, tuning, and its init's tables, masks and S'. The solve's
-    InitResult is taken off `inits`, so its lists can serve the next solve."""
+    their tags, tuning, and its init's tables at their settled states, masks
+    and S'. The solve's InitResult is taken off `inits`, so its lists can
+    serve the next solve."""
     out = solvers.SOLVERS[name](graph, inst, cfg, options)
     init = inits[threading.get_ident()].pop()
-    t = init.tables
     return (out.status, out.costs, out.path,
             tuple(getattr(out.metrics, c) for c in COUNTERS),
             repr(out.incumbents), repr(out.tuned),
-            repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase,
+            repr((init.status, settled_tables(init), init.settled_per_phase,
                   init.valid_states, init.valid_members)))

@@ -18,7 +18,7 @@ from wcspp.solvers import SOLVERS, Clock, SolveOptions, run_sides, solve_wc_ba_s
 
 from conftest import (EXAMPLE_EDGES, EXAMPLE_H_F, EXAMPLE_UB_F, G, INIT_NAMES, S, U1, U2, U3,
                       check_tables_against_paths, fresh, geo_random_graph, haversine_deg,
-                      roadgrid_module)
+                      roadgrid_module, settled_tables)
 
 BUCKET_CFG = QueueConfig(BUCKET, 0, 0, 1, TIE_NONE_LIFO)
 
@@ -569,8 +569,8 @@ def _line() -> Graph:
 
 def _init_digest(init) -> str:
     """Everything an InitResult holds but how the tree cache served it."""
-    gb, t = init.gb, init.tables
-    return repr((init.status, t.h, t.ub, t.tree, init.settled_per_phase, init.valid_states,
+    gb = init.gb
+    return repr((init.status, settled_tables(init), init.settled_per_phase, init.valid_states,
                  init.valid_members, gb.f1_bar, gb.f2_bar, gb.f2_sol, gb.record, gb.incumbents))
 
 

@@ -360,11 +360,18 @@ def test_bench_reports_the_goal_tree_counts_on_stderr(example_dimacs, tmp_path, 
     g = load_dimacs(*example_dimacs)
     trees = [goal_trees(g).prefix(g, (4, BACKWARD, attr), limit)[0]
              for attr, limit in ((ATTR2, 6), (ATTR1, 7))]
-    # The example graph has no coordinates, so its geo tables stay empty.
-    assert captured.err.splitlines() == [
+    # The example graph has no coordinates, so its geo tables stay empty,
+    # and its prefixes are within the list pool's keep limit of 64 states,
+    # so no search is served in place.
+    err = captured.err.splitlines()
+    assert err[:3] == [
         "info: init tree cache hits=4 misses=2 evictions=0 binds=0 grows=0 trees=2 "
         f"bytes={sum(tree.nbytes for tree in trees)}",
+        "info: served tables hits=0 misses=0 evictions=0 tables=0 bytes=0",
         "info: geo tables hits=0 misses=0 evictions=0 tables=0 bytes=0"]
+    assert re.fullmatch(r"info: list pool reused=[1-9]\d* fresh=[1-9]\d* dropped=\d+", err[3]), \
+        err[3]
+    assert len(err) == 4
     assert captured.out.splitlines()[:2] == [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
     assert len(captured.out.splitlines()) == 4
 
@@ -395,10 +402,45 @@ def test_bench_coords_apply_to_a_header_graph(tmp_path, capsys):
     assert seen[0] == seen[1]
     assert seen[0][0] != seen[2][0]  # without coordinates the tree cache serves more
     # With coordinates the later searches toward a state reuse its geo table.
-    geo = [err.splitlines()[1] for err, _ in seen]
+    geo = [err.splitlines()[2] for err, _ in seen]
     assert re.fullmatch(r"info: geo tables hits=[1-9]\d* misses=[1-9]\d* evictions=0 "
                         r"tables=[1-9]\d* bytes=[1-9]\d*", geo[0]), geo[0]
     assert geo[2] == "info: geo tables hits=0 misses=0 evictions=0 tables=0 bytes=0"
+
+
+def test_bench_reports_the_served_tables_and_the_list_pool(tmp_path, capsys, monkeypatch):
+    # On a grid without coordinates the round-one goal and start trees of
+    # far queries have prefixes longer than the list pool's keep limit (64
+    # states on 144), so those searches are served in place from the tree
+    # cache's tables. `bench` prints the table cache's counts and the
+    # graph's list pool counts on two `info` lines, read from the loaded
+    # graph's own caches.
+    paths = roadgrid_module().write_dimacs(str(tmp_path), 5, 12, 12)
+    inst = tmp_path / "i.txt"
+    with open(inst, "w", encoding="utf-8") as fh:
+        write_instances(fh, paths["cost1"], paths["cost2"],
+                        [(0, 143, "delta", "0.5"), (11, 132, "delta", "0.3"),
+                         (143, 5, "delta", "0.8")])
+    loaded = []
+
+    def load(*args):
+        loaded.append(load_dimacs(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli_mod, "load_dimacs", load)
+    assert main(["bench", "--instances", str(inst), "--repeats", "2"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    (g,) = loaded
+    tables, pool = goal_trees(g).tables, list_pool(g)
+    assert err[1] == (f"info: served tables hits={tables.hits} misses={tables.misses} "
+                      f"evictions={tables.evictions} tables={len(tables.entries)} "
+                      f"bytes={tables.size}")
+    assert err[3] == (f"info: list pool reused={pool.reused} fresh={pool.fresh} "
+                      f"dropped={pool.dropped}")
+    assert tables.hits > 0 and tables.misses > 0 and len(tables.entries) > 0
+    assert tables.size == sum(table.nbytes for table in tables.entries.values())
+    assert {key[1:] for key in tables.entries} >= {(BACKWARD, ATTR2), (FORWARD, ATTR1)}
+    assert pool.reused > 0 and pool.fresh > 0 and pool.dropped > 0
 
 
 def test_bench_failure_becomes_status_row(example_dimacs, tmp_path):

@@ -9,9 +9,9 @@ from collections import Counter
 from fractions import Fraction
 
 from wcspp.bounds import ATTR1, ATTR2, INF, INFEASIBLE, SEARCH, SHORTCUT, BoundedSearch, \
-    BoundsTables, GlobalBounds, GoalTrees, InitResult, _init_search, _int_array, goal_trees, \
-    init_parallel_bidirectional, init_sequential_bidirectional, init_unidirectional
-from wcspp.caches import ListPool
+    BoundsTables, GlobalBounds, GoalTrees, InitResult, TreeTable, _init_search, _int_array, \
+    goal_trees, init_parallel_bidirectional, init_sequential_bidirectional, init_unidirectional
+from wcspp.caches import ListPool, list_pool
 from wcspp.cli import gen_instances
 from wcspp.graph import BACKWARD, COST_MAX, FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.solvers import SOLVERS, SolveOptions
@@ -191,8 +191,9 @@ def served_search(graph: Graph, inst: ProblemInstance, kind: str, serve: bool):
         search.serve()
     else:
         search.run()
-    gb = result.gb
-    return (search.order, search.dist, search.comp, search.pred, search.settled,
+    gb, order = result.gb, search.order
+    return (order, [search.dist[u] for u in order], [search.comp[u] for u in order],
+            [search.pred[u] for u in order], search.settled,
             result.status, gb.f1_bar, gb.f2_sol, gb.incumbents, gb.record)
 
 
@@ -216,20 +217,39 @@ def zero_cost_queries(seed: int, cost_maxes: tuple):
         yield g, queries
 
 
+def grid_queries(count: int):
+    """`count` seeded queries on the 16 x 16 grid, each pair at two limits
+    between the start's cost2 distance and twice it, the larger first, so
+    that the smaller is served from the same trees: most prefixes of the
+    round-one searches are longer than the pool's keep limit of 64 states."""
+    g = grid()
+    rng = random.Random(19)
+    queries = []
+    while len(queries) < count:
+        start, goal = rng.randrange(256), rng.randrange(256)
+        low = h2(g, start, goal)
+        limits = sorted((rng.randint(low, 2 * low) for _ in range(2)), reverse=True)
+        queries += [ProblemInstance(start, goal, w) for w in limits]
+    return g, queries
+
+
 def test_served_searches_match_live_ones():
     # Every plain init search is served from the tree cache: round one's
     # cost2 search and the parallel plan's round-one cost1 search unmasked,
     # wc-astar's cost1 search masked. A masked search is served the tree's
     # prefix filtered to the mask, up to the first state whose tree
     # predecessor was not served, where the mask binds and the search goes
-    # on live from the rebuilt frontier. Each query is served on a fresh
-    # graph (a cold cache) and on one graph shared by all of a graph's
-    # queries (a warm cache, with trees built at other bounds), and compared
-    # field by field with a live run.
+    # on live from the rebuilt frontier. An unmasked prefix longer than the
+    # pool's keep limit is served in place, from the tree's tables, which
+    # also hold labels past the bound: so the labels are compared at the
+    # settled states. Each query is served on a fresh graph (a cold cache)
+    # and on one graph shared by all of a graph's queries (a warm cache,
+    # with trees built at other bounds), and compared field by field with a
+    # live run.
     kinds = ("cost2", "start", "masked")
     ways = {False: 0, True: 0}  # served masked searches whose mask bound, or did not
     statuses = {kind: set() for kind in kinds}
-    for g, queries in zero_cost_queries(29, (2, 3, 10)):
+    for g, queries in [*zero_cost_queries(29, (2, 3, 10)), grid_queries(12)]:
         warm = fresh(g)
         for inst in queries:
             for kind in kinds:
@@ -247,6 +267,9 @@ def test_served_searches_match_live_ones():
     assert min(ways.values()) > 100, ways
     assert statuses == {"cost2": {SEARCH, INFEASIBLE}, "start": {SEARCH, SHORTCUT},
                         "masked": {SEARCH, SHORTCUT}}, statuses
+    tables = goal_trees(warm).tables  # the grid's: both unmasked kinds served in place
+    assert tables.hits > 0 and {key[1:] for key in tables.entries} == \
+        {(BACKWARD, ATTR2), (FORWARD, ATTR1)}
 
 
 def test_shell_rebuild_matches_a_full_rebuild(monkeypatch):
@@ -310,16 +333,19 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
     # A search keeps its tentative labels in its pooled lists, and the pool
     # resets a list given back only at the states in `order`. So after every
     # exit of `run()` and `serve()` each state outside `order` must hold its
-    # fill (INF, INF, None, False), and a pool given the search's lists must
-    # hand them back all fill. The exits: the bound break, a target return
-    # without an init and with one (SHORTCUT), an exhausted heap, an init
-    # decided before the search starts, a served search to its end, and a
-    # served masked search whose mask binds before it runs on live. Searches
-    # without an init, bounded and stopped at a target, and every search of
-    # the three init plans, on graphs with zero-cost arcs and on graphs with
-    # coordinates, where cost1 searches run live with the geometric bound.
-    # A tree growth's search is left out: it holds the old tree's states
-    # settled outside its order, and gives its lists back accordingly.
+    # fill (INF, INF, None, False) in every list the search took, and a
+    # pool given those lists must hand them back all fill. The exits: the
+    # bound break, a target return without an init and with one
+    # (SHORTCUT), an exhausted heap, an init decided before the search
+    # starts, a served search to its end, a served masked search whose mask
+    # binds before it runs on live, and an unmasked search served in place,
+    # which took its settled mask alone and reads its tree's cached tables.
+    # Searches without an init, bounded and stopped at a target, and every
+    # search of the three init plans, on graphs with zero-cost arcs, on
+    # graphs with coordinates, where cost1 searches run live with the
+    # geometric bound, and on a road grid, whose long prefixes are served
+    # in place. A tree growth's search is left out: it holds the old tree's
+    # states settled outside its order, and gives its lists back accordingly.
     exits = Counter()
     growing = []
     run, serve, grow = BoundedSearch.run, BoundedSearch.serve, GoalTrees._grow
@@ -327,15 +353,24 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
     def check(search, how, exit):
         exits[how, exit] += 1
         n = len(search.settled)
-        outside = set(range(n)).difference(search.order)
-        labels = [(search.dist[u], search.comp[u], search.pred[u], search.settled[u])
-                  for u in sorted(outside)]
-        assert labels == [(INF, INF, None, False)] * len(outside), (how, exit)
+        outside = sorted(set(range(n)).difference(search.order))
+        taken = search.taken()
+        lists = {id(lst) for _, lst, _ in taken}
+        assert len(taken) == (1 if exit == "in place" else 4)
+        assert {id(search.settled)} <= lists
+        assert lists.isdisjoint(map(id, (search.dist, search.comp, search.pred))) == \
+            (exit == "in place")
+        for fill, lst, written in taken:
+            assert written is search.order
+            assert [lst[u] for u in outside] == [fill] * len(outside), (how, exit)
         pool = ListPool(n)
-        pool.give([(fill, lst[:], written) for fill, lst, written in search.taken()])
-        fills = (INF, INF, None, False)
+        pool.give([(fill, lst[:], written) for fill, lst, written in taken])
+        if len(search.order) > pool.keep_limit:  # a grid search: too widely written to keep
+            assert pool.dropped == len(taken)
+            return
+        fills = [fill for fill, _, _ in taken]
         assert [pool.take(fill) for fill in fills] == [[fill] * n for fill in fills]
-        assert pool.reused == 4
+        assert pool.reused == len(taken)
 
     def decided(search) -> bool:
         return search.init is not None and search.init.status != SEARCH
@@ -360,7 +395,12 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
         was_decided, binds = decided(search), goal_trees(search.graph).binds
         serve(search)
         bound = goal_trees(search.graph).binds > binds
-        check(search, "serve", "decided" if was_decided else "bind" if bound else "end")
+        if search.shared:
+            table = goal_trees(search.graph).tables.entries[
+                search.source, search.traverse_dir, search.attr]
+            assert (search.dist, search.comp, search.pred) == (table.dist, table.comp, table.pred)
+        check(search, "serve", "decided" if was_decided else "bind" if bound
+              else "in place" if search.shared else "end")
 
     def checked_grow(*args):
         growing.append(True)
@@ -378,6 +418,7 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
         geo = geo_random_graph(rng.randrange(2**30), 20, 40)
         graphs.append((geo, [ProblemInstance(rng.randrange(20), rng.randrange(20), w)
                              for w in (5, 10, 30, 60)]))
+    graphs.append(grid_queries(25))
     for g, queries in graphs:
         for inst in queries:
             for attr in (ATTR1, ATTR2):
@@ -388,7 +429,7 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
                 init(g, inst)
     expected = [("run", exit) for exit in ("break", "target", "target, init", "exhausted",
                                            "decided")]
-    expected += [("serve", exit) for exit in ("end", "bind", "decided")]
+    expected += [("serve", exit) for exit in ("end", "bind", "decided", "in place")]
     assert set(exits) == set(expected), exits
     assert min(exits.values()) > 20, exits
 
@@ -464,17 +505,92 @@ def test_grown_trees_equal_fresh_ones():
 
 
 def test_htf_tuning_does_not_leak_into_the_cache(inits):
-    # wc-ba's backward search tunes the forward cost2 table, which the replay
-    # filled from the tree; a later solve of the same goal must not see it.
-    # A lower limit keeps tuned states outside its prefix.
+    # wc-ba's backward search tunes the forward cost2 table and its forward
+    # search the backward cost1 table. Both are read in place from the
+    # goal's and the start's trees, so the solve tunes private copies: the
+    # cached tables must still equal a fresh build from their trees, and a
+    # later solve of the same goal must not see the tuning. A lower limit
+    # keeps tuned states outside its prefix.
     g = grid()
     inst = ProblemInstance(START, GOAL, W)
     options = SolveOptions(record=True)
+    tables = goal_trees(g).tables
     for w in (W, (h2(g, START, GOAL) + W) // 2):
         out = SOLVERS["wc-ba"](g, inst, HEAP_CFG, options)
-        assert any(t[:2] == (FORWARD, ATTR2) for t in out.tuned)
+        assert {t[:2] for t in out.tuned} == {(FORWARD, ATTR2), (BACKWARD, ATTR1)}
+        assert set(tables.entries) == {goal_key(GOAL), start_key(START)}
+        for table in tables.entries.values():
+            built = TreeTable(table.tree, g.state_count)
+            assert (table.dist, table.comp, table.pred) == (built.dist, built.comp, built.pred)
         check(g, ProblemInstance(START, GOAL, w), inits, names=("wc-astar",))
     check(g, inst, inits, names=("wc-ba",), options=options)
+
+
+def test_served_tables_keep_the_byte_bound_and_evict_the_least_recent(inits):
+    # A table costs 24 bytes per state of the graph and 96 per tree state:
+    # 30,720 bytes for a whole-graph tree of the 256-state grid, whose
+    # budget is 65,536 bytes. Two fit; a third evicts the least recently
+    # used, and a hit makes a table the most recent.
+    g = grid()
+    cache = goal_trees(g)
+    tables = cache.tables
+    made = []
+    for goal in range(3):
+        tree, count = cache.prefix(g, goal_key(goal), 10**6)
+        assert count == 256
+        made.append(cache.table(goal_key(goal), tree))
+        assert made[-1].nbytes == 30720 and made[-1].tree is tree
+    assert (tables.misses, tables.evictions, tables.capacity) == (3, 1, 65536)
+    assert list(tables.entries) == [goal_key(1), goal_key(2)] and tables.size == 61440
+    assert cache.table(goal_key(1), cache.entries[goal_key(1)]) is made[1]
+    again = cache.table(goal_key(0), cache.entries[goal_key(0)])
+    assert again is not made[0] and (again.dist, again.comp, again.pred) == \
+        (made[0].dist, made[0].comp, made[0].pred)
+    assert list(tables.entries) == [goal_key(1), goal_key(0)]
+    assert (tables.hits, tables.misses, tables.evictions, tables.size) == (1, 4, 2, 61440)
+    # Every solver, with the goal's and the start's tables evicting others,
+    # answers as on a fresh graph; the cache stays within its budget.
+    check(g, ProblemInstance(START, GOAL, W), inits)
+    assert {goal_key(GOAL), start_key(START)} <= set(tables.entries)
+    assert tables.size == sum(t.nbytes for t in tables.entries.values()) <= tables.capacity
+
+
+def test_a_grown_tree_gets_new_tables():
+    # A table belongs to one tree: a tree that grows for a wider limit is a
+    # new tree, so its next search served in place builds new tables. The
+    # old ones stay as they were for the searches that hold them.
+    g = grid()
+    cache = goal_trees(g)
+    low = (h2(g, START, GOAL) + W) // 2
+    seen = []
+    for w, grows, misses in ((W, 0, 1), (low, 0, 1), (W + 200, 1, 2)):
+        init = init_unidirectional(g, ProblemInstance(START, GOAL, w))
+        table = cache.tables.entries[goal_key(GOAL)]
+        assert table.tree is cache.entries[goal_key(GOAL)]
+        assert init.tables.h[FORWARD][ATTR2] is table.dist
+        assert (cache.grows, cache.tables.misses) == (grows, misses)
+        seen.append(table)
+    assert seen[0] is seen[1] is not seen[2]
+    built = TreeTable(seen[0].tree, g.state_count)
+    assert (seen[0].dist, seen[0].comp, seen[0].pred) == (built.dist, built.comp, built.pred)
+    assert len(seen[2].tree.order) > len(seen[0].tree.order)
+
+
+def test_a_prefix_within_the_keep_limit_makes_no_table():
+    # A prefix of at most the pool's keep limit (64 states on the grid) is
+    # copied into pooled lists, which the pool keeps: it makes no table.
+    # The same pair at a wider limit is served in place.
+    g = grid()
+    cache = goal_trees(g)
+    start = GOAL + 1
+    low = h2(g, start, GOAL)
+    init = init_parallel_bidirectional(g, ProblemInstance(start, GOAL, low))
+    assert init.tables.shared == []
+    assert all(0 < sum(mask) <= list_pool(g).keep_limit
+               for _, _, mask in init.settled_per_phase[:2])
+    assert (cache.tables.hits, cache.tables.misses, len(cache.tables.entries)) == (0, 0, 0)
+    init = init_parallel_bidirectional(g, ProblemInstance(start, GOAL, 10 * low))
+    assert init.tables.shared == [(FORWARD, ATTR2)] and cache.tables.misses == 1
 
 
 def test_eviction_keeps_the_bound_and_the_answers(inits):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wcspp.bounds import ATTR2, BoundedSearch
+from wcspp.bounds import ATTR1, ATTR2, BoundedSearch, goal_trees
 from wcspp.cli import gen_instances
 from wcspp.graph import FORWARD, Graph, ProblemInstance, random_graph
 from wcspp.oracle import (OracleSizeError, all_simple_paths, constrained_optimum,
@@ -108,12 +108,12 @@ def test_reference_optimum_matches_brute_force(cost_min, cost_max):
                 constrained_optimum(g, start, goal, w), (start, goal, w)
 
 
-def test_solvers_match_the_reference_on_a_road_grid():
-    # A grid with coordinates, so the init's cost1 searches run live with
-    # the geometric heuristic; every solver and both queue kinds must give
-    # the reference's answer on every delta row of four pairs, and the
-    # infeasible answer on a row one below a pair's cost2 distance.
-    g = road_grid_graph(11, 16, 16, coords=True)
+def check_road_grid_against_the_reference(coords: bool) -> None:
+    """Every solver and both queue kinds must give the reference's answer on
+    every delta row of four pairs on a 16 x 16 road grid, and the
+    infeasible answer on a row one below a pair's cost2 distance. Some
+    search must be served in place from the tree cache's tables."""
+    g = road_grid_graph(11, 16, 16, coords=coords)
     pairs = [(0, 255), (17, 200), (250, 3), (100, 140)]
     rows = [(s, t, int(w)) for s, t, _, w in
             gen_instances(g, pairs, [Fraction(k, 10) for k in range(11)])]
@@ -129,3 +129,21 @@ def test_solvers_match_the_reference_on_a_road_grid():
                 assert out.costs == expected, (name, cfg.kind, start, goal, w)
                 assert out.status == ("optimal" if expected else "infeasible")
     assert optimal == len(rows) - 1
+    tables = goal_trees(g).tables
+    assert tables.hits + tables.misses > 0
+    # Start trees are served, in place too, only without coordinates.
+    starts = {key for key in tables.entries if key[1:] == (FORWARD, ATTR1)}
+    assert bool(starts) != coords
+
+
+def test_solvers_match_the_reference_on_a_road_grid():
+    # With coordinates the init's cost1 searches run live with the
+    # geometric heuristic; round one's cost2 goal trees are served in place.
+    check_road_grid_against_the_reference(coords=True)
+
+
+def test_solvers_match_the_reference_on_a_road_grid_without_coordinates():
+    # Without coordinates wc-ba and wc-ebba-par also serve round one's cost1
+    # search from the start's tree, in place, and wc-ba tunes private copies
+    # of both tables it reads in place.
+    check_road_grid_against_the_reference(coords=False)
