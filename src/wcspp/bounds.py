@@ -45,8 +45,8 @@ rebuild scans that shell of the settle order alone.
 Every other init search is a live `BoundedSearch`, with the joins against
 the opposite tables and its target test done inside the settle loop. The
 searches of a round run one after another in plan order, each to its end,
-outside `solvers.run_sides`, which drives every solver's main search. A
-search that starts once the init is decided settles nothing. A search reads
+outside `solvers.run_sides`, which drives every solver's main search;
+`run_init` runs a search only while the init is undecided. A search reads
 its bound as it starts, not when it is made: the weight limit W on cost2,
 f1_bar on cost1, which an earlier search of its own round may have lowered.
 No other search runs beside it, so f1_bar then moves only through its own
@@ -237,10 +237,12 @@ class BoundedSearch:
     and `bound` are fixed, f1_bar only falls), so such an entry could never
     settle. Every exit of `run()` and `serve()` gives the unsettled states
     in the heap their fill back, so only the states in `order` hold labels
-    and the pool resets each list from `order` alone. A plain init search
-    (no heuristic, no joins) takes its lists only as it runs or is served:
-    an unmasked one served a prefix longer than the pool's keep limit takes
-    none of them, and reads its tree's tables in place instead (`serve`).
+    and the pool resets each list from `order` alone. A search takes these
+    lists only as it starts: as `run()` labels the source (`_start`), as
+    `serve()` copies a prefix, or as a tree growth restores a shell
+    (`GoalTrees._grow`). An unmasked search served a prefix longer than the
+    pool's keep limit takes none of them and reads its tree's tables in
+    place instead (`serve`); one never started holds its settled mask alone.
 
     An init search also gets `init`, its round's InitResult, with `target`,
     the state at the far end, and `joins`, (record half, cost1 table, cost2
@@ -251,10 +253,9 @@ class BoundedSearch:
     and the target's label seeds f1_bar (cost2) or decides the init as the
     optimum (cost1 within the weight limit: SHORTCUT, and the search ends
     there), by one rule, `_reach_target`; a cost2 search that ends without
-    settling its target marks the init INFEASIBLE. Such a search settles
-    nothing when `init.status` is no longer SEARCH as it starts. `serve()`
-    runs a plain init search (no heuristic, no joins) from the graph's tree
-    cache instead, to the same end.
+    settling its target marks the init INFEASIBLE. `serve()` runs a plain
+    init search (no heuristic, no joins) from the graph's tree cache
+    instead, to the same end.
     """
 
     def __init__(self, graph: Graph, source: int, traverse_dir: int, attr: int,
@@ -276,8 +277,6 @@ class BoundedSearch:
         self.heap: list[tuple] = []
         self.dist = self.comp = self.pred = None  # the label lists, once taken or lent
         self.shared = False  # whether they are a tree cache's tables, lent by `serve`
-        if init is None or heuristic is not None or joins:
-            self._start()
 
     def _take(self) -> None:
         """Take the label lists from the graph's pool."""
@@ -296,21 +295,8 @@ class BoundedSearch:
     def _arcs(self) -> tuple:
         """(index, to, primary cost, secondary cost): the compressed arc
         arrays of the traverse direction, costs ordered by `attr`."""
-        graph = self.graph
-        if self.traverse_dir == FORWARD:
-            index, to, c1, c2 = graph.fwd_index, graph.fwd_to, graph.fwd_c1, graph.fwd_c2
-        else:
-            index, to, c1, c2 = graph.rev_index, graph.rev_to, graph.rev_c1, graph.rev_c2
+        index, to, c1, c2 = self.graph.arcs[self.traverse_dir]
         return (index, to, c1, c2) if self.attr == ATTR1 else (index, to, c2, c1)
-
-    def _unlabel(self) -> None:
-        """Give every unsettled state in the heap its fill back."""
-        dist, comp, pred, settled = self.dist, self.comp, self.pred, self.settled
-        for entry in self.heap:
-            u = entry[3]
-            if not settled[u]:
-                dist[u] = comp[u] = INF
-                pred[u] = None
 
     def run(self) -> "BoundedSearch":
         """Settle states until the bound or the heap runs out, or until the
@@ -318,7 +304,7 @@ class BoundedSearch:
         target rule (`_reach_target`). A join whose cost1 lies above f1_bar,
         or whose cost2 lies above the weight limit, is not offered: `offer`
         would refuse it, and no other search moves the bars meanwhile."""
-        if self.dist is None:  # a plain init search, run live
+        if self.dist is None:  # not resumed from served or restored labels
             self._start()
         index, to, cp, cs = self._arcs()
         attr = self.attr
@@ -335,9 +321,6 @@ class BoundedSearch:
         elif heuristic is not None:
             hvals, fill = heuristic, heuristic.__getitem__
         if init is not None:
-            if init.status != SEARCH:
-                self._unlabel()
-                return self
             gb = init.gb
             f2_bar = gb.f2_bar  # the weight limit, which never moves
             bound = gb.f1_bar if attr == ATTR1 else f2_bar
@@ -385,7 +368,11 @@ class BoundedSearch:
                     comp[v] = nds
                     pred[v] = u
                     heappush(heap, (ndp + hv, nds, ndp, v))
-        self._unlabel()
+        for entry in heap:  # give the unsettled states their fill back
+            u = entry[3]
+            if not settled[u]:
+                dist[u] = comp[u] = INF
+                pred[u] = None
         if init is not None and attr == ATTR2 and not settled[target]:
             init.status = INFEASIBLE
         return self
@@ -429,12 +416,8 @@ class BoundedSearch:
         distance D rebuilds the frontier from the written states at tree
         distance D - c_max or more, the shell that can border an unsettled
         allowed state (`rebuild_frontier`, with c_max from
-        `GoalTrees.max_cost`), and runs on live (`run()`). Like `run()`, it
-        settles nothing once the init is decided."""
+        `GoalTrees.max_cost`), and runs on live (`run()`)."""
         init, target, attr, allowed = self.init, self.target, self.attr, self.allowed
-        if init.status != SEARCH:
-            self._take()
-            return
         gb, cache, graph = init.gb, goal_trees(self.graph), self.graph
         key = (self.source, self.traverse_dir, attr)
         tree, count = cache.prefix(graph, key, gb.f1_bar if attr == ATTR1 else gb.f2_bar)
@@ -538,10 +521,11 @@ class BoundedSearch:
     def taken(self) -> list[tuple]:
         """(fill, list, written) for the lists taken from the graph's pool,
         the settled mask last; they are written only at the settled states.
-        A search served in place took its settled mask alone."""
+        A search served in place, or never started, took its settled mask
+        alone."""
         written = self.order
         settled = (False, self.settled, written)
-        if self.shared:
+        if self.shared or self.dist is None:
             return [settled]
         return [(INF, self.dist, written), (INF, self.comp, written),
                 (None, self.pred, written), settled]
@@ -657,7 +641,7 @@ class GoalTrees(ByteLRU):
     def __init__(self, graph: Graph):
         super().__init__(graph.state_count)
         self.state_count = graph.state_count
-        self._costs = (graph.fwd_c1, graph.fwd_c2)
+        self._costs = graph.arcs[FORWARD][2:]
         self.grows = self.binds = 0
         self.tables = ByteLRU(graph.state_count)
 
@@ -740,7 +724,7 @@ class GoalTrees(ByteLRU):
         if tree is not None:
             self.grows += 1
             if len(tree.order):
-                search._unlabel()  # the source's label: the shell makes the frontier
+                search._take()
                 settled, dist, comp = search.settled, search.dist, search.comp
                 for u in tree.order:
                     settled[u] = True
@@ -808,10 +792,9 @@ def _init_search(graph: Graph, inst: ProblemInstance, result: InitResult, table_
     label is one half of a start-goal path: it is joined with every opposite
     table. When the search's own target settles, a cost2 label seeds f1_bar and
     a cost1 label within the weight limit is the optimum (SHORTCUT). A cost2
-    search that ends without settling its target proves INFEASIBLE. It
-    settles nothing when `result.status` is no longer SEARCH as it starts.
-    A search with no heuristic and no joins is plain: `serve()` runs it from
-    the graph's tree cache, with the same outcome as `run()`.
+    search that ends without settling its target proves INFEASIBLE. A search
+    with no heuristic and no joins is plain: `serve()` runs it from the
+    graph's tree cache, with the same outcome as `run()`.
     """
     tables, gb = result.tables, result.gb
     opp = 1 - table_dir
@@ -838,8 +821,11 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
     the graph's tree cache (`BoundedSearch.serve`), every other one runs
     live (`BoundedSearch.run`). A round's searches are all made before the
     first of them runs, so none joins against a table of its own round; they
-    share only the global bounds, and a search that starts once the init is
-    decided settles nothing.
+    share only the global bounds. A search runs only while `result.status`
+    is SEARCH: one whose round an earlier search decided is skipped. It
+    settles nothing and takes no label lists, so its tables stay None; its
+    settled mask, all False, is listed in `settled_per_phase` and is all it
+    adds to `result.taken`.
     Every search after the first round is restricted to the states that all
     searches of the previous round settled. The init ends early on
     INFEASIBLE or SHORTCUT; only a SEARCH init gets S', the union of the
@@ -873,10 +859,11 @@ def run_init(graph: Graph, inst: ProblemInstance, plan: tuple) -> InitResult:
         searches = [_init_search(graph, inst, result, table_dir, attr, allowed)
                     for table_dir, attr in rnd]
         for (table_dir, attr), search in zip(rnd, searches):
-            if search.heuristic is None and not search.joins:
-                search.serve()
-            else:
-                search.run()
+            if result.status == SEARCH:  # else an earlier search of the round decided it
+                if search.heuristic is None and not search.joins:
+                    search.serve()
+                else:
+                    search.run()
             tables.install(table_dir, attr, search.dist, search.comp, search.pred,
                            search.shared)
             result.settled_per_phase.append((table_dir, attr, search.settled))

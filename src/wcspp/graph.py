@@ -47,26 +47,14 @@ class ProblemInstance:
 class Graph:
     """Directed graph with (cost1, cost2) edge attributes and both adjacency directions.
 
-    Edges are stored CSR-style: ``index[u]:index[u+1]`` slices the parallel
-    ``to``/``c1``/``c2`` arrays, sorted by target id. At most one edge exists
-    per ordered state pair.
+    Edges are stored CSR-style, one tuple per direction: ``arcs[d]`` is
+    ``(index, to, c1, c2)``, where ``index[u]:index[u+1]`` slices the
+    parallel ``to``/``c1``/``c2`` lists, sorted by target id; ``arcs[FORWARD]``
+    holds the outgoing edges and ``arcs[BACKWARD]`` the reversed ones. At
+    most one edge exists per ordered state pair.
     """
 
-    __slots__ = (
-        "state_count",
-        "fwd_index",
-        "fwd_to",
-        "fwd_c1",
-        "fwd_c2",
-        "rev_index",
-        "rev_to",
-        "rev_c1",
-        "rev_c2",
-        "coords",
-        "goal_trees",
-        "list_pool",
-        "geo_tables",
-    )
+    __slots__ = ("state_count", "arcs", "coords", "goal_trees", "list_pool", "geo_tables")
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int, int, int]],
                  coords: Optional[Sequence[tuple[float, float]]] = None):
@@ -104,16 +92,14 @@ class Graph:
         order. Empties `best`; both directions share their int objects."""
         n = self.state_count
         heads, to, c1, c2 = _sorted_arcs(best, n)
-        self.fwd_index, self.fwd_to, self.fwd_c1, self.fwd_c2 = _offsets(heads, n), to, c1, c2
         order = sorted(range(len(to)), key=to.__getitem__)
-        self.rev_index = _offsets([to[i] for i in order], n)
-        self.rev_to = [heads[i] for i in order]
-        self.rev_c1 = [c1[i] for i in order]
-        self.rev_c2 = [c2[i] for i in order]
+        self.arcs = ((_offsets(heads, n), to, c1, c2),
+                     (_offsets([to[i] for i in order], n), [heads[i] for i in order],
+                      [c1[i] for i in order], [c2[i] for i in order]))
 
     @property
     def edge_count(self) -> int:
-        return len(self.fwd_to)
+        return len(self.arcs[FORWARD][1])
 
     def successors(self, u: int, direction: int = FORWARD) -> Iterator[tuple[int, int, int]]:
         """Yield (state, cost1, cost2) neighbours of u, ascending by state id.
@@ -122,18 +108,16 @@ class Graph:
         The search core's expansion uses it; the bounded init searches of
         `bounds.BoundedSearch` scan the compressed arrays themselves.
         """
-        if direction == FORWARD:
-            index, to, c1, c2 = self.fwd_index, self.fwd_to, self.fwd_c1, self.fwd_c2
-        else:
-            index, to, c1, c2 = self.rev_index, self.rev_to, self.rev_c1, self.rev_c2
+        index, to, c1, c2 = self.arcs[direction]
         for i in range(index[u], index[u + 1]):
             yield to[i], c1[i], c2[i]
 
     def edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield every (u, v, cost1, cost2), grouped by u ascending."""
+        index, to, c1, c2 = self.arcs[FORWARD]
         for u in range(self.state_count):
-            for i in range(self.fwd_index[u], self.fwd_index[u + 1]):
-                yield u, self.fwd_to[i], self.fwd_c1[i], self.fwd_c2[i]
+            for i in range(index[u], index[u + 1]):
+                yield u, to[i], c1[i], c2[i]
 
 
 def _sorted_arcs(best: dict[int, int], n: int) -> tuple[list, list, list, list]:
@@ -151,6 +135,11 @@ def _offsets(heads: list[int], n: int) -> list[int]:
     return [bisect_left(heads, u) for u in range(n + 1)]
 
 
+def _not_integer(path: str, lineno: int, kind: str, line: str) -> GraphFormatError:
+    """The error for a `kind` line with a field that is not an integer."""
+    return GraphFormatError(f"{path}:{lineno}: non-integer field in {kind} line {line!r}")
+
+
 def _read_gr(path: str) -> Iterator:
     """Stream a DIMACS 9th-challenge .gr file: first its state count n, then
     each arc as (u, v, w) with 1-based ids. Raises GraphFormatError at the
@@ -166,16 +155,27 @@ def _read_gr(path: str) -> Iterator:
             if parts[0] == "p":
                 if len(parts) != 4 or parts[1] != "sp" or n is not None:
                     raise GraphFormatError(f"{path}:{lineno}: malformed problem line {line!r}")
-                n, m = int(parts[2]), int(parts[3])
+                try:
+                    n, m = int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise _not_integer(path, lineno, "problem", line) from None
+                if n < 0 or m < 0:
+                    raise GraphFormatError(f"{path}:{lineno}: negative count in {line!r}")
                 yield n
             elif parts[0] == "a":
                 if len(parts) != 4:
                     raise GraphFormatError(f"{path}:{lineno}: malformed arc line {line!r}")
-                u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
+                try:
+                    u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise _not_integer(path, lineno, "arc", line) from None
                 if n is None:
                     raise GraphFormatError(f"{path}:{lineno}: arc before problem line")
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise GraphFormatError(f"{path}:{lineno}: state id out of range 1..{n}")
+                if not 0 <= w <= COST_MAX:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: arc ({u},{v}) weight {w} outside [0, 2^32)")
                 found += 1
                 yield u, v, w
             else:
@@ -216,10 +216,12 @@ def _parse_co(path: str, n: int) -> list[tuple[float, float]]:
             parts = line.split()
             if parts[0] != "v" or len(parts) != 4:
                 raise GraphFormatError(f"{path}:{lineno}: malformed coordinate line {line!r}")
-            sid = int(parts[1])
+            try:
+                sid, lon, lat = int(parts[1]), int(parts[2]) / 1e6, int(parts[3]) / 1e6
+            except ValueError:
+                raise _not_integer(path, lineno, "coordinate", line) from None
             if not (1 <= sid <= n):
                 raise GraphFormatError(f"{path}:{lineno}: state id out of range 1..{n}")
-            lon, lat = int(parts[2]) / 1e6, int(parts[3]) / 1e6
             coords[sid - 1] = (lat, lon)
             seen[sid - 1] = True
     if not all(seen):

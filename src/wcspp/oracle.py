@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import FORWARD, Graph
+from .graph import BACKWARD, FORWARD, Graph
 
 SIZE_GUARD = 10_000
 
@@ -147,7 +147,7 @@ def all_simple_paths(graph: Graph, start: int, goal: int,
 def _reverse_dijkstra(graph: Graph, goal: int, costs: list) -> list:
     """Least cost on `costs` (the reversed arcs' cost1 or cost2 array) from
     every state to `goal`; inf where the goal is unreachable."""
-    index, to = graph.rev_index, graph.rev_to
+    index, to = graph.arcs[BACKWARD][:2]
     dist = [float("inf")] * graph.state_count
     dist[goal] = 0
     heap = [(0, goal)]
@@ -177,11 +177,10 @@ def reference_optimum(graph: Graph, start: int, goal: int,
     (`g2_min`): a label popped earlier there has no larger g1 either.
     """
     inf = float("inf")
-    h1 = _reverse_dijkstra(graph, goal, graph.rev_c1)
-    h2 = _reverse_dijkstra(graph, goal, graph.rev_c2)
+    h1, h2 = (_reverse_dijkstra(graph, goal, costs) for costs in graph.arcs[BACKWARD][2:])
     if h2[start] > weight_limit:
         return None
-    index, to, c1, c2 = graph.fwd_index, graph.fwd_to, graph.fwd_c1, graph.fwd_c2
+    index, to, c1, c2 = graph.arcs[FORWARD]
     g2_min = [inf] * graph.state_count
     heap = [(h1[start], h2[start], 0, 0, start)]
     while heap:

@@ -444,11 +444,7 @@ class SearchContext:
         The arcs are scanned from the graph's compressed arrays, so the
         search's only `Graph.successors` calls stay its expansions.
         """
-        graph = self.graph
-        if self.direction == FORWARD:
-            index, to = graph.fwd_index, graph.fwd_to
-        else:
-            index, to = graph.rev_index, graph.rev_to
+        index, to = self.graph.arcs[self.direction][:2]
         h2, cap_opp = self.h_2, self.cap_opp
         for i in range(index[u], index[u + 1]):
             if h2[to[i]] <= cap_opp:

@@ -633,16 +633,37 @@ def _round_one(monkeypatch, g: Graph, inst: ProblemInstance, schedules: list) ->
     return init, seen[0][1]
 
 
-def _assert_late_searches_settle_nothing(g: Graph, inst: ProblemInstance, init) -> None:
-    """Searches started after the init is decided, live or served from the
-    tree cache, settle no state and leave the status as it is."""
-    status = init.status
-    for table_dir, attr in PLAN_PARALLEL[1]:  # round two's searches, run anyway
-        late = bounds_mod._init_search(g, inst, init, table_dir, attr, None).run()
-        assert late.order == [] and not any(late.settled) and init.status == status
-    plain = BoundedSearch(g, inst.start, FORWARD, ATTR1, init=init, target=inst.goal)
-    plain.serve()
-    assert plain.order == [] and not any(plain.settled) and init.status == status
+def _assert_skipped_searches_borrow_only_their_mask(monkeypatch, g: Graph,
+                                                    inst: ProblemInstance, init) -> None:
+    """`run_init` runs a search only while the init is undecided. Rerun
+    `init`'s plan, the parallel one, with its searches recorded: it decides
+    as `init` did, and no round after the deciding one is made. A search
+    that ran settled at least its source; every search after the one that
+    decided was skipped: its order is empty, its mask all False, it holds
+    no label lists and installed no tables, and its `taken()` is the mask
+    alone. Only a round's first search, a cost2 one, proving INFEASIBLE
+    leaves one behind."""
+    made = []
+
+    def recorded(*args, _original=bounds_mod._init_search):
+        made.append(_original(*args))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds_mod, "_init_search", recorded)
+        again = bounds_mod.run_init(g, inst, PLAN_PARALLEL)
+    assert again.status == init.status != SEARCH and len(made) in (2, 4)
+    ran = [search for search in made if search.order]
+    skipped = made[len(ran):]
+    assert made[:len(ran)] == ran and len(skipped) == (init.status == INFEASIBLE)
+    for search, (d, a, mask) in zip(made, again.settled_per_phase):
+        assert mask is search.settled
+        if search in skipped:
+            assert not any(mask)
+            assert search.dist is search.comp is search.pred is None
+            assert again.tables.h[d][a] is again.tables.tree[d][a] is None
+            assert search.taken() == [(False, mask, [])]
+            assert sum(lst is mask for _, lst, _ in again.taken) == 1
 
 
 @pytest.mark.parametrize("k", ROUND_ONE_KS)
@@ -659,10 +680,9 @@ def test_a_round_one_decision_halts_the_other_side_at_once(monkeypatch, k, start
     # Round one of the parallel plan applies the goal tree's whole prefix,
     # then serves the (BACKWARD, cost1) search from the start's tree,
     # whatever the solve's schedule (lockstep k or threads). A prefix
-    # without the start decides INFEASIBLE, and the cost1 search, run after
-    # the decision, settles no state; a cost1 prefix that holds the goal
-    # within W decides SHORTCUT and ends at the goal. A search run after
-    # either decision settles nothing.
+    # without the start decides INFEASIBLE, and the cost1 search is then
+    # skipped; a cost1 prefix that holds the goal within W decides SHORTCUT
+    # and ends at the goal.
     g = _line()
     inst = ProblemInstance(start, goal, w)
     init, masks = _round_one(monkeypatch, g, inst, [("lockstep", k), ("threads", 2)])
@@ -670,7 +690,7 @@ def test_a_round_one_decision_halts_the_other_side_at_once(monkeypatch, k, start
     if status == SHORTCUT:
         cost1_order = BoundedSearch(g, start, FORWARD, ATTR1).run().order
         assert masks[1] == sorted(cost1_order[:cost1_order.index(goal) + 1])
-    _assert_late_searches_settle_nothing(g, inst, init)
+    _assert_skipped_searches_borrow_only_their_mask(monkeypatch, g, inst, init)
 
 
 @pytest.mark.parametrize("edges, w, masks", [
@@ -690,7 +710,7 @@ def test_round_one_cost1_prefix_ends_at_the_goal_or_the_seed(monkeypatch, edges,
     init, got = _round_one(monkeypatch, g, inst,
                            [("lockstep", 1), ("lockstep", 3), ("threads", 2)])
     assert got == masks
-    _assert_late_searches_settle_nothing(g, inst, init)
+    _assert_skipped_searches_borrow_only_their_mask(monkeypatch, g, inst, init)
 
 
 def _fan() -> Graph:
@@ -723,7 +743,7 @@ def test_round_one_cost1_search_runs_live_on_a_graph_with_coordinates(monkeypatc
     # heuristic, so it is not plain: it runs live, bounded by the seed,
     # whatever the schedule, and leaves no start tree. On a SHORTCUT it
     # settles the states of a search bounded by the seed up to the goal; on
-    # an INFEASIBLE init it settles nothing.
+    # an INFEASIBLE init it is skipped and settles nothing.
     line = _line()
     g = Graph(8, list(line.edges()), [(40.0, -73.0 + 0.01 * u) for u in range(8)])
     inst = ProblemInstance(start, goal, w)
@@ -743,7 +763,7 @@ def test_round_one_cost1_search_runs_live_on_a_graph_with_coordinates(monkeypatc
         seen.append(digest)
     assert seen[0] == seen[1]
     assert list(goal_trees(g).entries) == [(goal, BACKWARD, ATTR2)]
-    _assert_late_searches_settle_nothing(g, inst, init)
+    _assert_skipped_searches_borrow_only_their_mask(monkeypatch, g, inst, init)
 
 
 @pytest.mark.parametrize("plan", [PLAN_UNIDIRECTIONAL, PLAN_SEQUENTIAL, PLAN_PARALLEL],

@@ -67,7 +67,7 @@ def test_pair_bounds_match_the_oracle():
         goals = rng.sample(range(n + 1), 3)
         pairs = [(s, t) for t in goals for s in range(n + 1)]
         rng.shuffle(pairs)
-        h2 = {t: _reverse_dijkstra(g, t, g.rev_c2) for t in goals}
+        h2 = {t: _reverse_dijkstra(g, t, g.arcs[BACKWARD][3]) for t in goals}
         for s, t in pairs:
             front = constrained_optimum(g, s, t, 1 << 62)
             assert (front is None) == (h2[t][s] == float("inf"))

@@ -336,16 +336,17 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
     # fill (INF, INF, None, False) in every list the search took, and a
     # pool given those lists must hand them back all fill. The exits: the
     # bound break, a target return without an init and with one
-    # (SHORTCUT), an exhausted heap, an init decided before the search
-    # starts, a served search to its end, a served masked search whose mask
-    # binds before it runs on live, and an unmasked search served in place,
-    # which took its settled mask alone and reads its tree's cached tables.
+    # (SHORTCUT), an exhausted heap, a served search to its end, a served
+    # masked search whose mask binds before it runs on live, and an
+    # unmasked search served in place, which took its settled mask alone
+    # and reads its tree's cached tables.
     # Searches without an init, bounded and stopped at a target, and every
     # search of the three init plans, on graphs with zero-cost arcs, on
     # graphs with coordinates, where cost1 searches run live with the
     # geometric bound, and on a road grid, whose long prefixes are served
     # in place. A tree growth's search is left out: it holds the old tree's
     # states settled outside its order, and gives its lists back accordingly.
+    # `run_init` starts no search once the init is decided.
     exits = Counter()
     growing = []
     run, serve, grow = BoundedSearch.run, BoundedSearch.serve, GoalTrees._grow
@@ -372,16 +373,14 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
         assert [pool.take(fill) for fill in fills] == [[fill] * n for fill in fills]
         assert pool.reused == len(taken)
 
-    def decided(search) -> bool:
-        return search.init is not None and search.init.status != SEARCH
+    def undecided(search) -> bool:
+        return search.init is None or search.init.status == SEARCH
 
     def checked_run(search):
-        was_decided = decided(search)
+        assert undecided(search)
         run(search)
         if growing:
             exit = None
-        elif was_decided:
-            exit = "decided"
         elif search.target >= 0 and search.settled[search.target] and (
                 search.init is None or search.init.status == SHORTCUT):
             exit = "target" if search.init is None else "target, init"
@@ -392,15 +391,15 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
         return search
 
     def checked_serve(search):
-        was_decided, binds = decided(search), goal_trees(search.graph).binds
+        assert undecided(search)
+        binds = goal_trees(search.graph).binds
         serve(search)
         bound = goal_trees(search.graph).binds > binds
         if search.shared:
             table = goal_trees(search.graph).tables.entries[
                 search.source, search.traverse_dir, search.attr]
             assert (search.dist, search.comp, search.pred) == (table.dist, table.comp, table.pred)
-        check(search, "serve", "decided" if was_decided else "bind" if bound
-              else "in place" if search.shared else "end")
+        check(search, "serve", "bind" if bound else "in place" if search.shared else "end")
 
     def checked_grow(*args):
         growing.append(True)
@@ -427,9 +426,8 @@ def test_every_exit_leaves_labels_at_settled_states_only(monkeypatch):
             for init in (init_unidirectional, init_sequential_bidirectional,
                          init_parallel_bidirectional):
                 init(g, inst)
-    expected = [("run", exit) for exit in ("break", "target", "target, init", "exhausted",
-                                           "decided")]
-    expected += [("serve", exit) for exit in ("end", "bind", "decided", "in place")]
+    expected = [("run", exit) for exit in ("break", "target", "target, init", "exhausted")]
+    expected += [("serve", exit) for exit in ("end", "bind", "in place")]
     assert set(exits) == set(expected), exits
     assert min(exits.values()) > 20, exits
 

@@ -192,12 +192,29 @@ def test_missing_problem_line_rejected(tmp_path):
     ("x 2 3 5", "unrecognized line 'x 2 3 5'"),
     ("a 2 4 5", "state id out of range 1..3"),
     ("p sp 3 2", "malformed problem line 'p sp 3 2'"),  # a second problem line
-], ids=["short-arc", "unknown", "range", "second-p"])
+    ("a 2 3 x", "non-integer field in arc line 'a 2 3 x'"),
+    ("a 2 3 -4", "arc (2,3) weight -4 outside [0, 2^32)"),
+], ids=["short-arc", "unknown", "range", "second-p", "non-integer", "negative"])
 def test_second_file_malformed_line_rejected(tmp_path, line, message):
     good = write_gr_text(tmp_path, "good.gr", "p sp 3 2\na 1 2 4\na 2 3 5\n")
     bad = write_gr_text(tmp_path, "bad.gr", f"p sp 3 2\na 1 2 4\n{line}\n")
     with pytest.raises(GraphFormatError, match=re.escape(f"{bad}:3: {message}")):
         load_dimacs(good, bad)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("bad.gr", "c header\np sp 2 x\n", "2: non-integer field in problem line 'p sp 2 x'"),
+    ("bad.gr", "p sp -3 0\n", "1: negative count in 'p sp -3 0'"),
+    ("bad.co", "p aux sp co 3\nv 1 1 2\nv 2 1.5 2\n",
+     "3: non-integer field in coordinate line 'v 2 1.5 2'"),
+], ids=["problem", "negative-count", "coordinate"])
+def test_bad_problem_and_coordinate_lines_name_their_file_and_line(tmp_path, name, text,
+                                                                   message):
+    good = write_gr_text(tmp_path, "good.gr", "p sp 3 2\na 1 2 4\na 2 3 5\n")
+    bad = write_gr_text(tmp_path, name, text)
+    files = (bad, good) if name.endswith(".gr") else (good, good, bad)
+    with pytest.raises(GraphFormatError, match=re.escape(f"{bad}:{message}")):
+        load_dimacs(*files)
 
 
 def test_first_bad_line_in_reading_order_is_reported(tmp_path):
@@ -212,14 +229,14 @@ def test_first_bad_line_in_reading_order_is_reported(tmp_path):
 def test_cost_above_cost_max_rejected(tmp_path):
     p1, p2 = write_dimacs_pair(tmp_path, [(0, 1, 4, 5), (1, 2, COST_MAX + 1, 5)], 3)
     with pytest.raises(GraphFormatError, match=re.escape(
-            f"edge (1,2) cost ({COST_MAX + 1},5) outside [0, 2^32)")):
+            f"{p1}:4: arc (2,3) weight {COST_MAX + 1} outside [0, 2^32)")):
         load_dimacs(p1, p2)
     p1, p2 = write_dimacs_pair(tmp_path, [(1, 2, COST_MAX, COST_MAX)], 3, prefix="max")
     assert list(load_dimacs(p1, p2).edges()) == [(1, 2, COST_MAX, COST_MAX)]
 
 
 def csr_arrays(g: Graph) -> list:
-    return [g.fwd_index, g.fwd_to, g.fwd_c1, g.fwd_c2, g.rev_index, g.rev_to, g.rev_c1, g.rev_c2]
+    return [*g.arcs[FORWARD], *g.arcs[BACKWARD]]
 
 
 def reference_csr(n: int, edges) -> list:
